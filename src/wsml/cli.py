@@ -30,18 +30,6 @@ TRACKER_HEADER = "WSMLTRACK/1"
 
 SCHEME_TOKENS = [s.value for s in schemes.Scheme]
 
-# which tuning flags each scheme actually reads; anything else is ignored
-_RELEVANT_FLAGS = {}
-for _s in schemes.Scheme:
-    rel = set()
-    if _s in schemes.RELATIVE_LL:
-        rel.add("delta_rel")
-    if _s in schemes.ABSOLUTE_LL:
-        rel.update(("r0", "delta_abs"))
-    if _s is schemes.Scheme.LSAN:
-        rel.add("eps_smooth")
-    _RELEVANT_FLAGS[_s] = rel
-
 
 class UsageError(Exception):
     pass
@@ -141,7 +129,7 @@ def _resolve_scheme_config(args) -> tuple[schemes.SchemeConfig, dict]:
         "delta_abs": args.delta_abs,
         "eps_smooth": args.eps_smooth,
     }
-    relevant = _RELEVANT_FLAGS[scheme]
+    relevant = schemes.SPECS[scheme].reads
     resolved = {}
     for name, value in passed.items():
         if value is not None and name not in relevant:
@@ -291,29 +279,28 @@ def _write_tracker(path, report, file_rows, cfg_comment: str) -> None:
 
 
 def load_tracker(path):
-    """Read a tracker dump; returns (file row indices, max_loss, argmax_epoch, epochs)."""
+    """Read a tracker dump; returns (file row indices, max_loss, argmax_epoch, epochs).
+
+    A malformed dump raises FormatError naming the offending line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         reader = ds_mod.LineReader(fh.read())
     lineno, header = reader.next("header")
     if header != TRACKER_HEADER:
         raise ds_mod.FormatError(lineno, f"bad header {header!r}, expected {TRACKER_HEADER!r}")
     lineno, dims = reader.next("dimension line")
-    parts = dims.split()
-    if len(parts) != 3:
-        raise ds_mod.FormatError(lineno, f"expected 'N K epochs', got {dims!r}")
-    n, k, epochs = (int(p) for p in parts)
-    lineno, row_line = reader.next("row index line")
-    rows = np.array([int(p) for p in row_line.split()])
-    if rows.size != n:
-        raise ds_mod.FormatError(lineno, f"expected {n} row indices, got {rows.size}")
-    max_loss = np.empty((n, k))
-    for i in range(n):
-        lineno, content = reader.next(f"max-loss row {i + 1}")
-        max_loss[i] = [float(p) for p in content.split()]
-    argmax = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        lineno, content = reader.next(f"argmax-epoch row {i + 1}")
-        argmax[i] = [int(p) for p in content.split()]
+    try:
+        n, k, epochs = (int(p) for p in dims.split())
+    except ValueError:
+        raise ds_mod.FormatError(lineno, f"expected 'N K epochs', got {dims!r}") from None
+    if min(n, k, epochs) < 1:
+        raise ds_mod.FormatError(lineno, f"dimensions must be positive, got {dims!r}")
+    rows = ds_mod.read_rows(reader, (1, n), "row indices", int, bounds=(0, math.inf))[0]
+    max_loss = ds_mod.read_rows(reader, (n, k), "max-loss")
+    argmax = ds_mod.read_rows(reader, (n, k), "argmax-epoch", int, bounds=(1, epochs))
+    trailing = reader.peek()
+    if trailing is not None:
+        raise ds_mod.FormatError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
     return rows, max_loss, argmax, epochs
 
 
@@ -494,7 +481,7 @@ def _cmd_sweep(args) -> int:
     dupes = sorted({v for v in values if values.count(v) > 1})
     if dupes:
         raise UsageError(f"duplicate sweep values: {', '.join(format(v, 'g') for v in dupes)}")
-    if args.param == "delta-rel" and schemes.Scheme(args.scheme) not in schemes.RELATIVE_LL:
+    if args.param == "delta-rel" and schemes.SPECS[schemes.Scheme(args.scheme)].schedule != "relative":
         raise UsageError(f"--param delta-rel requires a relative large-loss scheme, got {args.scheme}")
 
     base_echo = _train_settings(args)["echo"]  # validates shared flags up front

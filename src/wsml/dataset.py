@@ -203,8 +203,10 @@ class SyntheticSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -220,7 +222,7 @@ def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):
     """
 
     def rate(c):
-        return float(np.mean(uniforms < _sigmoid((base_logits + c) / temperature)))
+        return float(np.mean(uniforms < sigmoid((base_logits + c) / temperature)))
 
     lo, hi = -1.0, 1.0
     while rate(lo) > target_rate and lo > -1e9:
@@ -261,7 +263,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PartialDataset:
 
     base = features @ weights.T + bias
     shift = _calibrate_bias_shift(base, uniforms, spec.temperature, spec.pos_rate)
-    probs = _sigmoid((base + shift) / spec.temperature)
+    probs = sigmoid((base + shift) / spec.temperature)
     truth = (uniforms < probs).astype(np.int8)
 
     empty_rows = np.flatnonzero(truth.sum(axis=1) == 0)
@@ -325,11 +327,6 @@ def subsample(ds: PartialDataset, fraction: float, seed) -> PartialDataset:
     return ds.take(subsample_indices(ds.n, fraction, seed))
 
 
-def an_targets(ds: PartialDataset) -> np.ndarray:
-    """Assume-negative target matrix for a dataset (module-level alias)."""
-    return ds.an_targets()
-
-
 # ---------------------------------------------------------------------------
 # Text serialization
 #
@@ -370,6 +367,28 @@ class LineReader:
                 continue
             return pos, raw.strip()
         return None
+
+
+def read_rows(reader: LineReader, shape, what: str, parse=float, bounds=None) -> np.ndarray:
+    """Read a rows x cols block of `parse`-able tokens, one row per line.
+
+    bounds=(lo, hi) also requires every value to lie in [lo, hi].
+    """
+    rows, cols = shape
+    out = np.empty((rows, cols), dtype=np.int64 if parse is int else np.float64)
+    for i in range(rows):
+        lineno, content = reader.next(f"{what} row {i + 1}")
+        parts = content.split()
+        if len(parts) != cols:
+            raise FormatError(lineno, f"expected {cols} values for {what}, got {len(parts)}")
+        try:
+            out[i] = [parse(p) for p in parts]
+        except (ValueError, OverflowError):
+            kind = "integer" if parse is int else "real number"
+            raise FormatError(lineno, f"invalid {kind} in {what}") from None
+        if bounds is not None and ((out[i] < bounds[0]) | (out[i] > bounds[1])).any():
+            raise FormatError(lineno, f"{what} values must lie in [{bounds[0]}, {bounds[1]}]")
+    return out
 
 
 def _format_real_row(row: np.ndarray) -> str:

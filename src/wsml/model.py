@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FormatError, LineReader
+from .dataset import FormatError, LineReader, read_rows, sigmoid
 
 __all__ = [
     "PROB_EPS",
@@ -40,17 +40,6 @@ MODEL_HEADER = "WSMLMODEL/1"
 # parameter tensors in serialization order, per architecture
 _PARAM_ORDER = {"linear": ("W", "b"), "mlp1": ("W1", "b1", "W2", "b2")}
 _HIDDEN_PARAMS = ("W1", "b1")
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -168,33 +157,21 @@ def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moment tensors are shaped exactly like the parameters.
-
-    lr_scale holds optional per-tensor learning-rate multipliers (e.g. a
-    faster output layer); tensors not listed use the base rate.
-    """
+    """SGD or Adam state; moment tensors are shaped exactly like the parameters."""
 
     kind: str
     learning_rate: float
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    lr_scale: dict[str, float] = field(default_factory=dict)
     step_count: int = 0
 
 
-def make_optimizer(
-    kind: str, learning_rate: float, model: Classifier, output_lr_multiplier: float = 1.0
-) -> OptimizerState:
+def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    if output_lr_multiplier <= 0:
-        raise ValueError(f"output_lr_multiplier must be positive, got {output_lr_multiplier}")
     opt = OptimizerState(kind, learning_rate)
-    if output_lr_multiplier != 1.0:
-        out_params = ("W", "b") if model.arch == "linear" else ("W2", "b2")
-        opt.lr_scale = {name: output_lr_multiplier for name in out_params}
     if kind == "adam":
         opt.m = {name: np.zeros_like(p) for name, p in model.params.items()}
         opt.v = {name: np.zeros_like(p) for name, p in model.params.items()}
@@ -210,7 +187,7 @@ def step(model: Classifier, grads: dict[str, np.ndarray], opt: OptimizerState) -
         if name in frozen:
             continue
         g = grads[name]
-        lr = opt.learning_rate * opt.lr_scale.get(name, 1.0)
+        lr = opt.learning_rate
         if opt.kind == "sgd":
             param -= lr * g
         else:
@@ -285,21 +262,6 @@ def save_model(model: Classifier, path, config_comment: str | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_tensor(reader: LineReader, shape, what: str) -> np.ndarray:
-    rows, cols = shape
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        lineno, content = reader.next(f"{what} row {i + 1}")
-        parts = content.split()
-        if len(parts) != cols:
-            raise FormatError(lineno, f"expected {cols} values for {what}, got {len(parts)}")
-        try:
-            out[i] = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(lineno, f"invalid real number in {what}") from None
-    return out
-
-
 def load_model(path) -> Classifier:
     with open(path, "r", encoding="utf-8") as fh:
         reader = LineReader(fh.read())
@@ -324,16 +286,16 @@ def load_model(path) -> Classifier:
     if arch == "linear":
         d, k = dims
         params = {
-            "W": _read_tensor(reader, (k, d), "W"),
-            "b": _read_tensor(reader, (1, k), "b")[0],
+            "W": read_rows(reader, (k, d), "W"),
+            "b": read_rows(reader, (1, k), "b")[0],
         }
     else:
         d, h, k = dims
         params = {
-            "W1": _read_tensor(reader, (h, d), "W1"),
-            "b1": _read_tensor(reader, (1, h), "b1")[0],
-            "W2": _read_tensor(reader, (k, h), "W2"),
-            "b2": _read_tensor(reader, (1, k), "b2")[0],
+            "W1": read_rows(reader, (h, d), "W1"),
+            "b1": read_rows(reader, (1, h), "b1")[0],
+            "W2": read_rows(reader, (k, h), "W2"),
+            "b2": read_rows(reader, (1, k), "b2")[0],
         }
     trailing = reader.peek()
     if trailing is not None:

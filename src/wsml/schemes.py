@@ -23,14 +23,14 @@ from .dataset import LabelState, PartialDataset, an_targets_from_states
 __all__ = [
     "Scheme",
     "SchemeConfig",
+    "SchemeSpec",
+    "SPECS",
     "BatchDecision",
-    "RELATIVE_LL",
-    "ABSOLUTE_LL",
-    "PERMANENT_LL",
     "bce_elementwise",
     "rejection_rate",
     "absolute_threshold",
     "select_large_losses",
+    "select_for_epoch",
     "decide_batch",
     "apply_permanent_corrections",
 ]
@@ -51,10 +51,41 @@ class Scheme(str, enum.Enum):
     LL_CP_ABS = "ll-cp-abs"
 
 
-RELATIVE_LL = frozenset({Scheme.LL_R, Scheme.LL_CT, Scheme.LL_CP})
-ABSOLUTE_LL = frozenset({Scheme.LL_R_ABS, Scheme.LL_CT_ABS, Scheme.LL_CP_ABS})
-PERMANENT_LL = frozenset({Scheme.LL_CP, Scheme.LL_CP_ABS})
-_REJECTING = frozenset({Scheme.LL_R, Scheme.LL_R_ABS})
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What a scheme does, as data.
+
+    target: base effective target, "an" (assume negative) or "smoothed".
+    weight: base weight rule, "ones", "ignore-unknown" or "wan".
+    action: what happens to flagged large-loss entries, "none", "reject"
+        (weight 0), "temporary" (target 1) or "permanent" (corrected state).
+    schedule: how entries are flagged, "none", "relative" (a rate of the
+        unknown entries) or "absolute" (a loss threshold).
+    reads: the SchemeConfig hyperparameters the scheme uses.
+    """
+
+    target: str
+    weight: str
+    action: str
+    schedule: str
+    reads: frozenset[str]
+
+
+_RELATIVE = frozenset({"delta_rel"})
+_ABSOLUTE = frozenset({"r0", "delta_abs"})
+
+SPECS = {
+    Scheme.NAIVE_AN: SchemeSpec("an", "ones", "none", "none", frozenset()),
+    Scheme.IGNORE_UNOBSERVED: SchemeSpec("an", "ignore-unknown", "none", "none", frozenset()),
+    Scheme.WAN: SchemeSpec("an", "wan", "none", "none", frozenset()),
+    Scheme.LSAN: SchemeSpec("smoothed", "ones", "none", "none", frozenset({"eps_smooth"})),
+    Scheme.LL_R: SchemeSpec("an", "ones", "reject", "relative", _RELATIVE),
+    Scheme.LL_CT: SchemeSpec("an", "ones", "temporary", "relative", _RELATIVE),
+    Scheme.LL_CP: SchemeSpec("an", "ones", "permanent", "relative", _RELATIVE),
+    Scheme.LL_R_ABS: SchemeSpec("an", "ones", "reject", "absolute", _ABSOLUTE),
+    Scheme.LL_CT_ABS: SchemeSpec("an", "ones", "temporary", "absolute", _ABSOLUTE),
+    Scheme.LL_CP_ABS: SchemeSpec("an", "ones", "permanent", "absolute", _ABSOLUTE),
+}
 
 
 @dataclass
@@ -78,13 +109,13 @@ class SchemeConfig:
     def validate(self) -> None:
         # delta_rel = 0 is allowed: it degenerates the relative schedules to
         # the naive baseline, which the equivalence checks rely on.
-        if self.scheme in RELATIVE_LL and self.delta_rel < 0:
+        reads = SPECS[self.scheme].reads
+        if "delta_rel" in reads and self.delta_rel < 0:
             raise ValueError(f"delta_rel must be nonnegative, got {self.delta_rel}")
-        if self.scheme in ABSOLUTE_LL:
-            if self.r0 <= 0:
-                raise ValueError(f"r0 must be positive, got {self.r0}")
-            if self.delta_abs < 0:
-                raise ValueError(f"delta_abs must be nonnegative, got {self.delta_abs}")
+        if "r0" in reads and self.r0 <= 0:
+            raise ValueError(f"r0 must be positive, got {self.r0}")
+        if "delta_abs" in reads and self.delta_abs < 0:
+            raise ValueError(f"delta_abs must be nonnegative, got {self.delta_abs}")
         if not 0.0 <= self.eps_smooth < 0.5:
             raise ValueError(f"eps_smooth must lie in [0, 0.5), got {self.eps_smooth}")
 
@@ -121,14 +152,14 @@ def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | Non
     """
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
-    scheme = Scheme(scheme)
-    if scheme in ABSOLUTE_LL:
+    spec = SPECS[Scheme(scheme)]
+    if spec.schedule == "absolute":
         return None
-    if scheme in (Scheme.LL_R, Scheme.LL_CT):
-        return float(min(max((epoch - 1) * cfg.delta_rel, 0.0), 100.0))
-    if scheme is Scheme.LL_CP:
+    if spec.schedule == "none":
+        return 0.0
+    if spec.action == "permanent":
         return 0.0 if epoch == 1 else float(min(max(cfg.delta_rel, 0.0), 100.0))
-    return 0.0
+    return float(min(max((epoch - 1) * cfg.delta_rel, 0.0), 100.0))
 
 
 def absolute_threshold(epoch: int, cfg: SchemeConfig) -> float:
@@ -186,8 +217,12 @@ def select_large_losses(
     return flags, float(unknown_losses[order[k - 1]])
 
 
-def _smoothed(targets: np.ndarray, eps: float) -> np.ndarray:
-    return targets * (1.0 - eps) + (1.0 - targets) * eps
+def select_for_epoch(scheme: Scheme, losses: np.ndarray, states: np.ndarray, epoch: int, cfg: SchemeConfig):
+    """Flag large-loss UNKNOWN entries by the scheme's schedule at this epoch."""
+    rate = rejection_rate(scheme, epoch, cfg)
+    if rate is None:
+        return select_large_losses(losses, states, threshold=absolute_threshold(epoch, cfg))
+    return select_large_losses(losses, states, rate=rate)
 
 
 def decide_batch(
@@ -198,7 +233,7 @@ def decide_batch(
     cfg: SchemeConfig,
 ) -> BatchDecision:
     """Build the effective targets, weights, and flags for one batch."""
-    scheme = Scheme(scheme)
+    spec = SPECS[Scheme(scheme)]
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states)
     if probs.shape != states.shape:
@@ -208,39 +243,28 @@ def decide_batch(
 
     an = an_targets_from_states(states)
     unknown = states == LabelState.UNKNOWN
-    ones = np.ones_like(probs)
-    no_flags = np.zeros_like(unknown, dtype=bool)
-
-    if scheme is Scheme.NAIVE_AN:
-        decision = BatchDecision(an, ones, no_flags, float("nan"))
-    elif scheme is Scheme.IGNORE_UNOBSERVED:
-        weights = np.where(unknown, 0.0, 1.0)
-        decision = BatchDecision(an, weights, no_flags, float("nan"))
-    elif scheme is Scheme.WAN:
-        k = states.shape[1]
-        weights = np.where(an == 0.0, 1.0 / (k - 1), 1.0)
-        decision = BatchDecision(an, weights, no_flags, float("nan"))
-    elif scheme is Scheme.LSAN:
-        decision = BatchDecision(_smoothed(an, cfg.eps_smooth), ones, no_flags, float("nan"))
-    else:
-        losses = bce_elementwise(probs, an)
-        if scheme in ABSOLUTE_LL:
-            flags, threshold = select_large_losses(
-                losses, states, threshold=absolute_threshold(epoch, cfg)
-            )
-        else:
-            flags, threshold = select_large_losses(
-                losses, states, rate=rejection_rate(scheme, epoch, cfg)
-            )
-        if scheme in _REJECTING:
-            decision = BatchDecision(an, np.where(flags, 0.0, 1.0), flags, threshold)
-        else:
-            # temporary or permanent correction: flagged entries train toward 1
-            decision = BatchDecision(np.where(flags, 1.0, an), ones, flags, threshold)
-
-    if (decision.flags & ~unknown).any():
+    flags, threshold = np.zeros_like(unknown, dtype=bool), float("nan")
+    if spec.action != "none":
+        flags, threshold = select_for_epoch(scheme, bce_elementwise(probs, an), states, epoch, cfg)
+    if (flags & ~unknown).any():
         raise AssertionError("flag selection touched an observed or corrected entry")
-    return decision
+
+    targets = an
+    if spec.target == "smoothed":
+        targets = targets * (1.0 - cfg.eps_smooth) + (1.0 - targets) * cfg.eps_smooth
+    if spec.action in ("temporary", "permanent"):
+        # flagged entries train toward 1 until the state change lands
+        targets = np.where(flags, 1.0, targets)
+
+    if spec.weight == "ignore-unknown":
+        weights = np.where(unknown, 0.0, 1.0)
+    elif spec.weight == "wan":
+        weights = np.where(an == 0.0, 1.0 / (states.shape[1] - 1), 1.0)
+    else:
+        weights = np.ones_like(probs)
+    if spec.action == "reject":
+        weights = np.where(flags, 0.0, weights)
+    return BatchDecision(targets, weights, flags, threshold)
 
 
 def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:

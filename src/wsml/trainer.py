@@ -81,21 +81,13 @@ class MemorizationTracker:
 
     Losses are recorded at batch time against the assume-negative targets the
     run started from, so the measurement reflects the original assumed labels
-    even when a correcting scheme later rewrites states. When ground truth is
-    supplied, per-epoch mean losses are also kept for the TP/TN/FN buckets.
+    even when a correcting scheme later rewrites states.
     """
 
     def __init__(self, n: int, k: int):
         self.max_loss = np.full((n, k), -np.inf)
         self.argmax_epoch = np.zeros((n, k), dtype=np.int64)
         self.epochs_tracked = 0
-        self._buckets: dict[str, np.ndarray] | None = None
-        self._epoch_sums: dict[str, float] = {}
-        self._epoch_counts: dict[str, int] = {}
-        self.bucket_mean_loss: list[dict[str, float | None]] = []
-
-    def set_buckets(self, buckets: dict[str, np.ndarray]) -> None:
-        self._buckets = buckets
 
     def update(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
         """Fold one batch of per-element losses in; first epoch wins loss ties."""
@@ -106,22 +98,9 @@ class MemorizationTracker:
         block_e = self.argmax_epoch[rows]
         block_e[bigger] = epoch
         self.argmax_epoch[rows] = block_e
-        if self._buckets is not None:
-            for name, mask in self._buckets.items():
-                sel = mask[rows]
-                self._epoch_sums[name] = self._epoch_sums.get(name, 0.0) + float(losses[sel].sum())
-                self._epoch_counts[name] = self._epoch_counts.get(name, 0) + int(sel.sum())
 
     def end_epoch(self) -> None:
         self.epochs_tracked += 1
-        if self._buckets is not None:
-            means = {}
-            for name in self._buckets:
-                cnt = self._epoch_counts.get(name, 0)
-                means[name] = (self._epoch_sums.get(name, 0.0) / cnt) if cnt else None
-            self.bucket_mean_loss.append(means)
-            self._epoch_sums = {}
-            self._epoch_counts = {}
 
 
 @dataclass
@@ -213,15 +192,6 @@ def _validation_map(classifier, val: PartialDataset) -> float:
     return float(np.mean(aps))
 
 
-def _bucket_masks(train: PartialDataset, an0: np.ndarray):
-    zero_target = an0 == 0.0
-    return {
-        "TP": train.states == LabelState.OBS_POS,
-        "TN": zero_target & (train.truth == 0),
-        "FN": zero_target & (train.truth == 1),
-    }
-
-
 def _count_true(flags: np.ndarray, truth) -> int | None:
     if truth is None:
         return None
@@ -231,7 +201,7 @@ def _count_true(flags: np.ndarray, truth) -> int | None:
 def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
     """One pass over the training data; returns the epoch's raw statistics."""
     scheme = cfg.scheme.scheme
-    permanent = scheme in schemes.PERMANENT_LL
+    permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
     # with epoch-level corrections each batch trains on the current
     # assume-negative targets and the large-loss selection happens once,
@@ -281,13 +251,7 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
         model_mod.step(classifier, grads, opt)
 
     if epoch_level:
-        rate = schemes.rejection_rate(scheme, epoch, cfg.scheme)
-        if rate is None:
-            flags, threshold = schemes.select_large_losses(
-                epoch_losses, train.states, threshold=schemes.absolute_threshold(epoch, cfg.scheme)
-            )
-        else:
-            flags, threshold = schemes.select_large_losses(epoch_losses, train.states, rate=rate)
+        flags, threshold = schemes.select_for_epoch(scheme, epoch_losses, train.states, epoch, cfg.scheme)
         if flags.any():
             corrections += schemes.apply_permanent_corrections(train, flags)
             if corrections_true is not None:
@@ -326,10 +290,8 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     an0 = train.an_targets()
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
-    if train.truth is not None:
-        tracker.set_buckets(_bucket_masks(train, an0))
 
-    permanent = cfg.scheme.scheme in schemes.PERMANENT_LL
+    permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []
     flag_counts: list[int] = []
     true_counts: list[int] = []

@@ -3,7 +3,24 @@ import json
 import pytest
 
 from wsml.cli import load_tracker, main
-from wsml.dataset import LabelState, load_dataset
+from wsml.dataset import FormatError, LabelState, load_dataset
+from wsml.schemes import Scheme
+
+# the tuning flags each scheme reads, stated independently of the scheme table
+READS = {
+    "naive-an": set(),
+    "ignore-unobserved": set(),
+    "wan": set(),
+    "lsan": {"eps_smooth"},
+    "ll-r": {"delta_rel"},
+    "ll-ct": {"delta_rel"},
+    "ll-cp": {"delta_rel"},
+    "ll-r-abs": {"r0", "delta_abs"},
+    "ll-ct-abs": {"r0", "delta_abs"},
+    "ll-cp-abs": {"r0", "delta_abs"},
+}
+# a valid value for each flag that differs from its default
+FLAG_VALUES = {"delta_rel": 1.0, "r0": 2.5, "delta_abs": 0.05, "eps_smooth": 0.2}
 
 
 def run_cli(*args):
@@ -165,6 +182,19 @@ class TestTrain:
         report = json.loads((tmp_path / "runE.report.json").read_text())
         assert report["config"]["r0"] == 1.5  # default, not the ignored value
 
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("token", [s.value for s in Scheme])
+    def test_warns_exactly_for_flags_the_scheme_does_not_read(self, tmp_path, sp_file, capsys, token, flag):
+        prefix = tmp_path / "run"
+        option = "--" + flag.replace("_", "-")
+        args = train_args(sp_file, prefix, scheme=token, **{option: FLAG_VALUES[flag]})
+        args[args.index("--epochs") + 1] = "1"
+        assert run_cli(*args) == 0
+        warned = f"ignoring {option} " in capsys.readouterr().err
+        assert warned == (flag not in READS[token])
+        echoed = json.loads((tmp_path / "run.report.json").read_text())["config"][flag]
+        assert (echoed == FLAG_VALUES[flag]) == (flag in READS[token])
+
     def test_invalid_scheme_token_is_usage_error(self, tmp_path, sp_file):
         assert run_cli(*train_args(sp_file, tmp_path / "x", scheme="ll-q")) == 1
 
@@ -231,7 +261,74 @@ class TestEval:
         assert (argmax >= 1).all() and (argmax <= 3).all()
 
 
+class TestLoadTracker:
+    """A malformed tracker fails with FormatError at its line, and eval exits 2."""
+
+    @pytest.fixture()
+    def dump(self, tmp_path, sp_file):
+        assert run_cli(*train_args(sp_file, tmp_path / "t")) == 0
+        lines = (tmp_path / "t.tracker").read_text().splitlines()
+        return lines, int(lines[2].split()[0])  # dump lines, N
+
+    def assert_rejected_at(self, tmp_path, sp_file, capsys, lines, line):
+        path = tmp_path / "bad.tracker"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_tracker(path)
+        assert err.value.line == line
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "--model", str(tmp_path / "t.model"), "--data", str(sp_file),
+            "--phase-table", "--tracker", str(path),
+        )
+        assert code == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_wrong_token_count(self, tmp_path, sp_file, capsys, dump):
+        lines, _ = dump
+        lines[4] = " ".join(lines[4].split()[:-1])  # first max-loss row, one value short
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines, 5)
+
+    def test_non_numeric_token(self, tmp_path, sp_file, capsys, dump):
+        lines, n = dump
+        row = lines[4 + n + 1].split()  # second argmax row
+        lines[4 + n + 1] = " ".join(["x"] + row[1:])
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines, 6 + n)
+
+    def test_negative_row_index(self, tmp_path, sp_file, capsys, dump):
+        lines, _ = dump
+        lines[3] = " ".join(["-1"] + lines[3].split()[1:])
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines, 4)
+
+    @pytest.mark.parametrize("dims", ["48 5", "48 5 3 1", "48 five 3", "48 5 0"])
+    def test_bad_dimension_line(self, tmp_path, sp_file, capsys, dump, dims):
+        lines, _ = dump
+        lines[2] = dims
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines, 3)
+
+    @pytest.mark.parametrize("epoch", ["0", "4", "99"])
+    def test_argmax_outside_epochs(self, tmp_path, sp_file, capsys, dump, epoch):
+        lines, n = dump
+        row = lines[4 + n + 2].split()  # third argmax row of a 3-epoch run
+        lines[4 + n + 2] = " ".join(row[:-1] + [epoch])
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines, 7 + n)
+
+    def test_trailing_content(self, tmp_path, sp_file, capsys, dump):
+        lines, _ = dump
+        self.assert_rejected_at(tmp_path, sp_file, capsys, lines + ["garbage"], len(lines) + 1)
+
+
 class TestSweep:
+    @pytest.mark.parametrize("token", [s.value for s in Scheme])
+    def test_delta_rel_sweep_accepted_exactly_for_relative_schemes(self, tmp_path, sp_file, monkeypatch, token):
+        monkeypatch.setenv("WSML_THREADS", "1")
+        code = run_cli(
+            "sweep", "--param", "delta-rel", "--values", "0.1",
+            "--data", str(sp_file), "--scheme", token, "--epochs", "1", "--batch", "8",
+            "--seed", "1", "--arch", "linear", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == (0 if token in ("ll-r", "ll-ct", "ll-cp") else 1)
+
     def test_delta_rel_sweep_rows(self, tmp_path, gen_file, sp_file, monkeypatch):
         monkeypatch.setenv("WSML_THREADS", "1")
         out = tmp_path / "sweep.csv"

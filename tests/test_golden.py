@@ -30,15 +30,9 @@ ARMS = {s.value: (s.value, "epoch", False) for s in Scheme}
 ARMS["ll-cp-batch"] = ("ll-cp", "batch", False)
 ARMS["full-label"] = ("naive-an", "epoch", True)
 
-_DATA = {}
-
-
-def _datasets():
-    if not _DATA:
-        full = generate_synthetic(SyntheticSpec(n=300, dim=10, classes=6, pos_rate=0.3, seed=11))
-        _DATA["full"] = full
-        _DATA["partial"] = make_single_positive(full, seed=11)
-    return _DATA
+# runs train on private copies, so every arm can share these
+FULL = generate_synthetic(SyntheticSpec(n=300, dim=10, classes=6, pos_rate=0.3, seed=11))
+PARTIAL = make_single_positive(FULL, seed=11)
 
 
 def trajectory(arm: str, optimizer: str) -> dict:
@@ -55,8 +49,7 @@ def trajectory(arm: str, optimizer: str) -> dict:
         seed=5,
         llcp_granularity=granularity,
     )
-    data = _datasets()
-    report = run(cfg, data["full"] if full_label else data["partial"])
+    report = run(cfg, FULL if full_label else PARTIAL)
     out = {name: [getattr(r, name) for r in report.records] for name in FLOAT_FIELDS + EXACT_FIELDS}
     out["best_epoch"] = report.best_epoch
     return out

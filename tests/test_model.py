@@ -159,19 +159,6 @@ class TestStep:
             assert opt.m[name].shape == p.shape
             assert opt.v[name].shape == p.shape
 
-    def test_output_layer_lr_multiplier(self):
-        m = init_classifier("mlp1", 2, 2, hidden=3, seed=4)
-        opt = make_optimizer("sgd", 0.1, m, output_lr_multiplier=10.0)
-        before = {name: p.copy() for name, p in m.params.items()}
-        grads = {name: np.ones_like(p) for name, p in m.params.items()}
-        step(m, grads, opt)
-        assert np.allclose(before["W1"] - m.params["W1"], 0.1)
-        assert np.allclose(before["W2"] - m.params["W2"], 1.0)
-
-    def test_multiplier_defaults_off(self):
-        m = init_classifier("linear", 2, 2, seed=4)
-        assert make_optimizer("adam", 1e-3, m).lr_scale == {}
-
 
 class TestTrainingDynamics:
     def test_full_batch_sgd_loss_monotone_on_separable_data(self):

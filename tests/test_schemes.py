@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wsml.dataset import LabelState, PartialDataset
 from wsml.model import backward, init_classifier
 from wsml.schemes import (
+    SPECS,
     BatchDecision,
     Scheme,
     SchemeConfig,
@@ -330,6 +331,21 @@ class TestApplyPermanentCorrections:
         apply_permanent_corrections(ds, flags)
         with pytest.raises(ValueError):
             apply_permanent_corrections(ds, flags)
+
+
+class TestSchemeTable:
+    def test_every_scheme_has_exactly_one_spec(self):
+        assert list(SPECS) == list(Scheme)
+
+    def test_entries_use_the_documented_vocabulary(self):
+        for scheme, spec in SPECS.items():
+            assert spec.target in ("an", "smoothed"), scheme
+            assert spec.weight in ("ones", "ignore-unknown", "wan"), scheme
+            assert spec.action in ("none", "reject", "temporary", "permanent"), scheme
+            assert spec.schedule in ("none", "relative", "absolute"), scheme
+            # a large-loss action needs a schedule that selects, and vice versa
+            assert (spec.action == "none") == (spec.schedule == "none"), scheme
+            assert spec.reads <= {"delta_rel", "r0", "delta_abs", "eps_smooth"}, scheme
 
 
 class TestConfigValidation:
