@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import dataset as ds_mod
-from . import evaluation
+from . import evaluation, io
 from . import model as model_mod
 from . import schemes
 from . import trainer
@@ -236,7 +236,7 @@ def _write_metrics_csv(path, report) -> None:
                 ]
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with io.atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -266,16 +266,12 @@ def _report_json(report, echo: dict, model_path: str) -> dict:
 
 def _write_tracker(path, report, file_rows, cfg_comment: str) -> None:
     tracker = report.tracker
-    rows = file_rows[report.train_indices]
-    lines = [TRACKER_HEADER, "#cfg " + cfg_comment]
-    lines.append(f"{tracker.max_loss.shape[0]} {tracker.max_loss.shape[1]} {tracker.epochs_tracked}")
-    lines.append(" ".join(str(int(r)) for r in rows))
-    for row in tracker.max_loss:
-        lines.append(" ".join(format(v, ".17g") for v in row))
-    for row in tracker.argmax_epoch:
-        lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    io.save(path, TRACKER_HEADER, cfg_comment, [
+        f"{tracker.max_loss.shape[0]} {tracker.max_loss.shape[1]} {tracker.epochs_tracked}",
+        (file_rows[report.train_indices], io.INT),
+        (tracker.max_loss, io.REAL),
+        (tracker.argmax_epoch, io.INT),
+    ])
 
 
 def load_tracker(path):
@@ -283,24 +279,12 @@ def load_tracker(path):
 
     A malformed dump raises FormatError naming the offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = ds_mod.LineReader(fh.read())
-    lineno, header = reader.next("header")
-    if header != TRACKER_HEADER:
-        raise ds_mod.FormatError(lineno, f"bad header {header!r}, expected {TRACKER_HEADER!r}")
-    lineno, dims = reader.next("dimension line")
-    try:
-        n, k, epochs = (int(p) for p in dims.split())
-    except ValueError:
-        raise ds_mod.FormatError(lineno, f"expected 'N K epochs', got {dims!r}") from None
-    if min(n, k, epochs) < 1:
-        raise ds_mod.FormatError(lineno, f"dimensions must be positive, got {dims!r}")
-    rows = ds_mod.read_rows(reader, (1, n), "row indices", int, bounds=(0, math.inf))[0]
-    max_loss = ds_mod.read_rows(reader, (n, k), "max-loss")
-    argmax = ds_mod.read_rows(reader, (n, k), "argmax-epoch", int, bounds=(1, epochs))
-    trailing = reader.peek()
-    if trailing is not None:
-        raise ds_mod.FormatError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
+    reader = io.Reader(path, TRACKER_HEADER)
+    n, k, epochs = reader.dims("N K epochs")
+    rows = reader.block((n,), "row index", io.INT, bounds=(0, math.inf))
+    max_loss = reader.block((n, k), "max-loss", io.REAL)
+    argmax = reader.block((n, k), "argmax-epoch", io.INT, bounds=(1, epochs))
+    reader.end()
     return rows, max_loss, argmax, epochs
 
 
@@ -373,7 +357,7 @@ def _cmd_train(args) -> int:
     _write_metrics_csv(prefix + ".metrics.csv", report)
     model_mod.save_model(report.best_model, model_path, config_comment=_cfg_json(echo))
     _write_tracker(prefix + ".tracker", report, file_rows, _cfg_json(echo))
-    with open(prefix + ".report.json", "w", encoding="utf-8") as fh:
+    with io.atomic_write(prefix + ".report.json") as fh:
         json.dump(_report_json(report, echo, model_path), fh, indent=2)
         fh.write("\n")
     return 0
@@ -418,6 +402,8 @@ def _cmd_eval(args) -> int:
 
     if args.phase_table:
         rows, _, argmax, epochs = load_tracker(args.tracker)
+        if argmax.shape[1] != data.k:
+            raise ValueError(f"{args.tracker}: tracker has K={argmax.shape[1]} categories, dataset has K={data.k}")
         if rows.max(initial=-1) >= data.n:
             raise ValueError(f"{args.tracker}: row indices exceed dataset size {data.n}")
         table = evaluation.phase_distribution(argmax, epochs, data.truth[rows], data.states[rows])
@@ -434,7 +420,7 @@ def _cmd_eval(args) -> int:
 
     text = json.dumps(out, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with io.atomic_write(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -518,7 +504,7 @@ def _cmd_sweep(args) -> int:
                 ]
             )
         )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with io.atomic_write(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 

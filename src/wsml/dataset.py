@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
+from .io import FormatError
+
 __all__ = [
     "LabelState",
     "PartialDataset",
@@ -44,21 +47,9 @@ class LabelState(enum.IntEnum):
     CORRECTED_POS = 3
 
 
-STATE_TO_TOKEN = {
-    LabelState.OBS_NEG: "0",
-    LabelState.OBS_POS: "1",
-    LabelState.UNKNOWN: "u",
-    LabelState.CORRECTED_POS: "c",
-}
-TOKEN_TO_STATE = {tok: st for st, tok in STATE_TO_TOKEN.items()}
-
-
-class FormatError(ValueError):
-    """A data file failed to parse; `line` is the 1-based offending line."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+# file tokens, indexed by LabelState code
+STATE_TOKENS = ("0", "1", "u", "c")
+TRUTH_TOKENS = ("0", "1")
 
 
 def an_targets_from_states(states: np.ndarray) -> np.ndarray:
@@ -328,155 +319,36 @@ def subsample(ds: PartialDataset, fraction: float, seed) -> PartialDataset:
 
 
 # ---------------------------------------------------------------------------
-# Text serialization
+# Text serialization (codec in wsml.io)
 #
 #   WSML/1
 #   N D K
-#   N feature rows (D reals, 17 significant digits)
-#   N state rows (K tokens from {0, 1, u, c})
+#   N feature rows (D reals)
+#   N state rows (K tokens from STATE_TOKENS)
 #   [TRUTH]
-#   [N truth rows (K tokens from {0, 1})]
-#
-# Lines starting with '#' are comments and are skipped on read.
+#   [N truth rows (K tokens from TRUTH_TOKENS)]
 # ---------------------------------------------------------------------------
 
 
-class LineReader:
-    """Sequential line reader that skips comments and tracks 1-based numbers."""
-
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self, expected: str):
-        while self.pos < len(self.lines):
-            self.pos += 1
-            raw = self.lines[self.pos - 1]
-            if raw.startswith("#"):
-                continue
-            return self.pos, raw.strip()
-        raise FormatError(len(self.lines) + 1, f"unexpected end of file, expected {expected}")
-
-    def peek(self):
-        """(line_number, content) of the next non-comment line, or None at EOF."""
-        pos = self.pos
-        while pos < len(self.lines):
-            pos += 1
-            raw = self.lines[pos - 1]
-            if raw.startswith("#"):
-                continue
-            return pos, raw.strip()
-        return None
-
-
-def read_rows(reader: LineReader, shape, what: str, parse=float, bounds=None) -> np.ndarray:
-    """Read a rows x cols block of `parse`-able tokens, one row per line.
-
-    bounds=(lo, hi) also requires every value to lie in [lo, hi].
-    """
-    rows, cols = shape
-    out = np.empty((rows, cols), dtype=np.int64 if parse is int else np.float64)
-    for i in range(rows):
-        lineno, content = reader.next(f"{what} row {i + 1}")
-        parts = content.split()
-        if len(parts) != cols:
-            raise FormatError(lineno, f"expected {cols} values for {what}, got {len(parts)}")
-        try:
-            out[i] = [parse(p) for p in parts]
-        except (ValueError, OverflowError):
-            kind = "integer" if parse is int else "real number"
-            raise FormatError(lineno, f"invalid {kind} in {what}") from None
-        if bounds is not None and ((out[i] < bounds[0]) | (out[i] > bounds[1])).any():
-            raise FormatError(lineno, f"{what} values must lie in [{bounds[0]}, {bounds[1]}]")
-    return out
-
-
-def _format_real_row(row: np.ndarray) -> str:
-    return " ".join(format(v, ".17g") for v in row)
-
-
 def save_dataset(ds: PartialDataset, path, config_comment: str | None = None) -> None:
-    lines = [HEADER]
-    if config_comment is not None:
-        lines.append("#cfg " + config_comment)
-    lines.append(f"{ds.n} {ds.d} {ds.k}")
-    for row in ds.features:
-        lines.append(_format_real_row(row))
-    for row in ds.states:
-        lines.append(" ".join(STATE_TO_TOKEN[LabelState(v)] for v in row))
+    parts = [f"{ds.n} {ds.d} {ds.k}", (ds.features, io.REAL), (ds.states, STATE_TOKENS)]
     if ds.truth is not None:
-        lines.append("TRUTH")
-        for row in ds.truth:
-            lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_dims(lineno: int, content: str):
-    parts = content.split()
-    if len(parts) != 3:
-        raise FormatError(lineno, f"expected 'N D K', got {content!r}")
-    try:
-        n, d, k = (int(p) for p in parts)
-    except ValueError:
-        raise FormatError(lineno, f"dimensions must be integers, got {content!r}") from None
-    if n < 1 or d < 1 or k < 2:
-        raise FormatError(lineno, f"invalid dimensions N={n} D={d} K={k}")
-    return n, d, k
+        parts += ["TRUTH", (ds.truth, TRUTH_TOKENS)]
+    io.save(path, HEADER, config_comment, parts)
 
 
 def load_dataset(path) -> PartialDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = LineReader(fh.read())
-
-    lineno, header = reader.next("header")
-    if header != HEADER:
-        raise FormatError(lineno, f"bad header {header!r}, expected {HEADER!r}")
-    lineno, dims = reader.next("dimension line")
-    n, d, k = _parse_dims(lineno, dims)
-
-    features = np.empty((n, d), dtype=np.float64)
-    for i in range(n):
-        lineno, content = reader.next(f"feature row {i + 1}")
-        parts = content.split()
-        if len(parts) != d:
-            raise FormatError(lineno, f"expected {d} feature values, got {len(parts)}")
-        try:
-            features[i] = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(lineno, f"invalid real number in {content!r}") from None
-
-    states = np.empty((n, k), dtype=np.int8)
-    for i in range(n):
-        lineno, content = reader.next(f"state row {i + 1}")
-        parts = content.split()
-        if len(parts) != k:
-            raise FormatError(lineno, f"expected {k} state tokens, got {len(parts)}")
-        for j, tok in enumerate(parts):
-            if tok not in TOKEN_TO_STATE:
-                raise FormatError(lineno, f"illegal label state token {tok!r}")
-            states[i, j] = TOKEN_TO_STATE[tok]
-
+    reader = io.Reader(path, HEADER)
+    n, d, k = reader.dims("N D K", least=(1, 1, 2))
+    features = reader.block((n, d), "feature", io.REAL)
+    states = reader.block((n, k), "state", STATE_TOKENS)
     truth = None
-    nxt = reader.peek()
-    if nxt is not None:
-        lineno, content = reader.next("TRUTH marker")
-        if content != "TRUTH":
-            raise FormatError(lineno, f"unexpected content {content!r}, expected 'TRUTH' or end of file")
-        truth = np.empty((n, k), dtype=np.int8)
-        for i in range(n):
-            lineno, content = reader.next(f"truth row {i + 1}")
-            parts = content.split()
-            if len(parts) != k:
-                raise FormatError(lineno, f"expected {k} truth tokens, got {len(parts)}")
-            for j, tok in enumerate(parts):
-                if tok not in ("0", "1"):
-                    raise FormatError(lineno, f"illegal truth token {tok!r}")
-                truth[i, j] = int(tok)
-        trailing = reader.peek()
-        if trailing is not None:
-            raise FormatError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
-
+    if not reader.at_end():
+        lineno, marker = reader.line("TRUTH marker")
+        if marker != "TRUTH":
+            raise FormatError(lineno, f"unexpected content {marker!r}, expected 'TRUTH' or end of file")
+        truth = reader.block((n, k), "truth", TRUTH_TOKENS)
+        reader.end()
     try:
         return PartialDataset(features, states, truth)
     except ValueError as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FormatError, LineReader, read_rows, sigmoid
+from . import io
+from .dataset import sigmoid
 
 __all__ = [
     "PROB_EPS",
@@ -241,63 +242,30 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
 #   WSMLMODEL/1
 #   linear|mlp1
 #   D K          (linear)  or  D H K  (mlp1)
-#   parameter tensors row-major, 17 significant digits, in _PARAM_ORDER
+#   parameter tensors row-major in _PARAM_ORDER (codec in wsml.io)
 # ---------------------------------------------------------------------------
 
 
 def save_model(model: Classifier, path, config_comment: str | None = None) -> None:
-    lines = [MODEL_HEADER]
-    if config_comment is not None:
-        lines.append("#cfg " + config_comment)
-    lines.append(model.arch)
     if model.arch == "linear":
-        lines.append(f"{model.input_dim} {model.num_classes}")
+        dims = f"{model.input_dim} {model.num_classes}"
     else:
-        lines.append(f"{model.input_dim} {model.hidden_dim} {model.num_classes}")
-    for name in _PARAM_ORDER[model.arch]:
-        tensor = np.atleast_2d(model.params[name])
-        for row in tensor:
-            lines.append(" ".join(format(v, ".17g") for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        dims = f"{model.input_dim} {model.hidden_dim} {model.num_classes}"
+    blocks = [(model.params[name], io.REAL) for name in _PARAM_ORDER[model.arch]]
+    io.save(path, MODEL_HEADER, config_comment, [model.arch, dims, *blocks])
 
 
 def load_model(path) -> Classifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = LineReader(fh.read())
-    lineno, header = reader.next("header")
-    if header != MODEL_HEADER:
-        raise FormatError(lineno, f"bad header {header!r}, expected {MODEL_HEADER!r}")
-    lineno, arch = reader.next("architecture line")
+    reader = io.Reader(path, MODEL_HEADER)
+    lineno, arch = reader.line("architecture line")
     if arch not in _PARAM_ORDER:
-        raise FormatError(lineno, f"unknown architecture {arch!r}")
-    lineno, dims_line = reader.next("dimension line")
-    parts = dims_line.split()
-    expected = 2 if arch == "linear" else 3
-    if len(parts) != expected:
-        raise FormatError(lineno, f"expected {expected} dimensions, got {dims_line!r}")
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(lineno, f"dimensions must be integers, got {dims_line!r}") from None
-    if any(v < 1 for v in dims):
-        raise FormatError(lineno, f"dimensions must be positive, got {dims_line!r}")
-
+        raise io.FormatError(lineno, f"unknown architecture {arch!r}")
     if arch == "linear":
-        d, k = dims
-        params = {
-            "W": read_rows(reader, (k, d), "W"),
-            "b": read_rows(reader, (1, k), "b")[0],
-        }
+        d, k = reader.dims("D K")
+        shapes = {"W": (k, d), "b": (k,)}
     else:
-        d, h, k = dims
-        params = {
-            "W1": read_rows(reader, (h, d), "W1"),
-            "b1": read_rows(reader, (1, h), "b1")[0],
-            "W2": read_rows(reader, (k, h), "W2"),
-            "b2": read_rows(reader, (1, k), "b2")[0],
-        }
-    trailing = reader.peek()
-    if trailing is not None:
-        raise FormatError(trailing[0], f"unexpected trailing content {trailing[1]!r}")
+        d, h, k = reader.dims("D H K")
+        shapes = {"W1": (h, d), "b1": (h,), "W2": (k, h), "b2": (k,)}
+    params = {name: reader.block(shape, name, io.REAL) for name, shape in shapes.items()}
+    reader.end()
     return Classifier(arch, params)

@@ -8,13 +8,27 @@ edited to make a refactor pass.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsml.cli import main
-from wsml.dataset import LabelState, PartialDataset, SyntheticSpec, generate_synthetic, make_single_positive, save_dataset
-from wsml.model import init_classifier, save_model
+import wsml.io as wsml_io
+from wsml import cli
+from wsml.cli import load_tracker, main
+from wsml.dataset import (
+    FormatError,
+    LabelState,
+    PartialDataset,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    make_single_positive,
+    save_dataset,
+)
+from wsml.model import init_classifier, load_model, save_model
 
 N, P, U, C = (int(s) for s in LabelState)
 
@@ -94,3 +108,243 @@ class TestGoldenBytes:
     def test_trained_tracker_and_checkpoint_bytes(self, tmp_path, monkeypatch):
         for name, path in trained_files(tmp_path, monkeypatch).items():
             assert sha256(path) == GOLDEN_SHA256[name], name
+
+    def test_extreme_reals_read_back_bit_exact(self, tmp_path):
+        path = written_files(tmp_path)["dataset-bare"]
+        assert load_dataset(path).features.tobytes() == EXTREMES.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite reals: each format names the line, and the CLI exits 2
+# ---------------------------------------------------------------------------
+
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+
+
+def replace_token(path, line: int, col: int, token: str) -> None:
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split()
+    parts[col] = token
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def trained(tmp_path, monkeypatch):
+    return trained_files(tmp_path, monkeypatch)
+
+
+def eval_phase_table():
+    return main(["eval", "--model", "run.model", "--data", "sp.wsml", "--phase-table", "--tracker", "run.tracker"])
+
+
+class TestNonFiniteReals:
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_dataset_feature(self, tmp_path, token, capsys):
+        path = written_files(tmp_path)["dataset-truth"]
+        replace_token(path, 6, 1, token)  # header, comment, dims, then feature rows
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_dataset(path)
+        assert err.value.line == 6
+        assert main(["partialize", "--in", str(path), "--mode", "single-positive", "--seed", "1",
+                     "--out", str(tmp_path / "out.wsml")]) == 2
+        assert "line 6:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_model_weight(self, trained, token, capsys):
+        replace_token(trained["model-train"], 6, 2, token)  # header, comment, arch, dims, W rows
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_model(trained["model-train"])
+        assert err.value.line == 6
+        capsys.readouterr()
+        assert main(["eval", "--model", "run.model", "--data", "full.wsml"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 6:" in captured.err
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_tracker_max_loss(self, trained, token, capsys):
+        replace_token(trained["tracker-train"], 6, 0, token)  # header, comment, dims, rows, max-loss
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_tracker(trained["tracker-train"])
+        assert err.value.line == 6
+        capsys.readouterr()
+        assert eval_phase_table() == 2
+        assert "line 6:" in capsys.readouterr().err
+
+
+def test_tracker_k_must_match_the_dataset(trained, capsys):
+    """A tracker of K=3 against a K=4 dataset names the tracker and both K values."""
+    path = trained["tracker-train"]
+    lines = path.read_text().splitlines()
+    n, _, epochs = lines[2].split()
+    lines[2] = f"{n} 3 {epochs}"
+    for i in range(4, 4 + 2 * int(n)):  # max-loss and argmax rows lose their last column
+        lines[i] = " ".join(lines[i].split()[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert eval_phase_table() == 2
+    err = capsys.readouterr().err
+    assert "run.tracker" in err
+    assert "K=3" in err and "K=4" in err
+
+
+def test_huge_dimension_line_reads_rows_before_allocating(tmp_path):
+    path = tmp_path / "huge.wsml"
+    path.write_text("WSML/1\n100000000000 100 20\n0 0\n")
+    with pytest.raises(FormatError, match="expected 100 feature values") as err:
+        load_dataset(path)
+    assert err.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# atomic writes: a write that fails partway leaves the old file and no temp file
+# ---------------------------------------------------------------------------
+
+
+def fail_writes_to(monkeypatch, target, after: int) -> None:
+    """Make every write after the first `after` to a file opened for `target` raise OSError."""
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and str(file).startswith(str(target)):
+            real_write, left = fh.write, [after]
+
+            def write(text):
+                if left[0] == 0:
+                    raise OSError("injected write failure")
+                left[0] -= 1
+                return real_write(text)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(wsml_io, "open", failing_open, raising=False)
+
+
+WRITERS = {
+    "dataset": lambda path: save_dataset(dataset_with_truth(), path, config_comment="{}"),
+    "model": lambda path: save_model(scaled_model("mlp1", hidden=5), path),
+    "tracker": lambda path: cli._write_tracker(path, SimpleNamespace(
+        tracker=SimpleNamespace(max_loss=np.full((2, 3), 0.5), argmax_epoch=np.ones((2, 3), dtype=int),
+                                epochs_tracked=1),
+        train_indices=np.array([1, 0])), np.array([4, 7]), "{}"),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("after", [0, 1, 4])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_format_writers(self, tmp_path, monkeypatch, writer, after):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        fail_writes_to(monkeypatch, path, after)
+        with pytest.raises(OSError, match="injected"):
+            WRITERS[writer](path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_unwritable_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(OSError):
+            save_dataset(dataset_with_truth(), tmp_path / "missing" / "d.wsml")
+        assert list(tmp_path.iterdir()) == []
+
+    # the metrics CSV is written in one call; the others fail partway
+    @pytest.mark.parametrize("target,after", [
+        ("run.metrics.csv", 0), ("run.model", 3), ("run.tracker", 3), ("run.report.json", 3)])
+    def test_train_outputs(self, tmp_path, monkeypatch, target, after):
+        trained_files(tmp_path, monkeypatch)
+        (tmp_path / target).write_text("old\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_writes_to(monkeypatch, target, after)
+        assert main(["train", "--data", "sp.wsml", "--scheme", "ll-ct", "--epochs", "3", "--batch", "8",
+                     "--seed", "5", "--arch", "linear", "--delta-rel", "5", "--out-prefix", "run"]) == 2
+        # the files written before the failure get their old bytes again: the run is deterministic
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("target,argv", [
+        ("ev.json", ["eval", "--model", "run.model", "--data", "full.wsml", "--out", "ev.json"]),
+        ("sweep.csv", ["sweep", "--data", "sp.wsml", "--scheme", "ll-ct", "--param", "delta-rel", "--values",
+                       "1", "--epochs", "1", "--seed", "1", "--arch", "linear", "--out", "sweep.csv"]),
+    ])
+    def test_eval_out_and_sweep_csv(self, tmp_path, monkeypatch, target, argv):
+        trained_files(tmp_path, monkeypatch)
+        monkeypatch.setenv("WSML_THREADS", "1")
+        (tmp_path / target).write_text("old\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_writes_to(monkeypatch, target, 0)
+        assert main(argv) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# ---------------------------------------------------------------------------
+# fuzzed readers: a mutated file loads or fails with FormatError at a line in
+# range; a dataset may also fail its state-against-truth check
+# ---------------------------------------------------------------------------
+
+
+def valid_files(tmp_path) -> dict:
+    texts = {name: path.read_text() for name, path in written_files(tmp_path).items()}
+    WRITERS["tracker"](tmp_path / "t.tracker")
+    texts["tracker"] = (tmp_path / "t.tracker").read_text()
+    return texts
+
+
+READERS = {
+    "dataset-truth": load_dataset,
+    "dataset-bare": load_dataset,
+    "model-linear": load_model,
+    "model-mlp1": load_model,
+    "tracker": load_tracker,
+}
+SWAP_TOKENS = ["x", "nan", "1e999", "1.5", ""]
+
+
+@st.composite
+def mutated(draw, texts):
+    name = draw(st.sampled_from(sorted(READERS)))
+    lines = texts[name].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "duplicate", "truncate", "swap", "comment"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "comment":
+            lines.insert(i, "# " + draw(st.sampled_from(["", "1 2", "u"])))
+        elif not lines:
+            continue
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "truncate":
+            text = "\n".join(lines)
+            lines = text[:draw(st.integers(0, len(text)))].splitlines()
+        else:
+            parts = lines[i].split()
+            if parts:
+                parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(SWAP_TOKENS))
+                lines[i] = " ".join(parts)
+    return name, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory for the mutated file, and the valid texts the mutations start from."""
+    path = tmp_path_factory.mktemp("fuzz")
+    return path, valid_files(path)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_files_load_or_fail_with_a_line(data, fuzz_dir):
+    directory, texts = fuzz_dir
+    name, text = data.draw(mutated(texts))
+    path = directory / "mutated.txt"
+    path.write_text(text)
+    try:
+        READERS[name](path)
+    except FormatError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()) + 1, str(exc)
+    except ValueError as exc:
+        assert name.startswith("dataset") and str(exc).startswith(f"{path}: ") and "disagrees with truth" in str(exc)
