@@ -221,23 +221,18 @@ def _fmt(value) -> str:
 def _write_metrics_csv(path, report) -> None:
     # no config comment here: degenerate schemes must produce byte-identical
     # metrics files, and the scheme token would always differ
-    lines = ["epoch,train_loss,val_map,flags,flag_precision,cum_corrections,threshold_min"]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.epoch),
-                    _fmt(r.train_loss),
-                    _fmt(r.val_map),
-                    str(r.flags),
-                    _fmt(r.flag_precision),
-                    str(r.cum_corrections),
-                    _fmt(r.threshold_min),
-                ]
-            )
-        )
-    with io.atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    io.save(path, "epoch,train_loss,val_map,flags,flag_precision,cum_corrections,threshold_min", None, [
+        ",".join([
+            str(r.epoch),
+            _fmt(r.train_loss),
+            _fmt(r.val_map),
+            str(r.flags),
+            _fmt(r.flag_precision),
+            str(r.cum_corrections),
+            _fmt(r.threshold_min),
+        ])
+        for r in report.records
+    ])
 
 
 def _report_json(report, echo: dict, model_path: str) -> dict:

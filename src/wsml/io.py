@@ -31,8 +31,14 @@ class FormatError(ValueError):
 
 @contextlib.contextmanager
 def atomic_write(path):
-    """Text handle on a temp file beside `path`: it replaces `path` if the body completes, else is removed."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    """Text handle on a temp file beside `path`: it replaces `path` if the body completes, else is removed.
+    A device or FIFO at `path` (/dev/stdout, say) has no atomic replace and is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)  # through a symlink, replace the file it names and keep the link
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -68,8 +74,8 @@ def _parse(lines: list[str], cols: int, what: str, kind, bounds):
     vocab = isinstance(kind, tuple)
     # a vocabulary reads one character past its longest token, so no longer token is cut to a valid one
     dtype = f"U{max(map(len, kind)) + 1}" if vocab else np.float64 if kind is REAL else np.int64
-    try:
-        values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    try:  # integers go through int(): older numpy's own parser cuts '1.5' to 1 with only a warning
+        values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2, converters=int if kind is INT else None)
     except ValueError:
         raise ValueError(f"invalid {'integer' if kind is INT else 'real number'} in {what}") from None
     if values.shape != (len(lines), cols):
@@ -139,6 +145,5 @@ class Reader:
                 _parse([line], cols, what, kind, bounds)
             except ValueError as exc:
                 raise FormatError(self.numbers[start + i], str(exc)) from None
-        if len(lines) < rows:
-            raise FormatError(self.eof, f"unexpected end of file, expected {what} row {len(lines) + 1}")
-        raise FormatError(self.numbers[start], f"malformed {what} block")
+        # _parse checks nothing across lines, so a block whose every line passes alone is a short one
+        raise FormatError(self.eof, f"unexpected end of file, expected {what} row {len(lines) + 1}")
