@@ -13,6 +13,7 @@ import time
 
 from wsml import evaluation, schemes, trainer
 from wsml.dataset import SyntheticSpec, generate_synthetic, make_single_positive
+from wsml.io import atomic_write
 
 ARMS = ["naive-an", "wan", "lsan", "ll-r", "ll-ct", "ll-cp", "full-label"]
 
@@ -47,7 +48,7 @@ def main(argv=None):
     parser.add_argument("--pos-rate", type=float, default=0.3)
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--delta-rel", type=float, default=0.2)
-    parser.add_argument("--out", help="also write the table as CSV")
+    parser.add_argument("--out", help="also write the table as CSV (atomically)")
     args = parser.parse_args(argv)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -82,7 +83,7 @@ def main(argv=None):
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)

@@ -58,6 +58,11 @@ def an_targets_from_states(states: np.ndarray) -> np.ndarray:
     return pos.astype(np.float64)
 
 
+def _disagreements(states: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Entries whose observed state contradicts the truth label."""
+    return ((states == LabelState.OBS_POS) & (truth == 0)) | ((states == LabelState.OBS_NEG) & (truth == 1))
+
+
 @dataclass
 class PartialDataset:
     """Feature matrix plus per-label observation states and optional ground truth.
@@ -110,9 +115,7 @@ class PartialDataset:
                 raise ValueError("truth shape does not match states shape")
             if not np.isin(self.truth, [0, 1]).all():
                 raise ValueError("truth must be binary")
-            bad_pos = (self.states == LabelState.OBS_POS) & (self.truth == 0)
-            bad_neg = (self.states == LabelState.OBS_NEG) & (self.truth == 1)
-            if bad_pos.any() or bad_neg.any():
+            if _disagreements(self.states, self.truth).any():
                 raise ValueError("an observed state disagrees with truth")
 
     def copy(self) -> "PartialDataset":
@@ -143,25 +146,30 @@ class PartialDataset:
             ((self.states == LabelState.OBS_POS) | (self.states == LabelState.OBS_NEG)).all()
         )
 
-    def correct_to_positive(self, mask: np.ndarray) -> int:
+    def correct_to_positive(self, mask: np.ndarray, rows=None) -> int:
         """Flip the masked entries from UNKNOWN to CORRECTED_POS.
 
-        This is the only legal state transition. Any masked entry in another
-        state is a contract violation and raises before anything is mutated.
-        Returns the number of entries corrected.
+        mask covers every row, or only `rows` (distinct row indices) when
+        given. This is the only legal state transition. Any masked entry in
+        another state is a contract violation and raises before anything is
+        mutated. Returns the number of entries corrected.
         """
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.states.shape:
+        shape = self.states.shape if rows is None else (len(rows), self.k)
+        if mask.shape != shape:
             raise ValueError("correction mask shape does not match states")
-        illegal = mask & (self.states != LabelState.UNKNOWN)
-        if illegal.any():
-            r, c = np.argwhere(illegal)[0]
+        r, c = np.nonzero(mask)
+        if rows is not None:
+            r = np.asarray(rows)[r]
+        illegal = np.flatnonzero(self.states[r, c] != LabelState.UNKNOWN)
+        if illegal.size:
+            i = illegal[0]
             raise ValueError(
-                f"illegal state transition at ({r}, {c}): "
+                f"illegal state transition at ({r[i]}, {c[i]}): "
                 f"only UNKNOWN may become CORRECTED_POS"
             )
-        self.states[mask] = LabelState.CORRECTED_POS
-        return int(mask.sum())
+        self.states[r, c] = LabelState.CORRECTED_POS
+        return int(r.size)
 
 
 @dataclass(frozen=True)
@@ -195,14 +203,10 @@ class SyntheticSpec:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: exp only ever sees -|z|."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):
@@ -341,6 +345,7 @@ def load_dataset(path) -> PartialDataset:
     reader = io.Reader(path, HEADER)
     n, d, k = reader.dims("N D K", least=(1, 1, 2))
     features = reader.block((n, d), "feature", io.REAL)
+    first_state = reader.pos
     states = reader.block((n, k), "state", STATE_TOKENS)
     truth = None
     if not reader.at_end():
@@ -349,7 +354,7 @@ def load_dataset(path) -> PartialDataset:
             raise FormatError(lineno, f"unexpected content {marker!r}, expected 'TRUTH' or end of file")
         truth = reader.block((n, k), "truth", TRUTH_TOKENS)
         reader.end()
-    try:
-        return PartialDataset(features, states, truth)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        bad = np.flatnonzero(_disagreements(states, truth).any(axis=1))
+        if bad.size:
+            raise FormatError(reader.numbers[first_state + bad[0]], "an observed state disagrees with the TRUTH section")
+    return PartialDataset(features, states, truth)

@@ -3,13 +3,18 @@
 Two architectures: a linear map and a one-hidden-layer ReLU network. Forward
 probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so the elementwise
 binary cross entropy and its temporary-correction weights stay finite.
-Classifier and OptimizerState are single-writer values; forward and
-grad_check are pure and safe to share read-only across threads.
+Each classifier keeps its parameters in one contiguous float64 buffer with
+a view per tensor, and Adam keeps its moments the same way, so an optimizer
+step is one vector update. Classifier and OptimizerState are single-writer
+values; forward and grad_check are pure and safe to share read-only across
+threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +26,10 @@ __all__ = [
     "Classifier",
     "OptimizerState",
     "init_classifier",
+    "ForwardPass",
     "forward",
+    "forward_pass",
+    "gradient",
     "backward",
     "make_optimizer",
     "step",
@@ -38,9 +46,9 @@ ADAM_EPS = 1e-8
 
 MODEL_HEADER = "WSMLMODEL/1"
 
-# parameter tensors in serialization order, per architecture
+# parameter tensors in serialization and buffer order, per architecture; the
+# hidden layer comes first, so a frozen hidden layer is a prefix of the buffer
 _PARAM_ORDER = {"linear": ("W", "b"), "mlp1": ("W1", "b1", "W2", "b2")}
-_HIDDEN_PARAMS = ("W1", "b1")
 
 
 @dataclass
@@ -49,11 +57,28 @@ class Classifier:
 
     frozen_hidden freezes the hidden layer during `step` (the first-epochs
     schedule that trains only the output layer); it is not serialized.
+    `flat` holds every parameter in _PARAM_ORDER; `params` are views into it.
     """
 
     arch: str
     params: dict[str, np.ndarray]
     frozen_hidden: bool = False
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.arch not in _PARAM_ORDER:
+            raise ValueError(f"unknown architecture {self.arch!r}")
+        self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in `flat`
+        for name in _PARAM_ORDER[self.arch]:
+            shape = np.shape(self.params[name])
+            self._layout.append((name, start, start + math.prod(shape), shape))
+            start += math.prod(shape)
+        self.flat = np.concatenate([np.asarray(self.params[name], dtype=np.float64).ravel() for name, *_ in self._layout])
+        self.params = self.views(self.flat)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-tensor views of a vector laid out like `flat`."""
+        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
 
     @property
     def input_dim(self) -> int:
@@ -72,7 +97,11 @@ class Classifier:
         return self.params["W1"].shape[0]
 
     def copy(self) -> "Classifier":
-        return Classifier(self.arch, {k: v.copy() for k, v in self.params.items()}, self.frozen_hidden)
+        return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
+
+    def __reduce__(self):
+        # rebuild through __init__: pickle and deepcopy would otherwise copy each view apart from `flat`
+        return Classifier, (self.arch, self.params, self.frozen_hidden)
 
 
 def init_classifier(arch: str, input_dim: int, num_classes: int, hidden: int = 64, seed=0) -> Classifier:
@@ -99,14 +128,26 @@ def init_classifier(arch: str, input_dim: int, num_classes: int, hidden: int = 6
     return Classifier(arch, params)
 
 
-def _forward_parts(model: Classifier, x: np.ndarray):
-    """Returns (raw probabilities, hidden pre-activation, hidden activation)."""
+class ForwardPass(NamedTuple):
+    """One forward pass: clamped and raw probabilities, hidden pre-activation and activation (None for linear)."""
+
+    probs: np.ndarray
+    raw: np.ndarray
+    pre: np.ndarray | None
+    act: np.ndarray | None
+
+
+def forward_pass(model: Classifier, x: np.ndarray) -> ForwardPass:
+    """Forward pass of a B x D float64 batch that the caller has already checked."""
     p = model.params
+    pre = act = None
     if model.arch == "linear":
-        return sigmoid(x @ p["W"].T + p["b"]), None, None
-    pre = x @ p["W1"].T + p["b1"]
-    act = np.maximum(pre, 0.0)
-    return sigmoid(act @ p["W2"].T + p["b2"]), pre, act
+        raw = sigmoid(x @ p["W"].T + p["b"])
+    else:
+        pre = x @ p["W1"].T + p["b1"]
+        act = np.maximum(pre, 0.0)
+        raw = sigmoid(act @ p["W2"].T + p["b2"])
+    return ForwardPass(np.clip(raw, PROB_EPS, 1.0 - PROB_EPS), raw, pre, act)
 
 
 def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -116,18 +157,37 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected batch of shape (B, {model.input_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("input batch contains non-finite values")
-    raw, _, _ = _forward_parts(model, x)
-    return np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
+    return forward_pass(model, x).probs
 
 
-def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the weighted mean binary cross entropy.
+def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gradient of the weighted mean binary cross entropy at the forward pass
+    `fwd` of x, as one vector laid out like `model.flat`.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
     active the probability is constant in the parameters, so those entries
     contribute exactly zero gradient (matching the finite-difference view).
     """
+    b, k = fwd.probs.shape
+    active = (fwd.raw >= PROB_EPS) & (fwd.raw <= 1.0 - PROB_EPS)
+    grad_logits = weights * (fwd.probs - targets) * active / (b * k)
+    out = np.empty_like(model.flat)
+    g = model.views(out)
+    if model.arch == "linear":
+        np.matmul(grad_logits.T, x, out=g["W"])
+        grad_logits.sum(axis=0, out=g["b"])
+        return out
+    grad_pre = (grad_logits @ model.params["W2"]) * (fwd.pre > 0)
+    np.matmul(grad_pre.T, x, out=g["W1"])
+    grad_pre.sum(axis=0, out=g["b1"])
+    np.matmul(grad_logits.T, fwd.act, out=g["W2"])
+    grad_logits.sum(axis=0, out=g["b2"])
+    return out
+
+
+def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-tensor gradients of the weighted mean binary cross entropy (see `gradient`)."""
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -137,34 +197,21 @@ def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.
         raise ValueError(
             f"targets/weights must have shape ({b}, {k}), got {targets.shape} and {weights.shape}"
         )
-
-    raw, pre, act = _forward_parts(model, x)
-    probs = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
-    active = (raw >= PROB_EPS) & (raw <= 1.0 - PROB_EPS)
-    grad_logits = weights * (probs - targets) * active / (b * k)
-
-    p = model.params
-    if model.arch == "linear":
-        return {"W": grad_logits.T @ x, "b": grad_logits.sum(axis=0)}
-    grad_act = grad_logits @ p["W2"]
-    grad_pre = grad_act * (pre > 0)
-    return {
-        "W1": grad_pre.T @ x,
-        "b1": grad_pre.sum(axis=0),
-        "W2": grad_logits.T @ act,
-        "b2": grad_logits.sum(axis=0),
-    }
+    return model.views(gradient(model, x, forward_pass(model, x), targets, weights))
 
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moment tensors are shaped exactly like the parameters."""
+    """SGD or Adam state. Adam's moments live in flat buffers laid out like the
+    classifier's; `m` and `v` are their per-tensor views, shaped like the parameters."""
 
     kind: str
     learning_rate: float
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
+    flat_m: np.ndarray | None = field(default=None, repr=False)
+    flat_v: np.ndarray | None = field(default=None, repr=False)
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
@@ -174,33 +221,36 @@ def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> Optimi
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     opt = OptimizerState(kind, learning_rate)
     if kind == "adam":
-        opt.m = {name: np.zeros_like(p) for name, p in model.params.items()}
-        opt.v = {name: np.zeros_like(p) for name, p in model.params.items()}
+        opt.flat_m, opt.flat_v = np.zeros_like(model.flat), np.zeros_like(model.flat)
+        opt.m, opt.v = model.views(opt.flat_m), model.views(opt.flat_v)
     return opt
 
 
-def step(model: Classifier, grads: dict[str, np.ndarray], opt: OptimizerState) -> None:
-    """Apply one optimizer step in place, skipping frozen hidden-layer tensors."""
-    frozen = set(_HIDDEN_PARAMS) if (model.arch == "mlp1" and model.frozen_hidden) else set()
+def step(model: Classifier, grads, opt: OptimizerState) -> None:
+    """Apply one optimizer step in place, skipping a frozen hidden layer.
+
+    grads: a vector laid out like `model.flat` (see `gradient`), or a dict of
+    per-tensor gradients as `backward` returns.
+    """
+    if isinstance(grads, dict):
+        grads = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel() for name in model.params])
+    frozen = model.arch == "mlp1" and model.frozen_hidden
+    start = model.params["W1"].size + model.params["b1"].size if frozen else 0  # the hidden layer leads `flat`
     opt.step_count += 1
     t = opt.step_count
-    for name, param in model.params.items():
-        if name in frozen:
-            continue
-        g = grads[name]
-        lr = opt.learning_rate
-        if opt.kind == "sgd":
-            param -= lr * g
-        else:
-            m = opt.m[name]
-            v = opt.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    param, g, lr = model.flat[start:], grads[start:], opt.learning_rate
+    if opt.kind == "sgd":
+        param -= lr * g
+        return
+    m = opt.flat_m[start:]
+    v = opt.flat_v[start:]
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _weighted_loss(model: Classifier, x, targets, weights) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "SchemeSpec",
     "SPECS",
     "BatchDecision",
+    "class_losses",
     "bce_elementwise",
     "rejection_rate",
     "absolute_threshold",
@@ -126,22 +127,37 @@ class BatchDecision:
 
     flags marks the large-loss UNKNOWN entries selected this batch (always a
     subset of UNKNOWN entries); threshold is the loss threshold in effect,
-    NaN when no selection applies.
+    NaN when no selection applies; losses is the unweighted elementwise
+    binary cross entropy against the effective targets.
     """
 
     targets: np.ndarray
     weights: np.ndarray
     flags: np.ndarray
     threshold: float
+    losses: np.ndarray
 
 
-def bce_elementwise(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Elementwise binary cross entropy; probs must be pre-clamped away from {0, 1}."""
+def class_losses(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-log p, -log(1 - p)): the elementwise binary cross entropy against
+    target 1 and against target 0, from one log pass over the probabilities;
+    probs must be pre-clamped away from {0, 1}."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return -np.log(probs), -np.log(1.0 - probs)
+
+
+def bce_elementwise(probs: np.ndarray, targets: np.ndarray, losses=None) -> np.ndarray:
+    """Elementwise binary cross entropy; probs must be pre-clamped away from {0, 1}.
+
+    losses: `class_losses(probs)` when the caller already has them. For binary
+    targets, np.where(targets == 1, *losses) gives the same bits.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs targets {targets.shape}")
-    return -targets * np.log(probs) - (1.0 - targets) * np.log(1.0 - probs)
+    pos, neg = class_losses(probs) if losses is None else losses
+    return targets * pos + (1.0 - targets) * neg
 
 
 def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | None:
@@ -231,8 +247,12 @@ def decide_batch(
     states: np.ndarray,
     epoch: int,
     cfg: SchemeConfig,
+    losses=None,
 ) -> BatchDecision:
-    """Build the effective targets, weights, and flags for one batch."""
+    """Build the effective targets, weights, flags and losses for one batch.
+
+    losses: `class_losses(probs)` when the caller already has them.
+    """
     spec = SPECS[Scheme(scheme)]
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states)
@@ -240,12 +260,13 @@ def decide_batch(
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
+    pos, neg = class_losses(probs) if losses is None else losses
 
     an = an_targets_from_states(states)
     unknown = states == LabelState.UNKNOWN
     flags, threshold = np.zeros_like(unknown, dtype=bool), float("nan")
     if spec.action != "none":
-        flags, threshold = select_for_epoch(scheme, bce_elementwise(probs, an), states, epoch, cfg)
+        flags, threshold = select_for_epoch(scheme, np.where(an == 1.0, pos, neg), states, epoch, cfg)
     if (flags & ~unknown).any():
         raise AssertionError("flag selection touched an observed or corrected entry")
 
@@ -264,14 +285,20 @@ def decide_batch(
         weights = np.ones_like(probs)
     if spec.action == "reject":
         weights = np.where(flags, 0.0, weights)
-    return BatchDecision(targets, weights, flags, threshold)
+    if spec.target == "smoothed":
+        effective = bce_elementwise(probs, targets, (pos, neg))
+    else:
+        effective = np.where(targets == 1.0, pos, neg)
+    return BatchDecision(targets, weights, flags, threshold, effective)
 
 
-def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:
+def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray, rows=None) -> int:
     """Permanently correct the flagged UNKNOWN entries to CORRECTED_POS.
 
-    The mutation is visible to every subsequent batch through the dataset's
-    assume-negative targets. A flag on a non-UNKNOWN entry is a contract
-    violation and raises. Returns the number of corrected entries.
+    flags covers every row of the dataset, or only `rows` (distinct indices,
+    a mini-batch) when given. The mutation is visible to every subsequent
+    batch through the dataset's assume-negative targets. A flag on a
+    non-UNKNOWN entry is a contract violation and raises. Returns the number
+    of corrected entries.
     """
-    return ds.correct_to_positive(np.asarray(flags, dtype=bool))
+    return ds.correct_to_positive(np.asarray(flags, dtype=bool), rows)

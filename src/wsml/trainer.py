@@ -91,13 +91,10 @@ class MemorizationTracker:
 
     def update(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
         """Fold one batch of per-element losses in; first epoch wins loss ties."""
-        bigger = losses > self.max_loss[rows]
         block = self.max_loss[rows]
-        block[bigger] = losses[bigger]
-        self.max_loss[rows] = block
-        block_e = self.argmax_epoch[rows]
-        block_e[bigger] = epoch
-        self.argmax_epoch[rows] = block_e
+        bigger = losses > block
+        self.max_loss[rows] = np.where(bigger, losses, block)
+        self.argmax_epoch[rows] = np.where(bigger, epoch, self.argmax_epoch[rows])
 
     def end_epoch(self) -> None:
         self.epochs_tracked += 1
@@ -219,36 +216,36 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
 
     for start in range(0, n, cfg.batch_size):
         rows = order[start : start + cfg.batch_size]
-        x = train.features[rows]
-        probs = model_mod.forward(classifier, x)
-        base_losses = schemes.bce_elementwise(probs, an0[rows])
-        tracker.update(rows, base_losses, epoch)
+        x = train.features[rows]  # validated with the dataset, so no per-batch finiteness check
+        fwd = model_mod.forward_pass(classifier, x)
+        losses = schemes.class_losses(fwd.probs)
+        an_losses = np.where(an0[rows], *losses)
+        tracker.update(rows, an_losses, epoch)
         if epoch_losses is not None:
-            epoch_losses[rows] = base_losses
+            epoch_losses[rows] = an_losses
 
-        decision = schemes.decide_batch(batch_scheme, probs, train.states[rows], epoch, cfg.scheme)
+        decision = schemes.decide_batch(batch_scheme, fwd.probs, train.states[rows], epoch, cfg.scheme, losses)
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
 
-        if permanent and not epoch_level and decision.flags.any():
-            mask = np.zeros((n, k), dtype=bool)
-            mask[rows] = decision.flags
-            corrections += schemes.apply_permanent_corrections(train, mask)
-            if corrections_true is not None:
-                corrections_true += _count_true(mask, train.truth)
-        elif decision.flags.any():
-            flag_count += int(decision.flags.sum())
-            if flag_true is not None:
-                batch_truth = train.truth[rows]
-                flag_true += int((decision.flags & (batch_truth == 1)).sum())
+        if decision.flags.any():
+            true = _count_true(decision.flags, None if train.truth is None else train.truth[rows])
+            if permanent and not epoch_level:
+                corrections += schemes.apply_permanent_corrections(train, decision.flags, rows)
+                if corrections_true is not None:
+                    corrections_true += true
+            else:
+                flag_count += int(decision.flags.sum())
+                if flag_true is not None:
+                    flag_true += true
 
-        batch_loss = float((decision.weights * schemes.bce_elementwise(probs, decision.targets)).sum())
+        batch_loss = float((decision.weights * decision.losses).sum())
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
 
-        grads = model_mod.backward(classifier, x, decision.targets, decision.weights)
-        model_mod.step(classifier, grads, opt)
+        grad = model_mod.gradient(classifier, x, fwd, decision.targets, decision.weights)
+        model_mod.step(classifier, grad, opt)
 
     if epoch_level:
         flags, threshold = schemes.select_for_epoch(scheme, epoch_losses, train.states, epoch, cfg.scheme)
@@ -287,7 +284,7 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     opt = model_mod.make_optimizer(cfg.optimizer, cfg.learning_rate, classifier)
     epoch_seeds = shuffle_seed.spawn(cfg.epochs)
 
-    an0 = train.an_targets()
+    an0 = train.an_targets() == 1.0  # the assumed positives the run started from
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
 

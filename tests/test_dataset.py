@@ -14,8 +14,10 @@ from wsml.dataset import (
     make_fraction_observed,
     make_single_positive,
     save_dataset,
+    sigmoid,
     subsample,
 )
+from wsml.cli import main
 
 U = LabelState.UNKNOWN
 P = LabelState.OBS_POS
@@ -112,6 +114,44 @@ class TestStateTransitions:
             with pytest.raises(ValueError):
                 ds.correct_to_positive(mask)
             assert np.array_equal(ds.states, before)
+
+
+    def test_batch_rows_correct_like_a_full_mask(self):
+        full, batch = small_dataset(), small_dataset()
+        rows = np.array([3, 0])
+        flags = np.array([[True, False, True], [False, False, True]])
+        mask = np.zeros_like(full.states, dtype=bool)
+        mask[rows] = flags
+        assert full.correct_to_positive(mask) == batch.correct_to_positive(flags, rows) == 3
+        assert np.array_equal(full.states, batch.states)
+
+    def test_batch_rows_name_the_dataset_row_and_mutate_nothing(self):
+        ds = small_dataset()
+        before = ds.states.copy()
+        flags = np.array([[True, False, False], [False, False, True]])
+        with pytest.raises(ValueError, match=r"illegal state transition at \(2, 2\)"):
+            ds.correct_to_positive(flags, np.array([3, 2]))
+        assert np.array_equal(ds.states, before)
+
+
+def two_branch_sigmoid(z):
+    """The former sigmoid: one boolean-mask gather per sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    edges = [0.0, -0.0, 1e-320, -1e-320, np.inf, -np.inf, 800.0, -800.0]
+    rng = np.random.default_rng(0)
+    z = np.concatenate([edges, np.linspace(-800.0, 800.0, 160_001), rng.uniform(-40.0, 40.0, 20_000)])
+    assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    batch = rng.standard_normal((16, 10)) * 5.0
+    assert sigmoid(batch).tobytes() == two_branch_sigmoid(batch).tobytes()
 
 
 class TestGenerateSynthetic:
@@ -286,6 +326,17 @@ class TestSerialization:
         path.write_text("WSML/1\n1 2 2\n0 0 0\nu u\n")
         with pytest.raises(FormatError, match="expected 2 feature values"):
             load_dataset(path)
+
+    def test_state_disagreeing_with_truth_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.wsml"
+        # the second state row observes a positive that the truth section denies
+        path.write_text("WSML/1\n# note\n2 1 2\n0\n0\nu 1\n1 u\nTRUTH\n0 1\n0 1\n")
+        with pytest.raises(FormatError, match="disagrees") as err:
+            load_dataset(path)
+        assert err.value.line == 7
+        argv = ["partialize", "--in", str(path), "--mode", "single-positive", "--seed", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "line 7:" in capsys.readouterr().err
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "bad.wsml"

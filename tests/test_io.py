@@ -336,7 +336,7 @@ class TestAtomicWrites:
 
 # ---------------------------------------------------------------------------
 # fuzzed readers: a mutated file loads or fails with FormatError at a line in
-# range; a dataset may also fail its state-against-truth check
+# range, and with nothing else
 # ---------------------------------------------------------------------------
 
 
@@ -405,5 +405,3 @@ def test_mutated_files_load_or_fail_with_a_line(data, fuzz_dir):
         assert not caught, [str(w.message) for w in caught]
     except FormatError as exc:
         assert 1 <= exc.line <= len(text.splitlines()) + 1, str(exc)
-    except ValueError as exc:
-        assert name.startswith("dataset") and str(exc).startswith(f"{path}: ") and "disagrees with truth" in str(exc)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,9 @@ from wsml.model import (
     Classifier,
     backward,
     forward,
+    forward_pass,
     grad_check,
+    gradient,
     init_classifier,
     load_model,
     make_optimizer,
@@ -158,6 +163,114 @@ class TestStep:
         for name, p in m.params.items():
             assert opt.m[name].shape == p.shape
             assert opt.v[name].shape == p.shape
+
+
+def reference_step(params, grads, m, v, kind, lr, t, frozen):
+    """The per-tensor optimizer update that the flat one replaces."""
+    for name, param in params.items():
+        if name in frozen:
+            continue
+        g = grads[name]
+        if kind == "sgd":
+            param -= lr * g
+            continue
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * g * g
+        m_hat = m[name] / (1.0 - 0.9**t)
+        v_hat = v[name] / (1.0 - 0.999**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("arch,frozen", [("linear", False), ("mlp1", False), ("mlp1", True)])
+    def test_flat_step_equals_the_per_tensor_formula(self, kind, arch, frozen):
+        rng = np.random.default_rng(11)
+        flat_grads = init_classifier(arch, 4, 3, hidden=5, seed=11)
+        dict_grads = flat_grads.copy()
+        ref = {name: p.copy() for name, p in flat_grads.params.items()}
+        ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
+        ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
+        frozen_names = {"W1", "b1"} if frozen else set()
+        opt_flat = make_optimizer(kind, 0.05, flat_grads)
+        opt_dict = make_optimizer(kind, 0.05, dict_grads)
+        for t in range(1, 5):
+            flat_grads.frozen_hidden = dict_grads.frozen_hidden = frozen
+            x, targets, weights = random_batch(rng, flat_grads, 6)
+            grads = backward(dict_grads, x, targets, weights)
+            ref_grads = {name: g.copy() for name, g in grads.items()}
+            step(flat_grads, gradient(flat_grads, x, forward_pass(flat_grads, x), targets, weights), opt_flat)
+            step(dict_grads, grads, opt_dict)
+            reference_step(ref, ref_grads, ref_m, ref_v, kind, 0.05, t, frozen_names)
+            for model, opt in ((flat_grads, opt_flat), (dict_grads, opt_dict)):
+                for name in ref:
+                    assert model.params[name].tobytes() == ref[name].tobytes(), (t, name)
+                    assert np.shares_memory(model.params[name], model.flat)
+                    if kind == "adam":
+                        assert opt.m[name].shape == opt.v[name].shape == ref[name].shape
+                        assert opt.m[name].tobytes() == ref_m[name].tobytes()
+                        assert opt.v[name].tobytes() == ref_v[name].tobytes()
+
+    def test_frozen_hidden_layer_keeps_its_bits_under_both_optimizers(self):
+        for kind in ("sgd", "adam"):
+            m = init_classifier("mlp1", 3, 2, hidden=4, seed=3)
+            m.frozen_hidden = True
+            before = m.flat.copy()
+            step(m, np.ones_like(m.flat), make_optimizer(kind, 0.5, m))
+            hidden = m.params["W1"].size + m.params["b1"].size
+            assert m.flat[:hidden].tobytes() == before[:hidden].tobytes()
+            assert (m.flat[hidden:] != before[hidden:]).all()
+
+    def test_classifier_built_from_a_dict_trains(self):
+        rng = np.random.default_rng(4)
+        # a transposed (non-contiguous) weight and integer biases: both get copied into the buffer
+        w1 = rng.standard_normal((3, 5)).T
+        m = Classifier("mlp1", {"W1": w1, "b1": np.zeros(5, dtype=int), "W2": rng.standard_normal((2, 5)), "b2": [0, 0]})
+        assert m.flat.dtype == np.float64 and m.flat.size == 15 + 5 + 10 + 2
+        assert np.array_equal(m.params["W1"], w1) and m.params["b2"].shape == (2,)
+        x, targets, weights = random_batch(rng, m, 8)
+        opt = make_optimizer("adam", 0.05, m)
+
+        def loss():
+            return float((weights * bce_elementwise(forward(m, x), targets)).mean())
+
+        before = loss()
+        for _ in range(30):
+            step(m, backward(m, x, targets, weights), opt)
+        assert loss() < before
+        assert not np.array_equal(m.params["W1"], w1)
+        for p in m.params.values():
+            assert np.shares_memory(p, m.flat)
+
+    def test_copy_owns_its_buffer(self):
+        rng = np.random.default_rng(6)
+        m = init_classifier("mlp1", 3, 2, hidden=4, seed=6)
+        c = m.copy()
+        snapshot = m.flat.copy()
+        assert not np.shares_memory(c.flat, m.flat)
+        x, targets, weights = random_batch(rng, m, 5)
+        step(m, backward(m, x, targets, weights), make_optimizer("adam", 0.1, m))
+        assert c.flat.tobytes() == snapshot.tobytes()
+        assert not np.array_equal(m.flat, snapshot)
+        for name, p in c.params.items():
+            assert np.shares_memory(p, c.flat) and not np.shares_memory(p, m.flat)
+
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_deepcopy_and_pickle_keep_the_views_on_the_buffer(self, clone):
+        rng = np.random.default_rng(8)
+        m = init_classifier("mlp1", 3, 2, hidden=4, seed=8)
+        m.frozen_hidden = True
+        c = clone(m)
+        assert c.frozen_hidden and c.flat.tobytes() == m.flat.tobytes()
+        x, targets, weights = random_batch(rng, m, 5)
+        for model in (m, c):
+            step(model, backward(model, x, targets, weights), make_optimizer("adam", 0.1, model))
+            for p in model.params.values():
+                assert np.shares_memory(p, model.flat)
+        assert c.flat.tobytes() == m.flat.tobytes() and not np.shares_memory(c.flat, m.flat)
 
 
 class TestTrainingDynamics:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from wsml import model as model_mod
 from wsml.dataset import LabelState, PartialDataset, SyntheticSpec, generate_synthetic, make_single_positive
 from wsml.schemes import Scheme, SchemeConfig
 from wsml.trainer import (
@@ -276,3 +279,30 @@ class TestFrozenSchedule:
         # entire run is frozen, so the hidden layer never moved
         assert np.array_equal(rep.best_model.params["W1"], fresh.params["W1"])
         assert not np.array_equal(rep.best_model.params["W2"], fresh.params["W2"])
+
+
+class TestPerBatchWork:
+    @pytest.mark.parametrize(
+        "token,granularity",
+        [("naive-an", "epoch"), ("lsan", "epoch"), ("ll-r", "epoch"), ("ll-ct-abs", "epoch"),
+         ("ll-cp", "epoch"), ("ll-cp", "batch")],
+    )
+    def test_one_forward_one_log_pass_one_tracker_update_per_batch(self, monkeypatch, token, granularity):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(model_mod, "forward_pass", counting("forward", model_mod.forward_pass))
+        monkeypatch.setattr(np, "log", counting("log", np.log))
+        monkeypatch.setattr(MemorizationTracker, "update", counting("update", MemorizationTracker.update))
+        cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
+        report = run(cfg, tiny_partial())
+        batches = cfg.epochs * -(-len(report.train_indices) // cfg.batch_size)
+        assert counts["update"] == batches
+        assert counts["forward"] == batches + cfg.epochs  # plus one validation pass per epoch
+        assert 0 < counts["log"] <= 2 * batches  # log p and log(1 - p), once
