@@ -389,7 +389,7 @@ def _cmd_eval(args) -> int:
 
     if args.groups is not None:
         if args.group_key == "observed":
-            counts = (data.states != ds_mod.LabelState.UNKNOWN).sum(axis=0)
+            counts = (data.states != ds_mod.UNKNOWN).sum(axis=0)
         else:
             counts = data.truth.sum(axis=0)
         grouped = evaluation.grouped_map(scores, data.truth, counts, args.groups)
@@ -437,17 +437,18 @@ def _sweep_arm(payload: dict):
 
 def _worker_count(n_arms: int) -> int:
     raw = os.environ.get("WSML_THREADS")
-    if raw is None:
-        limit = os.cpu_count() or 1
-    else:
+    limit = 0
+    if raw is not None:
         try:
             limit = int(raw)
         except ValueError:
             _warn(f"ignoring WSML_THREADS={raw!r} (not an integer)")
-            limit = os.cpu_count() or 1
-        if limit < 1:
-            _warn(f"ignoring WSML_THREADS={limit} (must be >= 1)")
-            limit = os.cpu_count() or 1
+        else:
+            if limit < 1:
+                _warn(f"ignoring WSML_THREADS={limit} (must be >= 1)")
+    if limit < 1:
+        # the CPUs this process may run on: a pinned or cpuset-limited one has fewer
+        limit = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(limit, n_arms))
 
 

@@ -47,6 +47,9 @@ class LabelState(enum.IntEnum):
     CORRECTED_POS = 3
 
 
+# plain codes for array comparisons, which cost two Python-level lookups with a member
+OBS_NEG, OBS_POS, UNKNOWN, CORRECTED_POS = (int(s) for s in LabelState)
+
 # file tokens, indexed by LabelState code
 STATE_TOKENS = ("0", "1", "u", "c")
 TRUTH_TOKENS = ("0", "1")
@@ -54,13 +57,13 @@ TRUTH_TOKENS = ("0", "1")
 
 def an_targets_from_states(states: np.ndarray) -> np.ndarray:
     """Assume-negative targets: observed/corrected positives map to 1, all else to 0."""
-    pos = (states == LabelState.OBS_POS) | (states == LabelState.CORRECTED_POS)
+    pos = (states == OBS_POS) | (states == CORRECTED_POS)
     return pos.astype(np.float64)
 
 
 def _disagreements(states: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Entries whose observed state contradicts the truth label."""
-    return ((states == LabelState.OBS_POS) & (truth == 0)) | ((states == LabelState.OBS_NEG) & (truth == 1))
+    return ((states == OBS_POS) & (truth == 0)) | ((states == OBS_NEG) & (truth == 1))
 
 
 @dataclass
@@ -139,12 +142,10 @@ class PartialDataset:
         return an_targets_from_states(self.states)
 
     def unknown_mask(self) -> np.ndarray:
-        return self.states == LabelState.UNKNOWN
+        return self.states == UNKNOWN
 
     def fully_observed(self) -> bool:
-        return bool(
-            ((self.states == LabelState.OBS_POS) | (self.states == LabelState.OBS_NEG)).all()
-        )
+        return bool(((self.states == OBS_POS) | (self.states == OBS_NEG)).all())
 
     def correct_to_positive(self, mask: np.ndarray, rows=None) -> int:
         """Flip the masked entries from UNKNOWN to CORRECTED_POS.
@@ -161,14 +162,14 @@ class PartialDataset:
         r, c = np.nonzero(mask)
         if rows is not None:
             r = np.asarray(rows)[r]
-        illegal = np.flatnonzero(self.states[r, c] != LabelState.UNKNOWN)
+        illegal = np.flatnonzero(self.states[r, c] != UNKNOWN)
         if illegal.size:
             i = illegal[0]
             raise ValueError(
                 f"illegal state transition at ({r[i]}, {c[i]}): "
                 f"only UNKNOWN may become CORRECTED_POS"
             )
-        self.states[r, c] = LabelState.CORRECTED_POS
+        self.states[r, c] = CORRECTED_POS
         return int(r.size)
 
 
@@ -265,7 +266,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PartialDataset:
     if empty_rows.size:
         truth[empty_rows, probs[empty_rows].argmax(axis=1)] = 1
 
-    states = np.where(truth == 1, LabelState.OBS_POS, LabelState.OBS_NEG).astype(np.int8)
+    states = np.where(truth == 1, OBS_POS, OBS_NEG).astype(np.int8)
     return PartialDataset(features, states, truth)
 
 
@@ -274,14 +275,15 @@ def make_single_positive(full: PartialDataset, seed) -> PartialDataset:
     entries become UNKNOWN. Truth is preserved. Deterministic given seed."""
     if not full.fully_observed():
         raise ValueError("single-positive partialization requires a fully observed dataset")
-    rng = np.random.default_rng(seed)
-    states = np.full(full.states.shape, LabelState.UNKNOWN, dtype=np.int8)
-    for i in range(full.n):
-        pos = np.flatnonzero(full.states[i] == LabelState.OBS_POS)
-        if pos.size == 0:
-            raise ValueError(f"sample {i} has no positive label to retain")
-        keep = pos[rng.integers(pos.size)]
-        states[i, keep] = LabelState.OBS_POS
+    pos = full.states == OBS_POS
+    counts = pos.sum(axis=1)
+    if not counts.all():
+        raise ValueError(f"sample {counts.argmin()} has no positive label to retain")
+    # one draw per row in row order, the same draws a per-row loop makes
+    pick = np.random.default_rng(seed).integers(counts)
+    keep = (np.cumsum(pos, axis=1) <= pick[:, None]).sum(axis=1)  # column of each row's pick-th positive
+    states = np.full(full.states.shape, UNKNOWN, dtype=np.int8)
+    states[np.arange(full.n), keep] = OBS_POS
     return PartialDataset(full.features.copy(), states, None if full.truth is None else full.truth.copy())
 
 
@@ -297,7 +299,7 @@ def make_fraction_observed(full: PartialDataset, fraction: float, seed) -> Parti
     keep = int(math.floor(fraction * total))
     rng = np.random.default_rng(seed)
     chosen = rng.permutation(total)[:keep]
-    flat = np.full(total, LabelState.UNKNOWN, dtype=np.int8)
+    flat = np.full(total, UNKNOWN, dtype=np.int8)
     flat[chosen] = full.states.reshape(-1)[chosen]
     return PartialDataset(
         full.features.copy(),

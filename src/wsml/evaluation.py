@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabelState
+from .dataset import OBS_NEG, OBS_POS, UNKNOWN
 
 __all__ = [
     "APResult",
@@ -147,9 +147,9 @@ def phase_distribution(
     if argmax_epoch.shape != truth.shape or argmax_epoch.shape != states.shape:
         raise ValueError("argmax_epoch, truth, and states must share one shape")
 
-    zero_target = (states == LabelState.OBS_NEG) | (states == LabelState.UNKNOWN)
+    zero_target = (states == OBS_NEG) | (states == UNKNOWN)
     buckets = {
-        "TP": states == LabelState.OBS_POS,
+        "TP": states == OBS_POS,
         "TN": zero_target & (truth == 0),
         "FN": zero_target & (truth == 1),
     }

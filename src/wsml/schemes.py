@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabelState, PartialDataset, an_targets_from_states
+from .dataset import UNKNOWN, PartialDataset, an_targets_from_states
 
 __all__ = [
     "Scheme",
@@ -26,12 +26,15 @@ __all__ = [
     "SchemeSpec",
     "SPECS",
     "BatchDecision",
+    "EpochPlan",
     "class_losses",
     "bce_elementwise",
     "rejection_rate",
     "absolute_threshold",
     "select_large_losses",
     "select_for_epoch",
+    "plan_epoch",
+    "decide_planned",
     "decide_batch",
     "apply_permanent_corrections",
 ]
@@ -190,6 +193,7 @@ def select_large_losses(
     states: np.ndarray,
     rate: float | None = None,
     threshold: float | None = None,
+    unknown: np.ndarray | None = None,
 ):
     """Flag large-loss UNKNOWN entries; returns (flag mask, threshold used).
 
@@ -200,6 +204,7 @@ def select_large_losses(
 
     Absolute mode: flags every UNKNOWN entry with loss strictly greater than
     the threshold. Observed and corrected entries are never flagged.
+    unknown: `states == UNKNOWN` when the caller already has it.
     """
     losses = np.asarray(losses, dtype=np.float64)
     states = np.asarray(states)
@@ -208,7 +213,7 @@ def select_large_losses(
     if (rate is None) == (threshold is None):
         raise ValueError("exactly one of rate or threshold must be given")
 
-    unknown = states == LabelState.UNKNOWN
+    unknown = states == UNKNOWN if unknown is None else unknown
     flags = np.zeros_like(unknown, dtype=bool)
 
     if threshold is not None:
@@ -241,6 +246,67 @@ def select_for_epoch(scheme: Scheme, losses: np.ndarray, states: np.ndarray, epo
     return select_large_losses(losses, states, rate=rate)
 
 
+@dataclass
+class EpochPlan:
+    """What the label states fix of a scheme's batch decisions, row-aligned with
+    those states: the AN positives, the UNKNOWN mask, the base targets and
+    weights, and the epoch's selection rate or threshold (the other is None)."""
+
+    spec: SchemeSpec
+    states: np.ndarray
+    an: np.ndarray
+    unknown: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    rate: float | None
+    threshold: float | None
+
+
+def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig) -> EpochPlan:
+    """The part of the decisions over `states` that does not read the model. Over
+    rows in visiting order it holds for a whole epoch: batch-level permanent
+    correction changes only rows whose batch is already decided."""
+    spec = SPECS[Scheme(scheme)]
+    states = np.asarray(states)
+    rate = rejection_rate(scheme, epoch, cfg)
+    threshold = absolute_threshold(epoch, cfg) if rate is None else None
+    targets = an_targets_from_states(states)
+    an, unknown = targets == 1.0, states == UNKNOWN
+    if spec.target == "smoothed":
+        targets = targets * (1.0 - cfg.eps_smooth) + (1.0 - targets) * cfg.eps_smooth
+    if spec.weight == "ignore-unknown":
+        weights = np.where(unknown, 0.0, 1.0)
+    elif spec.weight == "wan":
+        weights = np.where(an, 1.0, 1.0 / (states.shape[1] - 1))
+    else:
+        weights = np.ones(states.shape)
+    return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold)
+
+
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses) -> BatchDecision:
+    """Finish the decision for the plan's rows in `batch` from their probabilities
+    and `class_losses`: select on the AN loss, then flag targets or weights."""
+    pos, neg = losses
+    an, action = plan.an[batch], plan.spec.action
+    effective = np.where(an, pos, neg)
+    targets, weights = plan.targets[batch], plan.weights[batch]
+    flags, threshold = np.zeros(an.shape, dtype=bool), float("nan")
+    if action != "none":
+        unknown = plan.unknown[batch]
+        flags, threshold = select_large_losses(
+            effective, plan.states[batch], rate=plan.rate, threshold=plan.threshold, unknown=unknown)
+        if (flags & ~unknown).any():
+            raise AssertionError("flag selection touched an observed or corrected entry")
+    if action == "reject":
+        weights = np.where(flags, 0.0, weights)
+    elif action != "none":  # flagged entries train toward 1 until the state change lands
+        targets = np.where(flags, 1.0, targets)
+        effective = np.where(an | flags, pos, neg)
+    if plan.spec.target == "smoothed":
+        effective = bce_elementwise(probs, targets, losses)
+    return BatchDecision(targets, weights, flags, threshold, effective)
+
+
 def decide_batch(
     scheme: Scheme,
     probs: np.ndarray,
@@ -253,43 +319,12 @@ def decide_batch(
 
     losses: `class_losses(probs)` when the caller already has them.
     """
-    spec = SPECS[Scheme(scheme)]
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states)
     if probs.shape != states.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    pos, neg = class_losses(probs) if losses is None else losses
-
-    an = an_targets_from_states(states)
-    unknown = states == LabelState.UNKNOWN
-    flags, threshold = np.zeros_like(unknown, dtype=bool), float("nan")
-    if spec.action != "none":
-        flags, threshold = select_for_epoch(scheme, np.where(an == 1.0, pos, neg), states, epoch, cfg)
-    if (flags & ~unknown).any():
-        raise AssertionError("flag selection touched an observed or corrected entry")
-
-    targets = an
-    if spec.target == "smoothed":
-        targets = targets * (1.0 - cfg.eps_smooth) + (1.0 - targets) * cfg.eps_smooth
-    if spec.action in ("temporary", "permanent"):
-        # flagged entries train toward 1 until the state change lands
-        targets = np.where(flags, 1.0, targets)
-
-    if spec.weight == "ignore-unknown":
-        weights = np.where(unknown, 0.0, 1.0)
-    elif spec.weight == "wan":
-        weights = np.where(an == 0.0, 1.0 / (states.shape[1] - 1), 1.0)
-    else:
-        weights = np.ones_like(probs)
-    if spec.action == "reject":
-        weights = np.where(flags, 0.0, weights)
-    if spec.target == "smoothed":
-        effective = bce_elementwise(probs, targets, (pos, neg))
-    else:
-        effective = np.where(targets == 1.0, pos, neg)
-    return BatchDecision(targets, weights, flags, threshold, effective)
+    plan = plan_epoch(scheme, states, epoch, cfg)
+    return decide_planned(plan, slice(None), probs, class_losses(probs) if losses is None else losses)
 
 
 def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray, rows=None) -> int:

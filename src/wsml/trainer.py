@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation, model as model_mod, schemes
-from .dataset import LabelState, PartialDataset
+from .dataset import OBS_NEG, OBS_POS, PartialDataset
 
 __all__ = [
     "TrainConfig",
@@ -179,8 +179,8 @@ def _validation_map(classifier, val: PartialDataset) -> float:
         return evaluation.mean_average_precision(probs, val.truth).mean
     aps = []
     for k in range(val.k):
-        observed = (val.states[:, k] == LabelState.OBS_POS) | (val.states[:, k] == LabelState.OBS_NEG)
-        labels = (val.states[:, k] == LabelState.OBS_POS).astype(np.int8)
+        observed = (val.states[:, k] == OBS_POS) | (val.states[:, k] == OBS_NEG)
+        labels = (val.states[:, k] == OBS_POS).astype(np.int8)
         if labels[observed].sum() == 0:
             continue
         aps.append(evaluation.average_precision(probs[observed, k], labels[observed]))
@@ -189,14 +189,10 @@ def _validation_map(classifier, val: PartialDataset) -> float:
     return float(np.mean(aps))
 
 
-def _count_true(flags: np.ndarray, truth) -> int | None:
-    if truth is None:
-        return None
-    return int((flags & (truth == 1)).sum())
-
-
 def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
-    """One pass over the training data; returns the epoch's raw statistics."""
+    """One pass over the training data; returns (mean loss, flagged entries, the
+    truly positive ones among them or None without truth, smallest threshold).
+    Under permanent correction the flagged entries are the corrected ones."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
@@ -208,36 +204,36 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
     n, k = train.n, train.k
     epoch_losses = np.zeros((n, k)) if epoch_level else None
     weighted_total = 0.0
-    flag_count = 0
-    flag_true = 0 if train.truth is not None else None
-    corrections = 0
-    corrections_true = 0 if train.truth is not None else None
+    flagged = 0
+    flagged_true = 0 if train.truth is not None else None
     thresholds = []
+    # gathered once in visiting order, so each batch reads slice views
+    features, an0 = train.features[order], an0[order]
+    truly_pos = None if train.truth is None else train.truth[order] == 1
+    plan = schemes.plan_epoch(batch_scheme, train.states[order], epoch, cfg.scheme)
 
     for start in range(0, n, cfg.batch_size):
-        rows = order[start : start + cfg.batch_size]
-        x = train.features[rows]  # validated with the dataset, so no per-batch finiteness check
+        batch = slice(start, start + cfg.batch_size)
+        rows = order[batch]
+        x = features[batch]  # validated with the dataset, so no per-batch finiteness check
         fwd = model_mod.forward_pass(classifier, x)
         losses = schemes.class_losses(fwd.probs)
-        an_losses = np.where(an0[rows], *losses)
+        an_losses = np.where(an0[batch], *losses)
         tracker.update(rows, an_losses, epoch)
         if epoch_losses is not None:
             epoch_losses[rows] = an_losses
 
-        decision = schemes.decide_batch(batch_scheme, fwd.probs, train.states[rows], epoch, cfg.scheme, losses)
+        decision = schemes.decide_planned(plan, batch, fwd.probs, losses)
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
 
         if decision.flags.any():
-            true = _count_true(decision.flags, None if train.truth is None else train.truth[rows])
-            if permanent and not epoch_level:
-                corrections += schemes.apply_permanent_corrections(train, decision.flags, rows)
-                if corrections_true is not None:
-                    corrections_true += true
+            if permanent:  # batch-level: epoch-level batches train on plain AN and flag nothing
+                flagged += schemes.apply_permanent_corrections(train, decision.flags, rows)
             else:
-                flag_count += int(decision.flags.sum())
-                if flag_true is not None:
-                    flag_true += true
+                flagged += int(decision.flags.sum())
+            if flagged_true is not None:
+                flagged_true += int((decision.flags & truly_pos[batch]).sum())
 
         batch_loss = float((decision.weights * decision.losses).sum())
         if not math.isfinite(batch_loss):
@@ -250,16 +246,16 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
     if epoch_level:
         flags, threshold = schemes.select_for_epoch(scheme, epoch_losses, train.states, epoch, cfg.scheme)
         if flags.any():
-            corrections += schemes.apply_permanent_corrections(train, flags)
-            if corrections_true is not None:
-                corrections_true += _count_true(flags, train.truth)
+            flagged += schemes.apply_permanent_corrections(train, flags)
+            if flagged_true is not None:
+                flagged_true += int((flags & (train.truth == 1)).sum())
         if not math.isnan(threshold):
             thresholds.append(threshold)
 
     tracker.end_epoch()
     mean_loss = weighted_total / (n * k)
     threshold_min = min(thresholds) if thresholds else float("nan")
-    return mean_loss, flag_count, flag_true, corrections, corrections_true, threshold_min
+    return mean_loss, flagged, flagged_true, threshold_min
 
 
 def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = None) -> RunReport:
@@ -300,19 +296,13 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     for epoch in range(1, cfg.epochs + 1):
         classifier.frozen_hidden = cfg.arch == "mlp1" and epoch <= cfg.frozen_epochs
         order = np.random.default_rng(epoch_seeds[epoch - 1]).permutation(train.n)
-        mean_loss, flags, flags_true, corr, corr_true, threshold_min = _train_epoch(
+        mean_loss, epoch_flags, epoch_true, threshold_min = _train_epoch(
             classifier, train, cfg, epoch, opt, order, tracker, an0
         )
-        cum_corrections += corr
-
         if permanent:
-            flag_counts.append(corr)
-            true_counts.append(corr_true if corr_true is not None else 0)
-            epoch_flags, epoch_true = corr, corr_true
-        else:
-            flag_counts.append(flags)
-            true_counts.append(flags_true if flags_true is not None else 0)
-            epoch_flags, epoch_true = flags, flags_true
+            cum_corrections += epoch_flags
+        flag_counts.append(epoch_flags)
+        true_counts.append(epoch_true if epoch_true is not None else 0)
 
         val_map = _validation_map(classifier, val) * 100.0
         records.append(

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -399,3 +400,22 @@ class TestWorkerCount:
         monkeypatch.setenv("WSML_THREADS", "lots")
         assert _worker_count(1) == 1
         assert "WSML_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", [None, "0", "lots"])
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch, env):
+        from wsml.cli import _worker_count
+
+        if env is None:
+            monkeypatch.delenv("WSML_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("WSML_THREADS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert _worker_count(8) == 3
+        assert _worker_count(2) == 2
+        # where the platform has no affinity mask, count every CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count(8) == 8
+        assert _worker_count(100) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8) == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsml import dataset as ds_mod
 from wsml.dataset import (
     FormatError,
     LabelState,
@@ -38,6 +39,12 @@ def fully_observed(truth, seed=0):
     truth = np.asarray(truth, dtype=np.int8)
     states = np.where(truth == 1, P, N).astype(np.int8)
     return PartialDataset(rng.standard_normal((truth.shape[0], 3)), states, truth)
+
+
+def test_plain_state_codes_match_the_enum():
+    codes = (ds_mod.OBS_NEG, ds_mod.OBS_POS, ds_mod.UNKNOWN, ds_mod.CORRECTED_POS)
+    assert codes == (N, P, U, C)
+    assert all(type(code) is int for code in codes)
 
 
 class TestPartialDataset:
@@ -183,6 +190,18 @@ class TestGenerateSynthetic:
         assert np.array_equal(a.truth, b.truth)
 
 
+def per_row_single_positive(full, seed):
+    """Reference: one rng.integers draw per row, in row order."""
+    rng = np.random.default_rng(seed)
+    states = np.full(full.states.shape, U, dtype=np.int8)
+    for i in range(full.n):
+        pos = np.flatnonzero(full.states[i] == P)
+        if pos.size == 0:
+            raise ValueError(f"sample {i} has no positive label to retain")
+        states[i, pos[rng.integers(pos.size)]] = P
+    return states
+
+
 class TestMakeSinglePositive:
     def test_single_positive_row_is_forced(self):
         ds = fully_observed([[0, 1, 0, 0]])
@@ -212,6 +231,24 @@ class TestMakeSinglePositive:
         ds = PartialDataset(np.zeros((2, 2)), states, truth)
         with pytest.raises(ValueError, match="sample 1"):
             make_single_positive(ds, seed=0)
+
+    def test_first_zero_positive_row_is_named(self):
+        truth = np.array([[1, 0], [1, 1], [0, 0], [1, 0], [0, 0]], dtype=np.int8)
+        ds = PartialDataset(np.zeros((5, 2)), np.where(truth == 1, P, N).astype(np.int8), truth)
+        with pytest.raises(ValueError, match="^sample 2 has no positive label to retain$"):
+            make_single_positive(ds, seed=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 20, 37, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 9, 123, 40_000])
+    def test_matches_the_per_row_loop_bit_for_bit(self, k, seed):
+        rng = np.random.default_rng([seed, k])
+        truth = (rng.uniform(size=(400, k)) < rng.uniform(0.05, 0.8)).astype(np.int8)
+        single = np.arange(0, 400, 3)  # every third row holds a single positive
+        truth[single] = 0
+        truth[single, rng.integers(k, size=single.size)] = 1
+        truth[truth.sum(axis=1) == 0, rng.integers(k)] = 1
+        ds = fully_observed(truth, seed=seed)
+        assert np.array_equal(make_single_positive(ds, seed).states, per_row_single_positive(ds, seed))
 
     def test_requires_fully_observed(self):
         with pytest.raises(ValueError, match="fully observed"):

@@ -12,9 +12,13 @@ from wsml.schemes import (
     BatchDecision,
     Scheme,
     SchemeConfig,
+    absolute_threshold,
     apply_permanent_corrections,
     bce_elementwise,
+    class_losses,
     decide_batch,
+    decide_planned,
+    plan_epoch,
     rejection_rate,
     select_large_losses,
 )
@@ -244,6 +248,100 @@ class TestDecideBatch:
         for token in ("ll-r", "ll-ct", "ll-cp", "ll-r-abs", "ll-ct-abs", "ll-cp-abs"):
             d = decide_batch(Scheme(token), probs, states, epoch, cfg(token, delta_rel=3.0))
             assert not (d.flags & (states != U)).any()
+
+
+def reference_decide_batch(scheme, probs, states, epoch, c):
+    """The one-pass decision as written before the epoch plan existed: every
+    rule evaluated from the batch's states, with the full BCE formula."""
+    spec = SPECS[Scheme(scheme)]
+    an = ((states == P) | (states == C)).astype(np.float64)
+    unknown = states == U
+    flags, threshold = np.zeros_like(unknown), float("nan")
+    if spec.action != "none":
+        pos, neg = class_losses(probs)
+        rate = rejection_rate(scheme, epoch, c)
+        if rate is None:
+            flags, threshold = select_large_losses(np.where(an == 1.0, pos, neg), states,
+                                                   threshold=absolute_threshold(epoch, c))
+        else:
+            flags, threshold = select_large_losses(np.where(an == 1.0, pos, neg), states, rate=rate)
+    targets = an
+    if spec.target == "smoothed":
+        targets = targets * (1.0 - c.eps_smooth) + (1.0 - targets) * c.eps_smooth
+    if spec.action in ("temporary", "permanent"):
+        targets = np.where(flags, 1.0, targets)
+    if spec.weight == "ignore-unknown":
+        weights = np.where(unknown, 0.0, 1.0)
+    elif spec.weight == "wan":
+        weights = np.where(an == 0.0, 1.0 / (states.shape[1] - 1), 1.0)
+    else:
+        weights = np.ones_like(probs)
+    if spec.action == "reject":
+        weights = np.where(flags, 0.0, weights)
+    return BatchDecision(targets, weights, flags, threshold, bce_elementwise(probs, targets))
+
+
+def assert_same_decision(got: BatchDecision, want: BatchDecision):
+    for name in ("targets", "weights", "flags", "losses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.threshold == want.threshold or (math.isnan(got.threshold) and math.isnan(want.threshold))
+
+
+class TestEpochPlan:
+    @given(
+        token=st.sampled_from([s.value for s in Scheme]),
+        epoch=st.integers(1, 40),
+        n=st.integers(1, 60),
+        k=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        delta_rel=st.floats(0.0, 30.0),
+        cuts=st.lists(st.integers(1, 59), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_slices_of_the_epoch_plan_equal_decide_batch(self, token, epoch, n, k, seed, delta_rel, cuts):
+        rng = np.random.default_rng(seed)
+        states = rng.choice([int(U), int(P), int(N), int(C)], size=(n, k), p=[0.6, 0.15, 0.15, 0.1]).astype(np.int8)
+        probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(n, k))
+        if n > 1:  # exact ties between losses, which the selection breaks by index
+            probs[rng.integers(n, size=n // 2), rng.integers(k, size=n // 2)] = probs[0, 0]
+        c = cfg(token, delta_rel=delta_rel, r0=float(rng.uniform(0.5, 3.0)), delta_abs=float(rng.uniform(0.0, 0.2)))
+        plan = plan_epoch(Scheme(token), states, epoch, c)
+        live = states.copy()  # the states as permanent correction leaves them, batch by batch
+        bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            batch = slice(lo, hi)
+            got = decide_planned(plan, batch, probs[batch], class_losses(probs[batch]))
+            assert_same_decision(got, decide_batch(Scheme(token), probs[batch], live[batch], epoch, c))
+            assert_same_decision(got, reference_decide_batch(token, probs[batch], live[batch], epoch, c))
+            if SPECS[Scheme(token)].action == "permanent":
+                live[batch][got.flags] = C
+
+    def test_plan_is_row_aligned_with_its_states(self):
+        states = np.array([[U, P, N], [C, U, P]], dtype=np.int8)
+        plan = plan_epoch(Scheme.WAN, states, 3, cfg("wan"))
+        assert np.array_equal(plan.an, [[False, True, False], [True, False, True]])
+        assert np.array_equal(plan.unknown, states == U)
+        assert np.array_equal(plan.weights, [[0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
+        assert plan.rate == 0.0 and plan.threshold is None
+
+    def test_schedule_is_the_epoch_rate_or_threshold(self):
+        states = np.full((1, 2), U, dtype=np.int8)
+        relative = plan_epoch(Scheme.LL_CT, states, 4, cfg("ll-ct", delta_rel=2.0))
+        assert (relative.rate, relative.threshold) == (6.0, None)
+        absolute = plan_epoch(Scheme.LL_R_ABS, states, 2, cfg("ll-r-abs", r0=1.5, delta_abs=0.25))
+        assert (absolute.rate, absolute.threshold) == (None, 1.0)
+        with pytest.raises(ValueError, match="epoch"):
+            plan_epoch(Scheme.NAIVE_AN, states, 0, cfg("naive-an"))
+
+    def test_precomputed_unknown_mask_gives_the_same_selection(self):
+        rng = np.random.default_rng(3)
+        losses = rng.uniform(0, 3, size=(6, 4))
+        states = rng.choice([int(U), int(P), int(N), int(C)], size=(6, 4)).astype(np.int8)
+        for kw in ({"rate": 40.0}, {"threshold": 1.0}):
+            a = select_large_losses(losses, states, **kw)
+            b = select_large_losses(losses, states, unknown=states == U, **kw)
+            assert np.array_equal(a[0], b[0]) and (a[1] == b[1] or math.isnan(a[1]) and math.isnan(b[1]))
 
 
 class TestDegenerateEquivalences:

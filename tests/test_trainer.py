@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wsml import model as model_mod
+from wsml import dataset as ds_mod, model as model_mod, schemes
 from wsml.dataset import LabelState, PartialDataset, SyntheticSpec, generate_synthetic, make_single_positive
 from wsml.schemes import Scheme, SchemeConfig
 from wsml.trainer import (
@@ -306,3 +306,33 @@ class TestPerBatchWork:
         assert counts["update"] == batches
         assert counts["forward"] == batches + cfg.epochs  # plus one validation pass per epoch
         assert 0 < counts["log"] <= 2 * batches  # log p and log(1 - p), once
+
+    @pytest.mark.parametrize(
+        "token,granularity,selections",
+        [("naive-an", "epoch", "none"), ("lsan", "epoch", "none"), ("wan", "epoch", "none"),
+         ("ll-r", "epoch", "batch"), ("ll-ct-abs", "epoch", "batch"), ("ll-cp", "epoch", "epoch"),
+         ("ll-cp", "batch", "batch")],
+    )
+    def test_label_state_work_is_planned_once_per_epoch(self, monkeypatch, token, granularity, selections):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(schemes, "plan_epoch", counting("plan", schemes.plan_epoch))
+        monkeypatch.setattr(schemes, "select_large_losses", counting("select", schemes.select_large_losses))
+        # plan_epoch reads the schemes binding, the run's starting AN targets the dataset one
+        for module in (schemes, ds_mod):
+            monkeypatch.setattr(module, "an_targets_from_states", counting("an", module.an_targets_from_states))
+        monkeypatch.setattr(MemorizationTracker, "update", counting("update", MemorizationTracker.update))
+        cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
+        run(cfg, tiny_partial())
+        batches = counts["update"]
+        assert batches > cfg.epochs
+        assert counts["plan"] == cfg.epochs
+        assert counts["an"] == cfg.epochs + 1  # one per plan, plus the run's starting targets
+        assert counts["select"] == {"none": 0, "batch": batches, "epoch": cfg.epochs}[selections]
