@@ -386,6 +386,68 @@ class TestSweep:
         assert code == 1
 
 
+class TestOutputLayout:
+    """Key order and cell format of the text outputs, which their readers may rely on."""
+
+    TRAIN_CONFIG = [
+        "cmd", "out_prefix", "data", "test_data", "epochs", "batch", "optimizer", "lr", "arch", "hidden",
+        "frozen_epochs", "val_frac", "seed", "subsample", "llcp_granularity",
+        "scheme", "delta_rel", "r0", "delta_abs", "eps_smooth",
+    ]
+    EPOCH = ["epoch", "train_loss", "val_map", "flags", "flags_true_pos", "flag_precision",
+             "cum_corrections", "threshold_min"]
+
+    def test_report_json(self, tmp_path, sp_file):
+        prefix = tmp_path / "run"
+        assert run_cli(*train_args(sp_file, prefix, scheme="ll-r", **{"--delta-rel": 10.0})) == 0
+        report = json.loads((tmp_path / "run.report.json").read_text())
+        assert list(report) == ["config", "effective_n", "best_epoch", "best_val_map", "test_map",
+                                "model_path", "epochs"]
+        assert list(report["config"]) == self.TRAIN_CONFIG
+        assert report["config"]["scheme"] == "ll-r" and report["config"]["delta_rel"] == 10.0
+        assert [list(e) for e in report["epochs"]] == [self.EPOCH] * 3
+        # epoch 1 selects nothing: a NaN threshold is written as null, not as the invalid JSON NaN
+        assert report["epochs"][0]["threshold_min"] is None
+        assert isinstance(report["epochs"][2]["threshold_min"], float)
+        assert "NaN" not in (tmp_path / "run.report.json").read_text()
+
+    def test_eval_json(self, tmp_path, gen_file, sp_file):
+        prefix = tmp_path / "run"
+        assert run_cli(*train_args(sp_file, prefix)) == 0
+        out = tmp_path / "eval.json"
+        # on the fully observed set no zero-target entry is a true positive, so FN is empty
+        assert run_cli(
+            "eval", "--model", f"{prefix}.model", "--data", str(gen_file), "--groups", "2",
+            "--phase-table", "--tracker", f"{prefix}.tracker", "--out", str(out),
+        ) == 0
+        result = json.loads(out.read_text())
+        assert list(result) == ["config", "map", "per_category_ap", "skipped_categories", "group_map",
+                                "phase_distribution"]
+        assert list(result["config"]) == ["cmd", "model", "data", "groups", "group_key", "phase_table", "tracker"]
+        table = result["phase_distribution"]
+        assert list(table) == ["TP", "TN", "FN"]
+        assert list(table["TP"]) == list(table["TN"]) == ["warmup_pct", "regular_pct", "count"]
+        assert table["FN"] is None
+
+    def test_sweep_csv(self, tmp_path, sp_file, monkeypatch):
+        monkeypatch.setenv("WSML_THREADS", "1")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "sweep", "--param", "delta-rel", "--values", "0.25,2",
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "2", "--batch", "8",
+            "--seed", "5", "--arch", "linear", "--out", str(out),
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("#cfg {")
+        assert json.loads(lines[0][5:])["values"] == [0.25, 2.0]
+        assert lines[1] == "value,effective_n,best_val_map,best_epoch,test_map"
+        cells = [line.split(",") for line in lines[2:]]
+        assert [c[0] for c in cells] == ["0.25", "2"]  # %g, not repr
+        assert [c[4] for c in cells] == ["", ""]  # no --test-data: empty test_map
+        for c in cells:
+            assert len(c) == 5 and c[1] == "60" and c[2] == repr(float(c[2])) and c[3] in ("1", "2")
+
+
 class TestWorkerCount:
     def test_env_caps_workers(self, monkeypatch):
         from wsml.cli import _worker_count
