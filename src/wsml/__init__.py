@@ -11,7 +11,6 @@ from .dataset import (
     make_fraction_observed,
     make_single_positive,
     save_dataset,
-    subsample,
 )
 from .evaluation import APResult, average_precision, grouped_map, mean_average_precision, phase_distribution
 from .model import Classifier, OptimizerState, backward, forward, grad_check, init_classifier, load_model, make_optimizer, save_model, step

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,6 +30,10 @@ __all__ = ["main"]
 TRACKER_HEADER = "WSMLTRACK/1"
 
 SCHEME_TOKENS = [s.value for s in schemes.Scheme]
+
+# the columns of the metrics CSV (EpochRecord fields) and of the sweep CSV (value, then RunReport fields)
+METRICS_COLUMNS = ("epoch", "train_loss", "val_map", "flags", "flag_precision", "cum_corrections", "threshold_min")
+SWEEP_COLUMNS = ("value", "effective_n", "best_val_map", "best_epoch", "test_map")
 
 
 class UsageError(Exception):
@@ -138,14 +143,7 @@ def _resolve_scheme_config(args) -> tuple[schemes.SchemeConfig, dict]:
         if value is not None:
             resolved[name] = value
     cfg = schemes.SchemeConfig(scheme, **resolved)
-    echo = {
-        "scheme": scheme.value,
-        "delta_rel": cfg.delta_rel,
-        "r0": cfg.r0,
-        "delta_abs": cfg.delta_abs,
-        "eps_smooth": cfg.eps_smooth,
-    }
-    return cfg, echo
+    return cfg, {**asdict(cfg), "scheme": scheme.value}
 
 
 def _train_settings(args) -> dict:
@@ -211,27 +209,16 @@ def _fmt(value) -> str:
     """CSV cell: absent values and NaN thresholds become empty fields."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+    if isinstance(value, float) and math.isnan(value):
+        return ""
+    return str(value)  # for a float, the same shortest round-trip digits as repr
 
 
 def _write_metrics_csv(path, report) -> None:
     # no config comment here: degenerate schemes must produce byte-identical
     # metrics files, and the scheme token would always differ
-    io.save(path, "epoch,train_loss,val_map,flags,flag_precision,cum_corrections,threshold_min", None, [
-        ",".join([
-            str(r.epoch),
-            _fmt(r.train_loss),
-            _fmt(r.val_map),
-            str(r.flags),
-            _fmt(r.flag_precision),
-            str(r.cum_corrections),
-            _fmt(r.threshold_min),
-        ])
-        for r in report.records
+    io.save(path, ",".join(METRICS_COLUMNS), None, [
+        ",".join(_fmt(getattr(r, column)) for column in METRICS_COLUMNS) for r in report.records
     ])
 
 
@@ -244,16 +231,7 @@ def _report_json(report, echo: dict, model_path: str) -> dict:
         "test_map": report.test_map,
         "model_path": model_path,
         "epochs": [
-            {
-                "epoch": r.epoch,
-                "train_loss": r.train_loss,
-                "val_map": r.val_map,
-                "flags": r.flags,
-                "flags_true_pos": r.flags_true_pos,
-                "flag_precision": r.flag_precision,
-                "cum_corrections": r.cum_corrections,
-                "threshold_min": None if math.isnan(r.threshold_min) else r.threshold_min,
-            }
+            {**asdict(r), "threshold_min": None if math.isnan(r.threshold_min) else r.threshold_min}
             for r in report.records
         ],
     }
@@ -302,16 +280,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     data = ds_mod.generate_synthetic(spec)
-    echo = {
-        "cmd": "gen",
-        "n": args.n,
-        "dim": args.dim,
-        "classes": args.classes,
-        "pos_rate": args.pos_rate,
-        "temperature": args.temperature,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    echo = {"cmd": "gen", **asdict(spec), "out": args.out}
     ds_mod.save_dataset(data, args.out, config_comment=_cfg_json(echo))
     return 0
 
@@ -402,16 +371,7 @@ def _cmd_eval(args) -> int:
         if rows.max(initial=-1) >= data.n:
             raise ValueError(f"{args.tracker}: row indices exceed dataset size {data.n}")
         table = evaluation.phase_distribution(argmax, epochs, data.truth[rows], data.states[rows])
-        out["phase_distribution"] = {
-            name: None
-            if bucket is None
-            else {
-                "warmup_pct": bucket.warmup_pct,
-                "regular_pct": bucket.regular_pct,
-                "count": bucket.count,
-            }
-            for name, bucket in table.items()
-        }
+        out["phase_distribution"] = {name: None if b is None else asdict(b) for name, b in table.items()}
 
     text = json.dumps(out, indent=2)
     if args.out:
@@ -423,16 +383,10 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep_arm(payload: dict):
-    """One sweep arm; module-level so process pools can pickle it."""
+    """One sweep arm as a SWEEP_COLUMNS row; module-level so process pools can pickle it."""
     settings = payload["settings"]
     report, _ = _execute_training(settings)
-    return {
-        "value": payload["value"],
-        "effective_n": report.effective_n,
-        "best_val_map": report.best_val_map,
-        "best_epoch": report.best_epoch,
-        "test_map": report.test_map,
-    }
+    return (payload["value"], *(getattr(report, column) for column in SWEEP_COLUMNS[1:]))
 
 
 def _worker_count(n_arms: int) -> int:
@@ -483,25 +437,13 @@ def _cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_arm, payloads))
     else:
-        rows = [_sweep_arm(p) for p in payloads]
-    rows.sort(key=lambda r: r["value"])
+        rows = [_sweep_arm(p) for p in payloads]  # in payload order: by value
 
     echo = {"cmd": "sweep", "param": args.param, "values": sorted(values), "out": args.out, **base_echo}
-    lines = ["#cfg " + _cfg_json(echo), "value,effective_n,best_val_map,best_epoch,test_map"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    format(r["value"], "g"),
-                    str(r["effective_n"]),
-                    _fmt(r["best_val_map"]),
-                    str(r["best_epoch"]),
-                    _fmt(r["test_map"]),
-                ]
-            )
-        )
-    with io.atomic_write(args.out) as fh:
-        fh.write("\n".join(lines) + "\n")
+    # the #cfg line goes in as the header so that it stays on line 1, above the column names
+    io.save(args.out, "#cfg " + _cfg_json(echo), None, [",".join(SWEEP_COLUMNS)] + [
+        ",".join([format(value, "g"), *map(_fmt, cells)]) for value, *cells in rows
+    ])
     return 0
 
 

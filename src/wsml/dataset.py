@@ -29,7 +29,6 @@ __all__ = [
     "generate_synthetic",
     "make_single_positive",
     "make_fraction_observed",
-    "subsample",
     "subsample_indices",
     "save_dataset",
     "load_dataset",
@@ -197,8 +196,8 @@ class SyntheticSpec:
                 f"pos_rate * classes must be >= 1 (at least one expected positive "
                 f"per sample), got {self.pos_rate * self.classes:g}"
             )
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -317,11 +316,6 @@ def subsample_indices(n: int, fraction: float, seed) -> np.ndarray:
         raise ValueError(f"subsample of {n} samples at fraction {fraction} keeps nothing")
     rng = np.random.default_rng(seed)
     return np.sort(rng.permutation(n)[:keep])
-
-
-def subsample(ds: PartialDataset, fraction: float, seed) -> PartialDataset:
-    """Keep a uniformly chosen floor(fraction*N) sample subset, rows intact."""
-    return ds.take(subsample_indices(ds.n, fraction, seed))
 
 
 # ---------------------------------------------------------------------------

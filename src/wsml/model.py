@@ -90,12 +90,6 @@ class Classifier:
         key = "W" if self.arch == "linear" else "W2"
         return self.params[key].shape[0]
 
-    @property
-    def hidden_dim(self) -> int:
-        if self.arch != "mlp1":
-            raise ValueError("hidden_dim is only defined for mlp1")
-        return self.params["W1"].shape[0]
-
     def copy(self) -> "Classifier":
         return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
 
@@ -202,38 +196,32 @@ def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state. Adam's moments live in flat buffers laid out like the
-    classifier's; `m` and `v` are their per-tensor views, shaped like the parameters."""
+    """SGD or Adam state. Adam's moments `m` and `v` are vectors laid out like the
+    classifier's `flat` (`Classifier.views` gives their per-tensor views); None for SGD."""
 
     kind: str
     learning_rate: float
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
-    flat_m: np.ndarray | None = field(default=None, repr=False)
-    flat_v: np.ndarray | None = field(default=None, repr=False)
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    if learning_rate <= 0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     opt = OptimizerState(kind, learning_rate)
     if kind == "adam":
-        opt.flat_m, opt.flat_v = np.zeros_like(model.flat), np.zeros_like(model.flat)
-        opt.m, opt.v = model.views(opt.flat_m), model.views(opt.flat_v)
+        opt.m, opt.v = np.zeros_like(model.flat), np.zeros_like(model.flat)
     return opt
 
 
-def step(model: Classifier, grads, opt: OptimizerState) -> None:
+def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     """Apply one optimizer step in place, skipping a frozen hidden layer.
 
-    grads: a vector laid out like `model.flat` (see `gradient`), or a dict of
-    per-tensor gradients as `backward` returns.
+    grads: a vector laid out like `model.flat`, as `gradient` returns.
     """
-    if isinstance(grads, dict):
-        grads = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel() for name in model.params])
     frozen = model.arch == "mlp1" and model.frozen_hidden
     start = model.params["W1"].size + model.params["b1"].size if frozen else 0  # the hidden layer leads `flat`
     opt.step_count += 1
@@ -242,8 +230,8 @@ def step(model: Classifier, grads, opt: OptimizerState) -> None:
     if opt.kind == "sgd":
         param -= lr * g
         return
-    m = opt.flat_m[start:]
-    v = opt.flat_v[start:]
+    m = opt.m[start:]
+    v = opt.v[start:]
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -300,7 +288,7 @@ def save_model(model: Classifier, path, config_comment: str | None = None) -> No
     if model.arch == "linear":
         dims = f"{model.input_dim} {model.num_classes}"
     else:
-        dims = f"{model.input_dim} {model.hidden_dim} {model.num_classes}"
+        dims = f"{model.input_dim} {model.params['W1'].shape[0]} {model.num_classes}"
     blocks = [(model.params[name], io.REAL) for name in _PARAM_ORDER[model.arch]]
     io.save(path, MODEL_HEADER, config_comment, [model.arch, dims, *blocks])
 

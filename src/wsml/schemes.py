@@ -114,12 +114,12 @@ class SchemeConfig:
         # delta_rel = 0 is allowed: it degenerates the relative schedules to
         # the naive baseline, which the equivalence checks rely on.
         reads = SPECS[self.scheme].reads
-        if "delta_rel" in reads and self.delta_rel < 0:
-            raise ValueError(f"delta_rel must be nonnegative, got {self.delta_rel}")
-        if "r0" in reads and self.r0 <= 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if "delta_abs" in reads and self.delta_abs < 0:
-            raise ValueError(f"delta_abs must be nonnegative, got {self.delta_abs}")
+        if "delta_rel" in reads and not 0 <= self.delta_rel < math.inf:
+            raise ValueError(f"delta_rel must be nonnegative and finite, got {self.delta_rel}")
+        if "r0" in reads and not 0 < self.r0 < math.inf:
+            raise ValueError(f"r0 must be positive and finite, got {self.r0}")
+        if "delta_abs" in reads and not 0 <= self.delta_abs < math.inf:
+            raise ValueError(f"delta_abs must be nonnegative and finite, got {self.delta_abs}")
         if not 0.0 <= self.eps_smooth < 0.5:
             raise ValueError(f"eps_smooth must lie in [0, 0.5), got {self.eps_smooth}")
 
@@ -313,18 +313,14 @@ def decide_batch(
     states: np.ndarray,
     epoch: int,
     cfg: SchemeConfig,
-    losses=None,
 ) -> BatchDecision:
-    """Build the effective targets, weights, flags and losses for one batch.
-
-    losses: `class_losses(probs)` when the caller already has them.
-    """
+    """Build the effective targets, weights, flags and losses for one batch."""
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states)
     if probs.shape != states.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
     plan = plan_epoch(scheme, states, epoch, cfg)
-    return decide_planned(plan, slice(None), probs, class_losses(probs) if losses is None else losses)
+    return decide_planned(plan, slice(None), probs, class_losses(probs))
 
 
 def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray, rows=None) -> int:

@@ -66,8 +66,8 @@ class TrainConfig:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.frozen_epochs < 0:
             raise ValueError(f"frozen_epochs must be nonnegative, got {self.frozen_epochs}")
         if self.seed < 0:
@@ -269,6 +269,8 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
         raise ValueError(f"need at least 2 samples to split, got {ds.n}")
     if test_ds is not None and test_ds.truth is None:
         raise ValueError("test dataset requires ground-truth labels")
+    if test_ds is not None and (test_ds.d, test_ds.k) != (ds.d, ds.k):
+        raise ValueError(f"test dataset has (D, K) = ({test_ds.d}, {test_ds.k}), training data ({ds.d}, {ds.k})")
 
     root = np.random.SeedSequence(cfg.seed)
     split_seed, init_seed, shuffle_seed = root.spawn(3)
@@ -286,8 +288,6 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
 
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []
-    flag_counts: list[int] = []
-    true_counts: list[int] = []
     cum_corrections = 0
     best_epoch = 0
     best_val = -1.0
@@ -301,8 +301,6 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
         )
         if permanent:
             cum_corrections += epoch_flags
-        flag_counts.append(epoch_flags)
-        true_counts.append(epoch_true if epoch_true is not None else 0)
 
         val_map = _validation_map(classifier, val) * 100.0
         records.append(
@@ -323,7 +321,8 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
             best_model = classifier.copy()
 
     if train.truth is not None:
-        precisions = modification_precision(flag_counts, true_counts, cumulative=permanent)
+        precisions = modification_precision(
+            [r.flags for r in records], [r.flags_true_pos for r in records], cumulative=permanent)
         for record, prec in zip(records, precisions):
             record.flag_precision = prec
 

@@ -85,6 +85,15 @@ class TestGen:
             "--pos-rate", "1.5", "--seed", "1", "--out", str(tmp_path / "x.wsml"),
         )
         assert code == 1
+        for flag, value in [("--temperature", "nan"), ("--temperature", "inf"), ("--temperature", "-inf"),
+                            ("--pos-rate", "nan"), ("--pos-rate", "inf")]:
+            flags = {"--pos-rate": "0.5", "--temperature": "1.0", flag: value}
+            code = run_cli(
+                "gen", "--n", "10", "--dim", "2", "--classes", "3", "--seed", "1",
+                *[token for item in flags.items() for token in item], "--out", str(tmp_path / "x.wsml"),
+            )
+            assert code == 1, (flag, value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_rejected(self, tmp_path):
         code = run_cli(
@@ -198,6 +207,27 @@ class TestTrain:
 
     def test_invalid_scheme_token_is_usage_error(self, tmp_path, sp_file):
         assert run_cli(*train_args(sp_file, tmp_path / "x", scheme="ll-q")) == 1
+
+    @pytest.mark.parametrize("scheme,flag,value", [
+        ("ll-r", "--delta-rel", "nan"), ("ll-r", "--delta-rel", "inf"),
+        ("naive-an", "--lr", "nan"), ("naive-an", "--lr", "inf"),
+        ("ll-ct-abs", "--r0", "nan"), ("ll-ct-abs", "--r0", "inf"),
+        ("ll-ct-abs", "--delta-abs", "nan"), ("ll-ct-abs", "--delta-abs", "inf"),
+    ])
+    def test_non_finite_flag_value_is_usage_error(self, tmp_path, sp_file, capsys, scheme, flag, value):
+        (tmp_path / "out").mkdir()
+        assert run_cli(*train_args(sp_file, tmp_path / "out" / "run", scheme=scheme, **{flag: value})) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_test_data_of_another_shape_is_runtime_error(self, tmp_path, sp_file, capsys):
+        other = tmp_path / "other.wsml"
+        assert run_cli("gen", "--n", "30", "--dim", "3", "--classes", "5", "--pos-rate", "0.4",
+                       "--seed", "1", "--out", str(other)) == 0
+        prefix = tmp_path / "run"
+        assert run_cli(*train_args(sp_file, prefix, **{"--test-data": str(other)})) == 2
+        assert "(D, K) = (3, 5), training data (4, 5)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.wsml", "other.wsml", "sp.wsml"]
 
     def test_test_data_flag_produces_test_map(self, tmp_path, gen_file, sp_file):
         prefix = tmp_path / "runF"
@@ -368,6 +398,17 @@ class TestSweep:
         )
         assert code == 1
         assert "0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["0.5,nan", "0.5,inf"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, sp_file, capsys, values):
+        code = run_cli(
+            "sweep", "--param", "delta-rel", "--values", values,
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "1", "--batch", "8",
+            "--seed", "1", "--arch", "linear", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_values_rejected(self, tmp_path, sp_file):
         code = run_cli(

@@ -16,7 +16,7 @@ from wsml.dataset import (
     make_single_positive,
     save_dataset,
     sigmoid,
-    subsample,
+    subsample_indices,
 )
 from wsml.cli import main
 
@@ -169,6 +169,12 @@ class TestGenerateSynthetic:
             SyntheticSpec(n=2, dim=2, classes=1, pos_rate=0.9).validate()
         with pytest.raises(ValueError, match="at least one expected positive"):
             SyntheticSpec(n=2, dim=2, classes=3, pos_rate=0.1).validate()
+        for temperature in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="temperature"):
+                SyntheticSpec(n=2, dim=2, classes=3, pos_rate=0.5, temperature=temperature).validate()
+        for pos_rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="pos_rate"):
+                SyntheticSpec(n=2, dim=2, classes=3, pos_rate=pos_rate).validate()
 
     def test_every_row_has_a_positive(self):
         ds = generate_synthetic(SyntheticSpec(n=4, dim=2, classes=3, pos_rate=0.4, seed=7))
@@ -291,18 +297,17 @@ class TestMakeFractionObserved:
 class TestSubsample:
     def test_identity_and_count(self):
         ds = fully_observed(np.ones((100, 3), dtype=np.int8))
-        assert subsample(ds, 1.0, seed=0).n == 100
-        assert subsample(ds, 0.1, seed=0).n == 10
+        assert ds.take(subsample_indices(ds.n, 1.0, seed=0)).n == 100
+        assert ds.take(subsample_indices(ds.n, 0.1, seed=0)).n == 10
 
     def test_empty_result_rejected(self):
-        ds = fully_observed(np.ones((5, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="keeps nothing"):
-            subsample(ds, 0.1, seed=0)
+            subsample_indices(5, 0.1, seed=0)
 
     def test_deterministic(self):
         ds = fully_observed(np.ones((40, 3), dtype=np.int8), seed=8)
-        a = subsample(ds, 0.5, seed=17)
-        b = subsample(ds, 0.5, seed=17)
+        a = ds.take(subsample_indices(ds.n, 0.5, seed=17))
+        b = ds.take(subsample_indices(ds.n, 0.5, seed=17))
         assert np.array_equal(a.features, b.features)
 
 

@@ -28,6 +28,10 @@ def random_batch(rng, model, b):
     return x, targets, weights
 
 
+def flat_gradient(model, x, targets, weights):
+    return gradient(model, x, forward_pass(model, x), targets, weights)
+
+
 class TestInit:
     def test_linear_shapes_and_zero_bias(self):
         m = init_classifier("linear", 2, 3, seed=0)
@@ -136,7 +140,7 @@ class TestStep:
     def test_sgd_update(self):
         m = Classifier("linear", {"W": np.ones((1, 1)), "b": np.zeros(1)})
         opt = make_optimizer("sgd", 0.1, m)
-        step(m, {"W": np.array([[2.0]]), "b": np.array([0.0])}, opt)
+        step(m, np.array([2.0, 0.0]), opt)  # W, then b
         assert abs(m.params["W"][0, 0] - 0.8) < 1e-15
 
     def test_frozen_hidden_blocks_update(self):
@@ -145,24 +149,25 @@ class TestStep:
         opt = make_optimizer("sgd", 0.5, m)
         before_w1 = m.params["W1"].copy()
         before_w2 = m.params["W2"].copy()
-        grads = {name: np.ones_like(p) for name, p in m.params.items()}
-        step(m, grads, opt)
+        step(m, np.ones_like(m.flat), opt)
         assert np.array_equal(m.params["W1"], before_w1)
         assert not np.array_equal(m.params["W2"], before_w2)
 
     def test_adam_first_step_size(self):
         m = Classifier("linear", {"W": np.ones((2, 2)), "b": np.ones(2)})
         opt = make_optimizer("adam", 1e-3, m)
-        step(m, {"W": np.ones((2, 2)), "b": np.ones(2)}, opt)
+        step(m, np.ones(6), opt)
         assert np.all(np.abs((1.0 - m.params["W"]) - 1e-3) < 1e-9)
         assert opt.step_count == 1
 
     def test_moments_match_parameter_shapes(self):
         m = init_classifier("mlp1", 3, 2, hidden=4, seed=2)
         opt = make_optimizer("adam", 1e-3, m)
-        for name, p in m.params.items():
-            assert opt.m[name].shape == p.shape
-            assert opt.v[name].shape == p.shape
+        assert opt.m.shape == opt.v.shape == m.flat.shape
+        for moment in (opt.m, opt.v):
+            for name, view in m.views(moment).items():
+                assert view.shape == m.params[name].shape and np.shares_memory(view, moment)
+        assert make_optimizer("sgd", 1e-3, m).m is None
 
 
 def reference_step(params, grads, m, v, kind, lr, t, frozen):
@@ -188,30 +193,27 @@ class TestFlatBuffers:
     @pytest.mark.parametrize("arch,frozen", [("linear", False), ("mlp1", False), ("mlp1", True)])
     def test_flat_step_equals_the_per_tensor_formula(self, kind, arch, frozen):
         rng = np.random.default_rng(11)
-        flat_grads = init_classifier(arch, 4, 3, hidden=5, seed=11)
-        dict_grads = flat_grads.copy()
-        ref = {name: p.copy() for name, p in flat_grads.params.items()}
+        model = init_classifier(arch, 4, 3, hidden=5, seed=11)
+        ref = {name: p.copy() for name, p in model.params.items()}
         ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
         ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
         frozen_names = {"W1", "b1"} if frozen else set()
-        opt_flat = make_optimizer(kind, 0.05, flat_grads)
-        opt_dict = make_optimizer(kind, 0.05, dict_grads)
+        opt = make_optimizer(kind, 0.05, model)
         for t in range(1, 5):
-            flat_grads.frozen_hidden = dict_grads.frozen_hidden = frozen
-            x, targets, weights = random_batch(rng, flat_grads, 6)
-            grads = backward(dict_grads, x, targets, weights)
-            ref_grads = {name: g.copy() for name, g in grads.items()}
-            step(flat_grads, gradient(flat_grads, x, forward_pass(flat_grads, x), targets, weights), opt_flat)
-            step(dict_grads, grads, opt_dict)
+            model.frozen_hidden = frozen
+            x, targets, weights = random_batch(rng, model, 6)
+            ref_grads = {name: g.copy() for name, g in backward(model, x, targets, weights).items()}
+            step(model, flat_gradient(model, x, targets, weights), opt)
             reference_step(ref, ref_grads, ref_m, ref_v, kind, 0.05, t, frozen_names)
-            for model, opt in ((flat_grads, opt_flat), (dict_grads, opt_dict)):
+            for name in ref:
+                assert model.params[name].tobytes() == ref[name].tobytes(), (t, name)
+                assert np.shares_memory(model.params[name], model.flat)
+            if kind == "adam":
+                m, v = model.views(opt.m), model.views(opt.v)
                 for name in ref:
-                    assert model.params[name].tobytes() == ref[name].tobytes(), (t, name)
-                    assert np.shares_memory(model.params[name], model.flat)
-                    if kind == "adam":
-                        assert opt.m[name].shape == opt.v[name].shape == ref[name].shape
-                        assert opt.m[name].tobytes() == ref_m[name].tobytes()
-                        assert opt.v[name].tobytes() == ref_v[name].tobytes()
+                    assert m[name].shape == v[name].shape == ref[name].shape
+                    assert m[name].tobytes() == ref_m[name].tobytes()
+                    assert v[name].tobytes() == ref_v[name].tobytes()
 
     def test_frozen_hidden_layer_keeps_its_bits_under_both_optimizers(self):
         for kind in ("sgd", "adam"):
@@ -238,7 +240,7 @@ class TestFlatBuffers:
 
         before = loss()
         for _ in range(30):
-            step(m, backward(m, x, targets, weights), opt)
+            step(m, flat_gradient(m, x, targets, weights), opt)
         assert loss() < before
         assert not np.array_equal(m.params["W1"], w1)
         for p in m.params.values():
@@ -251,7 +253,7 @@ class TestFlatBuffers:
         snapshot = m.flat.copy()
         assert not np.shares_memory(c.flat, m.flat)
         x, targets, weights = random_batch(rng, m, 5)
-        step(m, backward(m, x, targets, weights), make_optimizer("adam", 0.1, m))
+        step(m, flat_gradient(m, x, targets, weights), make_optimizer("adam", 0.1, m))
         assert c.flat.tobytes() == snapshot.tobytes()
         assert not np.array_equal(m.flat, snapshot)
         for name, p in c.params.items():
@@ -267,7 +269,7 @@ class TestFlatBuffers:
         assert c.frozen_hidden and c.flat.tobytes() == m.flat.tobytes()
         x, targets, weights = random_batch(rng, m, 5)
         for model in (m, c):
-            step(model, backward(model, x, targets, weights), make_optimizer("adam", 0.1, model))
+            step(model, flat_gradient(model, x, targets, weights), make_optimizer("adam", 0.1, model))
             for p in model.params.values():
                 assert np.shares_memory(p, model.flat)
         assert c.flat.tobytes() == m.flat.tobytes() and not np.shares_memory(c.flat, m.flat)
@@ -288,8 +290,7 @@ class TestTrainingDynamics:
 
         previous = loss()
         for _ in range(50):
-            grads = backward(m, x, targets, weights)
-            step(m, grads, opt)
+            step(m, flat_gradient(m, x, targets, weights), opt)
             current = loss()
             assert current <= previous + 1e-12
             previous = current
