@@ -6,12 +6,11 @@ train arms, eval to a file and to stdout, a 2-worker, a 1-worker and a
 failing sweep) once against the base revision's `src/` and once against the
 working tree's, each in its own empty directory with relative paths. Every
 output file and each command's stdout, stderr and exit code are then compared
-byte for byte; the files that differ are printed and the exit code is 1.
+byte for byte; the files that differ are printed, the outputs are kept for
+inspection and the exit code is 1.
 
-The base is extracted with `git archive` (only `src/`, no network). Examples:
+The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
-    python scripts/cli_bytes.py --base main --tiny
-    python scripts/cli_bytes.py --diff out/base out/head
 """
 
 import argparse
@@ -19,6 +18,7 @@ import filecmp
 import io
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -26,12 +26,13 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# (n, dim, classes, epochs) of the generated corpus and every training run
-SHAPES = {"small": (300, 8, 6, 4), "tiny": (60, 4, 5, 2)}
 
+def pipeline(n=300, dim=8, classes=6, epochs=4):
+    """(name, WSML_THREADS, argv) of each command, in run order.
 
-def pipeline(n, dim, classes, epochs):
-    """(name, WSML_THREADS, argv) of each command, in run order."""
+    n, dim and classes shape the generated corpus; epochs is that of every
+    training run.
+    """
     gen = ["gen", "--n", str(n), "--dim", str(dim), "--classes", str(classes), "--pos-rate", "0.35"]
 
     def train(name, data, scheme, *extra):
@@ -68,10 +69,13 @@ def pipeline(n, dim, classes, epochs):
     ]
 
 
-def run_side(src, out_dir, shape):
-    """Run the pipeline with `src` on the import path, writing into `out_dir`."""
+def run_side(src, out_dir, **shape):
+    """Run the pipeline with `src` on the import path, writing into `out_dir`.
+
+    `shape` is passed to `pipeline`.
+    """
     out_dir.mkdir(parents=True)
-    for i, (name, threads, argv) in enumerate(pipeline(*SHAPES[shape])):
+    for i, (name, threads, argv) in enumerate(pipeline(**shape)):
         env = dict(os.environ, PYTHONPATH=str(src), WSML_THREADS=threads, OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-m", "wsml.cli", *argv], cwd=out_dir, env=env,
                               capture_output=True, timeout=600)
@@ -110,22 +114,17 @@ def report(a, b) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    side = parser.add_mutually_exclusive_group(required=True)
-    side.add_argument("--base", help="git revision whose src/ is the baseline")
-    side.add_argument("--base-src", help="a src/ directory to use as the baseline instead of a revision")
-    side.add_argument("--diff", nargs=2, metavar=("A", "B"), help="only compare two existing output trees")
-    parser.add_argument("--tiny", action="store_true", help="a 60x4x5 corpus and 2 epochs instead of 300x8x6 and 4")
-    parser.add_argument("--work", help="keep the outputs here (base/ and head/) instead of a temp directory")
+    parser.add_argument("--base", required=True, help="git revision whose src/ is the baseline")
     args = parser.parse_args(argv)
-    if args.diff:
-        return report(*args.diff)
-    shape = "tiny" if args.tiny else "small"
-    with tempfile.TemporaryDirectory() as tmp:
-        work = pathlib.Path(args.work or tmp)
-        base_src = pathlib.Path(args.base_src).resolve() if args.base_src else extract_src(args.base, tmp)
-        run_side(base_src, work / "base", shape)
-        run_side(ROOT / "src", work / "head", shape)
-        return report(work / "base", work / "head")
+    work = pathlib.Path(tempfile.mkdtemp(prefix="cli_bytes-"))
+    run_side(extract_src(args.base, work), work / "base")
+    run_side(ROOT / "src", work / "head")
+    code = report(work / "base", work / "head")
+    if code:
+        print(f"outputs kept in {work}")
+    else:
+        shutil.rmtree(work)
+    return code
 
 
 if __name__ == "__main__":

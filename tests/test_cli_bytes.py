@@ -1,36 +1,34 @@
-import os
+import importlib.util
 import pathlib
-import subprocess
-import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "cli_bytes.py"
+_spec = importlib.util.spec_from_file_location("cli_bytes", ROOT / "scripts" / "cli_bytes.py")
+cli_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_bytes)
+
+TINY = dict(n=60, dim=4, classes=5, epochs=2)
 
 
-def run_script(*args):
-    return subprocess.run([sys.executable, str(SCRIPT), *args], env=dict(os.environ),
-                          capture_output=True, text=True, timeout=300)
-
-
-def test_working_tree_against_itself_is_identical(tmp_path):
-    done = run_script("--base-src", str(ROOT / "src"), "--tiny", "--work", str(tmp_path))
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.strip() == "identical"
-    head = tmp_path / "head"
-    exits = sorted(head.glob("*.exit"))
+def test_working_tree_against_itself_is_identical(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    cli_bytes.run_side(ROOT / "src", a, **TINY)
+    cli_bytes.run_side(ROOT / "src", b, **TINY)
+    assert cli_bytes.report(a, b) == 0
+    assert capsys.readouterr().out.strip() == "identical"
+    exits = sorted(b.glob("*.exit"))
     assert len(exits) == 16
     assert [p.read_text() for p in exits].count("0\n") == 15  # all but the failing sweep
     for name in ("full.wsml", "sp.wsml", "llcp-batch.report.json", "eval.json", "sweep-2w.csv"):
-        assert (head / name).is_file(), name
+        assert (b / name).is_file(), name
 
 
-def test_one_byte_difference_is_named(tmp_path):
+def test_one_byte_difference_is_named(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "sub").mkdir(parents=True)
         (root / "same.txt").write_text("same\n")
     (a / "sub" / "x.csv").write_bytes(b"1,2\n")
     (b / "sub" / "x.csv").write_bytes(b"1,3\n")
-    done = run_script("--diff", str(a), str(b))
-    assert done.returncode == 1
-    assert done.stdout.splitlines() == ["differs: sub/x.csv", "1 file(s) differ"]
+    assert cli_bytes.report(a, b) == 1
+    assert cli_bytes.differing_files(a, b) == ["sub/x.csv"]
+    assert capsys.readouterr().out.splitlines() == ["differs: sub/x.csv", "1 file(s) differ"]

@@ -448,15 +448,18 @@ class TestSchemeTable:
 
 class TestConfigValidation:
     def test_negative_delta_rel_rejected(self):
-        with pytest.raises(ValueError):
-            cfg("ll-r", delta_rel=-0.1).validate()
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cfg("ll-r", delta_rel=value).validate()
 
     def test_zero_delta_rel_allowed(self):
         cfg("ll-r", delta_rel=0.0).validate()
 
     def test_absolute_needs_positive_r0(self):
-        with pytest.raises(ValueError):
-            cfg("ll-ct-abs", r0=0.0).validate()
+        for kw in ({"r0": 0.0}, {"r0": float("nan")}, {"r0": float("inf")},
+                   {"delta_abs": float("nan")}, {"delta_abs": float("inf")}):
+            with pytest.raises(ValueError):
+                cfg("ll-ct-abs", **kw).validate()
 
     def test_eps_smooth_range(self):
         with pytest.raises(ValueError):
