@@ -5,12 +5,18 @@ trained under both adam and sgd on one 300x10, K=6 single-positive corpus
 (mlp1 with 16 hidden units, batch 16, 5 epochs, hidden layer frozen for the
 first epoch). A refactor that changes any number fails here.
 
+Beyond the records, each arm's final label states, memorization tracker
+(`max_loss`, `argmax_epoch`) and best-model parameters are pinned bit for
+bit by one sha256 per arm.
+
 Tolerance: `train_loss`, `val_map` and `threshold_min` match the pinned
 values to a relative tolerance of 1e-9 (NaN matches NaN). `flags`,
 `flags_true_pos`, `cum_corrections` and `best_epoch` match exactly. The
 pinned values must not be edited to make a refactor pass.
 """
 
+import functools
+import hashlib
 import math
 
 import pytest
@@ -35,7 +41,8 @@ FULL = generate_synthetic(SyntheticSpec(n=300, dim=10, classes=6, pos_rate=0.3, 
 PARTIAL = make_single_positive(FULL, seed=11)
 
 
-def trajectory(arm: str, optimizer: str) -> dict:
+@functools.cache
+def golden_run(arm: str, optimizer: str):
     token, granularity, full_label = ARMS[arm]
     cfg = TrainConfig(
         scheme=SchemeConfig(Scheme(token), **SCHEME_KW),
@@ -49,10 +56,24 @@ def trajectory(arm: str, optimizer: str) -> dict:
         seed=5,
         llcp_granularity=granularity,
     )
-    report = run(cfg, FULL if full_label else PARTIAL)
+    return run(cfg, FULL if full_label else PARTIAL)
+
+
+def trajectory(arm: str, optimizer: str) -> dict:
+    report = golden_run(arm, optimizer)
     out = {name: [getattr(r, name) for r in report.records] for name in FLOAT_FIELDS + EXACT_FIELDS}
     out["best_epoch"] = report.best_epoch
     return out
+
+
+def final_bits(arm: str, optimizer: str) -> str:
+    """sha256 over the final states, the tracker arrays and the best model's parameters."""
+    report = golden_run(arm, optimizer)
+    digest = hashlib.sha256()
+    for array in (report.final_states, report.tracker.max_loss, report.tracker.argmax_epoch,
+                  report.best_model.flat):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 # captured before the scheme table replaced the per-token code paths
@@ -276,6 +297,35 @@ GOLDEN = {
 }
 
 
+# captured at the per-batch tracker fold, before the per-epoch fold replaced it
+GOLDEN_BITS = {
+    ('full-label', 'adam'): 'e5fb60c9bb41b210905c1a051bf9d5633db8013c477c594e40a0d70c9a2cfb8a',
+    ('full-label', 'sgd'): 'ad82d2822fc78b85abf26702c8d24cad9c9984e5ca43ad51c8faea7c88360b0e',
+    ('ignore-unobserved', 'adam'): '9cc141d08682ae5f7b621d08d36481e5056fc3198c0f54da24a799b2b26e9f17',
+    ('ignore-unobserved', 'sgd'): 'e359a8425515edcc4596e27ebdd406cf0bb93d4d54cef1d4c5444ccb61fe4a3c',
+    ('ll-cp', 'adam'): 'f442399c0a716859758ecdbc65e868a010152a7ef8a689a029a5b3a97f2f4232',
+    ('ll-cp', 'sgd'): '7265643e1d6ca4b5b3161a3b9d87d4350022db4445ef94860f6ddc88c42de8d6',
+    ('ll-cp-abs', 'adam'): 'cdf221c60f1045875b0f238784df06b658251248898cdcb51081c9da30dbf5bd',
+    ('ll-cp-abs', 'sgd'): '52ed195c7a30b7615e91dd4dbe7acb24147ff7f662caab7fef1bf04a9a7f1947',
+    ('ll-cp-batch', 'adam'): '6e435e67e4a5684a45f5fec4b31138015a38e3693d762143f44b0f4ece56fe07',
+    ('ll-cp-batch', 'sgd'): 'd2f0e0a10b587526e29aaf479106281dc0866b447b3173f4aabdc3c99c97739c',
+    ('ll-ct', 'adam'): '293e62b9e487005095cb3f267b93f8c1bf54d8e0c0b62e0a3b17538204ebe029',
+    ('ll-ct', 'sgd'): '2c7a37857bfc88eceacbb95f29080be76f2cee2fc4b7eee0a169a157eb85d4dd',
+    ('ll-ct-abs', 'adam'): 'da6cd2db972fdf3f8ba49b29d096295d65e813364be434ba6899292da95e5df4',
+    ('ll-ct-abs', 'sgd'): '2fbe39b8f6ed17b37b15917c56ac62d867362d1e741e4fc37fdb17e30be51684',
+    ('ll-r', 'adam'): 'f881707d07d36a9b7f6b3ff8a4f5b87fe631cd68f80f53b015a536c5ead8eeb1',
+    ('ll-r', 'sgd'): 'e2f63631e04bb662becb3b33d034212dc970d4c2eb6bcaae7b2221d76d70d9fa',
+    ('ll-r-abs', 'adam'): 'dbfa5bce111340268276018cb6ca7268d03a7d275dfab7e1616a9b80bef523e2',
+    ('ll-r-abs', 'sgd'): '335f2bd9be4a5a2e2de192c6a87a4ba71dc4bb57a362b40d3884a3d8dd34314b',
+    ('lsan', 'adam'): 'e5c25b7d572f904959a2691620ce9f92b0c44597b03b483be07914dc2f524713',
+    ('lsan', 'sgd'): '04f780023eb3d9febac9ab3796bac187ce2c5f22861ea85cb23e773c4d6cbdf8',
+    ('naive-an', 'adam'): 'ca32940e02a3cca6a5586fc25b6e9524f908675fab0eada0e142e86377d8a84f',
+    ('naive-an', 'sgd'): '14bce82f1ed51523da9a3bdbe2c2a99dc3fe092fdcb9308bfad68d01ac3294fb',
+    ('wan', 'adam'): '188c251e563cddc84cb430c86b66eebe5f4257fc8bc957c02b5ccc9f9e663c88',
+    ('wan', 'sgd'): 'd90da2818f7b166174a56b5ba58893e33d6887a40766d31e4fbe2c639e0e48d4',
+}
+
+
 def _close(got: float, want: float) -> bool:
     if math.isnan(want):
         return math.isnan(got)
@@ -293,6 +343,12 @@ def test_trajectory_matches_golden(arm, optimizer):
             assert _close(g, w), f"{name} epoch {epoch}: {g!r} != {w!r}"
     for name in EXACT_FIELDS + ("best_epoch",):
         assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_final_bits_match_golden(arm, optimizer):
+    assert final_bits(arm, optimizer) == GOLDEN_BITS[(arm, optimizer)]
 
 
 def test_every_large_loss_arm_flags_something():
