@@ -146,21 +146,17 @@ class PartialDataset:
     def fully_observed(self) -> bool:
         return bool(((self.states == OBS_POS) | (self.states == OBS_NEG)).all())
 
-    def correct_to_positive(self, mask: np.ndarray, rows=None) -> int:
+    def correct_to_positive(self, mask: np.ndarray) -> int:
         """Flip the masked entries from UNKNOWN to CORRECTED_POS.
 
-        mask covers every row, or only `rows` (distinct row indices) when
-        given. This is the only legal state transition. Any masked entry in
-        another state is a contract violation and raises before anything is
-        mutated. Returns the number of entries corrected.
+        This is the only legal state transition. Any masked entry in another
+        state is a contract violation and raises before anything is mutated.
+        Returns the number of entries corrected.
         """
         mask = np.asarray(mask, dtype=bool)
-        shape = self.states.shape if rows is None else (len(rows), self.k)
-        if mask.shape != shape:
+        if mask.shape != self.states.shape:
             raise ValueError("correction mask shape does not match states")
         r, c = np.nonzero(mask)
-        if rows is not None:
-            r = np.asarray(rows)[r]
         illegal = np.flatnonzero(self.states[r, c] != UNKNOWN)
         if illegal.size:
             i = illegal[0]

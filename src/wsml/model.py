@@ -141,7 +141,7 @@ def forward_pass(model: Classifier, x: np.ndarray) -> ForwardPass:
         pre = x @ p["W1"].T + p["b1"]
         act = np.maximum(pre, 0.0)
         raw = sigmoid(act @ p["W2"].T + p["b2"])
-    return ForwardPass(np.clip(raw, PROB_EPS, 1.0 - PROB_EPS), raw, pre, act)
+    return ForwardPass(np.minimum(np.maximum(raw, PROB_EPS), 1.0 - PROB_EPS), raw, pre, act)
 
 
 def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -154,9 +154,12 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     return forward_pass(model, x).probs
 
 
-def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
+             out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Gradient of the weighted mean binary cross entropy at the forward pass
-    `fwd` of x, as one vector laid out like `model.flat`.
+    `fwd` of x, as one vector laid out like `model.flat`: `out` when given
+    (with `views`, its `model.views(out)`, if the caller keeps them), else a
+    new vector.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
@@ -164,10 +167,10 @@ def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.nda
     contribute exactly zero gradient (matching the finite-difference view).
     """
     b, k = fwd.probs.shape
-    active = (fwd.raw >= PROB_EPS) & (fwd.raw <= 1.0 - PROB_EPS)
+    active = fwd.probs == fwd.raw  # the clamp left the probability alone
     grad_logits = weights * (fwd.probs - targets) * active / (b * k)
-    out = np.empty_like(model.flat)
-    g = model.views(out)
+    out = np.empty_like(model.flat) if out is None else out
+    g = model.views(out) if views is None else views
     if model.arch == "linear":
         np.matmul(grad_logits.T, x, out=g["W"])
         grad_logits.sum(axis=0, out=g["b"])

@@ -264,8 +264,8 @@ class EpochPlan:
 
 def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig) -> EpochPlan:
     """The part of the decisions over `states` that does not read the model. Over
-    rows in visiting order it holds for a whole epoch: batch-level permanent
-    correction changes only rows whose batch is already decided."""
+    rows in visiting order it holds for a whole epoch: permanent corrections
+    land only at epoch end."""
     spec = SPECS[Scheme(scheme)]
     states = np.asarray(states)
     rate = rejection_rate(scheme, epoch, cfg)
@@ -323,13 +323,12 @@ def decide_batch(
     return decide_planned(plan, slice(None), probs, class_losses(probs))
 
 
-def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray, rows=None) -> int:
+def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:
     """Permanently correct the flagged UNKNOWN entries to CORRECTED_POS.
 
-    flags covers every row of the dataset, or only `rows` (distinct indices,
-    a mini-batch) when given. The mutation is visible to every subsequent
-    batch through the dataset's assume-negative targets. A flag on a
+    flags covers every row of the dataset. The mutation shows in the
+    dataset's assume-negative targets from then on. A flag on a
     non-UNKNOWN entry is a contract violation and raises. Returns the number
     of corrected entries.
     """
-    return ds.correct_to_positive(np.asarray(flags, dtype=bool), rows)
+    return ds.correct_to_positive(np.asarray(flags, dtype=bool))

@@ -51,7 +51,7 @@ class TrainConfig:
     val_fraction: float = 0.2
     seed: int = 0
     # Permanent corrections are selected over the epoch's accumulated losses
-    # by default; "batch" selects and applies within every mini-batch instead.
+    # by default; "batch" selects within every mini-batch; both land at epoch end.
     llcp_granularity: str = "epoch"
 
     def validate(self) -> None:
@@ -79,9 +79,10 @@ class TrainConfig:
 class MemorizationTracker:
     """Running maximum training loss and its epoch, per (sample, category).
 
-    Losses are recorded at batch time against the assume-negative targets the
-    run started from, so the measurement reflects the original assumed labels
-    even when a correcting scheme later rewrites states.
+    Losses are taken against the assume-negative targets the run started
+    from, so the measurement reflects the original assumed labels even when a
+    correcting scheme later rewrites states. The trainer folds each epoch's
+    losses in once, at epoch end, in the order the epoch visited the rows.
     """
 
     def __init__(self, n: int, k: int):
@@ -90,7 +91,7 @@ class MemorizationTracker:
         self.epochs_tracked = 0
 
     def update(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
-        """Fold one batch of per-element losses in; first epoch wins loss ties."""
+        """Fold the per-element losses of `rows` in; the first epoch wins loss ties."""
         block = self.max_loss[rows]
         bigger = losses > block
         self.max_loss[rows] = np.where(bigger, losses, block)
@@ -189,10 +190,13 @@ def _validation_map(classifier, val: PartialDataset) -> float:
     return float(np.mean(aps))
 
 
-def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
+def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffers):
     """One pass over the training data; returns (mean loss, flagged entries, the
     truly positive ones among them or None without truth, smallest threshold).
-    Under permanent correction the flagged entries are the corrected ones."""
+    Under permanent correction the flagged entries are the corrected ones.
+
+    buffers: (AN losses, flags, gradient vector, its views), reused every epoch;
+    the first two are written in visiting order and folded in at epoch end."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
@@ -202,57 +206,49 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0):
     batch_scheme = schemes.Scheme.NAIVE_AN if epoch_level else scheme
 
     n, k = train.n, train.k
-    epoch_losses = np.zeros((n, k)) if epoch_level else None
+    seen, seen_flags, grad, grad_views = buffers
     weighted_total = 0.0
-    flagged = 0
-    flagged_true = 0 if train.truth is not None else None
     thresholds = []
     # gathered once in visiting order, so each batch reads slice views
     features, an0 = train.features[order], an0[order]
-    truly_pos = None if train.truth is None else train.truth[order] == 1
     plan = schemes.plan_epoch(batch_scheme, train.states[order], epoch, cfg.scheme)
 
     for start in range(0, n, cfg.batch_size):
         batch = slice(start, start + cfg.batch_size)
-        rows = order[batch]
         x = features[batch]  # validated with the dataset, so no per-batch finiteness check
         fwd = model_mod.forward_pass(classifier, x)
         losses = schemes.class_losses(fwd.probs)
-        an_losses = np.where(an0[batch], *losses)
-        tracker.update(rows, an_losses, epoch)
-        if epoch_losses is not None:
-            epoch_losses[rows] = an_losses
+        seen[batch] = np.where(an0[batch], *losses)
 
         decision = schemes.decide_planned(plan, batch, fwd.probs, losses)
+        seen_flags[batch] = decision.flags
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
-
-        if decision.flags.any():
-            if permanent:  # batch-level: epoch-level batches train on plain AN and flag nothing
-                flagged += schemes.apply_permanent_corrections(train, decision.flags, rows)
-            else:
-                flagged += int(decision.flags.sum())
-            if flagged_true is not None:
-                flagged_true += int((decision.flags & truly_pos[batch]).sum())
 
         batch_loss = float((decision.weights * decision.losses).sum())
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
 
-        grad = model_mod.gradient(classifier, x, fwd, decision.targets, decision.weights)
+        model_mod.gradient(classifier, x, fwd, decision.targets, decision.weights, grad, grad_views)
         model_mod.step(classifier, grad, opt)
 
-    if epoch_level:
+    # every row was visited exactly once, so one fold in visiting order
+    # does what a fold per batch would
+    tracker.update(order, seen, epoch)
+    tracker.end_epoch()
+    if epoch_level:  # the batches flagged nothing: select over the epoch's losses
+        epoch_losses = np.empty_like(seen)
+        epoch_losses[order] = seen
         flags, threshold = schemes.select_for_epoch(scheme, epoch_losses, train.states, epoch, cfg.scheme)
-        if flags.any():
-            flagged += schemes.apply_permanent_corrections(train, flags)
-            if flagged_true is not None:
-                flagged_true += int((flags & (train.truth == 1)).sum())
         if not math.isnan(threshold):
             thresholds.append(threshold)
+    else:
+        flags = np.empty_like(seen_flags)
+        flags[order] = seen_flags
+    flagged = schemes.apply_permanent_corrections(train, flags) if permanent else int(flags.sum())
+    flagged_true = None if train.truth is None else int((flags & (train.truth == 1)).sum())
 
-    tracker.end_epoch()
     mean_loss = weighted_total / (n * k)
     threshold_min = min(thresholds) if thresholds else float("nan")
     return mean_loss, flagged, flagged_true, threshold_min
@@ -285,6 +281,8 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     an0 = train.an_targets() == 1.0  # the assumed positives the run started from
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
+    grad = np.empty_like(classifier.flat)
+    buffers = (np.empty((train.n, train.k)), np.empty((train.n, train.k), dtype=bool), grad, classifier.views(grad))
 
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []
@@ -297,7 +295,7 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
         classifier.frozen_hidden = cfg.arch == "mlp1" and epoch <= cfg.frozen_epochs
         order = np.random.default_rng(epoch_seeds[epoch - 1]).permutation(train.n)
         mean_loss, epoch_flags, epoch_true, threshold_min = _train_epoch(
-            classifier, train, cfg, epoch, opt, order, tracker, an0
+            classifier, train, cfg, epoch, opt, order, tracker, an0, buffers
         )
         if permanent:
             cum_corrections += epoch_flags

@@ -123,24 +123,6 @@ class TestStateTransitions:
             assert np.array_equal(ds.states, before)
 
 
-    def test_batch_rows_correct_like_a_full_mask(self):
-        full, batch = small_dataset(), small_dataset()
-        rows = np.array([3, 0])
-        flags = np.array([[True, False, True], [False, False, True]])
-        mask = np.zeros_like(full.states, dtype=bool)
-        mask[rows] = flags
-        assert full.correct_to_positive(mask) == batch.correct_to_positive(flags, rows) == 3
-        assert np.array_equal(full.states, batch.states)
-
-    def test_batch_rows_name_the_dataset_row_and_mutate_nothing(self):
-        ds = small_dataset()
-        before = ds.states.copy()
-        flags = np.array([[True, False, False], [False, False, True]])
-        with pytest.raises(ValueError, match=r"illegal state transition at \(2, 2\)"):
-            ds.correct_to_positive(flags, np.array([3, 2]))
-        assert np.array_equal(ds.states, before)
-
-
 def two_branch_sigmoid(z):
     """The former sigmoid: one boolean-mask gather per sign of z."""
     z = np.asarray(z, dtype=np.float64)

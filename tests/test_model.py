@@ -215,6 +215,31 @@ class TestFlatBuffers:
                     assert m[name].tobytes() == ref_m[name].tobytes()
                     assert v[name].tobytes() == ref_v[name].tobytes()
 
+    @pytest.mark.parametrize("arch,frozen", [("linear", False), ("mlp1", False), ("mlp1", True)])
+    def test_gradient_writes_into_out(self, arch, frozen):
+        rng = np.random.default_rng(5)
+        model = init_classifier(arch, 4, 3, hidden=5, seed=5)
+        model.frozen_hidden = frozen
+        x, targets, weights = random_batch(rng, model, 6)
+        fwd = forward_pass(model, x)
+        raw = fwd.raw
+        # raw probabilities on and beyond the clamp's edges: columns 0 and 1 are
+        # clamped throughout, column 2 sits exactly on the lower edge
+        raw[:, 0], raw[:, 1], raw[:, 2] = 0.0, 1.0, PROB_EPS
+        raw[0, 0], raw[1, 1] = 1.0, 0.0
+        fwd = fwd._replace(probs=np.clip(raw, PROB_EPS, 1.0 - PROB_EPS))
+        fresh = gradient(model, x, fwd, targets, weights)
+        buf = np.full_like(model.flat, np.nan)
+        assert gradient(model, x, fwd, targets, weights, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        views = model.views(buf)
+        buf[:] = np.nan
+        assert gradient(model, x, fwd, targets, weights, buf, views) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        bias = views["b" if arch == "linear" else "b2"]
+        assert bias[0] == bias[1] == 0.0 and bias[2] != 0.0  # clamped entries add nothing
+        assert not np.shares_memory(fresh, gradient(model, x, fwd, targets, weights))
+
     def test_frozen_hidden_layer_keeps_its_bits_under_both_optimizers(self):
         for kind in ("sgd", "adam"):
             m = init_classifier("mlp1", 3, 2, hidden=4, seed=3)

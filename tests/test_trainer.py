@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsml import dataset as ds_mod, model as model_mod, schemes
 from wsml.dataset import LabelState, PartialDataset, SyntheticSpec, generate_synthetic, make_single_positive
@@ -92,6 +93,31 @@ class TestMemorizationTracker:
         t.update(rows, np.array([[2.0]]), 1)
         t.update(rows, np.array([[1.0]]), 2)
         assert t.max_loss[0, 0] == 2.0
+
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 14), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_one_fold_per_epoch_equals_the_per_batch_folds(self, n, k, batch_size, epochs, seed):
+        rng = np.random.default_rng(seed)
+        per_epoch, per_batch = MemorizationTracker(n, k), MemorizationTracker(n, k)
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            # few distinct values, so losses tie across epochs and with the -inf start
+            seen = rng.choice([-np.inf, 0.0, 0.5, 1.0], size=(n, k))
+            per_epoch.update(order, seen, epoch)
+            per_batch_fold(per_batch, order, seen, epoch, batch_size)
+            assert per_epoch.max_loss.tobytes() == per_batch.max_loss.tobytes()
+            assert per_epoch.argmax_epoch.tobytes() == per_batch.argmax_epoch.tobytes()
+
+
+def per_batch_fold(tracker, order, seen, epoch, batch_size):
+    """The tracker fold as the training loop ran it once per batch, before the
+    per-epoch fold replaced it: `seen` holds the losses in visiting order."""
+    for start in range(0, len(order), batch_size):
+        rows, losses = order[start:start + batch_size], seen[start:start + batch_size]
+        block = tracker.max_loss[rows]
+        bigger = losses > block
+        tracker.max_loss[rows] = np.where(bigger, losses, block)
+        tracker.argmax_epoch[rows] = np.where(bigger, epoch, tracker.argmax_epoch[rows])
 
 
 class TestRunBasics:
@@ -321,7 +347,7 @@ class TestPerBatchWork:
         cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
         report = run(cfg, tiny_partial())
         batches = cfg.epochs * -(-len(report.train_indices) // cfg.batch_size)
-        assert counts["update"] == batches
+        assert counts["update"] == cfg.epochs  # the tracker folds each epoch in once
         assert counts["forward"] == batches + cfg.epochs  # plus one validation pass per epoch
         assert 0 < counts["log"] <= 2 * batches  # log p and log(1 - p), once
 
@@ -348,9 +374,10 @@ class TestPerBatchWork:
             monkeypatch.setattr(module, "an_targets_from_states", counting("an", module.an_targets_from_states))
         monkeypatch.setattr(MemorizationTracker, "update", counting("update", MemorizationTracker.update))
         cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
-        run(cfg, tiny_partial())
-        batches = counts["update"]
+        report = run(cfg, tiny_partial())
+        batches = cfg.epochs * -(-len(report.train_indices) // cfg.batch_size)
         assert batches > cfg.epochs
+        assert counts["update"] == cfg.epochs
         assert counts["plan"] == cfg.epochs
         assert counts["an"] == cfg.epochs + 1  # one per plan, plus the run's starting targets
         assert counts["select"] == {"none": 0, "batch": batches, "epoch": cfg.epochs}[selections]
