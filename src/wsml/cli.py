@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -184,25 +185,27 @@ def _train_settings(args) -> dict:
         "llcp_granularity": cfg.llcp_granularity,
         **scheme_echo,
     }
-    return {"config": cfg, "subsample": args.subsample, "echo": echo,
-            "data": args.data, "test_data": args.test_data}
+    return {"config": cfg, "subsample": args.subsample, "echo": echo}
 
 
-def _execute_training(settings: dict):
-    """Load data, run training, and return (report, file-row mapping)."""
-    data = ds_mod.load_dataset(settings["data"])
+def _subsample(data, settings: dict):
+    """(the training rows `settings` keep of `data`, their rows in the data file)."""
     file_rows = np.arange(data.n)
     if settings["subsample"] is not None:
         idx = ds_mod.subsample_indices(data.n, settings["subsample"], settings["config"].seed)
         data = data.take(idx)
         file_rows = file_rows[idx]
-    test = None
-    if settings["test_data"] is not None:
-        test = ds_mod.load_dataset(settings["test_data"])
-        if test.truth is None:
-            raise ValueError(f"{settings['test_data']}: test dataset has no TRUTH section")
-    report = trainer.run(settings["config"], data, test)
-    return report, file_rows
+    return data, file_rows
+
+
+def _load_test(path):
+    """The held-out dataset at `path`, which must carry truth; None without a path."""
+    if path is None:
+        return None
+    test = ds_mod.load_dataset(path)
+    if test.truth is None:
+        raise ValueError(f"{path}: test dataset has no TRUTH section")
+    return test
 
 
 def _fmt(value) -> str:
@@ -313,7 +316,8 @@ def _cmd_partialize(args) -> int:
 
 def _cmd_train(args) -> int:
     settings = _train_settings(args)
-    report, file_rows = _execute_training(settings)
+    data, file_rows = _subsample(ds_mod.load_dataset(args.data), settings)
+    report = trainer.run(settings["config"], data, _load_test(args.test_data))
     echo = {"cmd": "train", "out_prefix": args.out_prefix, **settings["echo"]}
 
     prefix = args.out_prefix
@@ -361,7 +365,7 @@ def _cmd_eval(args) -> int:
             counts = (data.states != ds_mod.UNKNOWN).sum(axis=0)
         else:
             counts = data.truth.sum(axis=0)
-        grouped = evaluation.grouped_map(scores, data.truth, counts, args.groups)
+        grouped = evaluation.grouped_map(result.per_category, counts, args.groups)
         out["group_map"] = [None if v is None else v * 100.0 for v in grouped]
 
     if args.phase_table:
@@ -382,10 +386,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_arm(payload: dict):
+def _sweep_arm(payload: dict, data, test):
     """One sweep arm as a SWEEP_COLUMNS row; module-level so process pools can pickle it."""
     settings = payload["settings"]
-    report, _ = _execute_training(settings)
+    report = trainer.run(settings["config"], _subsample(data, settings)[0], test)
     return (payload["value"], *(getattr(report, column) for column in SWEEP_COLUMNS[1:]))
 
 
@@ -432,12 +436,17 @@ def _cmd_sweep(args) -> int:
         settings = _train_settings(arm_args)
         payloads.append({"value": value, "settings": settings})
 
+    # loaded once for every arm; the first arm's subsample fails before the
+    # test data loads, as it did when each arm loaded both
+    data = ds_mod.load_dataset(args.data)
+    _subsample(data, payloads[0]["settings"])
+    test = _load_test(args.test_data)
     workers = _worker_count(len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_arm, payloads))
+            rows = list(pool.map(_sweep_arm, payloads, repeat(data), repeat(test)))
     else:
-        rows = [_sweep_arm(p) for p in payloads]  # in payload order: by value
+        rows = [_sweep_arm(p, data, test) for p in payloads]  # in payload order: by value
 
     echo = {"cmd": "sweep", "param": args.param, "values": sorted(values), "out": args.out, **base_echo}
     # the #cfg line goes in as the header so that it stays on line 1, above the column names

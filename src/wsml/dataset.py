@@ -202,7 +202,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: exp only ever sees -|z|."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)  # one divide for both signs
 
 
 def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):

@@ -62,42 +62,37 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def mean_average_precision(scores: np.ndarray, truth: np.ndarray) -> APResult:
-    """Per-category AP over samples; the mean skips categories with no positives."""
+    """Per-category AP over samples; the mean skips categories with no positives.
+
+    One stable sort ranks every category at once, in `average_precision`'s
+    order, and each category's AP is the same sum over the same values."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError(f"scores and truth must be equal-shape matrices, got {scores.shape} and {truth.shape}")
+    ranked = np.take_along_axis(truth.T != 0, np.argsort(-scores.T, axis=1, kind="stable"), axis=1)
+    precision = np.cumsum(ranked, axis=1) / np.arange(1, scores.shape[0] + 1)
     per_category: list[float | None] = []
-    skipped: list[int] = []
-    for k in range(scores.shape[1]):
-        if truth[:, k].sum() == 0:
-            per_category.append(None)
-            skipped.append(k)
-        else:
-            per_category.append(average_precision(scores[:, k], truth[:, k]))
+    for k, total in enumerate(truth.sum(axis=0)):
+        per_category.append(None if total == 0 else float(precision[k][ranked[k]].sum() / ranked[k].sum()))
+    skipped = [k for k, v in enumerate(per_category) if v is None]
     scored = [v for v in per_category if v is not None]
     if not scored:
         raise ValueError("every category lacks positives; mean average precision is undefined")
     return APResult(per_category, skipped, float(np.mean(scored)))
 
 
-def grouped_map(
-    scores: np.ndarray,
-    truth: np.ndarray,
-    counts: np.ndarray,
-    groups: int,
-) -> list[float | None]:
+def grouped_map(per_category: list[float | None], counts: np.ndarray, groups: int) -> list[float | None]:
     """Mean AP per group of categories, grouped by ascending per-category count.
 
-    Categories sort ascending by `counts` (ties by category index) and split
-    into `groups` contiguous blocks of floor(K/groups), the remainder going
-    one-per-group from the last group backward. A group whose categories all
-    lack positives reports None.
+    per_category: `mean_average_precision(...).per_category`, None for a
+    category without positives. Categories sort ascending by `counts` (ties
+    by category index) and split into `groups` contiguous blocks of
+    floor(K/groups), the remainder going one-per-group from the last group
+    backward. A group whose categories all lack positives reports None.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth)
     counts = np.asarray(counts)
-    k = scores.shape[1]
+    k = len(per_category)
     if counts.shape != (k,):
         raise ValueError(f"counts must have one entry per category, got shape {counts.shape}")
     if groups < 1:
@@ -113,12 +108,8 @@ def grouped_map(
     result: list[float | None] = []
     start = 0
     for size in sizes:
-        cats = order[start : start + size]
+        aps = [per_category[c] for c in order[start : start + size] if per_category[c] is not None]
         start += size
-        aps = []
-        for c in cats:
-            if truth[:, c].sum() > 0:
-                aps.append(average_precision(scores[:, c], truth[:, c]))
         result.append(float(np.mean(aps)) if aps else None)
     return result
 

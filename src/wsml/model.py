@@ -136,11 +136,11 @@ def forward_pass(model: Classifier, x: np.ndarray) -> ForwardPass:
     p = model.params
     pre = act = None
     if model.arch == "linear":
-        raw = sigmoid(x @ p["W"].T + p["b"])
+        raw = sigmoid(np.dot(x, p["W"].T) + p["b"])
     else:
-        pre = x @ p["W1"].T + p["b1"]
+        pre = np.dot(x, p["W1"].T) + p["b1"]
         act = np.maximum(pre, 0.0)
-        raw = sigmoid(act @ p["W2"].T + p["b2"])
+        raw = sigmoid(np.dot(act, p["W2"].T) + p["b2"])
     return ForwardPass(np.minimum(np.maximum(raw, PROB_EPS), 1.0 - PROB_EPS), raw, pre, act)
 
 
@@ -172,13 +172,13 @@ def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.nda
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
     if model.arch == "linear":
-        np.matmul(grad_logits.T, x, out=g["W"])
+        np.dot(grad_logits.T, x, out=g["W"])
         grad_logits.sum(axis=0, out=g["b"])
         return out
-    grad_pre = (grad_logits @ model.params["W2"]) * (fwd.pre > 0)
-    np.matmul(grad_pre.T, x, out=g["W1"])
+    grad_pre = np.dot(grad_logits, model.params["W2"]) * (fwd.pre > 0)
+    np.dot(grad_pre.T, x, out=g["W1"])
     grad_pre.sum(axis=0, out=g["b1"])
-    np.matmul(grad_logits.T, fwd.act, out=g["W2"])
+    np.dot(grad_logits.T, fwd.act, out=g["W2"])
     grad_logits.sum(axis=0, out=g["b2"])
     return out
 

@@ -32,7 +32,6 @@ __all__ = [
     "rejection_rate",
     "absolute_threshold",
     "select_large_losses",
-    "select_for_epoch",
     "plan_epoch",
     "decide_planned",
     "decide_batch",
@@ -238,14 +237,6 @@ def select_large_losses(
     return flags, float(unknown_losses[order[k - 1]])
 
 
-def select_for_epoch(scheme: Scheme, losses: np.ndarray, states: np.ndarray, epoch: int, cfg: SchemeConfig):
-    """Flag large-loss UNKNOWN entries by the scheme's schedule at this epoch."""
-    rate = rejection_rate(scheme, epoch, cfg)
-    if rate is None:
-        return select_large_losses(losses, states, threshold=absolute_threshold(epoch, cfg))
-    return select_large_losses(losses, states, rate=rate)
-
-
 @dataclass
 class EpochPlan:
     """What the label states fix of a scheme's batch decisions, row-aligned with
@@ -283,12 +274,13 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold)
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses) -> BatchDecision:
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses, an_losses=None) -> BatchDecision:
     """Finish the decision for the plan's rows in `batch` from their probabilities
-    and `class_losses`: select on the AN loss, then flag targets or weights."""
+    and `class_losses`: select on the AN loss, then flag targets or weights.
+    an_losses: `np.where(plan.an[batch], *losses)` when the caller already has it."""
     pos, neg = losses
     an, action = plan.an[batch], plan.spec.action
-    effective = np.where(an, pos, neg)
+    effective = np.where(an, pos, neg) if an_losses is None else an_losses
     targets, weights = plan.targets[batch], plan.weights[batch]
     flags, threshold = np.zeros(an.shape, dtype=bool), float("nan")
     if action != "none":

@@ -92,10 +92,11 @@ class MemorizationTracker:
 
     def update(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
         """Fold the per-element losses of `rows` in; the first epoch wins loss ties."""
-        block = self.max_loss[rows]
-        bigger = losses > block
-        self.max_loss[rows] = np.where(bigger, losses, block)
-        self.argmax_epoch[rows] = np.where(bigger, epoch, self.argmax_epoch[rows])
+        full = np.full(self.max_loss.shape, -np.inf)  # rows left out never win
+        full[rows] = losses
+        bigger = full > self.max_loss
+        np.copyto(self.max_loss, full, where=bigger)
+        np.copyto(self.argmax_epoch, epoch, where=bigger)
 
     def end_epoch(self) -> None:
         self.epochs_tracked += 1
@@ -196,14 +197,11 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     Under permanent correction the flagged entries are the corrected ones.
 
     buffers: (AN losses, flags, gradient vector, its views), reused every epoch;
-    the first two are written in visiting order and folded in at epoch end."""
+    the first two are written in visiting order and folded in at epoch end. The
+    flags start as zeros, and a scheme that flags nothing never writes them."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
-    # with epoch-level corrections each batch trains on the current
-    # assume-negative targets and the large-loss selection happens once,
-    # at epoch end, over the whole epoch's losses
-    batch_scheme = schemes.Scheme.NAIVE_AN if epoch_level else scheme
 
     n, k = train.n, train.k
     seen, seen_flags, grad, grad_views = buffers
@@ -211,7 +209,11 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     thresholds = []
     # gathered once in visiting order, so each batch reads slice views
     features, an0 = train.features[order], an0[order]
-    plan = schemes.plan_epoch(batch_scheme, train.states[order], epoch, cfg.scheme)
+    plan = schemes.plan_epoch(scheme, train.states[order], epoch, cfg.scheme)
+    if epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
+        plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
+    # the plan's AN losses are the tracker's until a permanent correction lands
+    shared_an = np.array_equal(plan.an, an0)
 
     for start in range(0, n, cfg.batch_size):
         batch = slice(start, start + cfg.batch_size)
@@ -220,8 +222,9 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
         losses = schemes.class_losses(fwd.probs)
         seen[batch] = np.where(an0[batch], *losses)
 
-        decision = schemes.decide_planned(plan, batch, fwd.probs, losses)
-        seen_flags[batch] = decision.flags
+        decision = schemes.decide_planned(plan, batch, fwd.probs, losses, seen[batch] if shared_an else None)
+        if plan.spec.action != "none":
+            seen_flags[batch] = decision.flags
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
 
@@ -240,7 +243,7 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     if epoch_level:  # the batches flagged nothing: select over the epoch's losses
         epoch_losses = np.empty_like(seen)
         epoch_losses[order] = seen
-        flags, threshold = schemes.select_for_epoch(scheme, epoch_losses, train.states, epoch, cfg.scheme)
+        flags, threshold = schemes.select_large_losses(epoch_losses, train.states, rate=plan.rate, threshold=plan.threshold)
         if not math.isnan(threshold):
             thresholds.append(threshold)
     else:
@@ -282,7 +285,7 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
     grad = np.empty_like(classifier.flat)
-    buffers = (np.empty((train.n, train.k)), np.empty((train.n, train.k), dtype=bool), grad, classifier.views(grad))
+    buffers = (np.empty((train.n, train.k)), np.zeros((train.n, train.k), dtype=bool), grad, classifier.views(grad))
 
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from wsml import dataset as ds_mod
 from wsml.cli import load_tracker, main
 from wsml.dataset import FormatError, LabelState, load_dataset
 from wsml.schemes import Scheme
@@ -389,6 +390,36 @@ class TestSweep:
         assert code == 0
         rows = out.read_text().splitlines()[2:]
         assert [int(r.split(",")[1]) for r in rows] == [30, 60]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_data_file_loads_once_per_sweep(self, tmp_path, gen_file, sp_file, monkeypatch, threads):
+        log = tmp_path / "loads.log"
+        load = ds_mod.load_dataset
+
+        def logged(path):  # a file, so that loads in forked workers count too
+            with open(log, "a") as fh:
+                fh.write(os.path.basename(path) + "\n")
+            return load(path)
+
+        monkeypatch.setattr(ds_mod, "load_dataset", logged)
+        monkeypatch.setenv("WSML_THREADS", threads)
+        code = run_cli(
+            "sweep", "--param", "delta-rel", "--values", "0.1,0.2,0.3",
+            "--data", str(sp_file), "--test-data", str(gen_file), "--scheme", "ll-r", "--epochs", "1",
+            "--batch", "8", "--seed", "5", "--arch", "linear", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert sorted(log.read_text().split()) == sorted([sp_file.name, gen_file.name])
+
+    @pytest.mark.parametrize("values,message", [("0.001,1", "keeps nothing"), ("0.5,1", "No such file")])
+    def test_first_arm_subsample_error_precedes_test_data_error(self, tmp_path, sp_file, capsys, values, message):
+        code = run_cli(
+            "sweep", "--param", "subsample", "--values", values, "--data", str(sp_file),
+            "--test-data", str(tmp_path / "missing.wsml"), "--scheme", "naive-an", "--epochs", "1",
+            "--seed", "5", "--arch", "linear", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2 and message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_duplicate_values_named(self, tmp_path, sp_file, capsys):
         code = run_cli(

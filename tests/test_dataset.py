@@ -135,12 +135,13 @@ def two_branch_sigmoid(z):
 
 
 def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
-    edges = [0.0, -0.0, 1e-320, -1e-320, np.inf, -np.inf, 800.0, -800.0]
+    edges = [0.0, -0.0, 1e-320, -1e-320, 1e-300, -1e-300, 40.0, -40.0, np.inf, -np.inf, 800.0, -800.0]
     rng = np.random.default_rng(0)
     z = np.concatenate([edges, np.linspace(-800.0, 800.0, 160_001), rng.uniform(-40.0, 40.0, 20_000)])
     assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
-    batch = rng.standard_normal((16, 10)) * 5.0
-    assert sigmoid(batch).tobytes() == two_branch_sigmoid(batch).tobytes()
+    for shape in ((16, 10), (2000, 10)):  # a training batch and a whole-corpus pass
+        batch = rng.standard_normal(shape) * 5.0
+        assert sigmoid(batch).tobytes() == two_branch_sigmoid(batch).tobytes()
 
 
 class TestGenerateSynthetic:

@@ -92,6 +92,37 @@ class TestMeanAveragePrecision:
         with pytest.raises(ValueError, match="undefined"):
             mean_average_precision(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        kinds=st.lists(st.sampled_from(["random", "all", "empty", "single"]), min_size=1, max_size=6),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_category_is_average_precision_bit_for_bit(self, seed, n, kinds, tied):
+        rng = np.random.default_rng(seed)
+        k = len(kinds)
+        # a few distinct values (with both zeros) force ties across and within categories
+        scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=(n, k)) if tied else rng.normal(size=(n, k))
+        truth = rng.integers(0, 2, size=(n, k))
+        for c, kind in enumerate(kinds):
+            if kind != "random":
+                truth[:, c] = 1 if kind == "all" else 0
+            if kind == "single":
+                truth[rng.integers(n), c] = 1
+        if not truth.any():
+            with pytest.raises(ValueError, match="undefined"):
+                mean_average_precision(scores, truth)
+            return
+        result = mean_average_precision(scores, truth)
+        assert result.skipped == [c for c in range(k) if not truth[:, c].any()]
+        for c in range(k):
+            if c in result.skipped:
+                assert result.per_category[c] is None
+            else:
+                want = average_precision(scores[:, c], truth[:, c])
+                assert np.float64(result.per_category[c]).tobytes() == np.float64(want).tobytes()
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(size=(20, 6))
@@ -109,7 +140,7 @@ class TestGroupedMap:
         scores = rng.uniform(size=(30, 10))
         truth = rng.integers(0, 2, size=(30, 10))
         truth[:, truth.sum(axis=0) == 0] = 1
-        out = grouped_map(scores, truth, np.arange(10), 5)
+        out = grouped_map(mean_average_precision(scores, truth).per_category, np.arange(10), 5)
         assert len(out) == 5
 
     def test_single_group_equals_overall_map(self):
@@ -117,14 +148,14 @@ class TestGroupedMap:
         scores = rng.uniform(size=(15, 3))
         truth = rng.integers(0, 2, size=(15, 3))
         truth[:, truth.sum(axis=0) == 0] = 1
-        out = grouped_map(scores, truth, np.array([5, 1, 3]), 1)
+        out = grouped_map(mean_average_precision(scores, truth).per_category, np.array([5, 1, 3]), 1)
         assert out[0] == pytest.approx(mean_average_precision(scores, truth).mean, abs=1e-15)
 
     def test_ascending_count_order(self):
         # counts [5, 1, 3]: groups are category 1, then 2, then 0
         scores = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.6]])
         truth = np.array([[1, 0, 1], [0, 1, 1]])
-        out = grouped_map(scores, truth, np.array([5, 1, 3]), 3)
+        out = grouped_map(mean_average_precision(scores, truth).per_category, np.array([5, 1, 3]), 3)
         assert out[0] == average_precision(scores[:, 1], truth[:, 1])
         assert out[1] == average_precision(scores[:, 2], truth[:, 2])
         assert out[2] == average_precision(scores[:, 0], truth[:, 0])
@@ -133,13 +164,13 @@ class TestGroupedMap:
         rng = np.random.default_rng(4)
         scores = rng.uniform(size=(10, 7))
         truth = np.ones((10, 7), dtype=int)
-        out = grouped_map(scores, truth, np.arange(7), 3)
+        out = grouped_map(mean_average_precision(scores, truth).per_category, np.arange(7), 3)
         # sizes should be 2, 2, 3
         assert len(out) == 3
 
     def test_too_many_groups_rejected(self):
         with pytest.raises(ValueError, match="groups"):
-            grouped_map(np.zeros((2, 3)), np.ones((2, 3)), np.arange(3), 4)
+            grouped_map(mean_average_precision(np.zeros((2, 3)), np.ones((2, 3))).per_category, np.arange(3), 4)
 
 
 class TestPhaseDistribution:

@@ -334,6 +334,22 @@ class TestEpochPlan:
         with pytest.raises(ValueError, match="epoch"):
             plan_epoch(Scheme.NAIVE_AN, states, 0, cfg("naive-an"))
 
+    @pytest.mark.parametrize("scheme", list(SPECS))
+    def test_given_an_losses_change_no_field_of_the_decision(self, scheme):
+        rng = np.random.default_rng(5)
+        states = rng.choice([int(U), int(P), int(N), int(C)], size=(40, 6), p=[0.6, 0.15, 0.15, 0.1]).astype(np.int8)
+        probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(40, 6))
+        probs[::3, 1] = probs[0, 0]  # loss ties, which the selection breaks by index
+        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        flagged = 0
+        for batch in (slice(0, 16), slice(16, 32), slice(32, 40)):
+            losses = class_losses(probs[batch])
+            got = decide_planned(plan, batch, probs[batch], losses, np.where(plan.an[batch], *losses))
+            want = decide_planned(plan, batch, probs[batch], losses)
+            assert_same_decision(got, want)
+            flagged += int(want.flags.sum())
+        assert (flagged > 0) == (SPECS[scheme].action != "none")
+
     def test_precomputed_unknown_mask_gives_the_same_selection(self):
         rng = np.random.default_rng(3)
         losses = rng.uniform(0, 3, size=(6, 4))

@@ -94,6 +94,13 @@ class TestMemorizationTracker:
         t.update(rows, np.array([[1.0]]), 2)
         assert t.max_loss[0, 0] == 2.0
 
+    def test_rows_left_out_keep_their_running_max(self):
+        t = MemorizationTracker(3, 2)
+        t.update(np.array([2, 0]), np.array([[1.0, -2.0], [0.5, 3.0]]), 1)
+        t.update(np.array([0]), np.array([[0.25, 4.0]]), 2)
+        assert t.max_loss.tolist() == [[0.5, 4.0], [-np.inf, -np.inf], [1.0, -2.0]]
+        assert t.argmax_epoch.tolist() == [[1, 2], [0, 0], [1, 1]]
+
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 14), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_one_fold_per_epoch_equals_the_per_batch_folds(self, n, k, batch_size, epochs, seed):
