@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, seven
-train arms, eval to a file and to stdout, a 2-worker, a 1-worker and a
-failing sweep) once against the base revision's `src/` and once against the
-working tree's, each in its own empty directory with relative paths. Every
-output file and each command's stdout, stderr and exit code are then compared
-byte for byte; the files that differ are printed, the outputs are kept for
-inspection and the exit code is 1.
+Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, eight
+train arms, two of them linear and one of those frozen, evals of two mlp1
+checkpoints and a linear one, one of them to stdout, a 2-worker, a 1-worker
+and a failing sweep) once against the base revision's `src/` and once
+against the working tree's, each in its own empty directory with relative
+paths. Every output file and each command's stdout, stderr and exit code are
+then compared byte for byte; the files that differ are printed, the outputs
+are kept for inspection and the exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
@@ -58,11 +59,13 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         train("llcp-batch", "sp.wsml", "ll-cp", "--delta-rel", "5", "--llcp-granularity", "batch",
               "--arch", "linear"),
         train("lsan", "sp.wsml", "lsan", "--eps-smooth", "0.2", "--delta-rel", "1", "--frozen-epochs", "1"),
+        train("llr-linear-frozen", "sp.wsml", "ll-r", "--delta-rel", "5", "--arch", "linear", "--frozen-epochs", "1"),
         train("llct-abs", "sp.wsml", "ll-ct-abs", "--r0", "2", "--delta-abs", "0.1", "--subsample", "0.5"),
         ("eval-file", "1", ["eval", "--model", "llcp.model", "--data", "sp.wsml", "--groups", "2",
                             "--phase-table", "--tracker", "llcp.tracker", "--out", "eval.json"]),
         ("eval-stdout", "1", ["eval", "--model", "naive.model", "--data", "test.wsml", "--groups", "3",
                               "--group-key", "positives"]),
+        ("eval-linear", "1", ["eval", "--model", "llcp-batch.model", "--data", "test.wsml", "--out", "eval-linear.json"]),
         sweep("sweep-2w", "2", "delta-rel", "2,0.5,1", "ll-r", "--test-data", "test.wsml"),
         sweep("sweep-1w", "1", "subsample", "0.5,1", "naive-an"),
         sweep("sweep-fail", "1", "subsample", "0.001,1", "naive-an"),  # the 0.001 arm keeps no sample

@@ -103,15 +103,15 @@ def _add_train_flags(p) -> None:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
+    p.add_argument("--optimizer", choices=model_mod.OPTIMIZERS, default="adam")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--delta-rel", type=float, default=None, help="rate growth, percentage points per epoch")
     p.add_argument("--r0", type=float, default=None, help="initial absolute loss threshold")
     p.add_argument("--delta-abs", type=float, default=None, help="absolute threshold decrement per epoch")
     p.add_argument("--eps-smooth", type=float, default=None, help="label smoothing mass")
-    p.add_argument("--arch", choices=["linear", "mlp1"], default="mlp1")
+    p.add_argument("--arch", choices=model_mod.ARCHS, default="mlp1")
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--frozen-epochs", type=int, default=0, help="epochs with the hidden layer frozen")
+    p.add_argument("--frozen-epochs", type=int, default=0, help="epochs that train only the output layer")
     p.add_argument("--val-frac", type=float, default=0.2)
     p.add_argument("--subsample", type=float, default=None, help="train on this fraction of samples")
     p.add_argument(
@@ -206,6 +206,11 @@ def _load_test(path):
     if test.truth is None:
         raise ValueError(f"{path}: test dataset has no TRUTH section")
     return test
+
+
+def _sweep_value(value: float) -> str:
+    """Sweep CSV value cell: the short %g form where it reads back as the same float, else repr."""
+    return format(value, "g") if float(format(value, "g")) == value else repr(value)
 
 
 def _fmt(value) -> str:
@@ -451,7 +456,7 @@ def _cmd_sweep(args) -> int:
     echo = {"cmd": "sweep", "param": args.param, "values": sorted(values), "out": args.out, **base_echo}
     # the #cfg line goes in as the header so that it stays on line 1, above the column names
     io.save(args.out, "#cfg " + _cfg_json(echo), None, [",".join(SWEEP_COLUMNS)] + [
-        ",".join([format(value, "g"), *map(_fmt, cells)]) for value, *cells in rows
+        ",".join([_sweep_value(value), *map(_fmt, cells)]) for value, *cells in rows
     ])
     return 0
 

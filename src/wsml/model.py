@@ -1,6 +1,7 @@
 """Small sigmoid-output classifiers with hand-coded gradients and optimizers.
 
-Two architectures: a linear map and a one-hidden-layer ReLU network. Forward
+An architecture is a stack of ReLU layers under a sigmoid output layer, as
+listed in `_LAYERS`, and every pass is one loop over the layers. Forward
 probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so the elementwise
 binary cross entropy and its temporary-correction weights stay finite.
 Each classifier keeps its parameters in one contiguous float64 buffer with
@@ -23,6 +24,8 @@ from .dataset import sigmoid
 
 __all__ = [
     "PROB_EPS",
+    "ARCHS",
+    "OPTIMIZERS",
     "Classifier",
     "OptimizerState",
     "init_classifier",
@@ -46,35 +49,39 @@ ADAM_EPS = 1e-8
 
 MODEL_HEADER = "WSMLMODEL/1"
 
-# parameter tensors in serialization and buffer order, per architecture; the
-# hidden layer comes first, so a frozen hidden layer is a prefix of the buffer
-_PARAM_ORDER = {"linear": ("W", "b"), "mlp1": ("W1", "b1", "W2", "b2")}
+# per architecture, the (weight, bias) names of each layer, input side first: a linear map, a
+# one-hidden-layer ReLU network. This is the buffer and checkpoint order, so the output layer ends `flat`.
+_LAYERS = {"linear": (("W", "b"),), "mlp1": (("W1", "b1"), ("W2", "b2"))}
+ARCHS = {arch: len(layers) for arch, layers in _LAYERS.items()}  # architecture -> number of layers
+OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass
 class Classifier:
-    """Parameter container; `arch` is "linear" or "mlp1".
+    """Parameter container; `arch` is a key of _LAYERS.
 
-    frozen_hidden freezes the hidden layer during `step` (the first-epochs
-    schedule that trains only the output layer); it is not serialized.
-    `flat` holds every parameter in _PARAM_ORDER; `params` are views into it.
+    frozen_hidden makes `step` train only the output layer (the first-epochs
+    schedule); it is not serialized. `flat` holds every parameter in _LAYERS
+    order; `params` (by name) and `layers` (weight, bias) are views into it.
     """
 
     arch: str
     params: dict[str, np.ndarray]
     frozen_hidden: bool = False
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.arch not in _PARAM_ORDER:
+        if self.arch not in _LAYERS:
             raise ValueError(f"unknown architecture {self.arch!r}")
         self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in `flat`
-        for name in _PARAM_ORDER[self.arch]:
+        for name in (name for layer in _LAYERS[self.arch] for name in layer):
             shape = np.shape(self.params[name])
             self._layout.append((name, start, start + math.prod(shape), shape))
             start += math.prod(shape)
         self.flat = np.concatenate([np.asarray(self.params[name], dtype=np.float64).ravel() for name, *_ in self._layout])
         self.params = self.views(self.flat)
+        self.layers = [(self.params[w], self.params[b]) for w, b in _LAYERS[self.arch]]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-tensor views of a vector laid out like `flat`."""
@@ -82,13 +89,11 @@ class Classifier:
 
     @property
     def input_dim(self) -> int:
-        key = "W" if self.arch == "linear" else "W1"
-        return self.params[key].shape[1]
+        return self.layers[0][0].shape[1]
 
     @property
     def num_classes(self) -> int:
-        key = "W" if self.arch == "linear" else "W2"
-        return self.params[key].shape[0]
+        return self.layers[-1][0].shape[0]
 
     def copy(self) -> "Classifier":
         return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
@@ -102,46 +107,37 @@ def init_classifier(arch: str, input_dim: int, num_classes: int, hidden: int = 6
     """Seeded init: weights ~ N(0, 1/fan_in), biases zero."""
     if input_dim < 1 or num_classes < 1:
         raise ValueError(f"need input_dim >= 1 and num_classes >= 1, got {input_dim}, {num_classes}")
-    rng = np.random.default_rng(seed)
-    if arch == "linear":
-        params = {
-            "W": rng.standard_normal((num_classes, input_dim)) / np.sqrt(input_dim),
-            "b": np.zeros(num_classes),
-        }
-    elif arch == "mlp1":
-        if hidden < 1:
-            raise ValueError(f"mlp1 needs hidden >= 1, got {hidden}")
-        params = {
-            "W1": rng.standard_normal((hidden, input_dim)) / np.sqrt(input_dim),
-            "b1": np.zeros(hidden),
-            "W2": rng.standard_normal((num_classes, hidden)) / np.sqrt(hidden),
-            "b2": np.zeros(num_classes),
-        }
-    else:
+    if arch not in _LAYERS:
         raise ValueError(f"unknown architecture {arch!r}")
+    if ARCHS[arch] > 1 and hidden < 1:
+        raise ValueError(f"{arch} needs hidden >= 1, got {hidden}")
+    widths = [input_dim, *[hidden] * (ARCHS[arch] - 1), num_classes]
+    rng = np.random.default_rng(seed)
+    params = {}
+    for (w, b), fan_in, fan_out in zip(_LAYERS[arch], widths, widths[1:]):
+        params[w] = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
+        params[b] = np.zeros(fan_out)
     return Classifier(arch, params)
 
 
 class ForwardPass(NamedTuple):
-    """One forward pass: clamped and raw probabilities, hidden pre-activation and activation (None for linear)."""
+    """Clamped and raw probabilities, each layer's input (the batch, then each hidden activation), each hidden pre-activation."""
 
     probs: np.ndarray
     raw: np.ndarray
-    pre: np.ndarray | None
-    act: np.ndarray | None
+    inputs: list[np.ndarray]
+    pre: list[np.ndarray]
 
 
 def forward_pass(model: Classifier, x: np.ndarray) -> ForwardPass:
     """Forward pass of a B x D float64 batch that the caller has already checked."""
-    p = model.params
-    pre = act = None
-    if model.arch == "linear":
-        raw = sigmoid(np.dot(x, p["W"].T) + p["b"])
-    else:
-        pre = np.dot(x, p["W1"].T) + p["b1"]
-        act = np.maximum(pre, 0.0)
-        raw = sigmoid(np.dot(act, p["W2"].T) + p["b2"])
-    return ForwardPass(np.minimum(np.maximum(raw, PROB_EPS), 1.0 - PROB_EPS), raw, pre, act)
+    inputs, pre = [x], []
+    for w, b in model.layers[:-1]:
+        pre.append(np.dot(inputs[-1], w.T) + b)
+        inputs.append(np.maximum(pre[-1], 0.0))
+    w, b = model.layers[-1]
+    raw = sigmoid(np.dot(inputs[-1], w.T) + b)
+    return ForwardPass(np.minimum(np.maximum(raw, PROB_EPS), 1.0 - PROB_EPS), raw, inputs, pre)
 
 
 def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -154,12 +150,12 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     return forward_pass(model, x).probs
 
 
-def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
+def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
              out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Gradient of the weighted mean binary cross entropy at the forward pass
-    `fwd` of x, as one vector laid out like `model.flat`: `out` when given
-    (with `views`, its `model.views(out)`, if the caller keeps them), else a
-    new vector.
+    `fwd`, as one vector laid out like `model.flat`: `out` when given (with
+    `views`, its `model.views(out)`, if the caller keeps them), else a new
+    vector.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
@@ -168,18 +164,14 @@ def gradient(model: Classifier, x: np.ndarray, fwd: ForwardPass, targets: np.nda
     """
     b, k = fwd.probs.shape
     active = fwd.probs == fwd.raw  # the clamp left the probability alone
-    grad_logits = weights * (fwd.probs - targets) * active / (b * k)
+    grad = weights * (fwd.probs - targets) * active / (b * k)  # at the output layer's logits
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
-    if model.arch == "linear":
-        np.dot(grad_logits.T, x, out=g["W"])
-        grad_logits.sum(axis=0, out=g["b"])
-        return out
-    grad_pre = np.dot(grad_logits, model.params["W2"]) * (fwd.pre > 0)
-    np.dot(grad_pre.T, x, out=g["W1"])
-    grad_pre.sum(axis=0, out=g["b1"])
-    np.dot(grad_logits.T, fwd.act, out=g["W2"])
-    grad_logits.sum(axis=0, out=g["b2"])
+    for i, (w_name, b_name) in reversed(list(enumerate(_LAYERS[model.arch]))):
+        np.dot(grad.T, fwd.inputs[i], out=g[w_name])
+        grad.sum(axis=0, out=g[b_name])
+        if i:  # back through the ReLU to the previous layer's pre-activation
+            grad = np.dot(grad, model.layers[i][0]) * (fwd.pre[i - 1] > 0)
     return out
 
 
@@ -194,7 +186,7 @@ def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.
         raise ValueError(
             f"targets/weights must have shape ({b}, {k}), got {targets.shape} and {weights.shape}"
         )
-    return model.views(gradient(model, x, forward_pass(model, x), targets, weights))
+    return model.views(gradient(model, forward_pass(model, x), targets, weights))
 
 
 @dataclass
@@ -210,7 +202,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
     if not 0 < learning_rate < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
@@ -221,12 +213,11 @@ def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> Optimi
 
 
 def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
-    """Apply one optimizer step in place, skipping a frozen hidden layer.
+    """Apply one optimizer step in place, to the output layer alone if `model.frozen_hidden`.
 
     grads: a vector laid out like `model.flat`, as `gradient` returns.
     """
-    frozen = model.arch == "mlp1" and model.frozen_hidden
-    start = model.params["W1"].size + model.params["b1"].size if frozen else 0  # the hidden layer leads `flat`
+    start = model.flat.size - sum(t.size for t in model.layers[-1]) if model.frozen_hidden else 0
     opt.step_count += 1
     t = opt.step_count
     param, g, lr = model.flat[start:], grads[start:], opt.learning_rate
@@ -260,53 +251,45 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    analytic = backward(model, x, targets, weights)
-    worst = 0.0
-    for name, param in model.params.items():
-        flat = param.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step_size
-            plus = _weighted_loss(model, x, targets, weights)
-            flat[i] = orig - step_size
-            minus = _weighted_loss(model, x, targets, weights)
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * step_size)
-            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    analytic = np.concatenate([g.ravel() for g in backward(model, x, targets, weights).values()])  # laid out like flat
+    worst, flat = 0.0, model.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step_size
+        plus = _weighted_loss(model, x, targets, weights)
+        flat[i] = orig - step_size
+        minus = _weighted_loss(model, x, targets, weights)
+        flat[i] = orig
+        numeric = (plus - minus) / (2.0 * step_size)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format:
 #   WSMLMODEL/1
-#   linear|mlp1
-#   D K          (linear)  or  D H K  (mlp1)
-#   parameter tensors row-major in _PARAM_ORDER (codec in wsml.io)
+#   the architecture, a key of _LAYERS
+#   D [H] K      the widths: input, each hidden layer's, classes
+#   each layer's weight, then bias, row-major, input side first (codec in wsml.io)
 # ---------------------------------------------------------------------------
 
 
 def save_model(model: Classifier, path, config_comment: str | None = None) -> None:
-    if model.arch == "linear":
-        dims = f"{model.input_dim} {model.num_classes}"
-    else:
-        dims = f"{model.input_dim} {model.params['W1'].shape[0]} {model.num_classes}"
-    blocks = [(model.params[name], io.REAL) for name in _PARAM_ORDER[model.arch]]
-    io.save(path, MODEL_HEADER, config_comment, [model.arch, dims, *blocks])
+    widths = [model.input_dim] + [w.shape[0] for w, _ in model.layers]
+    blocks = [(tensor, io.REAL) for layer in model.layers for tensor in layer]
+    io.save(path, MODEL_HEADER, config_comment, [model.arch, " ".join(map(str, widths)), *blocks])
 
 
 def load_model(path) -> Classifier:
     reader = io.Reader(path, MODEL_HEADER)
     lineno, arch = reader.line("architecture line")
-    if arch not in _PARAM_ORDER:
+    if arch not in _LAYERS:
         raise io.FormatError(lineno, f"unknown architecture {arch!r}")
-    if arch == "linear":
-        d, k = reader.dims("D K")
-        shapes = {"W": (k, d), "b": (k,)}
-    else:
-        d, h, k = reader.dims("D H K")
-        shapes = {"W1": (h, d), "b1": (h,), "W2": (k, h), "b2": (k,)}
-    params = {name: reader.block(shape, name, io.REAL) for name, shape in shapes.items()}
+    widths = reader.dims(" ".join(["D", *["H"] * (ARCHS[arch] - 1), "K"]))
+    params = {}
+    for (w, b), fan_in, fan_out in zip(_LAYERS[arch], widths, widths[1:]):
+        params[w] = reader.block((fan_out, fan_in), w, io.REAL)
+        params[b] = reader.block((fan_out,), b, io.REAL)
     reader.end()
     return Classifier(arch, params)

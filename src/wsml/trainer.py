@@ -62,9 +62,11 @@ class TrainConfig:
             raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        if self.arch not in ("linear", "mlp1"):
+        if self.arch not in model_mod.ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if model_mod.ARCHS[self.arch] > 1 and self.hidden < 1:
+            raise ValueError(f"{self.arch} needs hidden >= 1, got {self.hidden}")
+        if self.optimizer not in model_mod.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
@@ -217,8 +219,7 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
 
     for start in range(0, n, cfg.batch_size):
         batch = slice(start, start + cfg.batch_size)
-        x = features[batch]  # validated with the dataset, so no per-batch finiteness check
-        fwd = model_mod.forward_pass(classifier, x)
+        fwd = model_mod.forward_pass(classifier, features[batch])  # validated with the dataset: no finiteness check
         losses = schemes.class_losses(fwd.probs)
         seen[batch] = np.where(an0[batch], *losses)
 
@@ -233,7 +234,7 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
 
-        model_mod.gradient(classifier, x, fwd, decision.targets, decision.weights, grad, grad_views)
+        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views)
         model_mod.step(classifier, grad, opt)
 
     # every row was visited exactly once, so one fold in visiting order
@@ -295,7 +296,7 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     best_model = classifier.copy()
 
     for epoch in range(1, cfg.epochs + 1):
-        classifier.frozen_hidden = cfg.arch == "mlp1" and epoch <= cfg.frozen_epochs
+        classifier.frozen_hidden = epoch <= cfg.frozen_epochs
         order = np.random.default_rng(epoch_seeds[epoch - 1]).permutation(train.n)
         mean_loss, epoch_flags, epoch_true, threshold_min = _train_epoch(
             classifier, train, cfg, epoch, opt, order, tracker, an0, buffers

@@ -214,10 +214,13 @@ class TestTrain:
         ("naive-an", "--lr", "nan"), ("naive-an", "--lr", "inf"),
         ("ll-ct-abs", "--r0", "nan"), ("ll-ct-abs", "--r0", "inf"),
         ("ll-ct-abs", "--delta-abs", "nan"), ("ll-ct-abs", "--delta-abs", "inf"),
+        ("naive-an", "--hidden", "0"),
     ])
     def test_non_finite_flag_value_is_usage_error(self, tmp_path, sp_file, capsys, scheme, flag, value):
         (tmp_path / "out").mkdir()
-        assert run_cli(*train_args(sp_file, tmp_path / "out" / "run", scheme=scheme, **{flag: value})) == 1
+        # mlp1: a linear model has no hidden layer, so --hidden 0 is valid for it
+        argv = train_args(sp_file, tmp_path / "out" / "run", scheme=scheme, **{"--arch": "mlp1", flag: value})
+        assert run_cli(*argv) == 1
         assert "usage error" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
@@ -378,6 +381,18 @@ class TestSweep:
         values = [float(line.split(",")[0]) for line in lines[2:]]
         assert values == sorted(values)  # rows ordered by value, not input order
         assert all(line.split(",")[4] for line in lines[2:])  # test_map populated
+
+    def test_values_alike_in_six_digits_keep_their_own_cells(self, tmp_path, sp_file, monkeypatch):
+        monkeypatch.setenv("WSML_THREADS", "1")
+        out = tmp_path / "close.csv"
+        code = run_cli(
+            "sweep", "--param", "delta-rel", "--values", "0.1234568,0.5,0.1234567",
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "1", "--batch", "8",
+            "--seed", "5", "--arch", "linear", "--out", str(out),
+        )
+        assert code == 0
+        cells = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+        assert cells == ["0.1234567", "0.1234568", "0.5"]  # %g would write 0.123457 twice
 
     def test_subsample_sweep_reports_effective_n(self, tmp_path, sp_file, monkeypatch):
         monkeypatch.setenv("WSML_THREADS", "2")

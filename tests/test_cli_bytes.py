@@ -16,9 +16,10 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = sorted(b.glob("*.exit"))
-    assert len(exits) == 16
-    assert [p.read_text() for p in exits].count("0\n") == 15  # all but the failing sweep
-    for name in ("full.wsml", "sp.wsml", "llcp-batch.report.json", "eval.json", "sweep-2w.csv"):
+    assert len(exits) == 18
+    assert [p.read_text() for p in exits].count("0\n") == 17  # all but the failing sweep
+    for name in ("full.wsml", "sp.wsml", "llcp-batch.report.json", "llr-linear-frozen.model", "eval.json",
+                 "eval-linear.json", "sweep-2w.csv"):
         assert (b / name).is_file(), name
 
 

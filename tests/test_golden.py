@@ -7,7 +7,9 @@ first epoch). A refactor that changes any number fails here.
 
 Beyond the records, each arm's final label states, memorization tracker
 (`max_loss`, `argmax_epoch`) and best-model parameters are pinned bit for
-bit by one sha256 per arm.
+bit by one sha256 per arm. The same arms on the linear architecture (same
+settings, so its one layer is the output layer and the freeze changes
+nothing) are pinned by that sha256 alone.
 
 Tolerance: `train_loss`, `val_map` and `threshold_min` match the pinned
 values to a relative tolerance of 1e-9 (NaN matches NaN). `flags`,
@@ -42,7 +44,7 @@ PARTIAL = make_single_positive(FULL, seed=11)
 
 
 @functools.cache
-def golden_run(arm: str, optimizer: str):
+def golden_run(arm: str, optimizer: str, arch: str = "mlp1"):
     token, granularity, full_label = ARMS[arm]
     cfg = TrainConfig(
         scheme=SchemeConfig(Scheme(token), **SCHEME_KW),
@@ -50,7 +52,7 @@ def golden_run(arm: str, optimizer: str):
         batch_size=16,
         optimizer=optimizer,
         learning_rate=0.01 if optimizer == "adam" else 0.5,
-        arch="mlp1",
+        arch=arch,
         hidden=16,
         frozen_epochs=1,
         seed=5,
@@ -66,9 +68,9 @@ def trajectory(arm: str, optimizer: str) -> dict:
     return out
 
 
-def final_bits(arm: str, optimizer: str) -> str:
+def final_bits(arm: str, optimizer: str, arch: str = "mlp1") -> str:
     """sha256 over the final states, the tracker arrays and the best model's parameters."""
-    report = golden_run(arm, optimizer)
+    report = golden_run(arm, optimizer, arch)
     digest = hashlib.sha256()
     for array in (report.final_states, report.tracker.max_loss, report.tracker.argmax_epoch,
                   report.best_model.flat):
@@ -326,6 +328,35 @@ GOLDEN_BITS = {
 }
 
 
+# the linear arms, captured before the architecture table replaced the per-architecture code paths
+LINEAR_BITS = {
+    ('full-label', 'adam'): 'e287f611ed771796861439f80645a955e0c264d7200a062e2515eb4f8b1b06cf',
+    ('full-label', 'sgd'): '4d371a286cda7522c96891c7e77c41b1d8ad8edf82f1fa4d683c1521f6b76b33',
+    ('ignore-unobserved', 'adam'): 'a7341becef663997d5f60da4d61ab49d09cad53703a3a88977fe11f96d5d6ff1',
+    ('ignore-unobserved', 'sgd'): 'a1dde3f78d9c9dcf66e120cc046d1c8b9687e16f96be27491872be1256862fdf',
+    ('ll-cp', 'adam'): 'a40b7e7c5048cf5752ccc542389c41c0ad2886a67d713196ee29380e387bb7ec',
+    ('ll-cp', 'sgd'): '7beea56cc5761275fb936a7d9a2184173d14a3bf6e0b426932626435bedd3c07',
+    ('ll-cp-abs', 'adam'): 'b76403638169fe623fb47138bbcdaa431884876a31eb6e81f27a20f6d5f4073f',
+    ('ll-cp-abs', 'sgd'): 'ab1296b81d3784ac52d21f0a8a8c5bf6d2049bd5b0f9f389c331a9671d7b0b84',
+    ('ll-cp-batch', 'adam'): '8ab7c4cde93dcdced5bef0f6b5a856750d4bb1b9f69d15e1ba8f557e8b0df041',
+    ('ll-cp-batch', 'sgd'): 'ff56a955dd74f55b05f962f04c23bf1fc7c8640bb142e1990d5ae8ce19819270',
+    ('ll-ct', 'adam'): '2119ed3ba18e574d75f373a1e27a22c5a215a309b96a94f6b7eb8f79170ee1be',
+    ('ll-ct', 'sgd'): 'dd4bc9f00b9e17dbeab1f6dd870a13634fabc1bccca8d37db14d32423084112c',
+    ('ll-ct-abs', 'adam'): '4fa969fd1679cbf489eabff1799f9fc777267a82d8f2d4c38dcaff05a714192b',
+    ('ll-ct-abs', 'sgd'): 'f497acc9871db777d66904dbcb0ff426315fc147c24dd20b7bfe3249beec5c94',
+    ('ll-r', 'adam'): 'eaa4bb9e28ec79fa630e476c994741a74af5f1392905032bd78043103e9fcbf9',
+    ('ll-r', 'sgd'): '5325193d890f270c3e0f4c7483a20709c3b6bb627ce3c158585f5001aed73ebb',
+    ('ll-r-abs', 'adam'): '0b56e7219d5bb7b80eae927b116a3db0e9d6e88c30aee7ee876704880b185d14',
+    ('ll-r-abs', 'sgd'): '0b8b685959aaff0a2dfee004f61061819606b508e12357287720969b78c5565f',
+    ('lsan', 'adam'): '9d996625c2a6f7640392039e2291352662e3e8ea2653c3e946086961cfe7f9a6',
+    ('lsan', 'sgd'): 'e443035db1ebabf32f890b46208a854e2abb6f08fae0a6f99b860db71daaa74f',
+    ('naive-an', 'adam'): '976ae25d122fddbe13e8ccc5d81fb9672d0e50441d6a1d5a81963e88078856b6',
+    ('naive-an', 'sgd'): '87204507f60d0f1e02173c972819cddb49da92f205750847222b3226d780b206',
+    ('wan', 'adam'): 'b01037861ca2b25ba93fc81364fa68e344d67304c228d94b5e4af2b3606d437b',
+    ('wan', 'sgd'): '9cc1340f0eac72f31f27e29e5f44f3a699678285ae7522728093c9e63a174b78',
+}
+
+
 def _close(got: float, want: float) -> bool:
     if math.isnan(want):
         return math.isnan(got)
@@ -349,6 +380,12 @@ def test_trajectory_matches_golden(arm, optimizer):
 @pytest.mark.parametrize("arm", sorted(ARMS))
 def test_final_bits_match_golden(arm, optimizer):
     assert final_bits(arm, optimizer) == GOLDEN_BITS[(arm, optimizer)]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_linear_final_bits_match_golden(arm, optimizer):
+    assert final_bits(arm, optimizer, "linear") == LINEAR_BITS[(arm, optimizer)]
 
 
 def test_every_large_loss_arm_flags_something():

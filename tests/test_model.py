@@ -29,7 +29,7 @@ def random_batch(rng, model, b):
 
 
 def flat_gradient(model, x, targets, weights):
-    return gradient(model, x, forward_pass(model, x), targets, weights)
+    return gradient(model, forward_pass(model, x), targets, weights)
 
 
 class TestInit:
@@ -228,17 +228,17 @@ class TestFlatBuffers:
         raw[:, 0], raw[:, 1], raw[:, 2] = 0.0, 1.0, PROB_EPS
         raw[0, 0], raw[1, 1] = 1.0, 0.0
         fwd = fwd._replace(probs=np.clip(raw, PROB_EPS, 1.0 - PROB_EPS))
-        fresh = gradient(model, x, fwd, targets, weights)
+        fresh = gradient(model, fwd, targets, weights)
         buf = np.full_like(model.flat, np.nan)
-        assert gradient(model, x, fwd, targets, weights, out=buf) is buf
+        assert gradient(model, fwd, targets, weights, out=buf) is buf
         assert buf.tobytes() == fresh.tobytes()
         views = model.views(buf)
         buf[:] = np.nan
-        assert gradient(model, x, fwd, targets, weights, buf, views) is buf
+        assert gradient(model, fwd, targets, weights, buf, views) is buf
         assert buf.tobytes() == fresh.tobytes()
         bias = views["b" if arch == "linear" else "b2"]
         assert bias[0] == bias[1] == 0.0 and bias[2] != 0.0  # clamped entries add nothing
-        assert not np.shares_memory(fresh, gradient(model, x, fwd, targets, weights))
+        assert not np.shares_memory(fresh, gradient(model, fwd, targets, weights))
 
     def test_frozen_hidden_layer_keeps_its_bits_under_both_optimizers(self):
         for kind in ("sgd", "adam"):
@@ -249,6 +249,19 @@ class TestFlatBuffers:
             hidden = m.params["W1"].size + m.params["b1"].size
             assert m.flat[:hidden].tobytes() == before[:hidden].tobytes()
             assert (m.flat[hidden:] != before[hidden:]).all()
+
+    @pytest.mark.parametrize("arch,depth", [("linear", 1), ("mlp1", 2)])
+    def test_forward_pass_keeps_each_layer_input(self, arch, depth):
+        m = init_classifier(arch, 4, 3, hidden=5, seed=2)
+        x = np.random.default_rng(2).standard_normal((6, 4))
+        fwd = forward_pass(m, x)
+        assert len(m.layers) == len(fwd.inputs) == depth and len(fwd.pre) == depth - 1
+        assert fwd.inputs[0] is x
+        for (w, _), inp in zip(m.layers, fwd.inputs):
+            assert inp.shape == (6, w.shape[1])
+        for pre, act in zip(fwd.pre, fwd.inputs[1:]):
+            assert np.array_equal(act, np.maximum(pre, 0.0))
+        assert (m.input_dim, m.num_classes) == (4, 3)
 
     def test_classifier_built_from_a_dict_trains(self):
         rng = np.random.default_rng(4)

@@ -331,6 +331,23 @@ class TestFrozenSchedule:
         assert np.array_equal(rep.best_model.params["W1"], fresh.params["W1"])
         assert not np.array_equal(rep.best_model.params["W2"], fresh.params["W2"])
 
+    @pytest.mark.parametrize("token", ["naive-an", "ll-ct", "ll-cp"])
+    def test_a_frozen_linear_model_trains_like_an_unfrozen_one(self, token):
+        # the freeze holds back the layers before the output layer, and a linear model has none
+        ds = tiny_partial()
+        frozen, free = (run(config(token, delta_rel=5.0, epochs=3, frozen_epochs=f), ds) for f in (2, 0))
+        assert repr(frozen.records) == repr(free.records)  # repr: exact floats, and NaN equals NaN
+        assert frozen.best_epoch == free.best_epoch
+        for a, b in ((frozen.best_model.flat, free.best_model.flat), (frozen.final_states, free.final_states),
+                     (frozen.tracker.max_loss, free.tracker.max_loss),
+                     (frozen.tracker.argmax_epoch, free.tracker.argmax_epoch)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_zero_hidden_is_rejected_only_with_a_hidden_layer(self):
+        with pytest.raises(ValueError, match="mlp1 needs hidden >= 1, got 0"):
+            config(arch="mlp1", hidden=0).validate()
+        assert run(config(arch="linear", hidden=0, epochs=1), tiny_partial()).best_model.arch == "linear"
+
 
 class TestPerBatchWork:
     @pytest.mark.parametrize(
