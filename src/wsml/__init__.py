@@ -20,7 +20,6 @@ from .schemes import (
     SchemeConfig,
     apply_permanent_corrections,
     bce_elementwise,
-    decide_batch,
     rejection_rate,
     select_large_losses,
 )

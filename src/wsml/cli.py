@@ -319,9 +319,20 @@ def _cmd_partialize(args) -> int:
     return 0
 
 
+def _warn_if_batches_never_flag(cfg, k: int) -> None:
+    """Warn when every batch's relative quota rounds to zero in every epoch: the run is then plain AN."""
+    scheme, spec = cfg.scheme.scheme, schemes.SPECS[cfg.scheme.scheme]
+    per_batch = spec.schedule == "relative" and (spec.action != "permanent" or cfg.llcp_granularity == "batch")
+    rate = schemes.rejection_rate(scheme, cfg.epochs, cfg.scheme)  # the schedule never falls
+    if per_batch and schemes.quota(rate, cfg.batch_size * k) == 0:
+        _warn(f"{scheme.value} flags nothing: {rate:g}% of at most {cfg.batch_size}x{k} unknown entries "
+              f"per batch rounds to 0 in every epoch, so the run is plain AN training")
+
+
 def _cmd_train(args) -> int:
     settings = _train_settings(args)
     data, file_rows = _subsample(ds_mod.load_dataset(args.data), settings)
+    _warn_if_batches_never_flag(settings["config"], data.k)
     report = trainer.run(settings["config"], data, _load_test(args.test_data))
     echo = {"cmd": "train", "out_prefix": args.out_prefix, **settings["echo"]}
 

@@ -98,6 +98,9 @@ class Classifier:
     def copy(self) -> "Classifier":
         return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
 
+    def __eq__(self, other):  # the same tensors (names and shapes) holding the same values
+        return isinstance(other, Classifier) and self._layout == other._layout and np.array_equal(self.flat, other.flat)
+
     def __reduce__(self):
         # rebuild through __init__: pickle and deepcopy would otherwise copy each view apart from `flat`
         return Classifier, (self.arch, self.params, self.frozen_hidden)

@@ -31,10 +31,10 @@ __all__ = [
     "bce_elementwise",
     "rejection_rate",
     "absolute_threshold",
+    "quota",
     "select_large_losses",
     "plan_epoch",
     "decide_planned",
-    "decide_batch",
     "apply_permanent_corrections",
 ]
 
@@ -187,23 +187,24 @@ def absolute_threshold(epoch: int, cfg: SchemeConfig) -> float:
     return cfg.r0 - epoch * cfg.delta_abs
 
 
-def select_large_losses(
-    losses: np.ndarray,
-    states: np.ndarray,
-    rate: float | None = None,
-    threshold: float | None = None,
-    unknown: np.ndarray | None = None,
-):
+def quota(rate: float, m: int) -> int:
+    """How many of m UNKNOWN entries a relative schedule flags: floor(rate/100 * m), at most m."""
+    return min(int((rate / 100.0) * m), m)
+
+
+def select_large_losses(losses: np.ndarray, states: np.ndarray, rate: float | None = None,
+                        threshold: float | None = None, candidates: np.ndarray | None = None):
     """Flag large-loss UNKNOWN entries; returns (flag mask, threshold used).
 
-    Relative mode (rate in percent): flags exactly floor(rate/100 * M) of the
+    Relative mode (rate in percent): flags exactly quota(rate, M) of the
     M UNKNOWN entries, taking the largest losses; ties break toward ascending
     (row, column) index. The reported threshold is the smallest flagged loss,
     NaN when nothing is flagged.
 
     Absolute mode: flags every UNKNOWN entry with loss strictly greater than
     the threshold. Observed and corrected entries are never flagged.
-    unknown: `states == UNKNOWN` when the caller already has it.
+    candidates: the ascending flat indices of the UNKNOWN entries,
+    `np.flatnonzero(states == UNKNOWN)`, when the caller already has them.
     """
     losses = np.asarray(losses, dtype=np.float64)
     states = np.asarray(states)
@@ -211,37 +212,33 @@ def select_large_losses(
         raise ValueError(f"shape mismatch: losses {losses.shape} vs states {states.shape}")
     if (rate is None) == (threshold is None):
         raise ValueError("exactly one of rate or threshold must be given")
-
-    unknown = states == UNKNOWN if unknown is None else unknown
-    flags = np.zeros_like(unknown, dtype=bool)
-
-    if threshold is not None:
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
-        flags[unknown & (losses > threshold)] = True
-        return flags, float(threshold)
-
-    if not 0.0 <= rate <= 100.0:
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    if rate is not None and not 0.0 <= rate <= 100.0:
         raise ValueError(f"rate must lie in [0, 100], got {rate}")
-    m = int(unknown.sum())
-    k = min(int((rate / 100.0) * m), m)
+
+    candidates = np.flatnonzero(states == UNKNOWN) if candidates is None else candidates
+    flags = np.zeros(losses.shape, dtype=bool)
+    k = None if rate is None else quota(rate, len(candidates))
     if k == 0:
         return flags, float("nan")
-
-    flat_unknown = np.flatnonzero(unknown.reshape(-1))
-    unknown_losses = losses.reshape(-1)[flat_unknown]
-    # descending loss, ascending flat index on ties
-    order = np.lexsort((flat_unknown, -unknown_losses))
-    chosen = flat_unknown[order[:k]]
-    flags.reshape(-1)[chosen] = True
-    return flags, float(unknown_losses[order[k - 1]])
+    values = losses.reshape(-1)[candidates]
+    if k is None:
+        flags.reshape(-1)[candidates[values > threshold]] = True
+        return flags, float(threshold)
+    # descending loss; the stable sort keeps the ascending candidates in index order on ties
+    order = np.argsort(-values, kind="stable")[:k]
+    flags.reshape(-1)[candidates[order]] = True
+    return flags, float(values[order[-1]])
 
 
 @dataclass
 class EpochPlan:
     """What the label states fix of a scheme's batch decisions, row-aligned with
     those states: the AN positives, the UNKNOWN mask, the base targets and
-    weights, and the epoch's selection rate or threshold (the other is None)."""
+    weights, and the epoch's selection rate or threshold (the other is None).
+    candidates: the ascending flat indices of the UNKNOWN entries, of which
+    rows [a, b) hold candidates[offsets[a]:offsets[b]]."""
 
     spec: SchemeSpec
     states: np.ndarray
@@ -251,6 +248,8 @@ class EpochPlan:
     weights: np.ndarray
     rate: float | None
     threshold: float | None
+    candidates: np.ndarray
+    offsets: list[int]
 
 
 def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig) -> EpochPlan:
@@ -270,8 +269,9 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     elif spec.weight == "wan":
         weights = np.where(an, 1.0, 1.0 / (states.shape[1] - 1))
     else:
-        weights = np.ones(states.shape)
-    return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold)
+        weights = np.broadcast_to(1.0, states.shape)  # read-only, and no memory held for the epoch
+    offsets = [0, *np.cumsum(unknown.sum(axis=1)).tolist()]
+    return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
 def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses, an_losses=None) -> BatchDecision:
@@ -282,37 +282,22 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses, an_
     an, action = plan.an[batch], plan.spec.action
     effective = np.where(an, pos, neg) if an_losses is None else an_losses
     targets, weights = plan.targets[batch], plan.weights[batch]
-    flags, threshold = np.zeros(an.shape, dtype=bool), float("nan")
-    if action != "none":
-        unknown = plan.unknown[batch]
+    if action == "none":
+        flags, threshold = np.zeros(an.shape, dtype=bool), float("nan")
+    else:
+        start, stop, _ = batch.indices(len(plan.offsets) - 1)
+        candidates = plan.candidates[plan.offsets[start]:plan.offsets[stop]] - start * an.shape[1]
         flags, threshold = select_large_losses(
-            effective, plan.states[batch], rate=plan.rate, threshold=plan.threshold, unknown=unknown)
-        if (flags & ~unknown).any():
-            raise AssertionError("flag selection touched an observed or corrected entry")
-    if action == "reject":
+            effective, plan.states[batch], rate=plan.rate, threshold=plan.threshold, candidates=candidates)
+    flagged = not math.isnan(threshold)  # NaN: no selection, or a relative quota of zero
+    if flagged and action == "reject":
         weights = np.where(flags, 0.0, weights)
-    elif action != "none":  # flagged entries train toward 1 until the state change lands
+    elif flagged:  # flagged entries train toward 1 until the state change lands
         targets = np.where(flags, 1.0, targets)
-        effective = np.where(an | flags, pos, neg)
+        effective = np.where(flags, pos, effective)
     if plan.spec.target == "smoothed":
         effective = bce_elementwise(probs, targets, losses)
     return BatchDecision(targets, weights, flags, threshold, effective)
-
-
-def decide_batch(
-    scheme: Scheme,
-    probs: np.ndarray,
-    states: np.ndarray,
-    epoch: int,
-    cfg: SchemeConfig,
-) -> BatchDecision:
-    """Build the effective targets, weights, flags and losses for one batch."""
-    probs = np.asarray(probs, dtype=np.float64)
-    states = np.asarray(states)
-    if probs.shape != states.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
-    plan = plan_epoch(scheme, states, epoch, cfg)
-    return decide_planned(plan, slice(None), probs, class_losses(probs))
 
 
 def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:

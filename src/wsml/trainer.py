@@ -237,6 +237,8 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
         model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views)
         model_mod.step(classifier, grad, opt)
 
+    if (seen_flags & ~plan.unknown).any():  # before any flag is counted or corrected
+        raise AssertionError("flag selection touched an observed or corrected entry")
     # every row was visited exactly once, so one fold in visiting order
     # does what a fold per batch would
     tracker.update(order, seen, epoch)

@@ -24,6 +24,7 @@ from wsml.dataset import (
     make_single_positive,
     save_dataset,
 )
+from test_schemes import decide_batch
 
 SEEDS = (1, 2, 3, 4, 5)
 NEEDED = 4
@@ -96,7 +97,7 @@ def test_criterion_02_temporary_correction_identity():
         probs = np.clip(rng.uniform(size=(b, k)), model.PROB_EPS, 1.0 - model.PROB_EPS)
         states = np.full((b, k), LabelState.UNKNOWN, dtype=np.int8)
         cfg = schemes.SchemeConfig(schemes.Scheme.LL_CT, delta_rel=60.0)
-        decision = schemes.decide_batch(schemes.Scheme.LL_CT, probs, states, epoch=3, cfg=cfg)
+        decision = decide_batch(schemes.Scheme.LL_CT, probs, states, epoch=3, cfg=cfg)
         flagged = decision.flags
         assert flagged.any()
         f = probs[flagged]
@@ -127,14 +128,14 @@ def test_criterion_03_flag_count_exactness():
         m = int((states == LabelState.UNKNOWN).sum())
         for token in ("ll-r", "ll-ct"):
             cfg = schemes.SchemeConfig(schemes.Scheme(token), delta_rel=delta)
-            decision = schemes.decide_batch(schemes.Scheme(token), probs, states, epoch, cfg)
+            decision = decide_batch(schemes.Scheme(token), probs, states, epoch, cfg)
             rate = min((epoch - 1) * delta, 100.0)
             expected = min(int((rate / 100.0) * m), m)
             assert int(decision.flags.sum()) == expected, (token, epoch, delta, m)
             if epoch == 1:
                 assert expected == 0
         cfg = schemes.SchemeConfig(schemes.Scheme.LL_CP, delta_rel=delta)
-        decision = schemes.decide_batch(schemes.Scheme.LL_CP, probs, states, epoch, cfg)
+        decision = decide_batch(schemes.Scheme.LL_CP, probs, states, epoch, cfg)
         rate = 0.0 if epoch == 1 else min(delta, 100.0)
         assert int(decision.flags.sum()) == min(int((rate / 100.0) * m), m)
         checked += 1

@@ -180,6 +180,31 @@ class TestTrain:
         assert (tmp_path / "llr0.metrics.csv").read_bytes() == naive
         assert (tmp_path / "lsan0.metrics.csv").read_bytes() == naive
 
+    @pytest.mark.parametrize(
+        "scheme,extra,warned",
+        [("ll-cp", {"--llcp-granularity": "batch", "--delta-rel": 0.2}, True),
+         ("ll-cp", {"--llcp-granularity": "epoch", "--delta-rel": 0.2}, False),
+         ("ll-cp", {"--llcp-granularity": "batch", "--delta-rel": 5.0}, False),
+         ("ll-r", {"--delta-rel": 0.0}, True),
+         ("ll-ct", {"--delta-rel": 0.2}, True),  # 0.4% of 16x4 entries at epoch 3
+         ("ll-ct", {"--delta-rel": 1.0}, False),  # 2% of 16x4 entries at epoch 3
+         ("ll-r-abs", {}, False),
+         ("naive-an", {}, False)],
+    )
+    def test_warns_once_when_every_batch_quota_is_zero(self, tmp_path, capsys, scheme, extra, warned):
+        full, data = tmp_path / "full.wsml", tmp_path / "sp.wsml"
+        assert run_cli("gen", "--n", "200", "--dim", "5", "--classes", "4", "--pos-rate", "0.4",
+                       "--seed", "2", "--out", str(full)) == 0
+        assert run_cli("partialize", "--in", str(full), "--mode", "single-positive", "--seed", "2",
+                       "--out", str(data)) == 0
+        capsys.readouterr()
+        args = train_args(data, tmp_path / "run", scheme=scheme, **{"--batch": 16, **extra})  # the later --batch wins
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().err.count("per batch rounds to 0 in every epoch") == int(warned)
+        if warned:  # the run it warns about flags nothing and trains as plain AN
+            assert run_cli(*train_args(data, tmp_path / "naive", **{"--batch": 16})) == 0
+            assert (tmp_path / "run.metrics.csv").read_bytes() == (tmp_path / "naive.metrics.csv").read_bytes()
+
     def test_subsample_echoes_effective_n(self, tmp_path, sp_file):
         prefix = tmp_path / "runD"
         run_cli(*train_args(sp_file, prefix, **{"--subsample": 0.5}))

@@ -297,6 +297,17 @@ class TestFlatBuffers:
         for name, p in c.params.items():
             assert np.shares_memory(p, c.flat) and not np.shares_memory(p, m.flat)
 
+    def test_equality_compares_the_tensors_and_never_raises(self):
+        rng = np.random.default_rng(9)
+        m = init_classifier("mlp1", 3, 2, hidden=4, seed=9)
+        c = m.copy()
+        assert m == c and not m != c
+        x, targets, weights = random_batch(rng, m, 5)
+        step(m, flat_gradient(m, x, targets, weights), make_optimizer("adam", 0.1, m))
+        assert m != c and not m == c
+        assert c != init_classifier("linear", 3, 2, seed=9)
+        assert c != init_classifier("mlp1", 3, 2, hidden=5, seed=9)
+        assert c != "mlp1" and c != None  # noqa: E711
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
     def test_deepcopy_and_pickle_keep_the_views_on_the_buffer(self, clone):

@@ -16,9 +16,9 @@ from wsml.schemes import (
     apply_permanent_corrections,
     bce_elementwise,
     class_losses,
-    decide_batch,
     decide_planned,
     plan_epoch,
+    quota,
     rejection_rate,
     select_large_losses,
 )
@@ -31,6 +31,17 @@ C = LabelState.CORRECTED_POS
 
 def cfg(scheme, **kw):
     return SchemeConfig(Scheme(scheme), **kw)
+
+
+def decide_batch(scheme, probs, states, epoch, cfg) -> BatchDecision:
+    """One batch's decision as its own epoch plan, finished at once: the
+    library's two steps over a single batch."""
+    probs = np.asarray(probs, dtype=np.float64)
+    states = np.asarray(states)
+    if probs.shape != states.shape:
+        raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
+    plan = plan_epoch(scheme, states, epoch, cfg)
+    return decide_planned(plan, slice(None), probs, class_losses(probs))
 
 
 class TestBce:
@@ -350,14 +361,98 @@ class TestEpochPlan:
             flagged += int(want.flags.sum())
         assert (flagged > 0) == (SPECS[scheme].action != "none")
 
-    def test_precomputed_unknown_mask_gives_the_same_selection(self):
+    def test_precomputed_candidates_give_the_same_selection(self):
         rng = np.random.default_rng(3)
         losses = rng.uniform(0, 3, size=(6, 4))
         states = rng.choice([int(U), int(P), int(N), int(C)], size=(6, 4)).astype(np.int8)
         for kw in ({"rate": 40.0}, {"threshold": 1.0}):
             a = select_large_losses(losses, states, **kw)
-            b = select_large_losses(losses, states, unknown=states == U, **kw)
+            b = select_large_losses(losses, states, candidates=np.flatnonzero(states == U), **kw)
             assert np.array_equal(a[0], b[0]) and (a[1] == b[1] or math.isnan(a[1]) and math.isnan(b[1]))
+
+    def test_candidates_and_offsets_index_the_unknown_entries(self):
+        states = np.array([[U, P, U], [N, C, P], [U, U, U], [P, U, N]], dtype=np.int8)
+        plan = plan_epoch(Scheme.LL_R, states, 3, cfg("ll-r"))
+        assert plan.candidates.tolist() == [0, 2, 6, 7, 8, 10]
+        assert plan.offsets == [0, 2, 2, 5, 6]
+        assert all(type(v) is int for v in plan.offsets)
+
+
+def python_selection(losses, states, rate=None, threshold=None):
+    """The selection written out in plain Python: the first floor(rate/100 * M)
+    UNKNOWN entries in (-loss, row, column) order, or every UNKNOWN entry above
+    the threshold."""
+    entries = sorted((-float(losses[i][j]), i, j)
+                     for i in range(len(states)) for j in range(len(states[i])) if states[i][j] == U)
+    flags = np.zeros(np.shape(states), dtype=bool)
+    if threshold is not None:
+        for loss, i, j in entries:
+            flags[i, j] = -loss > threshold
+        return flags, threshold
+    k = min(int((rate / 100.0) * len(entries)), len(entries))
+    for _, i, j in entries[:k]:
+        flags[i, j] = True
+    return flags, -entries[k - 1][0] if k else float("nan")
+
+
+class TestPlannedSelection:
+    @given(
+        relative=st.booleans(),
+        epoch=st.integers(1, 30),
+        n=st.integers(1, 50),
+        k=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.integers(1, 4),
+        delta_rel=st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5, 40.0]),
+        r0=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+        delta_abs=st.sampled_from([0.0, 0.25, 0.5]),
+        cuts=st.lists(st.integers(1, 49), max_size=8),
+        size=st.integers(1, 17),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planned_selection_equals_a_python_top_k(
+            self, relative, epoch, n, k, seed, levels, delta_rel, r0, delta_abs, cuts, size):
+        rng = np.random.default_rng(seed)
+        states = rng.choice([int(U), int(P), int(N), int(C)], size=(n, k), p=[0.6, 0.1, 0.15, 0.15]).astype(np.int8)
+        # a few loss levels on a grid the thresholds also fall on: many exact ties
+        losses = rng.integers(0, levels + 1, size=(n, k)) * 0.5
+        token = "ll-r" if relative else "ll-r-abs"
+        c = cfg(token, delta_rel=delta_rel, r0=r0, delta_abs=delta_abs)
+        plan = plan_epoch(Scheme(token), states, epoch, c)
+        # random cuts, then fixed-size batches whose last one is ragged
+        bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
+        batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        batches += [slice(lo, lo + size) for lo in range(0, n, size)]
+        for batch in batches:
+            got = decide_planned(plan, batch, np.full(losses[batch].shape, 0.5), (losses[batch], losses[batch]))
+            flags, threshold = python_selection(losses[batch], states[batch], plan.rate, plan.threshold)
+            assert np.array_equal(got.flags, flags), batch
+            assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
+            assert np.array_equal(got.weights, np.where(flags, 0.0, 1.0))
+
+    def test_zero_quota_flags_nothing_and_keeps_the_planned_targets(self):
+        states = np.full((2, 3), U, dtype=np.int8)
+        plan = plan_epoch(Scheme.LL_CT, states, 2, cfg("ll-ct", delta_rel=10.0))  # 10% of 6 rounds to 0
+        probs = np.full((2, 3), 0.3)
+        d = decide_planned(plan, slice(0, 2), probs, class_losses(probs))
+        assert not d.flags.any() and math.isnan(d.threshold)
+        assert np.array_equal(d.targets, plan.targets) and np.array_equal(d.losses, class_losses(probs)[1])
+
+
+class TestQuota:
+    def test_floor_of_the_rate_share(self):
+        assert quota(0.2, 160) == 0
+        assert quota(0.7, 144) == 1
+        assert quota(25.0, 4) == 1
+        assert quota(40.0, 5) == 2
+        assert quota(100.0, 7) == 7
+        assert quota(50.0, 0) == 0
+
+    @given(rate=st.floats(0.0, 100.0), m=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_never_above_the_unknown_count(self, rate, m):
+        assert 0 <= quota(rate, m) <= m
+        assert quota(rate, m) == min(math.floor(rate / 100.0 * m), m)
 
 
 class TestDegenerateEquivalences:

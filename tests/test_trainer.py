@@ -349,6 +349,32 @@ class TestFrozenSchedule:
         assert run(config(arch="linear", hidden=0, epochs=1), tiny_partial()).best_model.arch == "linear"
 
 
+class TestUnknownOnlyFlags:
+    @pytest.mark.parametrize("token,granularity", [("ll-r", "epoch"), ("ll-ct", "epoch"), ("ll-cp", "batch")])
+    def test_a_planned_observed_candidate_raises_before_corrections_land(self, monkeypatch, token, granularity):
+        plan_epoch, apply = schemes.plan_epoch, schemes.apply_permanent_corrections
+
+        def leaky_plan(scheme, states, epoch, cfg):
+            plan = plan_epoch(scheme, states, epoch, cfg)
+            # every entry a candidate, observed and corrected ones too
+            n, k = plan.states.shape
+            plan.candidates, plan.offsets = np.arange(n * k), list(range(0, n * k + 1, k))
+            return plan
+
+        landed = []
+
+        def counting_corrections(ds, flags):
+            landed.append(int(flags.sum()))
+            return apply(ds, flags)
+
+        monkeypatch.setattr(schemes, "plan_epoch", leaky_plan)
+        monkeypatch.setattr(schemes, "apply_permanent_corrections", counting_corrections)
+        cfg = config(token, delta_rel=100.0, llcp_granularity=granularity)
+        with pytest.raises(AssertionError, match="observed or corrected entry"):
+            run(cfg, tiny_partial())
+        assert sum(landed) == 0
+
+
 class TestPerBatchWork:
     @pytest.mark.parametrize(
         "token,granularity",
