@@ -36,6 +36,20 @@ SCHEME_TOKENS = [s.value for s in schemes.Scheme]
 METRICS_COLUMNS = ("epoch", "train_loss", "val_map", "flags", "flag_precision", "cum_corrections", "threshold_min")
 SWEEP_COLUMNS = ("value", "effective_n", "best_val_map", "best_epoch", "test_map")
 
+# each train flag's argparse dest and the TrainConfig field it sets (None: the CLI alone reads it), in echo order
+TRAIN_FLAGS = (
+    ("data", None), ("test_data", None), ("epochs", "epochs"), ("batch", "batch_size"), ("optimizer", "optimizer"),
+    ("lr", "learning_rate"), ("arch", "arch"), ("hidden", "hidden"), ("frozen_epochs", "frozen_epochs"),
+    ("val_frac", "val_fraction"), ("seed", "seed"), ("subsample", None), ("llcp_granularity", "llcp_granularity"),
+)
+# the SchemeConfig hyperparameters, each a flag that only some schemes read, with its help text
+SCHEME_FLAGS = (
+    ("delta_rel", "rate growth, percentage points per epoch"),
+    ("r0", "initial absolute loss threshold"),
+    ("delta_abs", "absolute threshold decrement per epoch"),
+    ("eps_smooth", "label smoothing mass"),
+)
+
 
 class UsageError(Exception):
     pass
@@ -48,6 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _cfg_json(d: dict) -> str:
     return json.dumps(d, sort_keys=True)
+
+
+def _echo(args, *leave_out: str) -> dict:
+    """The subcommand as `cmd`, then its parsed flags by dest (`--in` as `in`), in flag order."""
+    names = {"command": "cmd", "input": "in"}
+    return {names.get(dest, dest): value for dest, value in vars(args).items() if dest not in leave_out}
 
 
 def _build_parser() -> _Parser:
@@ -105,10 +125,8 @@ def _add_train_flags(p) -> None:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--optimizer", choices=model_mod.OPTIMIZERS, default="adam")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--delta-rel", type=float, default=None, help="rate growth, percentage points per epoch")
-    p.add_argument("--r0", type=float, default=None, help="initial absolute loss threshold")
-    p.add_argument("--delta-abs", type=float, default=None, help="absolute threshold decrement per epoch")
-    p.add_argument("--eps-smooth", type=float, default=None, help="label smoothing mass")
+    for dest, text in SCHEME_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=float, default=None, help=text)
     p.add_argument("--arch", choices=model_mod.ARCHS, default="mlp1")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--frozen-epochs", type=int, default=0, help="epochs that train only the output layer")
@@ -126,65 +144,27 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _resolve_scheme_config(args) -> tuple[schemes.SchemeConfig, dict]:
-    """Build the scheme config, warning about and ignoring irrelevant flags."""
-    scheme = schemes.Scheme(args.scheme)
-    passed = {
-        "delta_rel": args.delta_rel,
-        "r0": args.r0,
-        "delta_abs": args.delta_abs,
-        "eps_smooth": args.eps_smooth,
-    }
-    relevant = schemes.SPECS[scheme].reads
-    resolved = {}
-    for name, value in passed.items():
-        if value is not None and name not in relevant:
-            _warn(f"ignoring --{name.replace('_', '-')} (not used by scheme {scheme.value})")
-            value = None
-        if value is not None:
-            resolved[name] = value
-    cfg = schemes.SchemeConfig(scheme, **resolved)
-    return cfg, {**asdict(cfg), "scheme": scheme.value}
-
-
 def _train_settings(args) -> dict:
-    """Plain-value settings dict shared by train and sweep (picklable)."""
-    scheme_cfg, scheme_echo = _resolve_scheme_config(args)
+    """Plain-value settings dict shared by train and sweep (picklable).
+
+    A scheme flag that the scheme does not read is warned about, ignored and
+    cleared in `args`, so settings built again from a copy of them (a sweep's
+    arms) do not warn again."""
+    scheme = schemes.Scheme(args.scheme)
+    for name, _ in SCHEME_FLAGS:
+        if getattr(args, name) is not None and name not in schemes.SPECS[scheme].reads:
+            _warn(f"ignoring --{name.replace('_', '-')} (not used by scheme {scheme.value})")
+            setattr(args, name, None)
+    scheme_cfg = schemes.SchemeConfig(scheme, **{name: getattr(args, name) for name, _ in SCHEME_FLAGS
+                                                 if getattr(args, name) is not None})
     try:
-        cfg = trainer.TrainConfig(
-            scheme=scheme_cfg,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            optimizer=args.optimizer,
-            learning_rate=args.lr,
-            arch=args.arch,
-            hidden=args.hidden,
-            frozen_epochs=args.frozen_epochs,
-            val_fraction=args.val_frac,
-            seed=args.seed,
-            llcp_granularity=args.llcp_granularity,
-        )
+        cfg = trainer.TrainConfig(scheme_cfg, **{field: getattr(args, dest) for dest, field in TRAIN_FLAGS if field})
         cfg.validate()
         if args.subsample is not None and not 0.0 < args.subsample <= 1.0:
             raise ValueError(f"subsample fraction must lie in (0, 1], got {args.subsample}")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    echo = {
-        "data": args.data,
-        "test_data": args.test_data,
-        "epochs": cfg.epochs,
-        "batch": cfg.batch_size,
-        "optimizer": cfg.optimizer,
-        "lr": cfg.learning_rate,
-        "arch": cfg.arch,
-        "hidden": cfg.hidden,
-        "frozen_epochs": cfg.frozen_epochs,
-        "val_frac": cfg.val_fraction,
-        "seed": cfg.seed,
-        "subsample": args.subsample,
-        "llcp_granularity": cfg.llcp_granularity,
-        **scheme_echo,
-    }
+    echo = {**{dest: getattr(args, dest) for dest, _ in TRAIN_FLAGS}, **asdict(scheme_cfg), "scheme": scheme.value}
     return {"config": cfg, "subsample": args.subsample, "echo": echo}
 
 
@@ -307,25 +287,18 @@ def _cmd_partialize(args) -> int:
         out = ds_mod.make_single_positive(data, args.seed)
     else:
         out = ds_mod.make_fraction_observed(data, args.fraction, args.seed)
-    echo = {
-        "cmd": "partialize",
-        "in": args.input,
-        "mode": args.mode,
-        "fraction": args.fraction,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    ds_mod.save_dataset(out, args.out, config_comment=_cfg_json(echo))
+    ds_mod.save_dataset(out, args.out, config_comment=_cfg_json(_echo(args)))
     return 0
 
 
-def _warn_if_batches_never_flag(cfg, k: int) -> None:
-    """Warn when every batch's relative quota rounds to zero in every epoch: the run is then plain AN."""
+def _warn_if_batches_never_flag(cfg, k: int, prefix: str = "") -> None:
+    """Warn, after `prefix`, when every batch's relative quota rounds to zero in
+    every epoch: the run is then plain AN."""
     scheme, spec = cfg.scheme.scheme, schemes.SPECS[cfg.scheme.scheme]
     per_batch = spec.schedule == "relative" and (spec.action != "permanent" or cfg.llcp_granularity == "batch")
     rate = schemes.rejection_rate(scheme, cfg.epochs, cfg.scheme)  # the schedule never falls
     if per_batch and schemes.quota(rate, cfg.batch_size * k) == 0:
-        _warn(f"{scheme.value} flags nothing: {rate:g}% of at most {cfg.batch_size}x{k} unknown entries "
+        _warn(f"{prefix}{scheme.value} flags nothing: {rate:g}% of at most {cfg.batch_size}x{k} unknown entries "
               f"per batch rounds to 0 in every epoch, so the run is plain AN training")
 
 
@@ -360,17 +333,8 @@ def _cmd_eval(args) -> int:
     scores = model_mod.forward(classifier, data.features)
     result = evaluation.mean_average_precision(scores, data.truth)
 
-    echo = {
-        "cmd": "eval",
-        "model": args.model,
-        "data": args.data,
-        "groups": args.groups,
-        "group_key": args.group_key,
-        "phase_table": args.phase_table,
-        "tracker": args.tracker,
-    }
     out: dict = {
-        "config": echo,
+        "config": _echo(args, "out"),
         "map": result.mean * 100.0,
         "per_category_ap": [None if v is None else v * 100.0 for v in result.per_category],
         "skipped_categories": result.skipped,
@@ -445,17 +409,15 @@ def _cmd_sweep(args) -> int:
     for i, value in enumerate(sorted(values)):
         arm_args = argparse.Namespace(**vars(args))
         arm_args.seed = args.seed + i
-        if args.param == "delta-rel":
-            arm_args.delta_rel = value
-        else:
-            arm_args.subsample = value
-        settings = _train_settings(arm_args)
-        payloads.append({"value": value, "settings": settings})
+        setattr(arm_args, args.param.replace("-", "_"), value)
+        payloads.append({"value": value, "settings": _train_settings(arm_args)})
 
     # loaded once for every arm; the first arm's subsample fails before the
     # test data loads, as it did when each arm loaded both
     data = ds_mod.load_dataset(args.data)
     _subsample(data, payloads[0]["settings"])
+    for p in payloads:
+        _warn_if_batches_never_flag(p["settings"]["config"], data.k, f"sweep value {_sweep_value(p['value'])}: ")
     test = _load_test(args.test_data)
     workers = _worker_count(len(payloads))
     if workers > 1:

@@ -7,8 +7,9 @@ binary cross entropy and its temporary-correction weights stay finite.
 Each classifier keeps its parameters in one contiguous float64 buffer with
 a view per tensor, and Adam keeps its moments the same way, so an optimizer
 step is one vector update. Classifier and OptimizerState are single-writer
-values; forward and grad_check are pure and safe to share read-only across
-threads.
+values; forward is pure and safe to share read-only across threads, while
+grad_check moves each parameter in place and back, so it needs the model to
+itself.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import io
 from .dataset import sigmoid
+from .schemes import bce_elementwise
 
 __all__ = [
     "PROB_EPS",
@@ -28,12 +30,13 @@ __all__ = [
     "OPTIMIZERS",
     "Classifier",
     "OptimizerState",
+    "check_arch",
+    "check_optimizer",
     "init_classifier",
     "ForwardPass",
     "forward",
     "forward_pass",
     "gradient",
-    "backward",
     "make_optimizer",
     "step",
     "grad_check",
@@ -56,6 +59,23 @@ ARCHS = {arch: len(layers) for arch, layers in _LAYERS.items()}  # architecture 
 OPTIMIZERS = ("sgd", "adam")
 
 
+def check_arch(arch: str, hidden: int | None = None) -> None:
+    """Raise ValueError unless `arch` is a key of _LAYERS whose hidden layers
+    can be `hidden` wide (not checked when None)."""
+    if arch not in _LAYERS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    if hidden is not None and ARCHS[arch] > 1 and hidden < 1:
+        raise ValueError(f"{arch} needs hidden >= 1, got {hidden}")
+
+
+def check_optimizer(kind: str, learning_rate: float) -> None:
+    """Raise ValueError unless `kind` is in OPTIMIZERS and the learning rate is positive and finite."""
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
+
+
 @dataclass
 class Classifier:
     """Parameter container; `arch` is a key of _LAYERS.
@@ -72,8 +92,7 @@ class Classifier:
     layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.arch not in _LAYERS:
-            raise ValueError(f"unknown architecture {self.arch!r}")
+        check_arch(self.arch)
         self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in `flat`
         for name in (name for layer in _LAYERS[self.arch] for name in layer):
             shape = np.shape(self.params[name])
@@ -110,10 +129,7 @@ def init_classifier(arch: str, input_dim: int, num_classes: int, hidden: int = 6
     """Seeded init: weights ~ N(0, 1/fan_in), biases zero."""
     if input_dim < 1 or num_classes < 1:
         raise ValueError(f"need input_dim >= 1 and num_classes >= 1, got {input_dim}, {num_classes}")
-    if arch not in _LAYERS:
-        raise ValueError(f"unknown architecture {arch!r}")
-    if ARCHS[arch] > 1 and hidden < 1:
-        raise ValueError(f"{arch} needs hidden >= 1, got {hidden}")
+    check_arch(arch, hidden)
     widths = [input_dim, *[hidden] * (ARCHS[arch] - 1), num_classes]
     rng = np.random.default_rng(seed)
     params = {}
@@ -178,20 +194,6 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
     return out
 
 
-def backward(model: Classifier, x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-tensor gradients of the weighted mean binary cross entropy (see `gradient`)."""
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    b = x.shape[0]
-    k = model.num_classes
-    if targets.shape != (b, k) or weights.shape != (b, k):
-        raise ValueError(
-            f"targets/weights must have shape ({b}, {k}), got {targets.shape} and {weights.shape}"
-        )
-    return model.views(gradient(model, forward_pass(model, x), targets, weights))
-
-
 @dataclass
 class OptimizerState:
     """SGD or Adam state. Adam's moments `m` and `v` are vectors laid out like the
@@ -205,10 +207,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {kind!r}")
-    if not 0 < learning_rate < math.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
+    check_optimizer(kind, learning_rate)
     opt = OptimizerState(kind, learning_rate)
     if kind == "adam":
         opt.m, opt.v = np.zeros_like(model.flat), np.zeros_like(model.flat)
@@ -238,13 +237,6 @@ def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _weighted_loss(model: Classifier, x, targets, weights) -> float:
-    from .schemes import bce_elementwise
-
-    probs = forward(model, x)
-    return float((weights * bce_elementwise(probs, targets)).sum() / (x.shape[0] * model.num_classes))
-
-
 def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -254,14 +246,18 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    analytic = np.concatenate([g.ravel() for g in backward(model, x, targets, weights).values()])  # laid out like flat
+    analytic = gradient(model, forward_pass(model, x), targets, weights)
+
+    def loss() -> float:
+        return float((weights * bce_elementwise(forward(model, x), targets)).sum() / (x.shape[0] * model.num_classes))
+
     worst, flat = 0.0, model.flat
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step_size
-        plus = _weighted_loss(model, x, targets, weights)
+        plus = loss()
         flat[i] = orig - step_size
-        minus = _weighted_loss(model, x, targets, weights)
+        minus = loss()
         flat[i] = orig
         numeric = (plus - minus) / (2.0 * step_size)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)

@@ -62,14 +62,8 @@ class TrainConfig:
             raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        if self.arch not in model_mod.ARCHS:
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        if model_mod.ARCHS[self.arch] > 1 and self.hidden < 1:
-            raise ValueError(f"{self.arch} needs hidden >= 1, got {self.hidden}")
-        if self.optimizer not in model_mod.OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        model_mod.check_arch(self.arch, self.hidden)
+        model_mod.check_optimizer(self.optimizer, self.learning_rate)
         if self.frozen_epochs < 0:
             raise ValueError(f"frozen_epochs must be nonnegative, got {self.frozen_epochs}")
         if self.seed < 0:
@@ -118,7 +112,6 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
-    config: TrainConfig
     records: list[EpochRecord]
     best_epoch: int
     best_val_map: float
@@ -126,7 +119,6 @@ class RunReport:
     test_map: float | None
     tracker: MemorizationTracker
     train_indices: np.ndarray
-    val_indices: np.ndarray
     effective_n: int
     initial_states: np.ndarray = field(repr=False, default=None)
     final_states: np.ndarray = field(repr=False, default=None)
@@ -337,7 +329,6 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
 
     best_model.frozen_hidden = False
     return RunReport(
-        config=cfg,
         records=records,
         best_epoch=best_epoch,
         best_val_map=best_val,
@@ -345,7 +336,6 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
         test_map=test_map,
         tracker=tracker,
         train_indices=train_idx,
-        val_indices=val_idx,
         effective_n=ds.n,
         initial_states=initial_states,
         final_states=train.states.copy(),

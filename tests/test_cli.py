@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
 from wsml import dataset as ds_mod
-from wsml.cli import load_tracker, main
+from wsml.cli import TRAIN_FLAGS, load_tracker, main
 from wsml.dataset import FormatError, LabelState, load_dataset
-from wsml.schemes import Scheme
+from wsml.model import init_classifier, make_optimizer
+from wsml.schemes import Scheme, SchemeConfig
+from wsml.trainer import TrainConfig
 
 # the tuning flags each scheme reads, stated independently of the scheme table
 READS = {
@@ -489,6 +492,32 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_ignored_flag_warns_once_per_sweep(self, tmp_path, sp_file, capsys, monkeypatch):
+        monkeypatch.setenv("WSML_THREADS", "1")
+        assert run_cli(
+            "sweep", "--param", "delta-rel", "--values", "1,2", "--r0", "9",
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "1", "--batch", "8",
+            "--seed", "1", "--arch", "linear", "--out", str(tmp_path / "x.csv"),
+        ) == 0
+        assert capsys.readouterr().err.count("ignoring --r0") == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_warns_once_for_each_arm_whose_batches_never_flag(self, tmp_path, capsys, monkeypatch, threads):
+        full, data = tmp_path / "full.wsml", tmp_path / "sp.wsml"
+        assert run_cli("gen", "--n", "200", "--dim", "5", "--classes", "4", "--pos-rate", "0.4",
+                       "--seed", "2", "--out", str(full)) == 0
+        assert run_cli("partialize", "--in", str(full), "--mode", "single-positive", "--seed", "2",
+                       "--out", str(data)) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("WSML_THREADS", threads)
+        # at epoch 3 the rate is 2 * value percent of at most 16x4 unknown entries a batch
+        assert run_cli(
+            "sweep", "--param", "delta-rel", "--values", "5,0.2,0.1", "--data", str(data), "--scheme", "ll-r",
+            "--epochs", "3", "--batch", "16", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        ) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "rounds to 0 in every epoch" in line]
+        assert [line.split(":")[1] for line in warnings] == [" sweep value 0.1", " sweep value 0.2"]
+
     def test_delta_rel_sweep_needs_relative_scheme(self, tmp_path, sp_file):
         code = run_cli(
             "sweep", "--param", "delta-rel", "--values", "0.1,0.2",
@@ -593,3 +622,36 @@ class TestWorkerCount:
         assert _worker_count(100) == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(8) == 1
+
+
+class TestOneRule:
+    """Each model rule reads the same from TrainConfig.validate, the model function and the CLI."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("arch", "resnet"), ("hidden", 0), ("optimizer", "rmsprop"),
+        ("learning_rate", 0.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ])
+    def test_same_message_everywhere(self, tmp_path, sp_file, capsys, field, value):
+        cfg = TrainConfig(SchemeConfig(Scheme.NAIVE_AN), **{field: value})
+        with pytest.raises(ValueError) as from_config:
+            cfg.validate()
+        with pytest.raises(ValueError) as from_model:
+            if field in ("arch", "hidden"):
+                init_classifier(cfg.arch, 4, 5, cfg.hidden)
+            else:
+                make_optimizer(cfg.optimizer, cfg.learning_rate, init_classifier("linear", 4, 5))
+        assert str(from_model.value) == str(from_config.value)
+
+        (tmp_path / "out").mkdir()
+        flag = "--" + next(dest for dest, f in TRAIN_FLAGS if f == field).replace("_", "-")
+        assert run_cli(*train_args(sp_file, tmp_path / "out" / "run", **{"--arch": "mlp1", flag: value})) == 1
+        err = capsys.readouterr().err
+        if field in ("arch", "optimizer"):  # argparse rejects these first, from the model's own lists
+            assert err.startswith("usage error: argument ") and "invalid choice" in err
+        else:
+            assert err == f"usage error: {from_config.value}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_flag_table_names_every_config_field_but_scheme_once(self):
+        named = [field for _, field in TRAIN_FLAGS if field is not None]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "scheme")

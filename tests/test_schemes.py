@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsml.dataset import LabelState, PartialDataset
-from wsml.model import backward, init_classifier
+from wsml.model import init_classifier
 from wsml.schemes import (
     SPECS,
     BatchDecision,
@@ -22,6 +22,8 @@ from wsml.schemes import (
     rejection_rate,
     select_large_losses,
 )
+
+from test_model import backward
 
 U = LabelState.UNKNOWN
 P = LabelState.OBS_POS
