@@ -3,7 +3,9 @@
 
 Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, eight
 train arms, two of them linear and one of those frozen, evals of two mlp1
-checkpoints and a linear one, one of them to stdout, a 2-worker, a 1-worker
+checkpoints and a linear one, one of them to stdout, a train and an eval on
+a copy of the partialized corpus with comment lines inside its blocks, a
+train on a copy whose state disagrees with its truth, a 2-worker, a 1-worker
 and a failing sweep) once against the base revision's `src/` and once
 against the working tree's, each in its own empty directory with relative
 paths. Every output file and each command's stdout, stderr and exit code are
@@ -27,9 +29,26 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+# `python -c NOTES src dest [row]` copies dataset `src` (with its #cfg line) to `dest` with a comment
+# line after every 7th line, inside every block; given a row, that state row first observes a
+# positive its truth row denies, so loading `dest` fails at that row's line
+NOTES = """
+import sys
+lines = open(sys.argv[1]).read().splitlines()
+if len(sys.argv) > 3:
+    n, row = int(lines[2].split()[0]), int(sys.argv[3])
+    state, truth = lines[3 + n + row].split(), lines[4 + 2 * n + row].split()
+    state[truth.index("0")] = "1"
+    lines[3 + n + row] = " ".join(state)
+with open(sys.argv[2], "w") as fh:
+    for i, line in enumerate(lines, 1):
+        fh.write(line + "\\n" + ("# note\\n" if i % 7 == 0 else ""))
+"""
+
 
 def pipeline(n=300, dim=8, classes=6, epochs=4):
-    """(name, WSML_THREADS, argv) of each command, in run order.
+    """(name, WSML_THREADS, argv) of each command, in run order: `wsml` arguments,
+    or the arguments of a Python script when they start with -c.
 
     n, dim and classes shape the generated corpus; epochs is that of every
     training run.
@@ -66,6 +85,12 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         ("eval-stdout", "1", ["eval", "--model", "naive.model", "--data", "test.wsml", "--groups", "3",
                               "--group-key", "positives"]),
         ("eval-linear", "1", ["eval", "--model", "llcp-batch.model", "--data", "test.wsml", "--out", "eval-linear.json"]),
+        ("notes-copy", "1", ["-c", NOTES, "sp.wsml", "notes.wsml"]),
+        train("notes", "notes.wsml", "ll-cp", "--delta-rel", "5", "--test-data", "test.wsml"),  # as llcp
+        ("eval-notes", "1", ["eval", "--model", "notes.model", "--data", "notes.wsml", "--groups", "2",
+                             "--phase-table", "--tracker", "notes.tracker", "--out", "eval-notes.json"]),
+        ("notes-bad-copy", "1", ["-c", NOTES, "sp.wsml", "notes-bad.wsml", "40"]),
+        train("notes-bad", "notes-bad.wsml", "naive-an"),  # fails at state row 40's line
         sweep("sweep-2w", "2", "delta-rel", "2,0.5,1", "ll-r", "--test-data", "test.wsml"),
         sweep("sweep-1w", "1", "subsample", "0.5,1", "naive-an"),
         sweep("sweep-fail", "1", "subsample", "0.001,1", "naive-an"),  # the 0.001 arm keeps no sample
@@ -80,8 +105,8 @@ def run_side(src, out_dir, **shape):
     out_dir.mkdir(parents=True)
     for i, (name, threads, argv) in enumerate(pipeline(**shape)):
         env = dict(os.environ, PYTHONPATH=str(src), WSML_THREADS=threads, OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run([sys.executable, "-m", "wsml.cli", *argv], cwd=out_dir, env=env,
-                              capture_output=True, timeout=600)
+        command = argv if argv[0] == "-c" else ["-m", "wsml.cli", *argv]
+        done = subprocess.run([sys.executable, *command], cwd=out_dir, env=env, capture_output=True, timeout=600)
         stem = f"{i:02d}-{name}"
         (out_dir / f"{stem}.stdout").write_bytes(done.stdout)
         (out_dir / f"{stem}.stderr").write_bytes(done.stderr)

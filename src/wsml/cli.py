@@ -15,8 +15,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from itertools import repeat
 
 import numpy as np
 
@@ -49,6 +49,10 @@ SCHEME_FLAGS = (
     ("delta_abs", "absolute threshold decrement per epoch"),
     ("eps_smooth", "label smoothing mass"),
 )
+
+
+# the errors a command reports with exit code 2; a sweep reports each arm's on its own
+RUNTIME_ERRORS = (OSError, ValueError, ArithmeticError, trainer.TrainingDiverged)
 
 
 class UsageError(Exception):
@@ -240,12 +244,12 @@ def load_tracker(path):
 
     A malformed dump raises FormatError naming the offending line.
     """
-    reader = io.Reader(path, TRACKER_HEADER)
-    n, k, epochs = reader.dims("N K epochs")
-    rows = reader.block((n,), "row index", io.INT, bounds=(0, math.inf))
-    max_loss = reader.block((n, k), "max-loss", io.REAL)
-    argmax = reader.block((n, k), "argmax-epoch", io.INT, bounds=(1, epochs))
-    reader.end()
+    with io.Reader(path, TRACKER_HEADER) as reader:
+        n, k, epochs = reader.dims("N K epochs")
+        rows = reader.block((n,), "row index", io.INT, bounds=(0, math.inf))
+        max_loss = reader.block((n, k), "max-loss", io.REAL)
+        argmax = reader.block((n, k), "argmax-epoch", io.INT, bounds=(1, epochs))
+        reader.end()
     return rows, max_loss, argmax, epochs
 
 
@@ -367,10 +371,27 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep_arm(payload: dict, data, test):
-    """One sweep arm as a SWEEP_COLUMNS row; module-level so process pools can pickle it."""
+    """One sweep arm: (its value, its SWEEP_COLUMNS cells after the value, or the
+    message of the error that stopped it). Module-level so process pools can pickle it;
+    a message, not the exception, because not every exception survives pickling."""
     settings = payload["settings"]
-    report = trainer.run(settings["config"], _subsample(data, settings)[0], test)
-    return (payload["value"], *(getattr(report, column) for column in SWEEP_COLUMNS[1:]))
+    try:
+        report = trainer.run(settings["config"], _subsample(data, settings)[0], test)
+    except RUNTIME_ERRORS as exc:
+        return payload["value"], str(exc)
+    return payload["value"], tuple(getattr(report, column) for column in SWEEP_COLUMNS[1:])
+
+
+def _pooled_arm(value: float, future):
+    """A pooled arm's `_sweep_arm` result; an arm whose worker died fails with that."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return value, str(exc)
+
+
+def _arm_failed(value: float, message: str) -> None:
+    print(f"error: sweep value {_sweep_value(value)}: {message}", file=sys.stderr)
 
 
 def _worker_count(n_arms: int) -> int:
@@ -405,33 +426,47 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--param delta-rel requires a relative large-loss scheme, got {args.scheme}")
 
     base_echo = _train_settings(args)["echo"]  # validates shared flags up front
+    swept = args.param.replace("-", "_")
     payloads = []
     for i, value in enumerate(sorted(values)):
         arm_args = argparse.Namespace(**vars(args))
         arm_args.seed = args.seed + i
-        setattr(arm_args, args.param.replace("-", "_"), value)
+        setattr(arm_args, swept, value)
         payloads.append({"value": value, "settings": _train_settings(arm_args)})
 
-    # loaded once for every arm; the first arm's subsample fails before the
-    # test data loads, as it did when each arm loaded both
-    data = ds_mod.load_dataset(args.data)
-    _subsample(data, payloads[0]["settings"])
-    for p in payloads:
+    data = ds_mod.load_dataset(args.data)  # once for every arm
+    results = {}  # value -> its cells after the value, or the message of the error that stopped it
+    for p in payloads:  # a subsample that keeps nothing is named before the test data loads
+        try:
+            _subsample(data, p["settings"])
+        except ValueError as exc:
+            results[p["value"]] = str(exc)
+            _arm_failed(p["value"], str(exc))
+    runnable = [p for p in payloads if p["value"] not in results]
+    for p in runnable:
         _warn_if_batches_never_flag(p["settings"]["config"], data.k, f"sweep value {_sweep_value(p['value'])}: ")
     test = _load_test(args.test_data)
-    workers = _worker_count(len(payloads))
+    workers = _worker_count(len(runnable))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_arm, payloads, repeat(data), repeat(test)))
+            futures = [(p["value"], pool.submit(_sweep_arm, p, data, test)) for p in runnable]
+            arms = [_pooled_arm(value, future) for value, future in futures]
     else:
-        rows = [_sweep_arm(p, data, test) for p in payloads]  # in payload order: by value
+        arms = [_sweep_arm(p, data, test) for p in runnable]
+    for value, result in arms:  # in payload order: by value
+        results[value] = result
+        if isinstance(result, str):
+            _arm_failed(value, result)
 
-    echo = {"cmd": "sweep", "param": args.param, "values": sorted(values), "out": args.out, **base_echo}
+    # the swept flag's base value is no arm's value
+    echo = {"cmd": "sweep", "param": args.param, "values": sorted(values), "out": args.out, **base_echo, swept: None}
+    empty = ("",) * (len(SWEEP_COLUMNS) - 1)
     # the #cfg line goes in as the header so that it stays on line 1, above the column names
     io.save(args.out, "#cfg " + _cfg_json(echo), None, [",".join(SWEEP_COLUMNS)] + [
-        ",".join([_sweep_value(value), *map(_fmt, cells)]) for value, *cells in rows
+        ",".join([_sweep_value(value), *(empty if isinstance(cells, str) else map(_fmt, cells))])
+        for value, cells in sorted(results.items())
     ])
-    return 0
+    return 2 if any(isinstance(cells, str) for cells in results.values()) else 0
 
 
 _COMMANDS = {
@@ -455,7 +490,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, ArithmeticError, trainer.TrainingDiverged) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -336,19 +336,20 @@ def save_dataset(ds: PartialDataset, path, config_comment: str | None = None) ->
 
 
 def load_dataset(path) -> PartialDataset:
-    reader = io.Reader(path, HEADER)
-    n, d, k = reader.dims("N D K", least=(1, 1, 2))
-    features = reader.block((n, d), "feature", io.REAL)
-    first_state = reader.pos
-    states = reader.block((n, k), "state", STATE_TOKENS)
-    truth = None
-    if not reader.at_end():
-        lineno, marker = reader.line("TRUTH marker")
-        if marker != "TRUTH":
-            raise FormatError(lineno, f"unexpected content {marker!r}, expected 'TRUTH' or end of file")
-        truth = reader.block((n, k), "truth", TRUTH_TOKENS)
-        reader.end()
-        bad = np.flatnonzero(_disagreements(states, truth).any(axis=1))
-        if bad.size:
-            raise FormatError(reader.numbers[first_state + bad[0]], "an observed state disagrees with the TRUTH section")
+    with io.Reader(path, HEADER) as reader:
+        n, d, k = reader.dims("N D K", least=(1, 1, 2))
+        features = reader.block((n, d), "feature", io.REAL)
+        first_state = reader.pos
+        states = reader.block((n, k), "state", STATE_TOKENS)
+        truth = None
+        if not reader.at_end():
+            lineno, marker = reader.line("TRUTH marker")
+            if marker != "TRUTH":
+                raise FormatError(lineno, f"unexpected content {marker!r}, expected 'TRUTH' or end of file")
+            truth = reader.block((n, k), "truth", TRUTH_TOKENS)
+            reader.end()
+            bad = np.flatnonzero(_disagreements(states, truth).any(axis=1))
+            if bad.size:
+                raise FormatError(reader.number(first_state + bad[0]),
+                                  "an observed state disagrees with the TRUTH section")
     return PartialDataset(features, states, truth)

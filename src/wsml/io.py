@@ -10,7 +10,10 @@ Malformed input raises FormatError with its 1-based line; writes are atomic.
 from __future__ import annotations
 
 import contextlib
+import io as _io
 import os
+import stat
+from array import array
 
 import numpy as np
 
@@ -19,6 +22,11 @@ __all__ = ["FormatError", "REAL", "INT", "Reader", "atomic_write", "save"]
 # block kinds, each also the printf format of one entry; a tuple of tokens is a vocabulary
 REAL = "%.17g"
 INT = "%d"
+
+# the characters a Reader reads from its file at a time
+CHUNK_CHARS = 1 << 18
+# the characters str.splitlines ends a line at
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class FormatError(ValueError):
@@ -96,33 +104,102 @@ def _parse(lines: list[str], cols: int, what: str, kind, bounds):
 
 
 class Reader:
-    """The non-comment lines of a file after its checked header, consumed in order."""
+    """The non-comment lines of a file after its checked header, consumed in order.
+
+    The file is read CHUNK_CHARS characters at a time, so a load holds one chunk
+    of text besides the arrays it returns. Use it in a `with` statement: leaving
+    that closes the file."""
 
     def __init__(self, path, header: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        self.eof = len(lines) + 1
-        self.numbers = [i for i, line in enumerate(lines, 1) if not line.startswith("#")]
-        self.lines = [lines[i - 1] for i in self.numbers]
-        self.pos = 0
-        lineno, found = self.line("header")
-        if found != header:
-            raise FormatError(lineno, f"bad header {found!r}, expected {header!r}")
+        self._fh = open(path, "r", encoding="utf-8")
+        try:
+            status = os.fstat(self._fh.fileno())
+            if stat.S_ISREG(status.st_mode):
+                self._size = status.st_size
+            else:  # a pipe or device tells no size, so it is read whole
+                with self._fh:
+                    self._fh = _io.StringIO(self._fh.read())
+                self._size = len(self._fh.getvalue())
+            self._comments = array("q")  # the line numbers of the comment lines read so far
+            self._read = 0  # the lines read so far, comments included
+            self._tail = ""  # the last chunk's unfinished last line
+            self._lines = []  # the current chunk's non-comment lines
+            self._next = 0  # the index in _lines of the next line to consume
+            self._first = 0  # the non-comment lines before the current chunk
+            lineno, found = self.line("header")
+            if found != header:
+                raise FormatError(lineno, f"bad header {found!r}, expected {header!r}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> Reader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    @property
+    def pos(self) -> int:
+        """The number of non-comment lines consumed, the header included."""
+        return self._first + self._next
+
+    def number(self, index: int) -> int:
+        """The 1-based line number of the non-comment line at 0-based `index`."""
+        line = index + 1
+        for comment in self._comments:
+            if comment > line:
+                break
+            line += 1
+        return line
+
+    def _fill(self) -> bool:
+        """Read chunks until a line is left to consume; False at the end of the file."""
+        while self._next == len(self._lines):
+            text = self._fh.read(CHUNK_CHARS)
+            if text:
+                lines = text.splitlines()
+                lines[0] = self._tail + lines[0]
+                self._tail = "" if text[-1] in _BREAKS else lines.pop()
+            elif self._tail:
+                lines, self._tail = [self._tail], ""
+            else:
+                return False
+            comments = [i for i, line in enumerate(lines, self._read + 1) if line.startswith("#")]
+            if comments:
+                self._comments.extend(comments)
+                lines = [line for line in lines if not line.startswith("#")]
+            self._read += len(lines) + len(comments)
+            self._first += len(self._lines)
+            self._lines, self._next = lines, 0
+        return True
+
+    def _take(self, count: int) -> list[str]:
+        """Up to `count` next lines, all from one chunk; none at the end of the file."""
+        if not self._fill():
+            return []
+        lines = self._lines[self._next:self._next + count]
+        self._next += len(lines)
+        return lines
+
+    def _end_of_file(self, what: str) -> FormatError:
+        return FormatError(self._read + 1, f"unexpected end of file, expected {what}")
 
     def line(self, what: str) -> tuple[int, str]:
         """(line number, stripped content) of the next line."""
-        if self.at_end():
-            raise FormatError(self.eof, f"unexpected end of file, expected {what}")
-        self.pos += 1
-        return self.numbers[self.pos - 1], self.lines[self.pos - 1].strip()
+        lines = self._take(1)
+        if not lines:
+            raise self._end_of_file(what)
+        return self.number(self.pos - 1), lines[0].strip()
 
     def at_end(self) -> bool:
-        return self.pos == len(self.lines)
+        return not self._fill()
 
     def end(self) -> None:
         """Reject any content after the last block."""
-        if not self.at_end():
-            raise FormatError(self.numbers[self.pos], f"unexpected trailing content {self.lines[self.pos].strip()!r}")
+        if self._fill():
+            found = self._lines[self._next].strip()
+            raise FormatError(self.number(self.pos), f"unexpected trailing content {found!r}")
 
     def dims(self, names: str, least=1) -> list[int]:
         """The dimension line: one integer per name, each at least `least` (per name if a tuple)."""
@@ -133,17 +210,23 @@ class Reader:
         float64 for REAL, int64 for INT, int8 token positions for a vocabulary;
         `bounds` = (lo, hi) also requires every value to lie in [lo, hi]."""
         rows, cols = (1, *shape)[-2:]
-        start, self.pos = self.pos, self.pos + rows  # a short block always raises below
-        lines = self.lines[start:self.pos]
-        if len(lines) == rows:
+        dtype = np.int8 if isinstance(kind, tuple) else np.float64 if kind is REAL else np.int64
+        # every value takes a byte of the file, so a dimension line larger than the file allocates no more
+        out = np.empty((min(rows, self._size // cols), cols), dtype)
+        done = 0
+        while done < rows:
+            start, lines = self.pos, self._take(rows - done)
+            if not lines:
+                raise self._end_of_file(f"{what} row {done + 1}")
             try:
-                return _parse(lines, cols, what, kind, bounds).reshape(shape)
-            except ValueError:
-                pass  # the line-by-line pass below names the line at fault
-        for i, line in enumerate(lines):
-            try:
-                _parse([line], cols, what, kind, bounds)
+                values = _parse(lines, cols, what, kind, bounds)
             except ValueError as exc:
-                raise FormatError(self.numbers[start + i], str(exc)) from None
-        # _parse checks nothing across lines, so a block whose every line passes alone is a short one
-        raise FormatError(self.eof, f"unexpected end of file, expected {what} row {len(lines) + 1}")
+                for i, line in enumerate(lines):  # name the line at fault
+                    try:
+                        _parse([line], cols, what, kind, bounds)
+                    except ValueError as line_exc:
+                        raise FormatError(self.number(start + i), str(line_exc)) from None
+                raise FormatError(self.number(start), str(exc)) from None
+            out[done:done + len(lines)] = values
+            done += len(lines)
+        return out.reshape(shape)

@@ -281,14 +281,14 @@ def save_model(model: Classifier, path, config_comment: str | None = None) -> No
 
 
 def load_model(path) -> Classifier:
-    reader = io.Reader(path, MODEL_HEADER)
-    lineno, arch = reader.line("architecture line")
-    if arch not in _LAYERS:
-        raise io.FormatError(lineno, f"unknown architecture {arch!r}")
-    widths = reader.dims(" ".join(["D", *["H"] * (ARCHS[arch] - 1), "K"]))
-    params = {}
-    for (w, b), fan_in, fan_out in zip(_LAYERS[arch], widths, widths[1:]):
-        params[w] = reader.block((fan_out, fan_in), w, io.REAL)
-        params[b] = reader.block((fan_out,), b, io.REAL)
-    reader.end()
+    with io.Reader(path, MODEL_HEADER) as reader:
+        lineno, arch = reader.line("architecture line")
+        if arch not in _LAYERS:
+            raise io.FormatError(lineno, f"unknown architecture {arch!r}")
+        widths = reader.dims(" ".join(["D", *["H"] * (ARCHS[arch] - 1), "K"]))
+        params = {}
+        for (w, b), fan_in, fan_out in zip(_LAYERS[arch], widths, widths[1:]):
+            params[w] = reader.block((fan_out, fan_in), w, io.REAL)
+            params[b] = reader.block((fan_out,), b, io.REAL)
+        reader.end()
     return Classifier(arch, params)

@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from wsml import dataset as ds_mod
+from wsml import trainer as trainer_mod
 from wsml.cli import TRAIN_FLAGS, load_tracker, main
 from wsml.dataset import FormatError, LabelState, load_dataset
 from wsml.model import init_classifier, make_optimizer
 from wsml.schemes import Scheme, SchemeConfig
-from wsml.trainer import TrainConfig
+from wsml.trainer import TrainConfig, TrainingDiverged
 
 # the tuning flags each scheme reads, stated independently of the scheme table
 READS = {
@@ -517,6 +519,103 @@ class TestSweep:
         ) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines() if "rounds to 0 in every epoch" in line]
         assert [line.split(":")[1] for line in warnings] == [" sweep value 0.1", " sweep value 0.2"]
+
+    @pytest.mark.parametrize("param,values,key,other", [
+        ("delta-rel", "0.2,5", "delta_rel", ("subsample", 0.7)),
+        ("subsample", "0.5,1", "subsample", ("delta_rel", 3.0)),
+    ])
+    def test_cfg_line_nulls_the_swept_key(self, tmp_path, sp_file, monkeypatch, param, values, key, other):
+        """The base value of the swept flag is no arm's value, so the echo names none."""
+        monkeypatch.setenv("WSML_THREADS", "1")
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            "sweep", "--param", param, "--values", values, "--delta-rel", "3", "--subsample", "0.7",
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "1", "--batch", "8", "--seed", "1",
+            "--arch", "linear", "--out", str(out),
+        ) == 0
+        text = out.read_text().splitlines()[0]
+        cfg = json.loads(text[len("#cfg "):])
+        assert cfg[key] is None and cfg[other[0]] == other[1]
+        assert cfg["values"] == sorted(map(float, values.split(",")))
+        assert list(cfg) == sorted(cfg)  # the keys keep their order
+        assert set(cfg) == {"cmd", "param", "values", "out", *TestOutputLayout.TRAIN_CONFIG[2:]}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_an_arm_whose_subsample_keeps_nothing_loses_no_other_row(self, tmp_path, sp_file, capsys,
+                                                                      monkeypatch, threads):
+        monkeypatch.setenv("WSML_THREADS", threads)
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            "sweep", "--param", "subsample", "--values", "0.5,1,0.001", "--data", str(sp_file),
+            "--scheme", "naive-an", "--epochs", "2", "--batch", "8", "--seed", "5", "--arch", "linear",
+            "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: sweep value 0.001: subsample of 60 samples at fraction 0.001 keeps nothing"]
+        lines = out.read_text().splitlines()
+        assert lines[1] == "value,effective_n,best_val_map,best_epoch,test_map"
+        cells = [line.split(",") for line in lines[2:]]
+        assert cells[0] == ["0.001", "", "", "", ""]
+        assert [c[:2] for c in cells[1:]] == [["0.5", "30"], ["1", "60"]]
+        assert all(c[2] and c[3] for c in cells[1:])
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched trainer reaches the workers only by fork")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_an_arm_that_fails_in_training_loses_no_other_row(self, tmp_path, sp_file, capsys, monkeypatch,
+                                                              threads):
+        run = trainer_mod.run
+
+        def diverge_at_02(cfg, *args):
+            if cfg.scheme.delta_rel == 0.2:
+                raise TrainingDiverged(1)
+            return run(cfg, *args)
+
+        monkeypatch.setattr(trainer_mod, "run", diverge_at_02)
+        rows = {}
+        for n in ("1", threads):  # the single-process sweep is the reference
+            monkeypatch.setenv("WSML_THREADS", n)
+            out = tmp_path / f"s{n}.csv"
+            assert run_cli(
+                "sweep", "--param", "delta-rel", "--values", "0.3,0.2,0.1", "--data", str(sp_file),
+                "--scheme", "ll-r", "--epochs", "2", "--batch", "8", "--seed", "5", "--arch", "linear",
+                "--out", str(out),
+            ) == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+            assert errors == ["error: sweep value 0.2: training diverged at epoch 1: non-finite batch loss"]
+            rows[n] = out.read_text().splitlines()[1:]
+        assert rows["1"] == rows[threads]
+        cells = [line.split(",") for line in rows[threads][1:]]
+        assert [c[0] for c in cells] == ["0.1", "0.2", "0.3"]
+        assert cells[1] == ["0.2", "", "", "", ""]
+        assert all(c[1] == "60" and c[2] for c in (cells[0], cells[2]))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched trainer reaches the workers only by fork")
+    def test_a_dead_worker_is_reported_for_each_arm_it_loses(self, tmp_path, sp_file, capsys, monkeypatch):
+        run = trainer_mod.run
+
+        def die_at_02(cfg, *args):
+            if cfg.scheme.delta_rel == 0.2:
+                os._exit(1)
+            return run(cfg, *args)
+
+        monkeypatch.setattr(trainer_mod, "run", die_at_02)
+        monkeypatch.setenv("WSML_THREADS", "2")
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            "sweep", "--param", "delta-rel", "--values", "0.1,0.2,0.3", "--data", str(sp_file),
+            "--scheme", "ll-r", "--epochs", "2", "--batch", "8", "--seed", "5", "--arch", "linear",
+            "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        cells = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [c[0] for c in cells] == ["0.1", "0.2", "0.3"]
+        assert cells[1] == ["0.2", "", "", "", ""]
+        # the arms the pool lost with the worker are named; the others keep their rows
+        for c in cells:
+            named = f"error: sweep value {c[0]}: A process in the process pool was terminated abruptly" in err
+            assert named == (c[1] == ""), (c, err)
 
     def test_delta_rel_sweep_needs_relative_scheme(self, tmp_path, sp_file):
         code = run_cli(
