@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, eight
-train arms, two of them linear and one of those frozen, evals of two mlp1
+Runs one fixed pipeline of `wsml` commands (gen, both partialize modes,
+thirteen train arms, two of them linear and one of those frozen, one with a
+ragged last batch and one whose selection quota is zero before its last
+epoch, evals of two mlp1
 checkpoints and a linear one, one of them to stdout, a train and an eval on
 a copy of the partialized corpus with comment lines inside its blocks, a
 train on a copy whose state disagrees with its truth, a 2-worker, a 1-worker
@@ -80,6 +82,12 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         train("lsan", "sp.wsml", "lsan", "--eps-smooth", "0.2", "--delta-rel", "1", "--frozen-epochs", "1"),
         train("llr-linear-frozen", "sp.wsml", "ll-r", "--delta-rel", "5", "--arch", "linear", "--frozen-epochs", "1"),
         train("llct-abs", "sp.wsml", "ll-ct-abs", "--r0", "2", "--delta-abs", "0.1", "--subsample", "0.5"),
+        train("wan", "sp.wsml", "wan"),
+        train("ignore", "frac.wsml", "ignore-unobserved"),
+        train("llr-abs", "sp.wsml", "ll-r-abs", "--r0", "1.2", "--delta-abs", "0.1"),
+        train("llr-b7", "sp.wsml", "ll-r", "--delta-rel", "5", "--batch", "7"),  # 240 training rows: a ragged last batch
+        # quota(rate, 80 UNKNOWN entries a batch) is zero at 0.5% and 1%, one at 1.5%
+        train("llct-late", "sp.wsml", "ll-ct", "--delta-rel", "0.5"),
         ("eval-file", "1", ["eval", "--model", "llcp.model", "--data", "sp.wsml", "--groups", "2",
                             "--phase-table", "--tracker", "llcp.tracker", "--out", "eval.json"]),
         ("eval-stdout", "1", ["eval", "--model", "naive.model", "--data", "test.wsml", "--groups", "3",

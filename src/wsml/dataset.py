@@ -108,14 +108,14 @@ class PartialDataset:
             )
         if self.states.shape[1] < 2:
             raise ValueError(f"need K >= 2 categories, got K={self.states.shape[1]}")
-        if not np.isfinite(self.features).all():
+        if not (math.isfinite(self.features.min()) and math.isfinite(self.features.max())):  # NaN reaches both
             raise ValueError("features contain non-finite values")
-        if not np.isin(self.states, [int(s) for s in LabelState]).all():
+        if self.states.min() < min(LabelState) or self.states.max() > max(LabelState):
             raise ValueError("states contain codes outside the LabelState set")
         if self.truth is not None:
             if self.truth.shape != self.states.shape:
                 raise ValueError("truth shape does not match states shape")
-            if not np.isin(self.truth, [0, 1]).all():
+            if self.truth.min() < 0 or self.truth.max() > 1:
                 raise ValueError("truth must be binary")
             if _disagreements(self.states, self.truth).any():
                 raise ValueError("an observed state disagrees with truth")
@@ -198,13 +198,16 @@ class SyntheticSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: exp only ever sees -|z|."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function: exp only ever sees -|z|. out:
+    where to write it, which may be z itself; new when None."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    num = np.where(z >= 0, 1.0, e)
+    nonneg = z >= 0
+    e = np.abs(z, out=out)
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.where(nonneg, 1.0, e)
     e += 1.0
-    return np.divide(num, e, out=num)  # one divide for both signs
+    return np.divide(num, e, out=e)  # one divide for both signs
 
 
 def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):

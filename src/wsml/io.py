@@ -34,7 +34,10 @@ class FormatError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.line, self.message = line, message
+
+    def __reduce__(self):  # pickle rebuilds through __init__, whose arguments `args` does not hold
+        return type(self), (self.line, self.message)
 
 
 @contextlib.contextmanager

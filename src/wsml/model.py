@@ -147,16 +147,33 @@ class ForwardPass(NamedTuple):
     inputs: list[np.ndarray]
     pre: list[np.ndarray]
 
+    @classmethod
+    def empty(cls, model: Classifier, rows: int) -> "ForwardPass":
+        """Uninitialized arrays for a pass over `rows` rows, with neither batch nor probabilities."""
+        hidden = [w.shape[0] for w, _ in model.layers[:-1]]
+        return cls(None, np.empty((rows, model.num_classes)), [None, *(np.empty((rows, h)) for h in hidden)],
+                   [np.empty((rows, h)) for h in hidden])
 
-def forward_pass(model: Classifier, x: np.ndarray) -> ForwardPass:
-    """Forward pass of a B x D float64 batch that the caller has already checked."""
+
+def forward_pass(model: Classifier, x: np.ndarray, probs: np.ndarray | None = None,
+                 buffers: ForwardPass | None = None) -> ForwardPass:
+    """Forward pass of a B x D float64 batch that the caller has already checked;
+    it computes no loss. probs: the B x K array the clamped probabilities go into.
+    buffers: a ForwardPass of at least B rows (`ForwardPass.empty`, or an earlier
+    pass) whose other arrays this pass writes over. Each is new when None."""
+    rows = x.shape[0]
+    buffers = ForwardPass.empty(model, rows) if buffers is None else buffers
     inputs, pre = [x], []
-    for w, b in model.layers[:-1]:
-        pre.append(np.dot(inputs[-1], w.T) + b)
-        inputs.append(np.maximum(pre[-1], 0.0))
+    for (w, b), act, z in zip(model.layers, buffers.inputs[1:], buffers.pre):  # the hidden layers
+        pre.append(np.dot(inputs[-1], w.T, out=z[:rows]))
+        pre[-1] += b
+        inputs.append(np.maximum(pre[-1], 0.0, out=act[:rows]))
     w, b = model.layers[-1]
-    raw = sigmoid(np.dot(inputs[-1], w.T) + b)
-    return ForwardPass(np.minimum(np.maximum(raw, PROB_EPS), 1.0 - PROB_EPS), raw, inputs, pre)
+    raw = np.dot(inputs[-1], w.T, out=buffers.raw[:rows])
+    raw += b
+    sigmoid(raw, out=raw)
+    probs = np.maximum(raw, PROB_EPS, out=probs)
+    return ForwardPass(np.minimum(probs, 1.0 - PROB_EPS, out=probs), raw, inputs, pre)
 
 
 def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -196,28 +213,30 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state. Adam's moments `m` and `v` are vectors laid out like the
-    classifier's `flat` (`Classifier.views` gives their per-tensor views); None for SGD."""
+    """SGD or Adam state. Adam's moments `m` and `v` (and the two rows of `work`, a step's temporaries) are
+    vectors laid out like the classifier's `flat`, whose `Classifier.views` are per tensor; None for SGD."""
 
     kind: str
     learning_rate: float
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
     check_optimizer(kind, learning_rate)
     opt = OptimizerState(kind, learning_rate)
     if kind == "adam":
-        opt.m, opt.v = np.zeros_like(model.flat), np.zeros_like(model.flat)
+        opt.m, opt.v, opt.work = np.zeros_like(model.flat), np.zeros_like(model.flat), np.empty((2, model.flat.size))
     return opt
 
 
 def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     """Apply one optimizer step in place, to the output layer alone if `model.frozen_hidden`.
 
-    grads: a vector laid out like `model.flat`, as `gradient` returns.
+    grads: a vector laid out like `model.flat`, as `gradient` returns. Adam's
+    temporaries go into `opt.work`, so a step allocates nothing.
     """
     start = model.flat.size - sum(t.size for t in model.layers[-1]) if model.frozen_hidden else 0
     opt.step_count += 1
@@ -226,15 +245,16 @@ def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     if opt.kind == "sgd":
         param -= lr * g
         return
-    m = opt.m[start:]
-    v = opt.v[start:]
+    m, v, update, tmp = opt.m[start:], opt.v[start:], opt.work[0, start:], opt.work[1, start:]
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=tmp), g, out=tmp)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=update)  # m_hat
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp), out=tmp)  # sqrt(v_hat)
+    tmp += ADAM_EPS
+    update *= lr
+    param -= np.divide(update, tmp, out=update)
 
 
 def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) -> float:

@@ -27,7 +27,7 @@ __all__ = [
     "SPECS",
     "BatchDecision",
     "EpochPlan",
-    "class_losses",
+    "an_losses",
     "bce_elementwise",
     "rejection_rate",
     "absolute_threshold",
@@ -35,6 +35,7 @@ __all__ = [
     "select_large_losses",
     "plan_epoch",
     "decide_planned",
+    "epoch_losses",
     "apply_permanent_corrections",
 ]
 
@@ -129,37 +130,39 @@ class BatchDecision:
 
     flags marks the large-loss UNKNOWN entries selected this batch (always a
     subset of UNKNOWN entries); threshold is the loss threshold in effect,
-    NaN when no selection applies; losses is the unweighted elementwise
-    binary cross entropy against the effective targets.
+    NaN when no selection applies. It holds no losses: `epoch_losses` computes them at epoch end.
     """
 
     targets: np.ndarray
     weights: np.ndarray
     flags: np.ndarray
     threshold: float
-    losses: np.ndarray
 
 
-def class_losses(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-log p, -log(1 - p)): the elementwise binary cross entropy against
-    target 1 and against target 0, from one log pass over the probabilities;
-    probs must be pre-clamped away from {0, 1}."""
-    probs = np.asarray(probs, dtype=np.float64)
-    return -np.log(probs), -np.log(1.0 - probs)
+def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-log(where(positive, p, 1 - p)): the elementwise binary cross entropy against
+    the targets of the boolean mask `positive`, with the bits of where(positive, -log p,
+    -log(1 - p)) from one log pass; probs must be pre-clamped away from {0, 1}.
+    out: where to write it, which may be probs itself; new when None."""
+    out = np.subtract(1.0, probs, out=out, where=~positive)  # the positive entries are left for the copy
+    np.copyto(out, probs, where=positive)
+    return np.negative(np.log(out, out=out), out=out)
 
 
-def bce_elementwise(probs: np.ndarray, targets: np.ndarray, losses=None) -> np.ndarray:
-    """Elementwise binary cross entropy; probs must be pre-clamped away from {0, 1}.
-
-    losses: `class_losses(probs)` when the caller already has them. For binary
-    targets, np.where(targets == 1, *losses) gives the same bits.
-    """
+def bce_elementwise(probs: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise binary cross entropy targets * -log p + (1 - targets) * -log(1 - p);
+    probs must be pre-clamped away from {0, 1}. out: where to write it, which
+    may be probs itself; new when None."""
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs targets {targets.shape}")
-    pos, neg = class_losses(probs) if losses is None else losses
-    return targets * pos + (1.0 - targets) * neg
+    neg = np.log(np.subtract(1.0, probs))  # log(1 - p), negated by the subtraction below
+    losses = np.log(probs, out=out)
+    np.negative(losses, out=losses)
+    losses *= targets
+    neg *= np.subtract(1.0, targets)
+    return np.subtract(losses, neg, out=losses)
 
 
 def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | None:
@@ -274,30 +277,41 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, losses, an_losses=None) -> BatchDecision:
-    """Finish the decision for the plan's rows in `batch` from their probabilities
-    and `class_losses`: select on the AN loss, then flag targets or weights.
-    an_losses: `np.where(plan.an[batch], *losses)` when the caller already has it."""
-    pos, neg = losses
-    an, action = plan.an[batch], plan.spec.action
-    effective = np.where(an, pos, neg) if an_losses is None else an_losses
-    targets, weights = plan.targets[batch], plan.weights[batch]
-    if action == "none":
-        flags, threshold = np.zeros(an.shape, dtype=bool), float("nan")
-    else:
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray) -> BatchDecision:
+    """Finish the decision for the plan's rows in `batch` from their probabilities:
+    select on the AN loss, then flag targets or weights. The AN loss is computed
+    only if the batch can flag: an absolute schedule, or a positive relative quota."""
+    targets, weights, action = plan.targets[batch], plan.weights[batch], plan.spec.action
+    flags, threshold = np.zeros(targets.shape, dtype=bool), float("nan")
+    if action != "none":
         start, stop, _ = batch.indices(len(plan.offsets) - 1)
-        candidates = plan.candidates[plan.offsets[start]:plan.offsets[stop]] - start * an.shape[1]
-        flags, threshold = select_large_losses(
-            effective, plan.states[batch], rate=plan.rate, threshold=plan.threshold, candidates=candidates)
-    flagged = not math.isnan(threshold)  # NaN: no selection, or a relative quota of zero
-    if flagged and action == "reject":
-        weights = np.where(flags, 0.0, weights)
-    elif flagged:  # flagged entries train toward 1 until the state change lands
-        targets = np.where(flags, 1.0, targets)
-        effective = np.where(flags, pos, effective)
+        lo, hi = plan.offsets[start], plan.offsets[stop]
+        if plan.rate is None or quota(plan.rate, hi - lo) > 0:
+            an = plan.an[batch]
+            flags, threshold = select_large_losses(
+                an_losses(probs, an), plan.states[batch], rate=plan.rate, threshold=plan.threshold,
+                candidates=plan.candidates[lo:hi] - start * an.shape[1])
+    if not math.isnan(threshold):  # NaN: no selection, or a relative quota of zero
+        if action == "reject":
+            weights = np.where(flags, 0.0, weights)
+        else:  # flagged entries train toward 1 until the state change lands
+            targets = np.where(flags, 1.0, targets)
+    return BatchDecision(targets, weights, flags, threshold)
+
+
+def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """weights * bce(probs, targets) of the plan's rows, with the targets and weights their
+    batch decisions trained on, written over `probs`, the rows' probabilities: computed once,
+    at epoch end. flags: the entries the batches flagged, trained toward 1 or with weight 0."""
+    action = plan.spec.action
     if plan.spec.target == "smoothed":
-        effective = bce_elementwise(probs, targets, losses)
-    return BatchDecision(targets, weights, flags, threshold, effective)
+        losses = bce_elementwise(probs, plan.targets, out=probs)
+    else:
+        losses = an_losses(probs, plan.an | flags if action in ("temporary", "permanent") else plan.an, out=probs)
+    losses *= plan.weights
+    if action == "reject":
+        np.multiply(losses, 0.0, out=losses, where=flags)
+    return losses
 
 
 def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:

@@ -141,11 +141,7 @@ def split(ds: PartialDataset, fraction: float, seed):
     return ds.take(keep), ds.take(out)
 
 
-def modification_precision(
-    flag_counts,
-    true_counts,
-    cumulative: bool = False,
-):
+def modification_precision(flag_counts, true_counts, cumulative: bool = False):
     """Per-epoch precision of flagged/corrected labels against ground truth.
 
     Per-epoch ratio for rejection/temporary correction; running ratio over
@@ -190,44 +186,47 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     truly positive ones among them or None without truth, smallest threshold).
     Under permanent correction the flagged entries are the corrected ones.
 
-    buffers: (AN losses, flags, gradient vector, its views), reused every epoch;
-    the first two are written in visiting order and folded in at epoch end. The
-    flags start as zeros, and a scheme that flags nothing never writes them."""
+    A batch runs its forward pass, its decision (a loss only to select, and only if it
+    can flag), its gradient and its step. Every other loss (the tracker's, each batch's
+    weighted one) is computed at epoch end from the probabilities the batches trained on.
+
+    buffers: (probabilities, AN losses, flags, forward pass buffers, gradient vector,
+    its views), reused every epoch; the first three are written in visiting order."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
 
     n, k = train.n, train.k
-    seen, seen_flags, grad, grad_views = buffers
-    weighted_total = 0.0
+    probs, seen, seen_flags, work, grad, grad_views = buffers
+    seen_flags.fill(False)
     thresholds = []
     # gathered once in visiting order, so each batch reads slice views
-    features, an0 = train.features[order], an0[order]
+    features = train.features[order]
     plan = schemes.plan_epoch(scheme, train.states[order], epoch, cfg.scheme)
     if epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
         plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
-    # the plan's AN losses are the tracker's until a permanent correction lands
-    shared_an = np.array_equal(plan.an, an0)
 
     for start in range(0, n, cfg.batch_size):
         batch = slice(start, start + cfg.batch_size)
-        fwd = model_mod.forward_pass(classifier, features[batch])  # validated with the dataset: no finiteness check
-        losses = schemes.class_losses(fwd.probs)
-        seen[batch] = np.where(an0[batch], *losses)
-
-        decision = schemes.decide_planned(plan, batch, fwd.probs, losses, seen[batch] if shared_an else None)
-        if plan.spec.action != "none":
-            seen_flags[batch] = decision.flags
+        fwd = model_mod.forward_pass(classifier, features[batch], probs[batch], work)  # checked with the dataset
+        decision = schemes.decide_planned(plan, batch, fwd.probs)
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
+            seen_flags[batch] = decision.flags
+        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views)
+        model_mod.step(classifier, grad, opt)
+    del features, fwd  # the batches' copy of the features (and the last view of it): not held at epoch end
 
-        batch_loss = float((decision.weights * decision.losses).sum())
+    schemes.an_losses(probs, an0[order], out=seen)  # against the AN targets the run started from
+    losses = schemes.epoch_losses(plan, probs, seen_flags)  # over the probabilities
+    full = n - n % cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
+    batch_losses = losses[:full].reshape(-1, cfg.batch_size * k).sum(axis=1).tolist()
+    batch_losses += [float(losses[full:].sum())] if full < n else []
+    weighted_total = 0.0
+    for batch_loss in batch_losses:  # in batch order
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
-
-        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views)
-        model_mod.step(classifier, grad, opt)
 
     if (seen_flags & ~plan.unknown).any():  # before any flag is counted or corrected
         raise AssertionError("flag selection touched an observed or corrected entry")
@@ -236,9 +235,8 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     tracker.update(order, seen, epoch)
     tracker.end_epoch()
     if epoch_level:  # the batches flagged nothing: select over the epoch's losses
-        epoch_losses = np.empty_like(seen)
-        epoch_losses[order] = seen
-        flags, threshold = schemes.select_large_losses(epoch_losses, train.states, rate=plan.rate, threshold=plan.threshold)
+        losses[order] = seen  # the AN losses by row, in a buffer that is free again
+        flags, threshold = schemes.select_large_losses(losses, train.states, rate=plan.rate, threshold=plan.threshold)
         if not math.isnan(threshold):
             thresholds.append(threshold)
     else:
@@ -279,8 +277,9 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     an0 = train.an_targets() == 1.0  # the assumed positives the run started from
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
-    grad = np.empty_like(classifier.flat)
-    buffers = (np.empty((train.n, train.k)), np.zeros((train.n, train.k), dtype=bool), grad, classifier.views(grad))
+    grad, shape = np.empty_like(classifier.flat), (train.n, train.k)
+    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+               model_mod.ForwardPass.empty(classifier, min(cfg.batch_size, train.n)), grad, classifier.views(grad))
 
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []
@@ -299,18 +298,9 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
             cum_corrections += epoch_flags
 
         val_map = _validation_map(classifier, val) * 100.0
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=mean_loss,
-                val_map=val_map,
-                flags=epoch_flags,
-                flags_true_pos=epoch_true,
-                flag_precision=None,  # filled below once all epochs exist
-                cum_corrections=cum_corrections,
-                threshold_min=threshold_min,
-            )
-        )
+        records.append(EpochRecord(  # flag_precision is filled in below, once all epochs exist
+            epoch=epoch, train_loss=mean_loss, val_map=val_map, flags=epoch_flags, flags_true_pos=epoch_true,
+            flag_precision=None, cum_corrections=cum_corrections, threshold_min=threshold_min))
         if val_map > best_val:
             best_val = val_map
             best_epoch = epoch

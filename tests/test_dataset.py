@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,40 @@ class TestPartialDataset:
         feats[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             PartialDataset(feats, np.full((2, 2), U, dtype=np.int8))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+    def test_rejects_any_nonfinite_feature_anywhere(self, value, where):
+        feats = np.arange(6, dtype=float).reshape(3, 2)
+        feats[where] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            PartialDataset(feats, np.full((3, 2), U, dtype=np.int8))
+
+    @pytest.mark.parametrize("code", [-1, 4, 127])
+    def test_rejects_state_codes_outside_the_label_states(self, code):
+        states = np.array([[U, P], [N, C]], dtype=np.int8)
+        states[1, 1] = code
+        with pytest.raises(ValueError, match="outside the LabelState set"):
+            PartialDataset(np.zeros((2, 2)), states)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_rejects_non_binary_truth(self, label):
+        with pytest.raises(ValueError, match="truth must be binary"):
+            PartialDataset(np.zeros((2, 2)), np.full((2, 2), U, dtype=np.int8), np.array([[0, 1], [label, 0]]))
+
+    def test_validation_allocates_no_feature_sized_mask(self):
+        rng = np.random.default_rng(0)
+        n, d, k = 2000, 200, 10
+        truth = (rng.uniform(size=(n, k)) < 0.3).astype(np.int8)
+        states = np.where(rng.uniform(size=(n, k)) < 0.5, truth, U).astype(np.int8)
+        ds = PartialDataset(rng.standard_normal((n, d)), states, truth)
+        tracemalloc.start()
+        try:
+            ds.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d, peak  # one byte per feature: what an isfinite mask alone takes
 
     def test_rejects_truth_disagreement(self):
         states = np.array([[P, N]], dtype=np.int8)
@@ -142,6 +178,9 @@ def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
     for shape in ((16, 10), (2000, 10)):  # a training batch and a whole-corpus pass
         batch = rng.standard_normal(shape) * 5.0
         assert sigmoid(batch).tobytes() == two_branch_sigmoid(batch).tobytes()
+    # written over the logits themselves, as the forward pass does: the same bits
+    logits = z.copy()
+    assert sigmoid(logits, out=logits) is logits and logits.tobytes() == two_branch_sigmoid(z).tobytes()
 
 
 class TestGenerateSynthetic:

@@ -10,6 +10,7 @@ edited to make a refactor pass.
 import gc
 import hashlib
 import os
+import pickle
 import stat
 import sys
 import threading
@@ -479,3 +480,10 @@ def test_dataset_reads_through_a_named_pipe(tmp_path):
     want = load_dataset(path)
     assert [a.tobytes() for a in (back.features, back.states, back.truth)] == \
         [a.tobytes() for a in (want.features, want.states, want.truth)]
+
+
+def test_format_error_survives_pickling():
+    """A FormatError raised in a worker process reaches its parent intact."""
+    err = FormatError(3, "x")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FormatError and str(back) == str(err) == "line 3: x" and back.line == 3

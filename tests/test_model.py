@@ -7,6 +7,7 @@ import pytest
 from wsml.model import (
     PROB_EPS,
     Classifier,
+    ForwardPass,
     forward,
     forward_pass,
     grad_check,
@@ -253,6 +254,22 @@ class TestFlatBuffers:
             hidden = m.params["W1"].size + m.params["b1"].size
             assert m.flat[:hidden].tobytes() == before[:hidden].tobytes()
             assert (m.flat[hidden:] != before[hidden:]).all()
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_forward_pass_into_buffers_gives_the_same_bits(self, arch):
+        m = init_classifier(arch, 4, 3, hidden=5, seed=3)
+        x = np.random.default_rng(3).standard_normal((6, 4)) * 4.0
+        fresh = forward_pass(m, x)
+        buffers = ForwardPass.empty(m, 6)
+        probs = np.full((9, 3), np.nan)
+        for rows in (6, 4, 6):  # a full batch, a ragged one, then a full one again
+            fwd = forward_pass(m, x[:rows], probs[2:2 + rows], buffers)
+            assert np.shares_memory(fwd.probs, probs) and np.shares_memory(fwd.raw, buffers.raw)
+            assert fwd.inputs[0] is not None and fwd.inputs[0].shape == (rows, 4)
+            for got, want in zip([fwd.probs, fwd.raw, *fwd.inputs[1:], *fwd.pre],
+                                 [fresh.probs, fresh.raw, *fresh.inputs[1:], *fresh.pre]):
+                assert got.tobytes() == want[:rows].tobytes()
+        assert np.isnan(probs[:2]).all() and np.isnan(probs[8:]).all()  # only the batch's rows are written
 
     @pytest.mark.parametrize("arch,depth", [("linear", 1), ("mlp1", 2)])
     def test_forward_pass_keeps_each_layer_input(self, arch, depth):

@@ -14,9 +14,10 @@ from wsml.schemes import (
     SchemeConfig,
     absolute_threshold,
     apply_permanent_corrections,
+    an_losses,
     bce_elementwise,
-    class_losses,
     decide_planned,
+    epoch_losses,
     plan_epoch,
     quota,
     rejection_rate,
@@ -43,10 +44,32 @@ def decide_batch(scheme, probs, states, epoch, cfg) -> BatchDecision:
     if probs.shape != states.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
     plan = plan_epoch(scheme, states, epoch, cfg)
-    return decide_planned(plan, slice(None), probs, class_losses(probs))
+    return decide_planned(plan, slice(None), probs)
+
+
+def class_losses(probs):
+    """(-log p, -log(1 - p)): the binary cross entropy against target 1 and against target 0."""
+    return -np.log(probs), -np.log(1.0 - probs)
 
 
 class TestBce:
+    def test_one_log_pass_and_in_place_give_the_two_log_bits(self):
+        rng = np.random.default_rng(8)
+        probs = np.clip(rng.uniform(size=(40, 7)), 1e-7, 1.0 - 1e-7)
+        positive = rng.uniform(size=(40, 7)) < 0.3
+        targets = rng.uniform(size=(40, 7))
+        pos, neg = class_losses(probs)
+        want = np.where(positive, pos, neg)
+        assert_same_bits(an_losses(probs, positive), want)
+        assert_same_bits(an_losses(probs.copy(), positive, out=probs.copy()), want)
+        copy = probs.copy()
+        assert an_losses(copy, positive, out=copy) is copy
+        assert_same_bits(copy, want)
+        assert_same_bits(bce_elementwise(probs, targets), targets * pos + (1.0 - targets) * neg)
+        copy = probs.copy()
+        assert bce_elementwise(copy, targets, out=copy) is copy
+        assert_same_bits(copy, targets * pos + (1.0 - targets) * neg)
+
     def test_reference_values(self):
         out = bce_elementwise(np.array([[0.8, 0.5, 0.9]]), np.array([[0.0, 0.3, 1.0]]))
         assert abs(out[0, 0] - 1.6094379) < 1e-6
@@ -291,14 +314,22 @@ def reference_decide_batch(scheme, probs, states, epoch, c):
         weights = np.ones_like(probs)
     if spec.action == "reject":
         weights = np.where(flags, 0.0, weights)
-    return BatchDecision(targets, weights, flags, threshold, bce_elementwise(probs, targets))
+    return BatchDecision(targets, weights, flags, threshold)
+
+
+def assert_same_bits(a, b, name=""):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def assert_same_decision(got: BatchDecision, want: BatchDecision):
-    for name in ("targets", "weights", "flags", "losses"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("targets", "weights", "flags"):
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
     assert got.threshold == want.threshold or (math.isnan(got.threshold) and math.isnan(want.threshold))
+
+
+def decided_losses(decision: BatchDecision, probs):
+    """The weighted loss a batch decision trains on, as the batch once computed it."""
+    return decision.weights * bce_elementwise(probs, decision.targets)
 
 
 class TestEpochPlan:
@@ -322,13 +353,21 @@ class TestEpochPlan:
         plan = plan_epoch(Scheme(token), states, epoch, c)
         live = states.copy()  # the states as permanent correction leaves them, batch by batch
         bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
+        flags, wanted = np.zeros((n, k), dtype=bool), []
         for lo, hi in zip(bounds, bounds[1:]):
             batch = slice(lo, hi)
-            got = decide_planned(plan, batch, probs[batch], class_losses(probs[batch]))
+            got = decide_planned(plan, batch, probs[batch])
+            want = reference_decide_batch(token, probs[batch], live[batch], epoch, c)
             assert_same_decision(got, decide_batch(Scheme(token), probs[batch], live[batch], epoch, c))
-            assert_same_decision(got, reference_decide_batch(token, probs[batch], live[batch], epoch, c))
+            assert_same_decision(got, want)
+            wanted.append((batch, decided_losses(want, probs[batch])))
+            flags[batch] = got.flags
             if SPECS[Scheme(token)].action == "permanent":
                 live[batch][got.flags] = C
+        # the epoch's losses, computed once over every batch's probabilities, are the batches' own
+        losses = epoch_losses(plan, probs.copy(), flags)
+        for batch, want_losses in wanted:
+            assert_same_bits(losses[batch], want_losses)
 
     def test_plan_is_row_aligned_with_its_states(self):
         states = np.array([[U, P, N], [C, U, P]], dtype=np.int8)
@@ -349,18 +388,24 @@ class TestEpochPlan:
 
     @pytest.mark.parametrize("scheme", list(SPECS))
     def test_given_an_losses_change_no_field_of_the_decision(self, scheme):
+        # the AN losses by the two-log formula, given to the selection, decide as
+        # the decision's own one-log AN losses do
         rng = np.random.default_rng(5)
         states = rng.choice([int(U), int(P), int(N), int(C)], size=(40, 6), p=[0.6, 0.15, 0.15, 0.1]).astype(np.int8)
         probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(40, 6))
         probs[::3, 1] = probs[0, 0]  # loss ties, which the selection breaks by index
-        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        c = cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1)
+        plan = plan_epoch(scheme, states, 4, c)
         flagged = 0
         for batch in (slice(0, 16), slice(16, 32), slice(32, 40)):
-            losses = class_losses(probs[batch])
-            got = decide_planned(plan, batch, probs[batch], losses, np.where(plan.an[batch], *losses))
-            want = decide_planned(plan, batch, probs[batch], losses)
-            assert_same_decision(got, want)
-            flagged += int(want.flags.sum())
+            got = decide_planned(plan, batch, probs[batch])
+            if SPECS[scheme].action != "none":
+                given = np.where(plan.an[batch], *class_losses(probs[batch]))
+                flags, threshold = select_large_losses(given, states[batch], rate=plan.rate, threshold=plan.threshold)
+                assert np.array_equal(got.flags, flags)
+                assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
+            assert_same_decision(got, reference_decide_batch(scheme, probs[batch], states[batch], 4, c))
+            flagged += int(got.flags.sum())
         assert (flagged > 0) == (SPECS[scheme].action != "none")
 
     def test_precomputed_candidates_give_the_same_selection(self):
@@ -406,27 +451,30 @@ class TestPlannedSelection:
         seed=st.integers(0, 2**32 - 1),
         levels=st.integers(1, 4),
         delta_rel=st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5, 40.0]),
-        r0=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+        r0_level=st.integers(1, 4),
         delta_abs=st.sampled_from([0.0, 0.25, 0.5]),
         cuts=st.lists(st.integers(1, 49), max_size=8),
         size=st.integers(1, 17),
     )
     @settings(max_examples=200, deadline=None)
     def test_planned_selection_equals_a_python_top_k(
-            self, relative, epoch, n, k, seed, levels, delta_rel, r0, delta_abs, cuts, size):
+            self, relative, epoch, n, k, seed, levels, delta_rel, r0_level, delta_abs, cuts, size):
         rng = np.random.default_rng(seed)
         states = rng.choice([int(U), int(P), int(N), int(C)], size=(n, k), p=[0.6, 0.1, 0.15, 0.15]).astype(np.int8)
-        # a few loss levels on a grid the thresholds also fall on: many exact ties
-        losses = rng.integers(0, levels + 1, size=(n, k)) * 0.5
+        # a few probability levels, so many exact loss ties, and with delta_abs = 0
+        # a threshold that sits on one of those losses
+        level_probs = np.array([0.125, 0.25, 0.5, 0.75, 0.875])
+        probs = level_probs[rng.integers(0, levels + 1, size=(n, k))]
+        losses = -np.log(1.0 - probs)  # the AN loss of an UNKNOWN entry, the only kind selected
         token = "ll-r" if relative else "ll-r-abs"
-        c = cfg(token, delta_rel=delta_rel, r0=r0, delta_abs=delta_abs)
+        c = cfg(token, delta_rel=delta_rel, r0=float(-np.log(1.0 - level_probs[r0_level])), delta_abs=delta_abs)
         plan = plan_epoch(Scheme(token), states, epoch, c)
         # random cuts, then fixed-size batches whose last one is ragged
         bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
         batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         batches += [slice(lo, lo + size) for lo in range(0, n, size)]
         for batch in batches:
-            got = decide_planned(plan, batch, np.full(losses[batch].shape, 0.5), (losses[batch], losses[batch]))
+            got = decide_planned(plan, batch, probs[batch])
             flags, threshold = python_selection(losses[batch], states[batch], plan.rate, plan.threshold)
             assert np.array_equal(got.flags, flags), batch
             assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
@@ -436,9 +484,10 @@ class TestPlannedSelection:
         states = np.full((2, 3), U, dtype=np.int8)
         plan = plan_epoch(Scheme.LL_CT, states, 2, cfg("ll-ct", delta_rel=10.0))  # 10% of 6 rounds to 0
         probs = np.full((2, 3), 0.3)
-        d = decide_planned(plan, slice(0, 2), probs, class_losses(probs))
+        d = decide_planned(plan, slice(0, 2), probs)
         assert not d.flags.any() and math.isnan(d.threshold)
-        assert np.array_equal(d.targets, plan.targets) and np.array_equal(d.losses, class_losses(probs)[1])
+        losses = epoch_losses(plan, probs.copy(), d.flags)
+        assert np.array_equal(d.targets, plan.targets) and np.array_equal(losses, class_losses(probs)[1])
 
 
 class TestQuota:

@@ -1,3 +1,7 @@
+import dataclasses
+import importlib.util
+import pathlib
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,6 +25,12 @@ U = LabelState.UNKNOWN
 P = LabelState.OBS_POS
 N = LabelState.OBS_NEG
 C = LabelState.CORRECTED_POS
+
+
+# loaded by path, as test_reference.py does: perfbench has a module named `reference`
+_spec = importlib.util.spec_from_file_location("trainer_reference", pathlib.Path(__file__).with_name("reference.py"))
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def tiny_partial(n=40, d=4, k=5, seed=0):
@@ -173,6 +183,29 @@ class TestRunBasics:
             run(config(epochs=3), tiny_partial())
         assert err.value.epoch == 1
         assert "epoch 1" in str(err.value)
+
+    def test_divergence_in_the_middle_of_an_epoch_stops_it_before_the_tracker_fold(self, monkeypatch):
+        # the losses are computed at epoch end: the batches after the poisoned
+        # step still train, and the epoch raises before anything is folded in
+        from wsml import trainer as trainer_mod
+
+        step, steps = trainer_mod.model_mod.step, []
+
+        def poisoning(model, grads, opt):
+            step(model, grads, opt)
+            steps.append(opt.step_count)
+            if len(steps) == 4 + 2:  # the second of epoch 2's four batches
+                model.flat[0] = np.nan
+
+        updates = []
+        monkeypatch.setattr(trainer_mod.model_mod, "step", poisoning)
+        monkeypatch.setattr(MemorizationTracker, "update", lambda self, *a: updates.append(a[-1]))
+        with warnings.catch_warnings(), pytest.raises(TrainingDiverged) as err:
+            warnings.simplefilter("error")
+            run(config("ll-cp", delta_rel=20.0, epochs=3, arch="mlp1"), tiny_partial())
+        assert err.value.epoch == 2
+        assert str(err.value) == "training diverged at epoch 2: non-finite batch loss"
+        assert len(steps) == 8 and updates == [1]  # epoch 2 trained to its end and was never folded
 
     def test_test_split_requires_truth(self):
         ds = tiny_partial()
@@ -375,6 +408,26 @@ class TestUnknownOnlyFlags:
         assert sum(landed) == 0
 
 
+@pytest.mark.parametrize("batch_size", [1, 5, 7, 16, 33, 64, 256])
+def test_one_sum_over_blocks_gives_each_batch_its_own_sum(batch_size):
+    # the epoch sums its batches' losses as rows of one reshaped array; each
+    # must have the bits of the batch's own sum, which the train loss adds up
+    k = 10
+    losses = np.random.default_rng(batch_size).exponential(size=(1600 - 3, k)) * 3.0
+    full = len(losses) - len(losses) % batch_size
+    blocks = losses[:full].reshape(-1, batch_size * k).sum(axis=1).tolist()
+    own = [float(losses[lo:lo + batch_size].copy().sum()) for lo in range(0, full, batch_size)]
+    assert repr(blocks) == repr(own)
+
+
+def can_flag_batches(plan, batch_size):
+    """How many of the plan's batches can flag: all under an absolute schedule,
+    those with a positive quota of their UNKNOWN entries under a relative one."""
+    n = len(plan.offsets) - 1
+    unknown = [plan.offsets[min(lo + batch_size, n)] - plan.offsets[lo] for lo in range(0, n, batch_size)]
+    return sum(plan.rate is None or schemes.quota(plan.rate, m) > 0 for m in unknown)
+
+
 class TestPerBatchWork:
     @pytest.mark.parametrize(
         "token,granularity",
@@ -417,7 +470,8 @@ class TestPerBatchWork:
 
             return wrapper
 
-        monkeypatch.setattr(schemes, "plan_epoch", counting("plan", schemes.plan_epoch))
+        plans, plan_epoch = [], schemes.plan_epoch
+        monkeypatch.setattr(schemes, "plan_epoch", counting("plan", lambda *a: plans.append(plan_epoch(*a)) or plans[-1]))
         monkeypatch.setattr(schemes, "select_large_losses", counting("select", schemes.select_large_losses))
         # plan_epoch reads the schemes binding, the run's starting AN targets the dataset one
         for module in (schemes, ds_mod):
@@ -430,4 +484,27 @@ class TestPerBatchWork:
         assert counts["update"] == cfg.epochs
         assert counts["plan"] == cfg.epochs
         assert counts["an"] == cfg.epochs + 1  # one per plan, plus the run's starting targets
-        assert counts["select"] == {"none": 0, "batch": batches, "epoch": cfg.epochs}[selections]
+        # a batch selects only if it can flag: an absolute schedule, or a relative quota above zero
+        can_flag = sum(can_flag_batches(plan, cfg.batch_size) for plan in plans)
+        assert counts["select"] == {"none": 0, "batch": can_flag, "epoch": cfg.epochs}[selections]
+        if selections == "batch":  # epoch 1 of a relative schedule has rate 0
+            assert can_flag == (batches if token.endswith("-abs") else batches * 2 // 3)
+
+    @pytest.mark.parametrize("token,granularity,delta_rel,batch_size", [("ll-cp", "batch", 0.2, 16), ("ll-ct", "epoch", 2.0, 8)])
+    def test_a_batch_whose_quota_is_zero_never_selects(self, monkeypatch, token, granularity, delta_rel, batch_size):
+        plans, plan_epoch, select, selections = [], schemes.plan_epoch, schemes.select_large_losses, []
+        monkeypatch.setattr(schemes, "plan_epoch", lambda *a: plans.append(plan_epoch(*a)) or plans[-1])
+        monkeypatch.setattr(schemes, "select_large_losses", lambda *a, **kw: selections.append(kw) or select(*a, **kw))
+        cfg = config(token, delta_rel=delta_rel, epochs=4, batch_size=batch_size, arch="mlp1", llcp_granularity=granularity)
+        data = tiny_partial(n=60)
+        report = run(cfg, data)
+        batches = cfg.epochs * -(-len(report.train_indices) // batch_size)
+        can_flag = sum(can_flag_batches(plan, batch_size) for plan in plans)
+        assert len(selections) == can_flag
+        if token == "ll-cp":  # quota(0.2, m) = 0 below m = 500 UNKNOWN entries: never
+            assert can_flag == 0
+        else:  # some batches of epochs 2 to 4 reach a quota of one, the others select nothing
+            assert 0 < can_flag < batches - batches // cfg.epochs
+        records, states, *_ = reference.run(cfg, data)
+        assert repr([dataclasses.astuple(r) for r in report.records]) == repr(records)
+        assert np.array_equal(report.final_states, states)
