@@ -2,17 +2,17 @@
 """Check that the CLI writes the same bytes as at a base revision.
 
 Runs one fixed pipeline of `wsml` commands (gen, both partialize modes,
-thirteen train arms, two of them linear and one of those frozen, one with a
-ragged last batch and one whose selection quota is zero before its last
-epoch, evals of two mlp1
-checkpoints and a linear one, one of them to stdout, a train and an eval on
-a copy of the partialized corpus with comment lines inside its blocks, a
-train on a copy whose state disagrees with its truth, a 2-worker, a 1-worker
-and a failing sweep) once against the base revision's `src/` and once
-against the working tree's, each in its own empty directory with relative
-paths. Every output file and each command's stdout, stderr and exit code are
-then compared byte for byte; the files that differ are printed, the outputs
-are kept for inspection and the exit code is 1.
+fourteen train arms that run every scheme, two of them linear and one of
+those frozen, one with a ragged last batch and one whose selection quota is
+zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
+one of them to stdout, a train and an eval on a copy of the partialized
+corpus with comment lines inside its blocks, a train on a copy whose state
+disagrees with its truth, a 2-worker, a 1-worker and a failing sweep) once
+against the base revision's `src/` and once against the working tree's, each
+in its own empty directory with relative paths. Every output file and each
+command's stdout, stderr and exit code are then compared byte for byte; the
+files that differ are printed, the outputs are kept for inspection and the
+exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
@@ -85,6 +85,7 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         train("wan", "sp.wsml", "wan"),
         train("ignore", "frac.wsml", "ignore-unobserved"),
         train("llr-abs", "sp.wsml", "ll-r-abs", "--r0", "1.2", "--delta-abs", "0.1"),
+        train("llcp-abs", "sp.wsml", "ll-cp-abs", "--r0", "1.2", "--delta-abs", "0.1"),
         train("llr-b7", "sp.wsml", "ll-r", "--delta-rel", "5", "--batch", "7"),  # 240 training rows: a ragged last batch
         # quota(rate, 80 UNKNOWN entries a batch) is zero at 0.5% and 1%, one at 1.5%
         train("llct-late", "sp.wsml", "ll-ct", "--delta-rel", "0.5"),

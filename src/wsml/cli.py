@@ -16,7 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -199,9 +199,7 @@ def _sweep_value(value: float) -> str:
 
 def _fmt(value) -> str:
     """CSV cell: absent values and NaN thresholds become empty fields."""
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
+    if value is None or isinstance(value, float) and math.isnan(value):
         return ""
     return str(value)  # for a float, the same shortest round-trip digits as repr
 
@@ -260,14 +258,7 @@ def load_tracker(path):
 
 def _cmd_gen(args) -> int:
     try:
-        spec = ds_mod.SyntheticSpec(
-            n=args.n,
-            dim=args.dim,
-            classes=args.classes,
-            pos_rate=args.pos_rate,
-            temperature=args.temperature,
-            seed=args.seed,
-        )
+        spec = ds_mod.SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(ds_mod.SyntheticSpec)})
         spec.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

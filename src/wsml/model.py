@@ -187,11 +187,13 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
 
 
 def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
-             out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None,
+             deltas: ForwardPass | None = None) -> np.ndarray:
     """Gradient of the weighted mean binary cross entropy at the forward pass
     `fwd`, as one vector laid out like `model.flat`: `out` when given (with
     `views`, its `model.views(out)`, if the caller keeps them), else a new
-    vector.
+    vector. deltas: a pass other than `fwd` (`ForwardPass.empty`, at least B
+    rows) whose `raw` and `pre` take the layers' deltas; new when None.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
@@ -199,15 +201,20 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
     contribute exactly zero gradient (matching the finite-difference view).
     """
     b, k = fwd.probs.shape
-    active = fwd.probs == fwd.raw  # the clamp left the probability alone
-    grad = weights * (fwd.probs - targets) * active / (b * k)  # at the output layer's logits
+    deltas = ForwardPass.empty(model, b) if deltas is None else deltas
+    grad = np.subtract(fwd.probs, targets, out=deltas.raw[:b])  # at the output layer's logits
+    if any(weights.strides) or weights.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
+        grad *= weights
+    grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
+    grad /= b * k
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
     for i, (w_name, b_name) in reversed(list(enumerate(_LAYERS[model.arch]))):
         np.dot(grad.T, fwd.inputs[i], out=g[w_name])
         grad.sum(axis=0, out=g[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation
-            grad = np.dot(grad, model.layers[i][0]) * (fwd.pre[i - 1] > 0)
+            grad = np.dot(grad, model.layers[i][0], out=deltas.pre[i - 1][:b])
+            grad *= fwd.pre[i - 1] > 0
     return out
 
 

@@ -144,7 +144,10 @@ def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = 
     the targets of the boolean mask `positive`, with the bits of where(positive, -log p,
     -log(1 - p)) from one log pass; probs must be pre-clamped away from {0, 1}.
     out: where to write it, which may be probs itself; new when None."""
-    out = np.subtract(1.0, probs, out=out, where=~positive)  # the positive entries are left for the copy
+    if np.may_share_memory(out, probs):  # the positive entries are left for the copy
+        out = np.subtract(1.0, probs, out=out, where=~positive)
+    else:  # a plain subtract: a masked ufunc loop costs more than the masked copy below
+        out = np.subtract(1.0, probs, out=out)
     np.copyto(out, probs, where=positive)
     return np.negative(np.log(out, out=out), out=out)
 
@@ -196,7 +199,8 @@ def quota(rate: float, m: int) -> int:
 
 
 def select_large_losses(losses: np.ndarray, states: np.ndarray, rate: float | None = None,
-                        threshold: float | None = None, candidates: np.ndarray | None = None):
+                        threshold: float | None = None, candidates: np.ndarray | None = None,
+                        flags: np.ndarray | None = None):
     """Flag large-loss UNKNOWN entries; returns (flag mask, threshold used).
 
     Relative mode (rate in percent): flags exactly quota(rate, M) of the
@@ -208,31 +212,35 @@ def select_large_losses(losses: np.ndarray, states: np.ndarray, rate: float | No
     the threshold. Observed and corrected entries are never flagged.
     candidates: the ascending flat indices of the UNKNOWN entries,
     `np.flatnonzero(states == UNKNOWN)`, when the caller already has them.
+    flags: an all-False C-contiguous mask shaped like `states` to flag in; given, `losses` holds
+    the candidates' losses alone (`decide_planned`'s one log pass over them) and nothing is
+    checked. The epoch-level LL-Cp selection passes every entry's AN loss from the tracker's pass.
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    states = np.asarray(states)
-    if losses.shape != states.shape:
-        raise ValueError(f"shape mismatch: losses {losses.shape} vs states {states.shape}")
-    if (rate is None) == (threshold is None):
-        raise ValueError("exactly one of rate or threshold must be given")
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    if rate is not None and not 0.0 <= rate <= 100.0:
-        raise ValueError(f"rate must lie in [0, 100], got {rate}")
+    if flags is None:
+        losses = np.asarray(losses, dtype=np.float64)
+        states = np.asarray(states)
+        if losses.shape != states.shape:
+            raise ValueError(f"shape mismatch: losses {losses.shape} vs states {states.shape}")
+        if (rate is None) == (threshold is None):
+            raise ValueError("exactly one of rate or threshold must be given")
+        if threshold is not None and not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
+        if rate is not None and not 0.0 <= rate <= 100.0:
+            raise ValueError(f"rate must lie in [0, 100], got {rate}")
+        candidates = np.flatnonzero(states == UNKNOWN) if candidates is None else candidates
+        flags = np.zeros(losses.shape, dtype=bool)
+        losses = losses.reshape(-1)[candidates]
 
-    candidates = np.flatnonzero(states == UNKNOWN) if candidates is None else candidates
-    flags = np.zeros(losses.shape, dtype=bool)
     k = None if rate is None else quota(rate, len(candidates))
     if k == 0:
         return flags, float("nan")
-    values = losses.reshape(-1)[candidates]
     if k is None:
-        flags.reshape(-1)[candidates[values > threshold]] = True
+        flags.reshape(-1)[candidates[losses > threshold]] = True
         return flags, float(threshold)
     # descending loss; the stable sort keeps the ascending candidates in index order on ties
-    order = np.argsort(-values, kind="stable")[:k]
+    order = np.argsort(-losses, kind="stable")[:k]
     flags.reshape(-1)[candidates[order]] = True
-    return flags, float(values[order[-1]])
+    return flags, float(losses[order[-1]])
 
 
 @dataclass
@@ -277,20 +285,21 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray) -> BatchDecision:
-    """Finish the decision for the plan's rows in `batch` from their probabilities:
-    select on the AN loss, then flag targets or weights. The AN loss is computed
-    only if the batch can flag: an absolute schedule, or a positive relative quota."""
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray | None = None) -> BatchDecision:
+    """Finish the decision for the plan's rows in `batch` from their probabilities: select
+    among the batch's candidates on their AN loss, -log(1 - p) (an UNKNOWN entry's AN target
+    is 0), from one log pass over their probabilities alone, and only if the batch can flag (an
+    absolute schedule, or a positive relative quota); then flag targets or weights.
+    flags: the batch's all-False C-contiguous flag rows to flag in; new when None."""
     targets, weights, action = plan.targets[batch], plan.weights[batch], plan.spec.action
-    flags, threshold = np.zeros(targets.shape, dtype=bool), float("nan")
+    flags, threshold = np.zeros(targets.shape, dtype=bool) if flags is None else flags, float("nan")
     if action != "none":
         start, stop, _ = batch.indices(len(plan.offsets) - 1)
         lo, hi = plan.offsets[start], plan.offsets[stop]
         if plan.rate is None or quota(plan.rate, hi - lo) > 0:
-            an = plan.an[batch]
-            flags, threshold = select_large_losses(
-                an_losses(probs, an), plan.states[batch], rate=plan.rate, threshold=plan.threshold,
-                candidates=plan.candidates[lo:hi] - start * an.shape[1])
+            candidates = plan.candidates[lo:hi] - start * targets.shape[1]
+            losses = -np.log(np.subtract(1.0, probs.reshape(-1)[candidates]))
+            _, threshold = select_large_losses(losses, plan.states[batch], plan.rate, plan.threshold, candidates, flags)
     if not math.isnan(threshold):  # NaN: no selection, or a relative quota of zero
         if action == "reject":
             weights = np.where(flags, 0.0, weights)
@@ -299,16 +308,26 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray) -> BatchDec
     return BatchDecision(targets, weights, flags, threshold)
 
 
-def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray) -> np.ndarray:
+def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np.ndarray | None = None,
+                 positive: np.ndarray | None = None) -> np.ndarray:
     """weights * bce(probs, targets) of the plan's rows, with the targets and weights their
     batch decisions trained on, written over `probs`, the rows' probabilities: computed once,
-    at epoch end. flags: the entries the batches flagged, trained toward 1 or with weight 0."""
+    at epoch end. flags: the entries the batches flagged, trained toward 1 or with weight 0.
+    seen: where an_losses(probs, positive) goes first, against the boolean targets `positive`
+    (plan.an when None; its positives trained toward 1); new when None. Its bits stand wherever
+    the trained target is `positive`; LSAN's smoothed targets take their own log pass."""
     action = plan.spec.action
+    positive = plan.an if positive is None else positive
+    seen = an_losses(probs, positive, out=seen)
     if plan.spec.target == "smoothed":
         losses = bce_elementwise(probs, plan.targets, out=probs)
     else:
-        losses = an_losses(probs, plan.an | flags if action in ("temporary", "permanent") else plan.an, out=probs)
-    losses *= plan.weights
+        same = (plan.an | flags if action in ("temporary", "permanent") else plan.an) == positive
+        # elsewhere the batch trained toward 1; a whole -log p pass costs less than a masked or gathered one
+        losses = probs if same.all() else np.negative(np.log(probs, out=probs), out=probs)
+        np.copyto(losses, seen, where=same)
+    if plan.spec.weight != "ones":
+        losses *= plan.weights
     if action == "reject":
         np.multiply(losses, 0.0, out=losses, where=flags)
     return losses

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,6 +37,9 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged at epoch {epoch}: non-finite batch loss")
         self.epoch = epoch
+
+    def __reduce__(self):  # pickle rebuilds through __init__, whose argument `args` does not hold
+        return type(self), (self.epoch,)
 
 
 @dataclass
@@ -150,23 +154,16 @@ def modification_precision(flag_counts, true_counts, cumulative: bool = False):
     """
     if len(flag_counts) != len(true_counts):
         raise ValueError("flag_counts and true_counts must have equal length")
-    out: list[float | None] = []
-    total_flags = 0
-    total_true = 0
-    for flags, true in zip(flag_counts, true_counts):
-        if cumulative:
-            total_flags += flags
-            total_true += true
-            out.append(total_true / total_flags if total_flags else None)
-        else:
-            out.append(true / flags if flags else None)
-    return out
+    if cumulative:
+        flag_counts, true_counts = accumulate(flag_counts), accumulate(true_counts)
+    return [true / flags if flags else None for flags, true in zip(flag_counts, true_counts)]
 
 
 def _validation_map(classifier, val: PartialDataset) -> float:
     """Validation mAP as a fraction: against truth when present, otherwise
     over observed entries only (unknown entries leave the ranking)."""
-    probs = model_mod.forward(classifier, val.features)
+    # features checked when `val` was taken; the pass's buffers are freed again before the next epoch
+    probs = model_mod.forward_pass(classifier, val.features).probs
     if val.truth is not None:
         return evaluation.mean_average_precision(probs, val.truth).mean
     aps = []
@@ -186,18 +183,19 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     truly positive ones among them or None without truth, smallest threshold).
     Under permanent correction the flagged entries are the corrected ones.
 
-    A batch runs its forward pass, its decision (a loss only to select, and only if it
-    can flag), its gradient and its step. Every other loss (the tracker's, each batch's
-    weighted one) is computed at epoch end from the probabilities the batches trained on.
+    A batch runs its forward pass, its decision (the AN loss of its candidates alone, only
+    if it can flag, flagging into the flag buffer), its gradient and its step. At epoch end
+    `schemes.epoch_losses` takes one AN-loss log pass into the tracker's buffer and makes each
+    batch's weighted loss from it, with another log only where the batch trained on another target.
 
-    buffers: (probabilities, AN losses, flags, forward pass buffers, gradient vector,
-    its views), reused every epoch; the first three are written in visiting order."""
+    buffers: (probabilities, AN losses, flags, forward pass buffers, gradient vector, its
+    views, gradient deltas), reused every epoch; the first three are in visiting order."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
 
     n, k = train.n, train.k
-    probs, seen, seen_flags, work, grad, grad_views = buffers
+    probs, seen, seen_flags, work, grad, grad_views, deltas = buffers
     seen_flags.fill(False)
     thresholds = []
     # gathered once in visiting order, so each batch reads slice views
@@ -209,16 +207,15 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     for start in range(0, n, cfg.batch_size):
         batch = slice(start, start + cfg.batch_size)
         fwd = model_mod.forward_pass(classifier, features[batch], probs[batch], work)  # checked with the dataset
-        decision = schemes.decide_planned(plan, batch, fwd.probs)
+        decision = schemes.decide_planned(plan, batch, fwd.probs, seen_flags[batch])
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
-            seen_flags[batch] = decision.flags
-        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views)
+        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
     del features, fwd  # the batches' copy of the features (and the last view of it): not held at epoch end
 
-    schemes.an_losses(probs, an0[order], out=seen)  # against the AN targets the run started from
-    losses = schemes.epoch_losses(plan, probs, seen_flags)  # over the probabilities
+    # the tracker's AN losses go into `seen`, against the AN targets the run started from
+    losses = schemes.epoch_losses(plan, probs, seen_flags, seen, an0[order])  # over the probabilities
     full = n - n % cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
     batch_losses = losses[:full].reshape(-1, cfg.batch_size * k).sum(axis=1).tolist()
     batch_losses += [float(losses[full:].sum())] if full < n else []
@@ -278,8 +275,9 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
     grad, shape = np.empty_like(classifier.flat), (train.n, train.k)
-    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-               model_mod.ForwardPass.empty(classifier, min(cfg.batch_size, train.n)), grad, classifier.views(grad))
+    rows = min(cfg.batch_size, train.n)
+    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), model_mod.ForwardPass.empty(classifier, rows),
+               grad, classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows))
 
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     records: list[EpochRecord] = []

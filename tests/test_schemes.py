@@ -1,11 +1,13 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsml.dataset import LabelState, PartialDataset
+from wsml.dataset import LabelState, PartialDataset, an_targets_from_states
 from wsml.model import init_classifier
 from wsml.schemes import (
     SPECS,
@@ -25,6 +27,11 @@ from wsml.schemes import (
 )
 
 from test_model import backward
+
+# loaded by path, as test_reference.py does: perfbench has a module named `reference`
+_spec = importlib.util.spec_from_file_location("schemes_reference", pathlib.Path(__file__).with_name("reference.py"))
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 U = LabelState.UNKNOWN
 P = LabelState.OBS_POS
@@ -488,6 +495,70 @@ class TestPlannedSelection:
         assert not d.flags.any() and math.isnan(d.threshold)
         losses = epoch_losses(plan, probs.copy(), d.flags)
         assert np.array_equal(d.targets, plan.targets) and np.array_equal(losses, class_losses(probs)[1])
+
+
+class TestCandidateSelection:
+    def test_ties_that_only_the_loss_sees_flag_by_ascending_index(self):
+        # two distinct probabilities at the clamp's edge whose 1 - p round to the same
+        # double: their AN losses tie, so the quota's edge takes the lower index, even
+        # where that entry holds the smaller probability
+        low, high = 1e-7, np.nextafter(1e-7, 1.0)
+        assert low < high and 1.0 - low == 1.0 - high
+        states = np.full((2, 4), U, dtype=np.int8)
+        probs = np.array([[0.9, low, high, 0.05], [high, 0.9, low, 0.05]])
+        c = cfg("ll-r", delta_rel=75.0)  # epoch 2: 75% of 4 UNKNOWN entries a row is 3, of 8 is 6
+        plan = plan_epoch(Scheme.LL_R, states, 2, c)
+        expected = {0: [[1, 1, 0, 1]], 1: [[1, 1, 0, 1]], None: [[1, 1, 1, 1], [0, 1, 0, 1]]}
+        for row, want in expected.items():
+            batch = slice(0, 2) if row is None else slice(row, row + 1)
+            got = decide_planned(plan, batch, probs[batch])
+            flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], plan.rate, None)
+            assert got.flags.astype(int).tolist() == want == flags.astype(int).tolist()
+            assert got.threshold == threshold == -np.log(1.0 - low)
+            assert_same_decision(got, decide_batch(Scheme.LL_R, probs[batch], states[batch], 2, c))
+
+    @pytest.mark.parametrize("scheme", list(SPECS))
+    def test_a_batch_reads_the_probabilities_of_its_candidates_alone(self, scheme):
+        rng = np.random.default_rng(17)
+        states = rng.choice([int(U), int(P), int(N), int(C)], size=(30, 6), p=[0.6, 0.15, 0.15, 0.1]).astype(np.int8)
+        probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(30, 6))
+        poisoned = probs.copy()
+        poisoned[states != U] = rng.choice([np.nan, 0.0, 1.0], size=int((states != U).sum()))
+        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        flagged = 0
+        for lo in range(0, 30, 7):  # a ragged last batch
+            batch = slice(lo, lo + 7)
+            want = decide_planned(plan, batch, probs[batch])
+            with np.errstate(all="raise"):  # log(0) and 0 * inf would raise
+                got = decide_planned(plan, batch, poisoned[batch])
+            assert_same_decision(got, want)
+            flagged += int(got.flags.sum())
+        assert (flagged > 0) == (SPECS[scheme].action != "none")
+
+    @pytest.mark.parametrize("size", [4, 7, 30])
+    @pytest.mark.parametrize("scheme", list(SPECS))
+    def test_epoch_losses_from_the_tracker_pass_are_the_batches_own(self, scheme, size):
+        # the run started from `start`; LL-Cp has since corrected some of its UNKNOWN entries
+        rng = np.random.default_rng(size)
+        start = rng.choice([int(U), int(P), int(N)], size=(30, 6), p=[0.7, 0.15, 0.15]).astype(np.int8)
+        states = np.where((start == U) & (rng.uniform(size=start.shape) < 0.15), int(C), start).astype(np.int8)
+        assert (states == C).any()
+        an0 = an_targets_from_states(start) == 1.0
+        probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(30, 6))
+        probs[::4, 2] = probs[0, 0]  # loss ties, which the selection breaks by index
+        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        flags, wanted = np.zeros(states.shape, dtype=bool), []
+        for lo in range(0, 30, size):
+            batch = slice(lo, lo + size)
+            decision = decide_planned(plan, batch, probs[batch], flags[batch])
+            assert np.shares_memory(decision.flags, flags)
+            wanted.append((batch, decided_losses(decision, probs[batch])))
+        assert flags.any() == (SPECS[scheme].action != "none")
+        seen = np.full(probs.shape, np.nan)
+        losses = epoch_losses(plan, probs.copy(), flags, seen, an0)
+        for batch, want in wanted:
+            assert_same_bits(losses[batch], want)
+        assert_same_bits(seen, an_losses(probs, an0))  # the tracker's, against the starting targets
 
 
 class TestQuota:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import pathlib
+import pickle
 import warnings
 from collections import Counter
 
@@ -183,6 +184,12 @@ class TestRunBasics:
             run(config(epochs=3), tiny_partial())
         assert err.value.epoch == 1
         assert "epoch 1" in str(err.value)
+
+    def test_divergence_survives_pickling(self):
+        err = TrainingDiverged(3)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TrainingDiverged and back.epoch == 3
+        assert str(back) == str(err) == "training diverged at epoch 3: non-finite batch loss"
 
     def test_divergence_in_the_middle_of_an_epoch_stops_it_before_the_tracker_fold(self, monkeypatch):
         # the losses are computed at epoch end: the batches after the poisoned
