@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (gen, both partialize modes,
-fourteen train arms that run every scheme, two of them linear and one of
+Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, the
+fraction mode once more at fraction 1, which observes every entry, fourteen
+train arms that run every scheme, two of them linear and one of
 those frozen, one with a ragged last batch and one whose selection quota is
 zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
 one of them to stdout, a train and an eval on a copy of the partialized
@@ -73,6 +74,8 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
                           "--out", "sp.wsml"]),
         ("part-frac", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "0.3",
                             "--seed", "5", "--out", "frac.wsml"]),
+        ("part-frac-all", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "1",
+                                "--seed", "5", "--out", "frac-all.wsml"]),
         train("naive", "sp.wsml", "naive-an", "--test-data", "test.wsml"),
         train("llr", "sp.wsml", "ll-r", "--delta-rel", "5", "--r0", "9", "--eps-smooth", "0.2"),
         train("llct", "frac.wsml", "ll-ct", "--delta-rel", "4", "--optimizer", "sgd", "--lr", "0.05"),

@@ -6,7 +6,7 @@ evaluation; training code must never read them as supervision.
 
 All values are immutable after construction except the states matrix, whose
 only legal mutation is UNKNOWN -> CORRECTED_POS via `correct_to_positive`.
-A run that mutates states must own a private copy (see `PartialDataset.copy`).
+A run that mutates states must own a private copy (see `PartialDataset.take`).
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ class PartialDataset:
                 raise ValueError("truth must be binary")
             if _disagreements(self.states, self.truth).any():
                 raise ValueError("an observed state disagrees with truth")
-
-    def copy(self) -> "PartialDataset":
-        return PartialDataset(
-            self.features.copy(),
-            self.states.copy(),
-            None if self.truth is None else self.truth.copy(),
-        )
 
     def take(self, indices: np.ndarray) -> "PartialDataset":
         """Row subset with rows copied (the result owns its arrays)."""
@@ -293,8 +286,6 @@ def make_fraction_observed(full: PartialDataset, fraction: float, seed) -> Parti
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if not full.fully_observed():
         raise ValueError("fraction partialization requires a fully observed dataset")
-    if fraction == 1.0:
-        return full.copy()
     total = full.n * full.k
     keep = int(math.floor(fraction * total))
     rng = np.random.default_rng(seed)

@@ -143,11 +143,8 @@ def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = 
     """-log(where(positive, p, 1 - p)): the elementwise binary cross entropy against
     the targets of the boolean mask `positive`, with the bits of where(positive, -log p,
     -log(1 - p)) from one log pass; probs must be pre-clamped away from {0, 1}.
-    out: where to write it, which may be probs itself; new when None."""
-    if np.may_share_memory(out, probs):  # the positive entries are left for the copy
-        out = np.subtract(1.0, probs, out=out, where=~positive)
-    else:  # a plain subtract: a masked ufunc loop costs more than the masked copy below
-        out = np.subtract(1.0, probs, out=out)
+    out: where to write it, which may not be probs; new when None."""
+    out = np.subtract(1.0, probs, out=out)  # a plain subtract: a masked ufunc loop costs more than the masked copy
     np.copyto(out, probs, where=positive)
     return np.negative(np.log(out, out=out), out=out)
 
@@ -198,39 +195,20 @@ def quota(rate: float, m: int) -> int:
     return min(int((rate / 100.0) * m), m)
 
 
-def select_large_losses(losses: np.ndarray, states: np.ndarray, rate: float | None = None,
-                        threshold: float | None = None, candidates: np.ndarray | None = None,
-                        flags: np.ndarray | None = None):
-    """Flag large-loss UNKNOWN entries; returns (flag mask, threshold used).
+def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float | None, threshold: float | None,
+                        flags: np.ndarray):
+    """Flag large-loss UNKNOWN entries in `flags`; returns (flags, threshold used). Nothing is checked.
 
-    Relative mode (rate in percent): flags exactly quota(rate, M) of the
-    M UNKNOWN entries, taking the largest losses; ties break toward ascending
-    (row, column) index. The reported threshold is the smallest flagged loss,
-    NaN when nothing is flagged.
+    candidates: the ascending flat indices of the UNKNOWN entries into `flags`, an all-False
+    C-contiguous mask; losses: their losses, in the same order.
 
-    Absolute mode: flags every UNKNOWN entry with loss strictly greater than
-    the threshold. Observed and corrected entries are never flagged.
-    candidates: the ascending flat indices of the UNKNOWN entries,
-    `np.flatnonzero(states == UNKNOWN)`, when the caller already has them.
-    flags: an all-False C-contiguous mask shaped like `states` to flag in; given, `losses` holds
-    the candidates' losses alone (`decide_planned`'s one log pass over them) and nothing is
-    checked. The epoch-level LL-Cp selection passes every entry's AN loss from the tracker's pass.
+    Relative mode (rate in percent, threshold None): flags exactly quota(rate, M) of the
+    M candidates, taking the largest losses; ties break toward ascending (row, column) index.
+    The reported threshold is the smallest flagged loss, NaN when nothing is flagged.
+
+    Absolute mode (threshold given, rate None): flags every candidate with loss strictly
+    greater than the threshold.
     """
-    if flags is None:
-        losses = np.asarray(losses, dtype=np.float64)
-        states = np.asarray(states)
-        if losses.shape != states.shape:
-            raise ValueError(f"shape mismatch: losses {losses.shape} vs states {states.shape}")
-        if (rate is None) == (threshold is None):
-            raise ValueError("exactly one of rate or threshold must be given")
-        if threshold is not None and not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
-        if rate is not None and not 0.0 <= rate <= 100.0:
-            raise ValueError(f"rate must lie in [0, 100], got {rate}")
-        candidates = np.flatnonzero(states == UNKNOWN) if candidates is None else candidates
-        flags = np.zeros(losses.shape, dtype=bool)
-        losses = losses.reshape(-1)[candidates]
-
     k = None if rate is None else quota(rate, len(candidates))
     if k == 0:
         return flags, float("nan")
@@ -252,7 +230,6 @@ class EpochPlan:
     rows [a, b) hold candidates[offsets[a]:offsets[b]]."""
 
     spec: SchemeSpec
-    states: np.ndarray
     an: np.ndarray
     unknown: np.ndarray
     targets: np.ndarray
@@ -282,7 +259,7 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     else:
         weights = np.broadcast_to(1.0, states.shape)  # read-only, and no memory held for the epoch
     offsets = [0, *np.cumsum(unknown.sum(axis=1)).tolist()]
-    return EpochPlan(spec, states, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
+    return EpochPlan(spec, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
 def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray | None = None) -> BatchDecision:
@@ -299,7 +276,7 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.n
         if plan.rate is None or quota(plan.rate, hi - lo) > 0:
             candidates = plan.candidates[lo:hi] - start * targets.shape[1]
             losses = -np.log(np.subtract(1.0, probs.reshape(-1)[candidates]))
-            _, threshold = select_large_losses(losses, plan.states[batch], plan.rate, plan.threshold, candidates, flags)
+            _, threshold = select_large_losses(losses, candidates, plan.rate, plan.threshold, flags)
     if not math.isnan(threshold):  # NaN: no selection, or a relative quota of zero
         if action == "reject":
             weights = np.where(flags, 0.0, weights)

@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import evaluation, model as model_mod, schemes
-from .dataset import OBS_NEG, OBS_POS, PartialDataset
+from .dataset import OBS_NEG, OBS_POS, UNKNOWN, PartialDataset
 
 __all__ = [
     "TrainConfig",
@@ -82,7 +82,7 @@ class MemorizationTracker:
     Losses are taken against the assume-negative targets the run started
     from, so the measurement reflects the original assumed labels even when a
     correcting scheme later rewrites states. The trainer folds each epoch's
-    losses in once, at epoch end, in the order the epoch visited the rows.
+    losses in once, at epoch end, by row.
     """
 
     def __init__(self, n: int, k: int):
@@ -90,12 +90,10 @@ class MemorizationTracker:
         self.argmax_epoch = np.zeros((n, k), dtype=np.int64)
         self.epochs_tracked = 0
 
-    def update(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
-        """Fold the per-element losses of `rows` in; the first epoch wins loss ties."""
-        full = np.full(self.max_loss.shape, -np.inf)  # rows left out never win
-        full[rows] = losses
-        bigger = full > self.max_loss
-        np.copyto(self.max_loss, full, where=bigger)
+    def update(self, losses: np.ndarray, epoch: int) -> None:
+        """Fold in the per-element losses of every row; the first epoch wins loss ties."""
+        bigger = losses > self.max_loss
+        np.copyto(self.max_loss, losses, where=bigger)
         np.copyto(self.argmax_epoch, epoch, where=bigger)
 
     def end_epoch(self) -> None:
@@ -189,7 +187,8 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     batch's weighted loss from it, with another log only where the batch trained on another target.
 
     buffers: (probabilities, AN losses, flags, forward pass buffers, gradient vector, its
-    views, gradient deltas), reused every epoch; the first three are in visiting order."""
+    views, gradient deltas), reused every epoch; the first three are in visiting order, until
+    the first takes the AN losses by row for the tracker fold."""
     scheme = cfg.scheme.scheme
     permanent = schemes.SPECS[scheme].action == "permanent"
     epoch_level = permanent and cfg.llcp_granularity == "epoch"
@@ -198,21 +197,19 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     probs, seen, seen_flags, work, grad, grad_views, deltas = buffers
     seen_flags.fill(False)
     thresholds = []
-    # gathered once in visiting order, so each batch reads slice views
-    features = train.features[order]
     plan = schemes.plan_epoch(scheme, train.states[order], epoch, cfg.scheme)
     if epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
         plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
 
     for start in range(0, n, cfg.batch_size):
-        batch = slice(start, start + cfg.batch_size)
-        fwd = model_mod.forward_pass(classifier, features[batch], probs[batch], work)  # checked with the dataset
+        batch = slice(start, start + cfg.batch_size)  # of the rows in visiting order
+        # the batch's own feature rows (checked with the dataset); the take method costs less than [] or np.take
+        fwd = model_mod.forward_pass(classifier, train.features.take(order[batch], axis=0), probs[batch], work)
         decision = schemes.decide_planned(plan, batch, fwd.probs, seen_flags[batch])
         if not math.isnan(decision.threshold):
             thresholds.append(decision.threshold)
         model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
-    del features, fwd  # the batches' copy of the features (and the last view of it): not held at epoch end
 
     # the tracker's AN losses go into `seen`, against the AN targets the run started from
     losses = schemes.epoch_losses(plan, probs, seen_flags, seen, an0[order])  # over the probabilities
@@ -227,18 +224,18 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
 
     if (seen_flags & ~plan.unknown).any():  # before any flag is counted or corrected
         raise AssertionError("flag selection touched an observed or corrected entry")
-    # every row was visited exactly once, so one fold in visiting order
-    # does what a fold per batch would
-    tracker.update(order, seen, epoch)
+    # every row was visited exactly once, so one fold by row does what a fold per batch would
+    losses[order] = seen  # the AN losses by row, in a buffer that is free again
+    tracker.update(losses, epoch)
     tracker.end_epoch()
-    if epoch_level:  # the batches flagged nothing: select over the epoch's losses
-        losses[order] = seen  # the AN losses by row, in a buffer that is free again
-        flags, threshold = schemes.select_large_losses(losses, train.states, rate=plan.rate, threshold=plan.threshold)
+    flags = np.empty_like(seen_flags)
+    flags[order] = seen_flags  # all False under epoch-level LL-Cp, whose batches flag nothing
+    if epoch_level:  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
+        candidates = np.flatnonzero(train.states == UNKNOWN)
+        _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates, plan.rate,
+                                                   plan.threshold, flags)
         if not math.isnan(threshold):
             thresholds.append(threshold)
-    else:
-        flags = np.empty_like(seen_flags)
-        flags[order] = seen_flags
     flagged = schemes.apply_permanent_corrections(train, flags) if permanent else int(flags.sum())
     flagged_true = None if train.truth is None else int((flags & (train.truth == 1)).sum())
 

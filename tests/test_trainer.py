@@ -88,10 +88,9 @@ class TestModificationPrecision:
 class TestMemorizationTracker:
     def test_running_max_keeps_first_epoch_on_ties(self):
         t = MemorizationTracker(1, 2)
-        rows = np.array([0])
-        t.update(rows, np.array([[1.0, 0.5]]), 1)
+        t.update(np.array([[1.0, 0.5]]), 1)
         t.end_epoch()
-        t.update(rows, np.array([[1.0, 0.7]]), 2)
+        t.update(np.array([[1.0, 0.7]]), 2)
         t.end_epoch()
         assert t.argmax_epoch[0, 0] == 1  # tie stays at the first epoch
         assert t.argmax_epoch[0, 1] == 2
@@ -100,17 +99,9 @@ class TestMemorizationTracker:
 
     def test_max_is_nondecreasing(self):
         t = MemorizationTracker(1, 1)
-        rows = np.array([0])
-        t.update(rows, np.array([[2.0]]), 1)
-        t.update(rows, np.array([[1.0]]), 2)
+        t.update(np.array([[2.0]]), 1)
+        t.update(np.array([[1.0]]), 2)
         assert t.max_loss[0, 0] == 2.0
-
-    def test_rows_left_out_keep_their_running_max(self):
-        t = MemorizationTracker(3, 2)
-        t.update(np.array([2, 0]), np.array([[1.0, -2.0], [0.5, 3.0]]), 1)
-        t.update(np.array([0]), np.array([[0.25, 4.0]]), 2)
-        assert t.max_loss.tolist() == [[0.5, 4.0], [-np.inf, -np.inf], [1.0, -2.0]]
-        assert t.argmax_epoch.tolist() == [[1, 2], [0, 0], [1, 1]]
 
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 14), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -121,7 +112,9 @@ class TestMemorizationTracker:
             order = rng.permutation(n)
             # few distinct values, so losses tie across epochs and with the -inf start
             seen = rng.choice([-np.inf, 0.0, 0.5, 1.0], size=(n, k))
-            per_epoch.update(order, seen, epoch)
+            by_row = np.empty_like(seen)
+            by_row[order] = seen  # as the trainer hands them over
+            per_epoch.update(by_row, epoch)
             per_batch_fold(per_batch, order, seen, epoch, batch_size)
             assert per_epoch.max_loss.tobytes() == per_batch.max_loss.tobytes()
             assert per_epoch.argmax_epoch.tobytes() == per_batch.argmax_epoch.tobytes()
@@ -397,7 +390,7 @@ class TestUnknownOnlyFlags:
         def leaky_plan(scheme, states, epoch, cfg):
             plan = plan_epoch(scheme, states, epoch, cfg)
             # every entry a candidate, observed and corrected ones too
-            n, k = plan.states.shape
+            n, k = states.shape
             plan.candidates, plan.offsets = np.arange(n * k), list(range(0, n * k + 1, k))
             return plan
 
