@@ -212,6 +212,54 @@ class TestGenerateSynthetic:
         assert np.array_equal(a.truth, b.truth)
 
 
+def full_bisection(base_logits, uniforms, temperature, target_rate):
+    """The bias-shift bisection with every rate a sigmoid pass over all entries."""
+
+    def rate(c):
+        return float(np.mean(uniforms < sigmoid((base_logits + c) / temperature)))
+
+    lo, hi = -1.0, 1.0
+    while rate(lo) > target_rate and lo > -1e9:
+        lo *= 2.0
+    while rate(hi) < target_rate and hi < 1e9:
+        hi *= 2.0
+    best_c, best_err = 0.0, abs(rate(0.0) - target_rate)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = rate(mid)
+        err = abs(r - target_rate)
+        if err < best_err:
+            best_c, best_err = mid, err
+        if r < target_rate:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return best_c
+
+
+@given(
+    n=st.integers(1, 3000),
+    k=st.integers(2, 30),
+    d=st.integers(1, 50),
+    temperature=st.floats(0.05, 20.0),
+    share=st.floats(0.0, 1.0),  # of the way from one positive a row (1/K) to 0.99
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bias_shift_has_the_bits_of_the_full_bisection(n, k, d, temperature, share, seed):
+    # the corpus draws of generate_synthetic; a target rate near 1/K doubles the lower
+    # bracket end, near 0.99 the upper one, and more often the higher the temperature
+    rng = np.random.default_rng(seed)
+    weights, bias = rng.standard_normal((k, d)), rng.standard_normal(k)
+    base = rng.standard_normal((n, d)) @ weights.T + bias
+    uniforms = rng.uniform(size=(n, k))
+    target = 1.0 / k + share * (0.99 - 1.0 / k)
+    got = ds_mod._calibrate_bias_shift(base, uniforms, temperature, target)
+    assert np.float64(got).tobytes() == np.float64(full_bisection(base, uniforms, temperature, target)).tobytes()
+
+
 def per_row_single_positive(full, seed):
     """Reference: one rng.integers draw per row, in row order."""
     rng = np.random.default_rng(seed)
