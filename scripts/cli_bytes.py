@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (gen, both partialize modes, the
-fraction mode once more at fraction 1, which observes every entry, fourteen
+Runs one fixed pipeline of `wsml` commands (three gens, one of them at a
+positive rate of 0.9, whose bias bisection doubles the upper end of its
+bracket, both partialize modes, the fraction mode once more at fraction 1,
+which observes every entry, fourteen
 train arms that run every scheme, two of them linear and one of
 those frozen, one with a ragged last batch and one whose selection quota is
 zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
@@ -56,7 +58,7 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
     n, dim and classes shape the generated corpus; epochs is that of every
     training run.
     """
-    gen = ["gen", "--n", str(n), "--dim", str(dim), "--classes", str(classes), "--pos-rate", "0.35"]
+    gen = ["gen", "--n", str(n), "--dim", str(dim), "--classes", str(classes)]
 
     def train(name, data, scheme, *extra):
         return (name, "1", ["train", "--data", data, "--scheme", scheme, "--epochs", str(epochs),
@@ -68,8 +70,10 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
                                 "--arch", "linear", *extra, "--out", name + ".csv"])
 
     return [
-        ("gen-full", "1", [*gen, "--seed", "3", "--out", "full.wsml"]),
-        ("gen-test", "1", [*gen, "--seed", "4", "--temperature", "0.7", "--out", "test.wsml"]),
+        ("gen-full", "1", [*gen, "--pos-rate", "0.35", "--seed", "3", "--out", "full.wsml"]),
+        ("gen-test", "1", [*gen, "--pos-rate", "0.35", "--seed", "4", "--temperature", "0.7", "--out", "test.wsml"]),
+        # a dense corpus: at 300x8x6 the bias bisection doubles its upper bracket end three times
+        ("gen-dense", "1", [*gen, "--pos-rate", "0.9", "--seed", "6", "--out", "dense.wsml"]),
         ("part-sp", "1", ["partialize", "--in", "full.wsml", "--mode", "single-positive", "--seed", "5",
                           "--out", "sp.wsml"]),
         ("part-frac", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "0.3",

@@ -203,15 +203,35 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(num, e, out=e)  # one divide for both signs
 
 
+# The float sigmoid lies within about 1e-15 of the exact one. An entry whose probability
+# clears its draw by more than this slack at one shift keeps its side at every shift beyond.
+SETTLE_SLACK = 1e-12
+
+
 def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):
     """Bisect a global bias shift until the sampled positive rate hits the target.
 
     With the uniform draws fixed, the positive rate is a nondecreasing step
     function of the shift, so bisection converges; the best-seen shift wins.
+
+    Each rate counts only the entries the bracket has not yet decided. After a
+    step sets lo = mid, every later shift is at least mid: the entries whose
+    probability at mid exceeds their draw by more than SETTLE_SLACK stay
+    positive, so they join `settled` and drop out. After a step sets hi = mid,
+    the entries short of their draw by more than the slack stay negative and
+    drop out. The rates keep the bits of a pass over every entry: the rounded
+    logit fl(fl(b + c) / T) is monotone in c, the float sigmoid lies within
+    about 1e-15 of the exact, monotone one, and int/int division gives the
+    float that np.mean gives over booleans.
     """
+    total = base_logits.size
+    base, draws = base_logits.reshape(-1), uniforms.reshape(-1)
+    work, settled = np.empty(total), 0
 
     def rate(c):
-        return float(np.mean(uniforms < sigmoid((base_logits + c) / temperature)))
+        prob = work[:base.size]
+        sigmoid(np.divide(np.add(base, c, out=prob), temperature, out=prob), out=prob)
+        return (settled + np.count_nonzero(draws < prob)) / total
 
     lo, hi = -1.0, 1.0
     while rate(lo) > target_rate and lo > -1e9:
@@ -225,12 +245,17 @@ def _calibrate_bias_shift(base_logits, uniforms, temperature, target_rate):
         err = abs(r - target_rate)
         if err < best_err:
             best_c, best_err = mid, err
+        margin = np.subtract(work[:base.size], draws, out=work[:base.size])  # probability at mid - draw
         if r < target_rate:
             lo = mid
+            keep = margin <= SETTLE_SLACK
+            settled += base.size - np.count_nonzero(keep)
         else:
             hi = mid
+            keep = margin >= -SETTLE_SLACK
         if hi - lo < 1e-12:
             break
+        base, draws = base[keep], draws[keep]
     return best_c
 
 

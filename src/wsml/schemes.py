@@ -262,14 +262,14 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     return EpochPlan(spec, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray | None = None) -> BatchDecision:
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray) -> BatchDecision:
     """Finish the decision for the plan's rows in `batch` from their probabilities: select
     among the batch's candidates on their AN loss, -log(1 - p) (an UNKNOWN entry's AN target
     is 0), from one log pass over their probabilities alone, and only if the batch can flag (an
     absolute schedule, or a positive relative quota); then flag targets or weights.
-    flags: the batch's all-False C-contiguous flag rows to flag in; new when None."""
+    flags: the batch's all-False C-contiguous flag rows to flag in."""
     targets, weights, action = plan.targets[batch], plan.weights[batch], plan.spec.action
-    flags, threshold = np.zeros(targets.shape, dtype=bool) if flags is None else flags, float("nan")
+    threshold = float("nan")
     if action != "none":
         start, stop, _ = batch.indices(len(plan.offsets) - 1)
         lo, hi = plan.offsets[start], plan.offsets[stop]
@@ -285,17 +285,16 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.n
     return BatchDecision(targets, weights, flags, threshold)
 
 
-def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np.ndarray | None = None,
-                 positive: np.ndarray | None = None) -> np.ndarray:
+def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np.ndarray,
+                 positive: np.ndarray) -> np.ndarray:
     """weights * bce(probs, targets) of the plan's rows, with the targets and weights their
     batch decisions trained on, written over `probs`, the rows' probabilities: computed once,
     at epoch end. flags: the entries the batches flagged, trained toward 1 or with weight 0.
     seen: where an_losses(probs, positive) goes first, against the boolean targets `positive`
-    (plan.an when None; its positives trained toward 1); new when None. Its bits stand wherever
-    the trained target is `positive`; LSAN's smoothed targets take their own log pass."""
+    (its positives trained toward 1). Its bits stand wherever the trained target is
+    `positive`; LSAN's smoothed targets take their own log pass."""
     action = plan.spec.action
-    positive = plan.an if positive is None else positive
-    seen = an_losses(probs, positive, out=seen)
+    an_losses(probs, positive, out=seen)
     if plan.spec.target == "smoothed":
         losses = bce_elementwise(probs, plan.targets, out=probs)
     else:

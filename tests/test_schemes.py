@@ -51,7 +51,19 @@ def decide_batch(scheme, probs, states, epoch, cfg) -> BatchDecision:
     if probs.shape != states.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
     plan = plan_epoch(scheme, states, epoch, cfg)
-    return decide_planned(plan, slice(None), probs)
+    return decide(plan, slice(None), probs)
+
+
+def decide(plan, batch, probs) -> BatchDecision:
+    """The plan's decision for the rows in `batch`, from their probabilities `probs`,
+    flagged into a new all-False buffer."""
+    return decide_planned(plan, batch, probs, np.zeros(probs.shape, dtype=bool))
+
+
+def plan_epoch_losses(plan, probs, flags):
+    """The epoch's losses written over `probs`, with the AN losses against the plan's
+    own targets in a new buffer."""
+    return epoch_losses(plan, probs, flags, np.empty(probs.shape), plan.an)
 
 
 def class_losses(probs):
@@ -361,7 +373,7 @@ class TestEpochPlan:
         flags, wanted = np.zeros((n, k), dtype=bool), []
         for lo, hi in zip(bounds, bounds[1:]):
             batch = slice(lo, hi)
-            got = decide_planned(plan, batch, probs[batch])
+            got = decide(plan, batch, probs[batch])
             want = reference_decide_batch(token, probs[batch], live[batch], epoch, c)
             assert_same_decision(got, decide_batch(Scheme(token), probs[batch], live[batch], epoch, c))
             assert_same_decision(got, want)
@@ -370,7 +382,7 @@ class TestEpochPlan:
             if SPECS[Scheme(token)].action == "permanent":
                 live[batch][got.flags] = C
         # the epoch's losses, computed once over every batch's probabilities, are the batches' own
-        losses = epoch_losses(plan, probs.copy(), flags)
+        losses = plan_epoch_losses(plan, probs.copy(), flags)
         for batch, want_losses in wanted:
             assert_same_bits(losses[batch], want_losses)
 
@@ -403,7 +415,7 @@ class TestEpochPlan:
         plan = plan_epoch(scheme, states, 4, c)
         flagged = 0
         for batch in (slice(0, 16), slice(16, 32), slice(32, 40)):
-            got = decide_planned(plan, batch, probs[batch])
+            got = decide(plan, batch, probs[batch])
             if SPECS[scheme].action != "none":
                 given = np.where(plan.an[batch], *class_losses(probs[batch]))
                 flags, threshold = select_by_states(given, states[batch], plan.rate, plan.threshold)
@@ -470,7 +482,7 @@ class TestPlannedSelection:
         batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         batches += [slice(lo, lo + size) for lo in range(0, n, size)]
         for batch in batches:
-            got = decide_planned(plan, batch, probs[batch])
+            got = decide(plan, batch, probs[batch])
             flags, threshold = python_selection(losses[batch], states[batch], plan.rate, plan.threshold)
             assert np.array_equal(got.flags, flags), batch
             assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
@@ -480,9 +492,9 @@ class TestPlannedSelection:
         states = np.full((2, 3), U, dtype=np.int8)
         plan = plan_epoch(Scheme.LL_CT, states, 2, cfg("ll-ct", delta_rel=10.0))  # 10% of 6 rounds to 0
         probs = np.full((2, 3), 0.3)
-        d = decide_planned(plan, slice(0, 2), probs)
+        d = decide(plan, slice(0, 2), probs)
         assert not d.flags.any() and math.isnan(d.threshold)
-        losses = epoch_losses(plan, probs.copy(), d.flags)
+        losses = plan_epoch_losses(plan, probs.copy(), d.flags)
         assert np.array_equal(d.targets, plan.targets) and np.array_equal(losses, class_losses(probs)[1])
 
 
@@ -500,7 +512,7 @@ class TestCandidateSelection:
         expected = {0: [[1, 1, 0, 1]], 1: [[1, 1, 0, 1]], None: [[1, 1, 1, 1], [0, 1, 0, 1]]}
         for row, want in expected.items():
             batch = slice(0, 2) if row is None else slice(row, row + 1)
-            got = decide_planned(plan, batch, probs[batch])
+            got = decide(plan, batch, probs[batch])
             flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], plan.rate, None)
             assert got.flags.astype(int).tolist() == want == flags.astype(int).tolist()
             assert got.threshold == threshold == -np.log(1.0 - low)
@@ -517,9 +529,9 @@ class TestCandidateSelection:
         flagged = 0
         for lo in range(0, 30, 7):  # a ragged last batch
             batch = slice(lo, lo + 7)
-            want = decide_planned(plan, batch, probs[batch])
+            want = decide(plan, batch, probs[batch])
             with np.errstate(all="raise"):  # log(0) and 0 * inf would raise
-                got = decide_planned(plan, batch, poisoned[batch])
+                got = decide(plan, batch, poisoned[batch])
             assert_same_decision(got, want)
             flagged += int(got.flags.sum())
         assert (flagged > 0) == (SPECS[scheme].action != "none")
