@@ -4,18 +4,17 @@
 Runs one fixed pipeline of `wsml` commands (three gens, one of them at a
 positive rate of 0.9, whose bias bisection doubles the upper end of its
 bracket, both partialize modes, the fraction mode once more at fraction 1,
-which observes every entry, fourteen
-train arms that run every scheme, two of them linear and one of
-those frozen, one with a ragged last batch and one whose selection quota is
-zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
-one of them to stdout, a train and an eval on a copy of the partialized
-corpus with comment lines inside its blocks, a train on a copy whose state
-disagrees with its truth, a 2-worker, a 1-worker and a failing sweep) once
-against the base revision's `src/` and once against the working tree's, each
-in its own empty directory with relative paths. Every output file and each
-command's stdout, stderr and exit code are then compared byte for byte; the
-files that differ are printed, the outputs are kept for inspection and the
-exit code is 1.
+which observes every entry, fourteen train arms that run every scheme, two of
+them linear and one of those frozen, one with a ragged last batch and one
+whose selection quota is zero before its last epoch, evals of two mlp1
+checkpoints and a linear one, one of them to stdout, a train and an eval on a
+copy of the partialized corpus with comment lines inside its blocks, a train
+on a copy whose state disagrees with its truth, a 2-worker, a 1-worker and a
+failing sweep) once against the base revision's `src/` and once against the
+working tree's, each in its own empty directory with relative paths. Every
+output file and each command's stdout, stderr and exit code are then compared
+byte for byte; the files that differ are printed, the outputs are kept for
+inspection and the exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1

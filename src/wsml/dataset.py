@@ -277,7 +277,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PartialDataset:
 
     base = features @ weights.T + bias
     shift = _calibrate_bias_shift(base, uniforms, spec.temperature, spec.pos_rate)
-    probs = sigmoid((base + shift) / spec.temperature)
+    probs = sigmoid(np.divide(np.add(base, shift, out=base), spec.temperature, out=base), out=base)  # base is spent
     truth = (uniforms < probs).astype(np.int8)
 
     empty_rows = np.flatnonzero(truth.sum(axis=1) == 0)
