@@ -275,7 +275,8 @@ def generate_synthetic(spec: SyntheticSpec) -> PartialDataset:
     features = rng.standard_normal((spec.n, spec.dim))
     uniforms = rng.uniform(size=(spec.n, spec.classes))
 
-    base = features @ weights.T + bias
+    base = np.dot(features, weights.T)
+    base += bias
     shift = _calibrate_bias_shift(base, uniforms, spec.temperature, spec.pos_rate)
     probs = sigmoid(np.divide(np.add(base, shift, out=base), spec.temperature, out=base), out=base)  # base is spent
     truth = (uniforms < probs).astype(np.int8)
@@ -284,7 +285,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PartialDataset:
     if empty_rows.size:
         truth[empty_rows, probs[empty_rows].argmax(axis=1)] = 1
 
-    states = np.where(truth == 1, OBS_POS, OBS_NEG).astype(np.int8)
+    states = np.where(truth == 1, np.int8(OBS_POS), np.int8(OBS_NEG))
     return PartialDataset(features, states, truth)
 
 
