@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (three gens, one of them at a
+Runs one fixed pipeline of `wsml` commands (four gens, one of them at a
 positive rate of 0.9, whose bias bisection doubles the upper end of its
-bracket, both partialize modes, the fraction mode once more at fraction 1,
-which observes every entry, fourteen train arms that run every scheme, two of
-them linear and one of those frozen, one with a ragged last batch and one
-whose selection quota is zero before its last epoch, evals of two mlp1
-checkpoints and a linear one, one of them to stdout, a train and an eval on a
-copy of the partialized corpus with comment lines inside its blocks, a train
-on a copy whose state disagrees with its truth, a 2-worker, a 1-worker and a
-failing sweep) once against the base revision's `src/` and once against the
-working tree's, each in its own empty directory with relative paths. Every
-output file and each command's stdout, stderr and exit code are then compared
-byte for byte; the files that differ are printed, the outputs are kept for
-inspection and the exit code is 1.
+bracket, and one at a fixed 660x100x3, whose 66,000-entry feature block is
+formatted by forked writers on a host with more than one CPU, both partialize
+modes, the fraction mode once more at fraction 1, which observes every entry,
+fourteen train arms that run every scheme, two of them linear and one of
+those frozen, one with a ragged last batch and one whose selection quota is
+zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
+one of them to stdout, a train and an eval on a copy of the partialized
+corpus with comment lines inside its blocks, a train on a copy whose state
+disagrees with its truth, a 2-worker, a 1-worker and a failing sweep) once
+against the base revision's `src/` and once against the working tree's, each
+in its own empty directory with relative paths. Every output file and each
+command's stdout, stderr and exit code are then compared byte for byte; the
+files that differ are printed, the outputs are kept for inspection and the
+exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
@@ -73,6 +75,9 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         ("gen-test", "1", [*gen, "--pos-rate", "0.35", "--seed", "4", "--temperature", "0.7", "--out", "test.wsml"]),
         # a dense corpus: at 300x8x6 the bias bisection doubles its upper bracket end three times
         ("gen-dense", "1", [*gen, "--pos-rate", "0.9", "--seed", "6", "--out", "dense.wsml"]),
+        # a fixed shape at every pipeline size: its feature block is at least io.PARALLEL_MIN (2^15) reals
+        ("gen-wide", "1", ["gen", "--n", "660", "--dim", "100", "--classes", "3", "--pos-rate", "0.35", "--seed", "8",
+                           "--out", "wide.wsml"]),
         ("part-sp", "1", ["partialize", "--in", "full.wsml", "--mode", "single-positive", "--seed", "5",
                           "--out", "sp.wsml"]),
         ("part-frac", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "0.3",

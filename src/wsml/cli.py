@@ -397,8 +397,7 @@ def _worker_count(n_arms: int) -> int:
             if limit < 1:
                 _warn(f"ignoring WSML_THREADS={limit} (must be >= 1)")
     if limit < 1:
-        # the CPUs this process may run on: a pinned or cpuset-limited one has fewer
-        limit = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        limit = len(io.usable_cpus())
     return max(1, min(limit, n_arms))
 
 

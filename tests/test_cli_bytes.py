@@ -26,10 +26,11 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 31
+    assert len(exits) == 32
     assert sorted(name for name, code in exits.items() if code != "0\n") == ["notes-bad.exit", "sweep-fail.exit"]
-    for name in ("full.wsml", "dense.wsml", "sp.wsml", "frac-all.wsml", "llcp-batch.report.json", "llr-linear-frozen.model", "eval.json",
-                 "eval-linear.json", "sweep-2w.csv", "notes.wsml", "notes.model", "eval-notes.json"):
+    for name in ("full.wsml", "dense.wsml", "wide.wsml", "sp.wsml", "frac-all.wsml", "llcp-batch.report.json",
+                 "llr-linear-frozen.model", "eval.json", "eval-linear.json", "sweep-2w.csv", "notes.wsml", "notes.model",
+                 "eval-notes.json"):
         assert (b / name).is_file(), name
 
 

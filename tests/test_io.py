@@ -11,9 +11,11 @@ import gc
 import hashlib
 import os
 import pickle
+import re
 import stat
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -337,6 +339,172 @@ class TestAtomicWrites:
         assert main([*argv, "link.json"]) == 0
         assert os.path.islink("link.json") and (tmp_path / "target.json").read_text() == expected
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+# ---------------------------------------------------------------------------
+# forked writes: a large real block is formatted by one forked process per CPU
+# with the bytes of the serial loop, and no process outlives the save
+# ---------------------------------------------------------------------------
+
+COLS = 64
+BIG = (wsml_io.PARALLEL_MIN // COLS, COLS)  # exactly PARALLEL_MIN entries
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make save see `workers` usable CPUs, cycling through the real ones so that every worker can be pinned."""
+    cpus = wsml_io.usable_cpus()
+    monkeypatch.setattr(wsml_io, "usable_cpus", lambda: [cpus[i % len(cpus)] for i in range(workers)])
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gets one entry per os.fork call in this process."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def track_parts(monkeypatch) -> list:
+    """A list that gets every temp file save opens for a child's rows."""
+    parts, real = [], wsml_io.tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        parts.append(real(*args, **kwargs))
+        return parts[-1]
+
+    monkeypatch.setattr(wsml_io.tempfile, "TemporaryFile", temporary_file)
+    return parts
+
+
+def save_block(path, block) -> None:
+    """Save `block` between other parts, so the rows the children format must land between them."""
+    wsml_io.save(path, "HEAD", "{}", ["7 8", (block, wsml_io.REAL), (np.arange(6).reshape(2, 3), wsml_io.INT)])
+
+
+def serial_text(block) -> bytes:
+    rows = "".join(" ".join("%.17g" % v for v in row) + "\n" for row in block)
+    return f"HEAD\n#cfg {{}}\n7 8\n{rows}0 1 2\n3 4 5\n".encode()
+
+
+def current_affinity():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def assert_no_child_and_affinity(affinity) -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert current_affinity() == affinity
+
+
+@pytest.fixture
+def affinity():
+    """This process's CPU affinity, which a save must leave as it found it."""
+    return current_affinity()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedWrites:
+    @pytest.mark.parametrize("shape", [
+        BIG,
+        (BIG[0] + 5, COLS),  # uneven ranges for 2, 3 and 4 workers
+        (3, wsml_io.PARALLEL_MIN // 2),  # fewer rows than 4 workers
+    ])
+    def test_any_worker_count_writes_the_serial_bytes(self, tmp_path, monkeypatch, affinity, shape):
+        rng = np.random.default_rng(shape[0])
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)  # rows of uneven length
+        expected = serial_text(block)
+        for workers in (1, 2, 3, 4):
+            force_workers(monkeypatch, workers)
+            forks, parts = count_forks(monkeypatch), track_parts(monkeypatch)
+            save_block(tmp_path / "out.txt", block)
+            assert len(forks) == len(parts) == min(workers, shape[0]) - 1
+            assert all(part.closed for part in parts)
+            assert (tmp_path / "out.txt").read_bytes() == expected, workers
+            assert_no_child_and_affinity(affinity)
+
+    def test_small_int_and_forkless_blocks_are_written_serially(self, tmp_path, monkeypatch, affinity):
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        small = np.random.default_rng(2).standard_normal((BIG[0] - 1, COLS))
+        save_block(tmp_path / "small.txt", small)
+        wsml_io.save(tmp_path / "int.txt", "HEAD", None, [(np.arange(wsml_io.PARALLEL_MIN).reshape(BIG), wsml_io.INT)])
+        assert forks == []
+        assert (tmp_path / "small.txt").read_bytes() == serial_text(small)
+        big = np.random.default_rng(3).standard_normal(BIG)
+        monkeypatch.delattr(os, "fork")
+        save_block(tmp_path / "big.txt", big)
+        assert (tmp_path / "big.txt").read_bytes() == serial_text(big)
+        assert_no_child_and_affinity(affinity)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_each_writer_is_pinned_to_its_own_cpu(self, tmp_path, monkeypatch, affinity):
+        force_workers(monkeypatch, 3)
+        cpus = wsml_io.usable_cpus()
+        parent, real_write, real_pin, parent_pins = os.getpid(), wsml_io._write_block, os.sched_setaffinity, []
+
+        def write_block(fh, path, block, row_format, worker_cpus):  # a child formats its range through this name
+            if os.getpid() != parent and os.sched_getaffinity(0) != set(worker_cpus):
+                raise RuntimeError("a child runs off its CPU")
+            real_write(fh, path, block, row_format, worker_cpus)
+
+        def pin(pid, mask):
+            if os.getpid() == parent:
+                parent_pins.append(set(mask))
+            real_pin(pid, mask)
+
+        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+        save_block(tmp_path / "out.txt", np.ones(BIG))
+        assert parent_pins == [{cpus[0]}, affinity]  # its own range on the first CPU, then its mask back
+        assert_no_child_and_affinity(affinity)
+
+    def test_a_failing_child_fails_the_save_and_keeps_the_target(self, tmp_path, monkeypatch, affinity):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        force_workers(monkeypatch, 3)
+        parent, real = os.getpid(), wsml_io._write_block
+
+        def write_block(*args):  # a child formats its range through this name too
+            if os.getpid() != parent:
+                raise RuntimeError("injected child failure")
+            real(*args)
+
+        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        parts = track_parts(monkeypatch)
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            save_block(path, np.ones(BIG))
+        assert len(parts) == 2 and all(part.closed for part in parts)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert_no_child_and_affinity(affinity)
+
+    def test_a_failure_in_the_parent_range_leaves_no_child(self, tmp_path, monkeypatch, affinity):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        force_workers(monkeypatch, 4)
+        parent, real = os.getpid(), wsml_io._write_block
+
+        def write_block(*args):  # each child sleeps far longer than the save may take
+            if os.getpid() != parent:
+                time.sleep(60)
+            real(*args)
+
+        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        forks, parts = count_forks(monkeypatch), track_parts(monkeypatch)
+        block = np.full(BIG, 0.5, dtype=object)
+        block[0, 0] = "not a real"  # in the first range, which the parent formats after forking
+        start = time.monotonic()
+        with pytest.raises(TypeError):
+            save_block(path, block)
+        assert time.monotonic() - start < 30  # the children were killed, not waited for
+        assert len(forks) == len(parts) == 3 and all(part.closed for part in parts)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert_no_child_and_affinity(affinity)
 
 
 # ---------------------------------------------------------------------------
