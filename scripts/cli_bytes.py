@@ -11,7 +11,9 @@ those frozen, one with a ragged last batch and one whose selection quota is
 zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
 one of them to stdout, a train and an eval on a copy of the partialized
 corpus with comment lines inside its blocks, a train on a copy whose state
-disagrees with its truth, a 2-worker, a 1-worker and a failing sweep) once
+disagrees with its truth, a train on a copy cut before its TRUTH line, whose
+validation mAP ranks the observed entries alone, a 2-worker, a 1-worker and
+a failing sweep) once
 against the base revision's `src/` and once against the working tree's, each
 in its own empty directory with relative paths. Every output file and each
 command's stdout, stderr and exit code are then compared byte for byte; the
@@ -49,6 +51,13 @@ if len(sys.argv) > 3:
 with open(sys.argv[2], "w") as fh:
     for i, line in enumerate(lines, 1):
         fh.write(line + "\\n" + ("# note\\n" if i % 7 == 0 else ""))
+"""
+
+# `python -c BARE src dest` copies dataset `src` to `dest` up to the line before its TRUTH line
+BARE = """
+import sys
+lines = open(sys.argv[1]).read().splitlines(keepends=True)
+open(sys.argv[2], "w").writelines(lines[:lines.index("TRUTH\\n")])
 """
 
 
@@ -111,6 +120,8 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
                              "--phase-table", "--tracker", "notes.tracker", "--out", "eval-notes.json"]),
         ("notes-bad-copy", "1", ["-c", NOTES, "sp.wsml", "notes-bad.wsml", "40"]),
         train("notes-bad", "notes-bad.wsml", "naive-an"),  # fails at state row 40's line
+        ("bare-copy", "1", ["-c", BARE, "sp.wsml", "bare.wsml"]),
+        train("bare", "bare.wsml", "ll-ct", "--delta-rel", "5"),  # no truth: no flag precision, observed-entry mAP
         sweep("sweep-2w", "2", "delta-rel", "2,0.5,1", "ll-r", "--test-data", "test.wsml"),
         sweep("sweep-1w", "1", "subsample", "0.5,1", "naive-an"),
         sweep("sweep-fail", "1", "subsample", "0.001,1", "naive-an"),  # the 0.001 arm keeps no sample

@@ -15,7 +15,6 @@ from .dataset import (
 from .evaluation import APResult, average_precision, grouped_map, mean_average_precision, phase_distribution
 from .model import Classifier, OptimizerState, forward, grad_check, init_classifier, load_model, make_optimizer, save_model, step
 from .schemes import (
-    BatchDecision,
     Scheme,
     SchemeConfig,
     apply_permanent_corrections,

@@ -129,10 +129,6 @@ class PartialDataset:
             None if self.truth is None else self.truth[idx],
         )
 
-    def an_targets(self) -> np.ndarray:
-        """Current assume-negative target matrix (pure function of states)."""
-        return an_targets_from_states(self.states)
-
     def unknown_mask(self) -> np.ndarray:
         return self.states == UNKNOWN
 

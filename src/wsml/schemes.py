@@ -25,7 +25,6 @@ __all__ = [
     "SchemeConfig",
     "SchemeSpec",
     "SPECS",
-    "BatchDecision",
     "EpochPlan",
     "an_losses",
     "bce_elementwise",
@@ -122,21 +121,6 @@ class SchemeConfig:
             raise ValueError(f"delta_abs must be nonnegative and finite, got {self.delta_abs}")
         if not 0.0 <= self.eps_smooth < 0.5:
             raise ValueError(f"eps_smooth must lie in [0, 0.5), got {self.eps_smooth}")
-
-
-@dataclass
-class BatchDecision:
-    """Effective targets and weights for one batch.
-
-    flags marks the large-loss UNKNOWN entries selected this batch (always a
-    subset of UNKNOWN entries); threshold is the loss threshold in effect,
-    NaN when no selection applies. It holds no losses: `epoch_losses` computes them at epoch end.
-    """
-
-    targets: np.ndarray
-    weights: np.ndarray
-    flags: np.ndarray
-    threshold: float
 
 
 def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -262,12 +246,14 @@ def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig
     return EpochPlan(spec, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray) -> BatchDecision:
+def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray):
     """Finish the decision for the plan's rows in `batch` from their probabilities: select
     among the batch's candidates on their AN loss, -log(1 - p) (an UNKNOWN entry's AN target
     is 0), from one log pass over their probabilities alone, and only if the batch can flag (an
     absolute schedule, or a positive relative quota); then flag targets or weights.
-    flags: the batch's all-False C-contiguous flag rows to flag in."""
+    flags: the batch's all-False C-contiguous flag rows to flag in. Returns (targets, weights,
+    threshold): the threshold in effect, NaN when nothing was selected; no losses, since
+    `epoch_losses` computes them at epoch end."""
     targets, weights, action = plan.targets[batch], plan.weights[batch], plan.spec.action
     threshold = float("nan")
     if action != "none":
@@ -282,7 +268,7 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.n
             weights = np.where(flags, 0.0, weights)
         else:  # flagged entries train toward 1 until the state change lands
             targets = np.where(flags, 1.0, targets)
-    return BatchDecision(targets, weights, flags, threshold)
+    return targets, weights, threshold
 
 
 def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np.ndarray,

@@ -91,12 +91,11 @@ class MemorizationTracker:
         self.epochs_tracked = 0
 
     def update(self, losses: np.ndarray, epoch: int) -> None:
-        """Fold in the per-element losses of every row; the first epoch wins loss ties."""
+        """Fold in epoch `epoch`'s per-element losses of every row and count the epoch;
+        the first epoch wins loss ties."""
         bigger = losses > self.max_loss
         np.copyto(self.max_loss, losses, where=bigger)
         np.copyto(self.argmax_epoch, epoch, where=bigger)
-
-    def end_epoch(self) -> None:
         self.epochs_tracked += 1
 
 
@@ -205,10 +204,10 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
         batch = slice(start, start + cfg.batch_size)  # of the rows in visiting order
         # the batch's own feature rows (checked with the dataset); the take method costs less than [] or np.take
         fwd = model_mod.forward_pass(classifier, train.features.take(order[batch], axis=0), probs[batch], work)
-        decision = schemes.decide_planned(plan, batch, fwd.probs, seen_flags[batch])
-        if not math.isnan(decision.threshold):
-            thresholds.append(decision.threshold)
-        model_mod.gradient(classifier, fwd, decision.targets, decision.weights, grad, grad_views, deltas)
+        targets, weights, threshold = schemes.decide_planned(plan, batch, fwd.probs, seen_flags[batch])
+        if not math.isnan(threshold):
+            thresholds.append(threshold)
+        model_mod.gradient(classifier, fwd, targets, weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
 
     # the tracker's AN losses go into `seen`, against the AN targets the run started from
@@ -227,7 +226,6 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
     # every row was visited exactly once, so one fold by row does what a fold per batch would
     losses[order] = seen  # the AN losses by row, in a buffer that is free again
     tracker.update(losses, epoch)
-    tracker.end_epoch()
     flags = np.empty_like(seen_flags)
     flags[order] = seen_flags  # all False under epoch-level LL-Cp, whose batches flag nothing
     if epoch_level:  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
@@ -268,7 +266,7 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
     opt = model_mod.make_optimizer(cfg.optimizer, cfg.learning_rate, classifier)
     epoch_seeds = shuffle_seed.spawn(cfg.epochs)
 
-    an0 = train.an_targets() == 1.0  # the assumed positives the run started from
+    an0 = schemes.an_targets_from_states(train.states) == 1.0  # the assumed positives the run started from
     initial_states = train.states.copy()
     tracker = MemorizationTracker(train.n, train.k)
     grad, shape = np.empty_like(classifier.flat), (train.n, train.k)

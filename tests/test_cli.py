@@ -133,6 +133,26 @@ class TestPartialize:
         assert code == 1
         assert "fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--fraction", "1.5", "--seed", "2"], "--fraction must lie in (0, 1], got 1.5"),
+        (["--fraction", "0.5", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ])
+    def test_bad_fraction_or_seed_is_usage_error(self, tmp_path, gen_file, capsys, flags, message):
+        out = tmp_path / "x.wsml"
+        assert run_cli("partialize", "--in", str(gen_file), "--mode", "fraction", *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_fraction_mode_on_a_partial_set_is_runtime_error(self, tmp_path, sp_file, capsys):
+        out = tmp_path / "x.wsml"
+        code = run_cli(
+            "partialize", "--in", str(sp_file), "--mode", "fraction", "--fraction", "0.5",
+            "--seed", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: fraction partialization requires a fully observed dataset\n"
+        assert not out.exists()
+
     def test_missing_truth_is_runtime_error(self, tmp_path, capsys):
         bare = tmp_path / "bare.wsml"
         bare.write_text("WSML/1\n2 2 2\n0 0\n1 1\n1 0\n0 1\n")
@@ -254,6 +274,28 @@ class TestTrain:
         assert "usage error" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--subsample", "1.5", "subsample fraction must lie in (0, 1], got 1.5"),
+        ("--epochs", "0", "need epochs >= 1, got 0"),
+        ("--batch", "0", "need batch_size >= 1, got 0"),
+        ("--val-frac", "1", "val_fraction must lie in (0, 1), got 1.0"),
+        ("--frozen-epochs", "-1", "frozen_epochs must be nonnegative, got -1"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+    ])
+    def test_each_config_rule_is_usage_error(self, tmp_path, sp_file, capsys, flag, value, message):
+        (tmp_path / "out").mkdir()
+        assert run_cli(*train_args(sp_file, tmp_path / "out" / "run", **{flag: value})) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_test_data_without_truth_is_runtime_error(self, tmp_path, sp_file, capsys):
+        bare = tmp_path / "bare.wsml"
+        bare.write_text("WSML/1\n2 4 5\n" + "0 0 0 0\n" * 2 + "u u u u u\n" * 2)
+        (tmp_path / "out").mkdir()
+        assert run_cli(*train_args(sp_file, tmp_path / "out" / "run", **{"--test-data": str(bare)})) == 2
+        assert capsys.readouterr().err == f"error: {bare}: test dataset has no TRUTH section\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_test_data_of_another_shape_is_runtime_error(self, tmp_path, sp_file, capsys):
         other = tmp_path / "other.wsml"
         assert run_cli("gen", "--n", "30", "--dim", "3", "--classes", "5", "--pos-rate", "0.4",
@@ -311,6 +353,23 @@ class TestEval:
         assert set(table) == {"TP", "TN", "FN"}
         tp = table["TP"]
         assert tp["warmup_pct"] + tp["regular_pct"] == pytest.approx(100.0)
+
+    def test_zero_groups_is_usage_error(self, gen_file, trained, capsys):
+        assert run_cli("eval", "--model", f"{trained}.model", "--data", str(gen_file), "--groups", "0") == 1
+        assert capsys.readouterr().err == "usage error: --groups must be >= 1, got 0\n"
+
+    def test_tracker_rows_beyond_the_dataset_are_runtime_error(self, tmp_path, trained, capsys):
+        # the tracker names rows of the 60-row training file; this file has 10
+        small = tmp_path / "small.wsml"
+        assert run_cli("gen", "--n", "10", "--dim", "4", "--classes", "5", "--pos-rate", "0.4",
+                       "--seed", "1", "--out", str(small)) == 0
+        assert load_tracker(f"{trained}.tracker")[0].max() >= 10
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--model", f"{trained}.model", "--data", str(small), "--phase-table",
+                       "--tracker", f"{trained}.tracker", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {trained}.tracker: row indices exceed dataset size 10\n"
+        assert not out.exists()
 
     def test_missing_truth_is_runtime_error(self, tmp_path, trained):
         bare = tmp_path / "bare.wsml"
@@ -484,6 +543,16 @@ class TestSweep:
         )
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_numeric_value_is_usage_error(self, tmp_path, sp_file, capsys):
+        code = run_cli(
+            "sweep", "--param", "delta-rel", "--values", "1,x",
+            "--data", str(sp_file), "--scheme", "ll-r", "--epochs", "1", "--batch", "8",
+            "--seed", "1", "--arch", "linear", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: bad sweep value: could not convert string to float: 'x'\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_values_rejected(self, tmp_path, sp_file):

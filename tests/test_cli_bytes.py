@@ -26,12 +26,16 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 32
+    assert len(exits) == 34
     assert sorted(name for name, code in exits.items() if code != "0\n") == ["notes-bad.exit", "sweep-fail.exit"]
     for name in ("full.wsml", "dense.wsml", "wide.wsml", "sp.wsml", "frac-all.wsml", "llcp-batch.report.json",
                  "llr-linear-frozen.model", "eval.json", "eval-linear.json", "sweep-2w.csv", "notes.wsml", "notes.model",
-                 "eval-notes.json"):
+                 "eval-notes.json", "bare.wsml", "bare.report.json"):
         assert (b / name).is_file(), name
+    # the truth-less copy trains on observed-entry validation mAP and reports no flag precision
+    assert "TRUTH" not in (b / "bare.wsml").read_text().splitlines()
+    bare = json.loads((b / "bare.report.json").read_text())
+    assert bare["best_val_map"] > 0 and all(e["flag_precision"] is None for e in bare["epochs"])
 
 
 def test_comment_lines_change_no_output_but_the_error_line(tiny_run):

@@ -110,7 +110,7 @@ class TestPartialDataset:
     def test_an_targets_by_cases(self):
         ds = small_dataset()
         expected = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
-        assert np.array_equal(ds.an_targets(), expected)
+        assert np.array_equal(an_targets_from_states(ds.states), expected)
 
     def test_an_targets_all_unknown_row_is_zero(self):
         states = np.full((1, 4), U, dtype=np.int8)
@@ -197,7 +197,7 @@ class TestGenerateSynthetic:
         assert ds.truth.shape == (4, 3)
         assert (ds.truth.sum(axis=1) >= 1).all()
         assert ds.fully_observed()
-        assert np.array_equal(ds.an_targets(), ds.truth)
+        assert np.array_equal(an_targets_from_states(ds.states), ds.truth)
 
     def test_positive_rate_is_calibrated(self):
         ds = generate_synthetic(SyntheticSpec(n=2000, dim=20, classes=10, pos_rate=0.3, seed=1))
@@ -400,7 +400,7 @@ class TestSerialization:
         ds = small_dataset()
         path = tmp_path / "d.wsml"
         save_dataset(ds, path)
-        assert np.array_equal(load_dataset(path).an_targets(), ds.an_targets())
+        assert np.array_equal(an_targets_from_states(load_dataset(path).states), an_targets_from_states(ds.states))
 
     def test_comment_lines_are_skipped(self, tmp_path):
         ds = small_dataset()

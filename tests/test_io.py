@@ -199,6 +199,32 @@ def test_tracker_k_must_match_the_dataset(trained, capsys):
     assert "K=3" in err and "K=4" in err
 
 
+class TestReaderEdges:
+    """The ends of a Reader's lines: a file that stops without a final line break, a blank line in a block."""
+
+    def test_last_line_without_a_final_newline_loads_bit_for_bit(self, tmp_path):
+        ds = dataset_with_truth()
+        path = tmp_path / "open.wsml"
+        save_dataset(ds, path, config_comment="{}")
+        text = path.read_text()
+        assert text.endswith(" 0\n") or text.endswith(" 1\n")  # a truth row, then the final newline
+        path.write_text(text[:-1])
+        back = load_dataset(path)
+        for got, want in ((back.features, ds.features), (back.states, ds.states), (back.truth, ds.truth)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_blank_line_inside_a_block_fails_at_that_line(self, tmp_path):
+        path = tmp_path / "blank.wsml"
+        save_dataset(dataset_with_truth(), path, config_comment="{}")
+        lines = path.read_text().splitlines()
+        lines.insert(5, "")  # line 6: after the header, #cfg and dims lines and two of the 3-wide feature rows
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_dataset(path)
+        assert err.value.line == 6
+        assert str(err.value) == "line 6: expected 3 feature values, got none"
+
+
 def test_huge_dimension_line_reads_rows_before_allocating(tmp_path):
     path = tmp_path / "huge.wsml"
     path.write_text("WSML/1\n100000000000 100 20\n0 0\n")

@@ -2,7 +2,8 @@
 
 `wsml.io.Reader` reads its file CHUNK_CHARS characters at a time. Here the
 round-trip and line-number tests of the dataset, checkpoint and tracker
-readers run again with chunks of 5 characters, mutated files must load to
+readers run again with chunks of 5 characters, the reader's edge cases at
+every chunk size from 1 to 39 and the default, mutated files must load to
 the same bits or fail at the same line at any chunk size as at the default
 one, and comment lines inside blocks are skipped wherever the chunk edges
 fall.
@@ -60,6 +61,13 @@ class TestGoldenBytes(test_io.TestGoldenBytes):
 
 class TestNonFiniteReals(test_io.TestNonFiniteReals):
     pass
+
+
+@pytest.mark.parametrize("chunk", [*range(1, 40), DEFAULT_CHUNK])
+class TestReaderEdges(test_io.TestReaderEdges):
+    @pytest.fixture(autouse=True)
+    def chunk_size(self, monkeypatch, chunk):
+        monkeypatch.setattr(wsml_io, "CHUNK_CHARS", chunk)
 
 
 def outcome(reader, path):

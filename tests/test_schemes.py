@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from wsml.dataset import LabelState, PartialDataset, an_targets_from_states
 from wsml.model import init_classifier
 from wsml.schemes import (
     SPECS,
-    BatchDecision,
     Scheme,
     SchemeConfig,
     absolute_threshold,
@@ -43,7 +43,17 @@ def cfg(scheme, **kw):
     return SchemeConfig(Scheme(scheme), **kw)
 
 
-def decide_batch(scheme, probs, states, epoch, cfg) -> BatchDecision:
+@dataclass
+class Decision:
+    """One batch's decision: its targets, weights and threshold, and the flag rows it flagged in."""
+
+    targets: np.ndarray
+    weights: np.ndarray
+    flags: np.ndarray
+    threshold: float
+
+
+def decide_batch(scheme, probs, states, epoch, cfg) -> Decision:
     """One batch's decision as its own epoch plan, finished at once: the
     library's two steps over a single batch."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -54,10 +64,12 @@ def decide_batch(scheme, probs, states, epoch, cfg) -> BatchDecision:
     return decide(plan, slice(None), probs)
 
 
-def decide(plan, batch, probs) -> BatchDecision:
+def decide(plan, batch, probs) -> Decision:
     """The plan's decision for the rows in `batch`, from their probabilities `probs`,
     flagged into a new all-False buffer."""
-    return decide_planned(plan, batch, probs, np.zeros(probs.shape, dtype=bool))
+    flags = np.zeros(probs.shape, dtype=bool)
+    targets, weights, threshold = decide_planned(plan, batch, probs, flags)
+    return Decision(targets, weights, flags, threshold)
 
 
 def plan_epoch_losses(plan, probs, flags):
@@ -331,20 +343,20 @@ def reference_decide_batch(scheme, probs, states, epoch, c):
         weights = np.ones_like(probs)
     if spec.action == "reject":
         weights = np.where(flags, 0.0, weights)
-    return BatchDecision(targets, weights, flags, threshold)
+    return Decision(targets, weights, flags, threshold)
 
 
 def assert_same_bits(a, b, name=""):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-def assert_same_decision(got: BatchDecision, want: BatchDecision):
+def assert_same_decision(got: Decision, want: Decision):
     for name in ("targets", "weights", "flags"):
         assert_same_bits(getattr(got, name), getattr(want, name), name)
     assert got.threshold == want.threshold or (math.isnan(got.threshold) and math.isnan(want.threshold))
 
 
-def decided_losses(decision: BatchDecision, probs):
+def decided_losses(decision: Decision, probs):
     """The weighted loss a batch decision trains on, as the batch once computed it."""
     return decision.weights * bce_elementwise(probs, decision.targets)
 
@@ -551,9 +563,8 @@ class TestCandidateSelection:
         flags, wanted = np.zeros(states.shape, dtype=bool), []
         for lo in range(0, 30, size):
             batch = slice(lo, lo + size)
-            decision = decide_planned(plan, batch, probs[batch], flags[batch])
-            assert np.shares_memory(decision.flags, flags)
-            wanted.append((batch, decided_losses(decision, probs[batch])))
+            targets, weights, _ = decide_planned(plan, batch, probs[batch], flags[batch])
+            wanted.append((batch, weights * bce_elementwise(probs[batch], targets)))
         assert flags.any() == (SPECS[scheme].action != "none")
         seen = np.full(probs.shape, np.nan)
         losses = epoch_losses(plan, probs.copy(), flags, seen, an0)
@@ -584,7 +595,7 @@ class TestDegenerateEquivalences:
         self.probs = rng.uniform(0.05, 0.95, size=(6, 5))
         self.states = rng.choice([int(U), int(P), int(N)], size=(6, 5)).astype(np.int8)
 
-    def equal_decisions(self, a: BatchDecision, b: BatchDecision):
+    def equal_decisions(self, a: Decision, b: Decision):
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.flags, b.flags)
@@ -647,7 +658,7 @@ class TestApplyPermanentCorrections:
         flags[0, 0] = True
         assert apply_permanent_corrections(ds, flags) == 1
         assert ds.states[0, 0] == C
-        assert ds.an_targets()[0, 0] == 1.0
+        assert an_targets_from_states(ds.states)[0, 0] == 1.0
 
     def test_flag_on_non_unknown_is_contract_violation(self):
         ds = self.make_ds()

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsml import dataset as ds_mod, model as model_mod, schemes
+from wsml import model as model_mod, schemes, trainer as trainer_mod
 from wsml.dataset import LabelState, PartialDataset, SyntheticSpec, generate_synthetic, make_single_positive
+from wsml.evaluation import average_precision
 from wsml.schemes import Scheme, SchemeConfig
 from wsml.trainer import (
     MemorizationTracker,
@@ -89,9 +90,7 @@ class TestMemorizationTracker:
     def test_running_max_keeps_first_epoch_on_ties(self):
         t = MemorizationTracker(1, 2)
         t.update(np.array([[1.0, 0.5]]), 1)
-        t.end_epoch()
         t.update(np.array([[1.0, 0.7]]), 2)
-        t.end_epoch()
         assert t.argmax_epoch[0, 0] == 1  # tie stays at the first epoch
         assert t.argmax_epoch[0, 1] == 2
         assert t.max_loss[0, 1] == 0.7
@@ -164,7 +163,6 @@ class TestRunBasics:
     def test_divergence_aborts_with_epoch(self, monkeypatch):
         # the probability clamp keeps ordinary training finite, so poison a
         # parameter to exercise the non-finite-loss guard
-        from wsml import trainer as trainer_mod
         from wsml.model import init_classifier
 
         def poisoned(*args, **kwargs):
@@ -187,8 +185,6 @@ class TestRunBasics:
     def test_divergence_in_the_middle_of_an_epoch_stops_it_before_the_tracker_fold(self, monkeypatch):
         # the losses are computed at epoch end: the batches after the poisoned
         # step still train, and the epoch raises before anything is folded in
-        from wsml import trainer as trainer_mod
-
         step, steps = trainer_mod.model_mod.step, []
 
         def poisoning(model, grads, opt):
@@ -220,8 +216,6 @@ class TestRunBasics:
 
     @pytest.mark.parametrize("d,k", [(3, 5), (4, 6), (5, 4)])
     def test_test_set_shape_is_checked_before_training(self, monkeypatch, d, k):
-        from wsml import trainer as trainer_mod
-
         def never(*args, **kwargs):
             raise AssertionError("trained although the test set cannot be scored")
 
@@ -277,7 +271,7 @@ class TestEpochOneNeutrality:
 
 class TestValidationMapWithoutTruth:
     def test_observed_only_ranking(self):
-        # states carry enough observed labels for每 category; no truth section
+        # states carry enough observed labels for every category; no truth section
         rng = np.random.default_rng(11)
         n, k = 60, 3
         states = rng.choice([int(P), int(N), int(U)], size=(n, k), p=[0.3, 0.4, 0.3]).astype(np.int8)
@@ -285,6 +279,31 @@ class TestValidationMapWithoutTruth:
         ds = PartialDataset(rng.standard_normal((n, 4)), states)
         rep = run(config(epochs=2), ds)
         assert all(0.0 <= r.val_map <= 100.0 for r in rep.records)
+
+    def test_mean_of_the_observed_entries_aps(self):
+        rng = np.random.default_rng(12)
+        n, k = 30, 5
+        states = rng.choice([int(P), int(N), int(U), int(C)], size=(n, k), p=[0.3, 0.3, 0.2, 0.2]).astype(np.int8)
+        states[0, :4] = P  # an observed positive in each of the first four categories
+        states[:, 4] = rng.choice([int(N), int(U), int(C)], size=n)  # none in the last, which is skipped
+        features = rng.standard_normal((n, 3))
+        features[1::4] = features[0]  # equal rows score alike: ties inside every ranking
+        classifier = model_mod.init_classifier("mlp1", 3, k, hidden=6, seed=4)
+        probs = model_mod.forward(classifier, features)
+        aps = []
+        for c in range(4):
+            observed = (states[:, c] == P) | (states[:, c] == N)  # C and U entries leave the ranking
+            aps.append(average_precision(probs[observed, c], states[observed, c] == P))
+        got = trainer_mod._validation_map(classifier, PartialDataset(features, states))
+        assert got == sum(aps) / len(aps)
+
+    def test_no_observed_positive_raises(self):
+        rng = np.random.default_rng(13)
+        states = rng.choice([int(N), int(U), int(C)], size=(10, 3)).astype(np.int8)
+        classifier = model_mod.init_classifier("linear", 2, 3, seed=1)
+        with pytest.raises(ValueError) as err:
+            trainer_mod._validation_map(classifier, PartialDataset(rng.standard_normal((10, 2)), states))
+        assert str(err.value) == "validation mAP undefined: no category has an observed positive"
 
 
 class TestPermanentCorrections:
@@ -473,9 +492,8 @@ class TestPerBatchWork:
         plans, plan_epoch = [], schemes.plan_epoch
         monkeypatch.setattr(schemes, "plan_epoch", counting("plan", lambda *a: plans.append(plan_epoch(*a)) or plans[-1]))
         monkeypatch.setattr(schemes, "select_large_losses", counting("select", schemes.select_large_losses))
-        # plan_epoch reads the schemes binding, the run's starting AN targets the dataset one
-        for module in (schemes, ds_mod):
-            monkeypatch.setattr(module, "an_targets_from_states", counting("an", module.an_targets_from_states))
+        # plan_epoch and the run's starting AN targets both read the schemes binding
+        monkeypatch.setattr(schemes, "an_targets_from_states", counting("an", schemes.an_targets_from_states))
         monkeypatch.setattr(MemorizationTracker, "update", counting("update", MemorizationTracker.update))
         cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
         report = run(cfg, tiny_partial())
