@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Check that the CLI writes the same bytes as at a base revision.
 
-Runs one fixed pipeline of `wsml` commands (four gens, one of them at a
-positive rate of 0.9, whose bias bisection doubles the upper end of its
-bracket, and one at a fixed 660x100x3, whose 66,000-entry feature block is
-formatted by forked writers on a host with more than one CPU, both partialize
-modes, the fraction mode once more at fraction 1, which observes every entry,
-fourteen train arms that run every scheme, two of them linear and one of
-those frozen, one with a ragged last batch and one whose selection quota is
-zero before its last epoch, evals of two mlp1 checkpoints and a linear one,
-one of them to stdout, a train and an eval on a copy of the partialized
-corpus with comment lines inside its blocks, a train on a copy whose state
-disagrees with its truth, a train on a copy cut before its TRUTH line, whose
-validation mAP ranks the observed entries alone, a 2-worker, a 1-worker and
-a failing sweep) once
-against the base revision's `src/` and once against the working tree's, each
-in its own empty directory with relative paths. Every output file and each
-command's stdout, stderr and exit code are then compared byte for byte; the
-files that differ are printed, the outputs are kept for inspection and the
-exit code is 1.
+Runs one fixed pipeline of `wsml` commands once against the base revision's
+`src/` and once against the working tree's. The pipeline has four gens: one
+of them at a positive rate of 0.9, whose bias bisection doubles the upper end
+of its bracket, and one at a fixed 1320x100x3, whose 132,000-entry feature
+block is formatted by forked writers and parsed by forked parsers on a host
+with more than one CPU. That wide set is partialized, a train runs on a copy
+of the result with comment lines inside its blocks, and a partialize of a copy
+with an invalid real in one of its last feature rows fails. Then come both
+partialize modes, the fraction mode once more at fraction 1, which observes
+every entry, fourteen train arms that run every scheme, two of them linear and
+one of those frozen, one with a ragged last batch and one whose selection
+quota is zero before its last epoch, evals of two mlp1 checkpoints and a
+linear one, one of them to stdout, a train and an eval on a copy of the
+partialized corpus with comment lines inside its blocks, a train on a copy
+whose state disagrees with its truth, a train on a copy cut before its TRUTH
+line, whose validation mAP ranks the observed entries alone, a 2-worker, a
+1-worker and a failing sweep. Each side runs in its own empty directory with
+relative paths. Every output file and each command's stdout, stderr and exit
+code are then compared byte for byte; the files that differ are printed, the
+outputs are kept for inspection and the exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
@@ -53,6 +55,15 @@ with open(sys.argv[2], "w") as fh:
         fh.write(line + "\\n" + ("# note\\n" if i % 7 == 0 else ""))
 """
 
+# `python -c BAD_REAL src dest row` copies dataset `src` to `dest` with an "x" before the first real of feature row
+# `row`, so loading `dest` fails at that row's line
+BAD_REAL = """
+import sys
+lines = open(sys.argv[1]).read().splitlines(keepends=True)
+lines[3 + int(sys.argv[3])] = "x" + lines[3 + int(sys.argv[3])]
+open(sys.argv[2], "w").writelines(lines)
+"""
+
 # `python -c BARE src dest` copies dataset `src` to `dest` up to the line before its TRUTH line
 BARE = """
 import sys
@@ -84,9 +95,19 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         ("gen-test", "1", [*gen, "--pos-rate", "0.35", "--seed", "4", "--temperature", "0.7", "--out", "test.wsml"]),
         # a dense corpus: at 300x8x6 the bias bisection doubles its upper bracket end three times
         ("gen-dense", "1", [*gen, "--pos-rate", "0.9", "--seed", "6", "--out", "dense.wsml"]),
-        # a fixed shape at every pipeline size: its feature block is at least io.PARALLEL_MIN (2^15) reals
-        ("gen-wide", "1", ["gen", "--n", "660", "--dim", "100", "--classes", "3", "--pos-rate", "0.35", "--seed", "8",
+        # a fixed shape at every pipeline size: its feature block is at least io.PARALLEL_MIN (2^15) and
+        # io.PARSE_MIN (2^17) reals
+        ("gen-wide", "1", ["gen", "--n", "1320", "--dim", "100", "--classes", "3", "--pos-rate", "0.35", "--seed", "8",
                            "--out", "wide.wsml"]),
+        # loads of the wide feature block, which parse it in forked processes on a host with more than one CPU
+        ("part-wide", "1", ["partialize", "--in", "wide.wsml", "--mode", "single-positive", "--seed", "5",
+                            "--out", "wide-sp.wsml"]),
+        ("wide-notes-copy", "1", ["-c", NOTES, "wide-sp.wsml", "wide-notes.wsml"]),
+        train("wide-notes", "wide-notes.wsml", "ll-ct", "--delta-rel", "5"),
+        # row 1310 of 1320: its chunk of the file is the eleventh, which a forked parser takes on 2 to 4 CPUs
+        ("wide-bad-copy", "1", ["-c", BAD_REAL, "wide.wsml", "wide-bad.wsml", "1310"]),
+        ("part-wide-bad", "1", ["partialize", "--in", "wide-bad.wsml", "--mode", "single-positive", "--seed", "5",
+                                "--out", "wide-bad-sp.wsml"]),
         ("part-sp", "1", ["partialize", "--in", "full.wsml", "--mode", "single-positive", "--seed", "5",
                           "--out", "sp.wsml"]),
         ("part-frac", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "0.3",

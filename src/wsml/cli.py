@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -385,6 +386,16 @@ def _arm_failed(value: float, message: str) -> None:
     print(f"error: sweep value {_sweep_value(value)}: {message}", file=sys.stderr)
 
 
+def _pin_worker(started, cpus: list[int]) -> None:
+    """A pool worker's initializer: the i-th worker to start runs on cpus[i % len(cpus)] alone, since a scheduler that
+    does not balance load (a cpuset with sched_load_balance 0) may otherwise keep two workers on one CPU."""
+    with started.get_lock():
+        started.value += 1
+        cpu = cpus[(started.value - 1) % len(cpus)]
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, [cpu])
+
+
 def _worker_count(n_arms: int) -> int:
     raw = os.environ.get("WSML_THREADS")
     limit = 0
@@ -438,7 +449,8 @@ def _cmd_sweep(args) -> int:
     test = _load_test(args.test_data)
     workers = _worker_count(len(runnable))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pinning = (multiprocessing.Value("i", 0), io.usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker, initargs=pinning) as pool:
             futures = [(p["value"], pool.submit(_sweep_arm, p, data, test)) for p in runnable]
             arms = [_pooled_arm(value, future) for value, future in futures]
     else:

@@ -4,19 +4,24 @@ A file is a header line, an optional `#cfg` comment, then literal lines and
 matrix blocks of one row per line: finite reals at 17 significant digits
 (an exact float64 round trip), integers, or tokens from a vocabulary whose
 position is the stored code. Lines starting with '#' are comments anywhere.
-Malformed input raises FormatError with its 1-based line; writes are atomic. A real block
-of PARALLEL_MIN entries or more is formatted by one forked process per usable CPU, same bytes.
+Malformed input raises FormatError with its 1-based line; writes are atomic. A real block of
+PARALLEL_MIN entries or more is formatted, and one of PARSE_MIN or more parsed, by one forked process
+per usable CPU, with the same bytes, arrays and errors; a process with other threads forks neither.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io as _io
+import itertools
 import os
 import shutil
 import signal
+import socket
 import stat
+import struct
 import tempfile
+import threading
 from array import array
 
 import numpy as np
@@ -34,6 +39,10 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # the entries of the smallest REAL block formatted in forked processes: forking costs about 5 ms,
 # and on 2 CPUs it broke even at 2^14 reals and took 2^15 from 31 to 22 ms
 PARALLEL_MIN = 1 << 15
+# the entries of the smallest REAL block parsed in forked processes: a fork, a child's start and its reaping cost
+# about 5 ms, and on 2 CPUs the forked parse lost 2^16 reals whenever the serial one ran at the faster of its two
+# speeds (21-25 against 28-32 ms) and took 2^17 from 44-79 to 43-51 ms
+PARSE_MIN = 1 << 17
 
 
 class FormatError(ValueError):
@@ -86,50 +95,71 @@ def save(path, header: str, comment: str | None, parts) -> None:
             if isinstance(kind, tuple):
                 block, kind = np.asarray(kind)[block], "%s"
             row_format = " ".join([kind] * block.shape[1]) + "\n"
-            forked = kind is REAL and block.size >= PARALLEL_MIN and hasattr(os, "fork")
-            _write_block(fh, path, block, row_format, usable_cpus()[:len(block) if forked else 1])
+            _write_block(fh, path, block, row_format, _cpus(kind, *block.shape, PARALLEL_MIN))
 
 
-def _write_block(fh, path, block, row_format: str, cpus: list[int]) -> None:
-    """Write `block`'s rows in one contiguous range per CPU, each process pinned to its own: a forked child formats
-    each range but the first into an unnamed temp file, appended after the parent's range. No child outlives it."""
-    bounds = [len(block) * i // len(cpus) for i in range(len(cpus) + 1)]
+def _cpus(kind, rows: int, cols: int, least: int) -> list[int]:
+    """The CPUs a block is spread over: every usable one, up to one per row, for a REAL block of at least `least`
+    entries where forking is safe, else the first alone. A fork while another thread holds a lock can hang the child."""
+    forked = kind is REAL and rows * cols >= least and hasattr(os, "fork") and threading.active_count() == 1
+    return usable_cpus()[:rows if forked else 1]
+
+
+@contextlib.contextmanager
+def _forked(cpus: list[int], work):
+    """Run `work(i, channel)` in a forked child pinned to cpus[i + 1] for each CPU after the first, the caller pinned
+    to cpus[0], and yield the caller's ends of the channels; on leaving, kill and reap every child, restore the pin."""
     # a scheduler that does not balance load (a cpuset with sched_load_balance 0) keeps a child on its parent's CPU
     mask = os.sched_getaffinity(0) if len(cpus) > 1 and hasattr(os, "sched_setaffinity") else None
-    parts, pids = [], []  # pids holds the children not yet reaped
+    pin = os.sched_setaffinity if mask else lambda pid, cpus: None
+    pids, channels = [], []
     try:
-        if mask:
-            os.sched_setaffinity(0, cpus[:1])
-        for cpu, lo, hi in zip(cpus[1:], bounds[1:-1], bounds[2:]):
-            parts.append(tempfile.TemporaryFile())
-            pids.append(os.fork())
-            if pids[-1] == 0:  # the child flushes and closes nothing it inherited, so nothing is written twice
-                try:
-                    if mask:
-                        os.sched_setaffinity(0, [cpu])
-                    with open(parts[-1].fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
-                        _write_block(out, path, block[lo:hi], row_format, [cpu])
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-        for row in block[:bounds[1]]:
-            fh.write(row_format % tuple(row.tolist()))
-        for part in parts:
-            fh.flush()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            if code:
-                raise OSError(f"{path}: a forked writer exited with code {code}")
-            part.seek(0)
-            shutil.copyfileobj(part, fh.buffer)
+        pin(0, cpus[:1])
+        for i, cpu in enumerate(cpus[1:]):
+            ours, theirs = socket.socketpair()
+            with ours, theirs:  # each end lives on in one channel only, so a child that dies ends the parent's
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the child leaves only by os._exit, so it flushes nothing it inherited
+                    try:
+                        pin(0, [cpu])
+                        work(i, theirs.makefile("rwb"))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                channels.append(ours.makefile("rwb"))
+        yield channels
     finally:
+        pin(0, mask)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for part in parts:
-            part.close()
-        if mask:
-            os.sched_setaffinity(0, mask)
+        for channel in channels:
+            with contextlib.suppress(OSError):  # a dead child's channel may still hold bytes that cannot be sent
+                channel.close()
+
+
+def _write_block(fh, path, block, row_format: str, cpus: list[int]) -> None:
+    """Write `block`'s rows in one contiguous range per CPU: a forked child formats each range but the first into
+    an unnamed temp file, appended after the parent's range once the child says it is done."""
+    bounds = [len(block) * i // len(cpus) for i in range(len(cpus) + 1)]
+
+    def work(i, channel):
+        with open(parts[i].fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
+            _write_block(out, path, block[bounds[i + 1]:bounds[i + 2]], row_format, [cpus[i + 1]])
+        channel.write(b"\n")
+        channel.flush()
+
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cpus[1:]]
+        with _forked(cpus, work) as channels:
+            for row in block[:bounds[1]]:
+                fh.write(row_format % tuple(row.tolist()))
+            for part, channel in zip(parts, channels):
+                fh.flush()
+                if not channel.read(1):
+                    raise OSError(f"{path}: a forked writer failed")
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
 
 
 def _parse(lines: list[str], cols: int, what: str, kind, bounds):
@@ -160,6 +190,19 @@ def _parse(lines: list[str], cols: int, what: str, kind, bounds):
     return values
 
 
+def _parse_into(out, lines: list[str], cols: int, what: str, kind, bounds):
+    """Parse a block's lines into `out`; returns None, or the (index, message) of its first line at fault."""
+    try:
+        out[...] = _parse(lines, cols, what, kind, bounds)
+    except ValueError as exc:
+        for i, line in enumerate(lines):
+            try:
+                _parse([line], cols, what, kind, bounds)
+            except ValueError as line_exc:
+                return i, str(line_exc)
+        return 0, str(exc)
+
+
 class Reader:
     """The non-comment lines of a file after its checked header, consumed in order.
 
@@ -168,7 +211,7 @@ class Reader:
     that closes the file."""
 
     def __init__(self, path, header: str):
-        self._fh = open(path, "r", encoding="utf-8")
+        self._path, self._fh = path, open(path, "r", encoding="utf-8")
         try:
             status = os.fstat(self._fh.fileno())
             if stat.S_ISREG(status.st_mode):
@@ -270,20 +313,48 @@ class Reader:
         dtype = np.int8 if isinstance(kind, tuple) else np.float64 if kind is REAL else np.int64
         # every value takes a byte of the file, so a dimension line larger than the file allocates no more
         out = np.empty((min(rows, self._size // cols), cols), dtype)
-        done = 0
-        while done < rows:
-            start, lines = self.pos, self._take(rows - done)
-            if not lines:
-                raise self._end_of_file(f"{what} row {done + 1}")
-            try:
-                values = _parse(lines, cols, what, kind, bounds)
-            except ValueError as exc:
-                for i, line in enumerate(lines):  # name the line at fault
-                    try:
-                        _parse([line], cols, what, kind, bounds)
-                    except ValueError as line_exc:
-                        raise FormatError(self.number(start + i), str(line_exc)) from None
-                raise FormatError(self.number(start), str(exc)) from None
-            out[done:done + len(lines)] = values
-            done += len(lines)
+        pending, done = [], 0  # the chunks dealt but not yet checked, in file order
+
+        def work(i, channel):  # parse each chunk sent into this copy of `out`; answer with the rows' bytes or the fault
+            while True:
+                lo, size = struct.unpack("qq", channel.read(16))
+                lines = channel.read(size).decode().split("\n")
+                fault = _parse_into(out[lo:lo + len(lines)], lines, cols, what, kind, bounds)
+                payload = memoryview(out[lo:lo + len(lines)]).cast("B") if fault is None else fault[1].encode()
+                channel.writelines((struct.pack("qq", -1 if fault is None else fault[0], len(payload)), payload))
+                channel.flush()
+
+        def settle(*ready):  # check the pending chunks, in file order, while the first is the parent's or ready's
+            while pending and pending[0][0] in (None, *ready):
+                channel, start, target, fault = pending.pop(0)
+                if channel is not None:  # a child that died answers short
+                    header = channel.read(16)
+                    index, size = struct.unpack("qq", header) if len(header) == 16 else (-1, None)
+                    if index < 0 and channel.readinto(memoryview(target).cast("B")) != size:
+                        raise EOFError
+                    fault = (index, channel.read(size).decode()) if index >= 0 else None
+                if fault:
+                    raise FormatError(self.number(start + fault[0]), fault[1])
+
+        try:
+            with _forked(_cpus(kind, *out.shape, PARSE_MIN), work) as channels:
+                for channel in itertools.cycle([*channels, None]):  # each child's turn, then the parent's (None)
+                    start, lines = self.pos, self._take(rows - done) if done < rows else []
+                    if not lines:
+                        break
+                    target = out[done:done + len(lines)]
+                    if channel is not None:
+                        settle(channel)  # its last chunk is checked before it gets the next
+                        text = "\n".join(lines).encode()
+                        channel.writelines((struct.pack("qq", done, len(text)), text))
+                        channel.flush()
+                    fault = _parse_into(target, lines, cols, what, kind, bounds) if channel is None else None
+                    pending.append((channel, start, target, fault))
+                    settle()
+                    done += len(lines)
+                settle(*channels)
+        except (ConnectionError, EOFError) as exc:  # a child that died answers short or resets its channel
+            raise OSError(f"{self._path}: a forked parser died") from exc
+        if done < rows:
+            raise self._end_of_file(f"{what} row {done + 1}")
         return out.reshape(shape)

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
+import wsml.io as wsml_io
 from wsml import dataset as ds_mod
 from wsml import trainer as trainer_mod
 from wsml.cli import TRAIN_FLAGS, load_tracker, main
@@ -658,6 +660,37 @@ class TestSweep:
         assert [c[0] for c in cells] == ["0.1", "0.2", "0.3"]
         assert cells[1] == ["0.2", "", "", "", ""]
         assert all(c[1] == "60" and c[2] for c in (cells[0], cells[2]))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not hasattr(os, "sched_getaffinity")
+                        or len(wsml_io.usable_cpus()) < 2,
+                        reason="the patched trainer reaches the workers only by fork; pinning needs two CPUs")
+    def test_each_pool_worker_runs_pinned_to_its_own_cpu(self, tmp_path, sp_file, monkeypatch):
+        run, log, before = trainer_mod.run, tmp_path / "arms.log", os.sched_getaffinity(0)
+
+        def logged(cfg, *args):  # each arm notes its process and the CPUs that process may run on
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+            time.sleep(0.3)  # so that both workers take arms
+            return run(cfg, *args)
+
+        monkeypatch.setattr(trainer_mod, "run", logged)
+        rows = {}
+        for n in ("1", "2"):  # the single-process sweep is the reference
+            log.unlink(missing_ok=True)
+            monkeypatch.setenv("WSML_THREADS", n)
+            out = tmp_path / f"s{n}.csv"
+            assert run_cli(
+                "sweep", "--param", "delta-rel", "--values", "0.1,0.2,0.3,0.4", "--data", str(sp_file),
+                "--scheme", "ll-r", "--epochs", "2", "--batch", "8", "--seed", "5", "--arch", "linear",
+                "--out", str(out),
+            ) == 0
+            rows[n] = out.read_text().splitlines()[1:]
+        assert rows["1"] == rows["2"]
+        arms = [line.split() for line in log.read_text().splitlines()]
+        assert len(arms) == 4 and all("," not in cpus for _, cpus in arms)  # each arm on one CPU
+        cpus = dict(arms)  # by worker
+        assert len(cpus) == 2 and len(set(cpus.values())) == 2
+        assert os.sched_getaffinity(0) == before
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched trainer reaches the workers only by fork")

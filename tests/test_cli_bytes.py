@@ -26,11 +26,12 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 34
-    assert sorted(name for name, code in exits.items() if code != "0\n") == ["notes-bad.exit", "sweep-fail.exit"]
-    for name in ("full.wsml", "dense.wsml", "wide.wsml", "sp.wsml", "frac-all.wsml", "llcp-batch.report.json",
-                 "llr-linear-frozen.model", "eval.json", "eval-linear.json", "sweep-2w.csv", "notes.wsml", "notes.model",
-                 "eval-notes.json", "bare.wsml", "bare.report.json"):
+    assert len(exits) == 39
+    assert sorted(name for name, code in exits.items() if code != "0\n") == \
+        ["notes-bad.exit", "part-wide-bad.exit", "sweep-fail.exit"]
+    for name in ("full.wsml", "dense.wsml", "wide.wsml", "wide-sp.wsml", "wide-notes.model", "sp.wsml", "frac-all.wsml",
+                 "llcp-batch.report.json", "llr-linear-frozen.model", "eval.json", "eval-linear.json", "sweep-2w.csv",
+                 "notes.wsml", "notes.model", "eval-notes.json", "bare.wsml", "bare.report.json"):
         assert (b / name).is_file(), name
     # the truth-less copy trains on observed-entry validation mAP and reports no flag precision
     assert "TRUTH" not in (b / "bare.wsml").read_text().splitlines()
@@ -62,3 +63,14 @@ def test_one_byte_difference_is_named(tmp_path, capsys):
     assert cli_bytes.report(a, b) == 1
     assert cli_bytes.differing_files(a, b) == ["sub/x.csv"]
     assert capsys.readouterr().out.splitlines() == ["differs: sub/x.csv", "1 file(s) differ"]
+
+
+def test_wide_loads_parse_alike_with_comments_and_name_a_late_fault(tiny_run):
+    """The wide feature block is at least io.PARSE_MIN reals, so on a host with more than one CPU these loads fork."""
+    assert (tiny_run / "wide-notes.wsml").read_text().splitlines()[7] == "# note"
+    assert json.loads((tiny_run / "wide-notes.report.json").read_text())["best_val_map"] > 0
+    # row 1310's line: after the header, the #cfg line and the dims line
+    assert next(tiny_run.glob("*-part-wide-bad.stderr")).read_text() == \
+        "error: line 1314: invalid real number in feature\n"
+    assert next(tiny_run.glob("*-part-wide-bad.exit")).read_text() == "2\n"
+    assert not (tiny_run / "wide-bad-sp.wsml").exists()
