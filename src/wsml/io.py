@@ -108,25 +108,27 @@ def _cpus(kind, rows: int, cols: int, least: int) -> list[int]:
 @contextlib.contextmanager
 def _forked(cpus: list[int], work):
     """Run `work(i, channel)` in a forked child pinned to cpus[i + 1] for each CPU after the first, the caller pinned
-    to cpus[0], and yield the caller's ends of the channels; on leaving, kill and reap every child, restore the pin."""
+    to cpus[0], and yield the caller's ends of the channels; on leaving, kill and reap every child, restore the pin.
+    An OSError from the pin, a channel or a fork stops the starting: only the children started so far get channels."""
     # a scheduler that does not balance load (a cpuset with sched_load_balance 0) keeps a child on its parent's CPU
     mask = os.sched_getaffinity(0) if len(cpus) > 1 and hasattr(os, "sched_setaffinity") else None
     pin = os.sched_setaffinity if mask else lambda pid, cpus: None
     pids, channels = [], []
     try:
-        pin(0, cpus[:1])
-        for i, cpu in enumerate(cpus[1:]):
-            ours, theirs = socket.socketpair()
-            with ours, theirs:  # each end lives on in one channel only, so a child that dies ends the parent's
-                pids.append(os.fork())
-                if pids[-1] == 0:  # the child leaves only by os._exit, so it flushes nothing it inherited
-                    try:
-                        pin(0, [cpu])
-                        work(i, theirs.makefile("rwb"))
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                channels.append(ours.makefile("rwb"))
+        with contextlib.suppress(OSError):  # short of processes or descriptors: yield the channels of those started
+            pin(0, cpus[:1])
+            for i, cpu in enumerate(cpus[1:]):
+                ours, theirs = socket.socketpair()
+                with ours, theirs:  # each end lives on in one channel only, so a child that dies ends the parent's
+                    pids.append(os.fork())
+                    if pids[-1] == 0:  # the child leaves only by os._exit, so it flushes nothing it inherited
+                        try:
+                            pin(0, [cpu])
+                            work(i, theirs.makefile("rwb"))
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    channels.append(ours.makefile("rwb"))
         yield channels
     finally:
         pin(0, mask)
@@ -154,7 +156,10 @@ def _write_block(fh, path, block, row_format: str, cpus: list[int]) -> None:
         with _forked(cpus, work) as channels:
             for row in block[:bounds[1]]:
                 fh.write(row_format % tuple(row.tolist()))
-            for part, channel in zip(parts, channels):
+            for i, (part, channel) in enumerate(itertools.zip_longest(parts, channels)):
+                if channel is None:  # this child and the ones after it never started: format their rows here
+                    _write_block(fh, path, block[bounds[i + 1]:], row_format, cpus[:1])
+                    break
                 fh.flush()
                 if not channel.read(1):
                     raise OSError(f"{path}: a forked writer failed")

@@ -12,9 +12,11 @@ nothing. After every case no child is left and the CPU affinity is what it
 was.
 """
 
+import errno
 import os
 import re
 import signal
+import socket
 import threading
 
 import numpy as np
@@ -182,4 +184,59 @@ def test_a_process_with_other_threads_forks_nothing(tmp_path, monkeypatch, affin
     assert forks == []
     save_and_load()  # with the helper gone, the same save and load each fork a child
     assert len(forks) == 2
+    test_io.assert_no_child_and_affinity(affinity)
+
+
+def fail_the_nth_call(monkeypatch, owner, name: str, nth: int, error: OSError) -> list:
+    """Make the parent's `nth` call of owner.name raise `error`; returns the list of the parent's calls, which the
+    caller clears to count from 1 again."""
+    parent, real, calls = os.getpid(), getattr(owner, name), []
+
+    def call(*args):
+        if os.getpid() == parent:
+            calls.append(args)
+            if len(calls) == nth:
+                raise error
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, call)
+    return calls
+
+
+# (workers, the call that fails, its 1-based number in each block, the forks that succeed in each block)
+FAILED_STARTS = [
+    (2, "first fork", 1, 0),
+    (3, "second fork", 2, 1),
+    (4, "second fork", 2, 1),
+    (3, "socketpair", 1, 0),
+    (4, "second socketpair", 2, 1),
+    (3, "the caller's pin", 1, 0),
+]
+
+
+@pytest.mark.parametrize("workers,failure,nth,started", FAILED_STARTS)
+def test_a_failed_start_deals_to_the_children_started(tmp_path, monkeypatch, affinity, workers, failure, nth,
+                                                       started):  # noqa: F811
+    """A host short of processes or descriptors gives a large save and load the serial bytes and bits."""
+    if "pin" in failure and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs CPU affinity")
+    block = np.random.default_rng(9).standard_normal((max(wsml_io.PARALLEL_MIN, wsml_io.PARSE_MIN) // 64, 64))
+    path = tmp_path / "out.txt"
+    test_io.force_workers(monkeypatch, workers)
+    forks = test_io.count_forks(monkeypatch)  # the forks that succeed: the failing call wraps this one
+    owner, name, error = {
+        "fork": (os, "fork", BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+        "socketpair": (socket, "socketpair", OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+        "pin": (os, "sched_setaffinity", OSError(errno.EINVAL, os.strerror(errno.EINVAL))),
+    }[failure.split()[-1]]
+    calls = fail_the_nth_call(monkeypatch, owner, name, nth, error)
+    test_io.save_block(path, block)
+    assert path.read_bytes() == test_io.serial_text(block)
+    assert len(forks) == started and len(calls) >= nth
+    test_io.assert_no_child_and_affinity(affinity)
+    forks.clear(), calls.clear()
+    with wsml_io.Reader(path, "HEAD") as reader:
+        assert reader.line("literal")[1] == "7 8"
+        assert reader.block(block.shape, "real", wsml_io.REAL).tobytes() == block.tobytes()
+    assert len(forks) == started and len(calls) >= nth
     test_io.assert_no_child_and_affinity(affinity)
