@@ -5,8 +5,10 @@ Runs one fixed pipeline of `wsml` commands once against the base revision's
 `src/` and once against the working tree's. The pipeline has four gens: one
 of them at a positive rate of 0.9, whose bias bisection doubles the upper end
 of its bracket, and one at a fixed 1320x100x3, whose 132,000-entry feature
-block is formatted by forked writers and parsed by forked parsers on a host
-with more than one CPU. That wide set is partialized, a train runs on a copy
+block is formatted and parsed in forked processes on a host with more than one
+CPU: `wsml.io`'s one dealer gives them the block's chunks in turn, takes their
+answers in file order, and falls back to the processes it could start, or to
+the serial path, when a fork fails. That wide set is partialized, a train runs on a copy
 of the result with comment lines inside its blocks, and a partialize of a copy
 with an invalid real in one of its last feature rows fails. Then come both
 partialize modes, the fraction mode once more at fraction 1, which observes

@@ -4,9 +4,11 @@ A file is a header line, an optional `#cfg` comment, then literal lines and
 matrix blocks of one row per line: finite reals at 17 significant digits
 (an exact float64 round trip), integers, or tokens from a vocabulary whose
 position is the stored code. Lines starting with '#' are comments anywhere.
-Malformed input raises FormatError with its 1-based line; writes are atomic. A real block of
-PARALLEL_MIN entries or more is formatted, and one of PARSE_MIN or more parsed, by one forked process
-per usable CPU, with the same bytes, arrays and errors; a process with other threads forks neither.
+Malformed input raises FormatError with its 1-based line; writes are atomic. Every block is written and
+read in chunks by one dealer, `_deal`: a real block of PARALLEL_MIN entries or more (formatted) or PARSE_MIN
+(parsed) deals its chunks in turn to one forked process per usable CPU and takes the answers in file order,
+for the bytes, arrays and errors of the serial loop. A fork that fails deals to the processes started,
+and a process with other threads forks none.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ import contextlib
 import io as _io
 import itertools
 import os
-import shutil
 import signal
 import socket
 import stat
 import struct
-import tempfile
 import threading
 from array import array
 
@@ -94,43 +94,67 @@ def save(path, header: str, comment: str | None, parts) -> None:
             block, kind = np.atleast_2d(part[0]), part[1]
             if isinstance(kind, tuple):
                 block, kind = np.asarray(kind)[block], "%s"
-            row_format = " ".join([kind] * block.shape[1]) + "\n"
-            _write_block(fh, path, block, row_format, _cpus(kind, *block.shape, PARALLEL_MIN))
+            _write_block(fh, path, block, kind)
 
 
-def _cpus(kind, rows: int, cols: int, least: int) -> list[int]:
-    """The CPUs a block is spread over: every usable one, up to one per row, for a REAL block of at least `least`
-    entries where forking is safe, else the first alone. A fork while another thread holds a lock can hang the child."""
-    forked = kind is REAL and rows * cols >= least and hasattr(os, "fork") and threading.active_count() == 1
-    return usable_cpus()[:rows if forked else 1]
+def _cpus(kind, entries: int, least: int) -> list[int]:
+    """Every usable CPU for a REAL block of `least` entries or more where a fork is safe (with no thread that could
+    hold a lock the child needs), else the first."""
+    forked = kind is REAL and entries >= least and hasattr(os, "fork") and threading.active_count() == 1
+    return usable_cpus()[:None if forked else 1]
 
 
-@contextlib.contextmanager
-def _forked(cpus: list[int], work):
-    """Run `work(i, channel)` in a forked child pinned to cpus[i + 1] for each CPU after the first, the caller pinned
-    to cpus[0], and yield the caller's ends of the channels; on leaving, kill and reap every child, restore the pin.
-    An OSError from the pin, a channel or a fork stops the starting: only the children started so far get channels."""
+def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
+    """Serve each (key, lines) of `chunks` in turn in a forked child pinned to each CPU after the first, then in the
+    caller pinned to the first, and pass accept(key, *serve(key, lines)) each (tag, bytes) answer in chunk order. An
+    OSError while starting deals to the children started, or none; one that dies fails with an OSError naming `path`."""
     # a scheduler that does not balance load (a cpuset with sched_load_balance 0) keeps a child on its parent's CPU
     mask = os.sched_getaffinity(0) if len(cpus) > 1 and hasattr(os, "sched_setaffinity") else None
     pin = os.sched_setaffinity if mask else lambda pid, cpus: None
-    pids, channels = [], []
+    pids, channels, pending = [], [], []  # pending: the (key, channel, answer) of each chunk dealt, not accepted
+
+    def talk(channel, *message):  # send a (key, text) request or a (tag, bytes) answer, or with none take one
+        try:
+            if message:
+                channel.writelines((struct.pack("qq", message[0], len(message[1])), message[1]))
+                return channel.flush()
+            head = channel.read(16)
+            number, size = struct.unpack("qq", head) if len(head) == 16 else (0, -1)
+            if size >= 0 and len(data := channel.read(size)) == size:
+                return number, data
+        except ConnectionError:  # a dead child's channel breaks or resets, or else it ends short
+            pass
+        raise OSError(f"{path}: a forked process died")
+
+    def settle(*ready):  # accept the pending answers in chunk order while the first is the caller's or ready's
+        while pending and pending[0][1] in (None, *ready):
+            key, channel, answer = pending.pop(0)
+            accept(key, *(answer or talk(channel)))
+
     try:
-        with contextlib.suppress(OSError):  # short of processes or descriptors: yield the channels of those started
+        with contextlib.suppress(OSError):  # short of processes or descriptors: deal to the children started
             pin(0, cpus[:1])
-            for i, cpu in enumerate(cpus[1:]):
+            for cpu in cpus[1:]:
                 ours, theirs = socket.socketpair()
                 with ours, theirs:  # each end lives on in one channel only, so a child that dies ends the parent's
                     pids.append(os.fork())
                     if pids[-1] == 0:  # the child leaves only by os._exit, so it flushes nothing it inherited
                         try:
                             pin(0, [cpu])
-                            work(i, theirs.makefile("rwb"))
-                            os._exit(0)
+                            channel = theirs.makefile("rwb")
+                            for key, text in iter(lambda: talk(channel), None):  # until the channel ends
+                                talk(channel, *serve(key, text.decode().split("\n")))
                         finally:
                             os._exit(1)
                     channels.append(ours.makefile("rwb"))
-        yield channels
-    finally:
+        for (key, lines), channel in zip(chunks, itertools.cycle([*channels, None])):  # each child, then the caller
+            if channel is not None:
+                settle(channel)  # its last answer is accepted before it gets the next chunk
+                talk(channel, key, "\n".join(lines).encode())
+            pending.append((key, channel, None if channel else serve(key, lines)))
+            settle()
+        settle(*channels)
+    finally:  # kill and reap every child, restore the caller's CPU affinity
         pin(0, mask)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -140,31 +164,18 @@ def _forked(cpus: list[int], work):
                 channel.close()
 
 
-def _write_block(fh, path, block, row_format: str, cpus: list[int]) -> None:
-    """Write `block`'s rows in one contiguous range per CPU: a forked child formats each range but the first into
-    an unnamed temp file, appended after the parent's range once the child says it is done."""
-    bounds = [len(block) * i // len(cpus) for i in range(len(cpus) + 1)]
+def _format_rows(rows, row_format: str) -> str:  # every process formats its chunks of a block here
+    return (row_format * len(rows)) % tuple(rows.ravel().tolist())
 
-    def work(i, channel):
-        with open(parts[i].fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
-            _write_block(out, path, block[bounds[i + 1]:bounds[i + 2]], row_format, [cpus[i + 1]])
-        channel.write(b"\n")
-        channel.flush()
 
-    with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cpus[1:]]
-        with _forked(cpus, work) as channels:
-            for row in block[:bounds[1]]:
-                fh.write(row_format % tuple(row.tolist()))
-            for i, (part, channel) in enumerate(itertools.zip_longest(parts, channels)):
-                if channel is None:  # this child and the ones after it never started: format their rows here
-                    _write_block(fh, path, block[bounds[i + 1]:], row_format, cpus[:1])
-                    break
-                fh.flush()
-                if not channel.read(1):
-                    raise OSError(f"{path}: a forked writer failed")
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)
+def _write_block(fh, path, block, kind) -> None:
+    """Write `block` one line per row, dealt in chunks of rows of at most CHUNK_CHARS characters."""
+    rows, cols = block.shape
+    step = max(1, CHUNK_CHARS // (25 * cols or 1))  # an entry takes at most 24 characters and a separator
+    row_format = " ".join([kind] * cols) + "\n"
+    _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:-(-rows // step)], ((lo, ()) for lo in range(0, rows, step)),
+          lambda lo, _: (0, _format_rows(block[lo:lo + step], row_format).encode()),
+          lambda lo, _, text: fh.write(text.decode()))
 
 
 def _parse(lines: list[str], cols: int, what: str, kind, bounds):
@@ -318,48 +329,24 @@ class Reader:
         dtype = np.int8 if isinstance(kind, tuple) else np.float64 if kind is REAL else np.int64
         # every value takes a byte of the file, so a dimension line larger than the file allocates no more
         out = np.empty((min(rows, self._size // cols), cols), dtype)
-        pending, done = [], 0  # the chunks dealt but not yet checked, in file order
+        first = self.pos  # the index of the block's first line, so a chunk's first row is its line's index less this
 
-        def work(i, channel):  # parse each chunk sent into this copy of `out`; answer with the rows' bytes or the fault
-            while True:
-                lo, size = struct.unpack("qq", channel.read(16))
-                lines = channel.read(size).decode().split("\n")
-                fault = _parse_into(out[lo:lo + len(lines)], lines, cols, what, kind, bounds)
-                payload = memoryview(out[lo:lo + len(lines)]).cast("B") if fault is None else fault[1].encode()
-                channel.writelines((struct.pack("qq", -1 if fault is None else fault[0], len(payload)), payload))
-                channel.flush()
+        def chunks():  # the block's lines as the file's chunks give them, each keyed by its first line's index
+            while self.pos - first < rows and (lines := self._take(rows - self.pos + first)):
+                yield self.pos - len(lines), lines
 
-        def settle(*ready):  # check the pending chunks, in file order, while the first is the parent's or ready's
-            while pending and pending[0][0] in (None, *ready):
-                channel, start, target, fault = pending.pop(0)
-                if channel is not None:  # a child that died answers short
-                    header = channel.read(16)
-                    index, size = struct.unpack("qq", header) if len(header) == 16 else (-1, None)
-                    if index < 0 and channel.readinto(memoryview(target).cast("B")) != size:
-                        raise EOFError
-                    fault = (index, channel.read(size).decode()) if index >= 0 else None
-                if fault:
-                    raise FormatError(self.number(start + fault[0]), fault[1])
+        def serve(start, lines):  # a chunk's (-1, rows' bytes), or the (index, message) of its first line at fault
+            values = np.empty((len(lines), cols), dtype)
+            fault = _parse_into(values, lines, cols, what, kind, bounds)
+            return (-1, memoryview(values).cast("B")) if fault is None else (fault[0], fault[1].encode())
 
-        try:
-            with _forked(_cpus(kind, *out.shape, PARSE_MIN), work) as channels:
-                for channel in itertools.cycle([*channels, None]):  # each child's turn, then the parent's (None)
-                    start, lines = self.pos, self._take(rows - done) if done < rows else []
-                    if not lines:
-                        break
-                    target = out[done:done + len(lines)]
-                    if channel is not None:
-                        settle(channel)  # its last chunk is checked before it gets the next
-                        text = "\n".join(lines).encode()
-                        channel.writelines((struct.pack("qq", done, len(text)), text))
-                        channel.flush()
-                    fault = _parse_into(target, lines, cols, what, kind, bounds) if channel is None else None
-                    pending.append((channel, start, target, fault))
-                    settle()
-                    done += len(lines)
-                settle(*channels)
-        except (ConnectionError, EOFError) as exc:  # a child that died answers short or resets its channel
-            raise OSError(f"{self._path}: a forked parser died") from exc
-        if done < rows:
-            raise self._end_of_file(f"{what} row {done + 1}")
+        def accept(start, tag, answer):  # the chunks' answers in file order, so the first fault raised is the file's
+            if tag >= 0:
+                raise FormatError(self.number(start + tag), answer.decode())
+            values = np.frombuffer(answer, dtype).reshape(-1, cols)
+            out[start - first:start - first + len(values)] = values
+
+        _deal(self._path, _cpus(kind, out.size, PARSE_MIN)[:len(out)], chunks(), serve, accept)
+        if self.pos - first < rows:
+            raise self._end_of_file(f"{what} row {self.pos - first + 1}")
         return out.reshape(shape)

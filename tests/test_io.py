@@ -7,11 +7,14 @@ here even when a value round trip still passes. The hashes must not be
 edited to make a refactor pass.
 """
 
+import errno
 import gc
 import hashlib
 import os
 import pickle
 import re
+import select
+import socket
 import stat
 import sys
 import threading
@@ -272,8 +275,8 @@ def test_fractional_integer_is_a_format_error(tmp_path, monkeypatch, numpy_parse
 # ---------------------------------------------------------------------------
 
 
-def fail_writes_to(monkeypatch, target, after: int) -> None:
-    """Make every write after the first `after` to a file opened for `target` raise OSError."""
+def fail_writes_to(monkeypatch, target, after: int, error: OSError | None = None) -> None:
+    """Make every write after the first `after` to a file opened for `target` raise `error`, by default an OSError."""
     real_open = open
 
     def failing_open(file, mode="r", *args, **kwargs):
@@ -283,7 +286,7 @@ def fail_writes_to(monkeypatch, target, after: int) -> None:
 
             def write(text):
                 if left[0] == 0:
-                    raise OSError("injected write failure")
+                    raise error or OSError("injected write failure")
                 left[0] -= 1
                 return real_write(text)
 
@@ -345,6 +348,22 @@ class TestAtomicWrites:
         assert main(argv) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("after", [3, 4])  # the first chunk's write, a child's answer; the second, the caller's
+    def test_a_broken_pipe_in_a_forked_save_stays_the_callers(self, tmp_path, monkeypatch, affinity, after):
+        """The caller's own write failing, as on a /dev/stdout whose reader has gone, is no child's death."""
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        fail_writes_to(monkeypatch, path, after, BrokenPipeError(errno.EPIPE, "injected broken pipe"))
+        with pytest.raises(BrokenPipeError, match="injected broken pipe"):
+            save_block(path, np.ones(BIG))  # the header, #cfg and literal lines are the first three writes
+        assert len(forks) == 1
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert_no_child_and_affinity(affinity)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_and_symlink_are_written_through(self, tmp_path, monkeypatch):
         """A FIFO (like /dev/stdout on a pipe) is written in place; a symlink keeps pointing at the new file."""
@@ -395,15 +414,24 @@ def count_forks(monkeypatch) -> list:
 
 
 def track_parts(monkeypatch) -> list:
-    """A list that gets every temp file save opens for a child's rows."""
-    parts, real = [], wsml_io.tempfile.TemporaryFile
+    """A list that gets the caller's end of every channel save opens to a forked child."""
+    parts, real = [], socket.socket.makefile
 
-    def temporary_file(*args, **kwargs):
-        parts.append(real(*args, **kwargs))
+    def makefile(self, *args, **kwargs):
+        parts.append(real(self, *args, **kwargs))
         return parts[-1]
 
-    monkeypatch.setattr(wsml_io.tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(socket.socket, "makefile", makefile)
     return parts
+
+
+def wait_for_children(reached: int, count: int, timeout: float = 20.0) -> int:
+    """The bytes, up to `count`, that forked children write to the pipe whose read end is `reached` within `timeout`
+    seconds: each child writes one as it reaches the patched name."""
+    got, deadline = b"", time.monotonic() + timeout
+    while len(got) < count and select.select([reached], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        got += os.read(reached, count - len(got))
+    return len(got)
 
 
 def save_block(path, block) -> None:
@@ -470,39 +498,47 @@ class TestForkedWrites:
     def test_each_writer_is_pinned_to_its_own_cpu(self, tmp_path, monkeypatch, affinity):
         force_workers(monkeypatch, 3)
         cpus = wsml_io.usable_cpus()
-        parent, real_write, real_pin, parent_pins = os.getpid(), wsml_io._write_block, os.sched_setaffinity, []
+        parent, real_format, real_pin, parent_pins = os.getpid(), wsml_io._format_rows, os.sched_setaffinity, []
 
-        def write_block(fh, path, block, row_format, worker_cpus):  # a child formats its range through this name
-            if os.getpid() != parent and os.sched_getaffinity(0) != set(worker_cpus):
-                raise RuntimeError("a child runs off its CPU")
-            real_write(fh, path, block, row_format, worker_cpus)
+        def format_rows(rows, row_format):  # a child formats its chunks through this name: it writes its CPUs instead
+            if os.getpid() != parent:
+                return f"on {sorted(os.sched_getaffinity(0))}\n"
+            return real_format(rows, row_format)
 
         def pin(pid, mask):
             if os.getpid() == parent:
                 parent_pins.append(set(mask))
             real_pin(pid, mask)
 
-        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        monkeypatch.setattr(wsml_io, "_format_rows", format_rows)
         monkeypatch.setattr(os, "sched_setaffinity", pin)
         save_block(tmp_path / "out.txt", np.ones(BIG))
-        assert parent_pins == [{cpus[0]}, affinity]  # its own range on the first CPU, then its mask back
+        lines = (tmp_path / "out.txt").read_text().splitlines()
+        assert lines[3:5] == [f"on [{cpus[1]}]", f"on [{cpus[2]}]"]  # the first two chunks, one child's each
+        assert parent_pins == [{cpus[0]}, affinity]  # its own chunks on the first CPU, then its mask back
         assert_no_child_and_affinity(affinity)
 
     def test_a_failing_child_fails_the_save_and_keeps_the_target(self, tmp_path, monkeypatch, affinity):
         path = tmp_path / "out.txt"
         path.write_text("old\n")
         force_workers(monkeypatch, 3)
-        parent, real = os.getpid(), wsml_io._write_block
+        parent, real = os.getpid(), wsml_io._format_rows
+        reached, tell = os.pipe()
 
-        def write_block(*args):  # a child formats its range through this name too
+        def format_rows(*args):  # a child formats its chunks through this name too
             if os.getpid() != parent:
+                os.write(tell, b"x")
                 raise RuntimeError("injected child failure")
-            real(*args)
+            return real(*args)
 
-        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        monkeypatch.setattr(wsml_io, "_format_rows", format_rows)
         parts = track_parts(monkeypatch)
-        with pytest.raises(OSError, match=re.escape(str(path))):
-            save_block(path, np.ones(BIG))
+        try:
+            with pytest.raises(OSError, match=re.escape(str(path))):
+                save_block(path, np.ones(BIG))
+            assert wait_for_children(reached, 1, timeout=0.0) == 1  # the child that failed got there
+        finally:
+            os.close(reached), os.close(tell)
         assert len(parts) == 2 and all(part.closed for part in parts)
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
@@ -512,24 +548,51 @@ class TestForkedWrites:
         path = tmp_path / "out.txt"
         path.write_text("old\n")
         force_workers(monkeypatch, 4)
-        parent, real = os.getpid(), wsml_io._write_block
+        parent, real = os.getpid(), wsml_io._format_rows
+        reached, tell = os.pipe()
+        children = []
 
-        def write_block(*args):  # each child sleeps far longer than the save may take
+        def format_rows(*args):  # each child sleeps far longer than the save may take; the parent waits for all three
             if os.getpid() != parent:
+                os.write(tell, b"x")
                 time.sleep(60)
-            real(*args)
+            children.append(wait_for_children(reached, 3))
+            return real(*args)
 
-        monkeypatch.setattr(wsml_io, "_write_block", write_block)
+        monkeypatch.setattr(wsml_io, "_format_rows", format_rows)
         forks, parts = count_forks(monkeypatch), track_parts(monkeypatch)
         block = np.full(BIG, 0.5, dtype=object)
-        block[0, 0] = "not a real"  # in the first range, which the parent formats after forking
+        block[-1, 0] = "not a real"  # in the fourth and last chunk, the parent's: the children get the first three
         start = time.monotonic()
-        with pytest.raises(TypeError):
-            save_block(path, block)
+        try:
+            with pytest.raises(TypeError):
+                save_block(path, block)
+        finally:
+            os.close(reached), os.close(tell)
         assert time.monotonic() - start < 30  # the children were killed, not waited for
+        assert children == [3]  # each child reached the name before the parent failed
         assert len(forks) == len(parts) == 3 and all(part.closed for part in parts)
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert_no_child_and_affinity(affinity)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_forked_save_peaks_below_half_the_file_size(self, tmp_path, monkeypatch, affinity, workers):
+        """The caller holds a chunk or two of the block's text at a time, never the whole of it."""
+        block = np.random.default_rng(4).standard_normal((2400, 100))
+        path = tmp_path / "big.txt"
+        force_workers(monkeypatch, workers)
+        forks = count_forks(monkeypatch)
+        tracemalloc.start()
+        try:
+            save_block(path, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 16 * wsml_io.CHUNK_CHARS and len(forks) == workers - 1
+        assert peak < size / 2, (peak, size)
+        assert path.read_bytes() == serial_text(block)
         assert_no_child_and_affinity(affinity)
 
 

@@ -10,6 +10,12 @@ later fault or end of file, a child that dies fails the load with OSError,
 each parser runs on its own CPU, and a process with other threads forks
 nothing. After every case no child is left and the CPU affinity is what it
 was.
+
+PARALLEL_MIN is 1 too, so the same dealer writes every real block that these
+cases save, and each valid file saves to the serial bytes. A fork, socket pair
+or pin that fails before any chunk is dealt (injected, never by exhausting
+real process ids or descriptors) leaves the save and the load to the children
+started, or to the serial path, with the serial bytes and bits.
 """
 
 import errno
@@ -37,6 +43,7 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def fork_every_real_block(monkeypatch, workers: int) -> list:
     """Parse every REAL block in `workers` processes; returns the list that gets one entry per fork."""
     monkeypatch.setattr(wsml_io, "PARSE_MIN", 1)
+    monkeypatch.setattr(wsml_io, "PARALLEL_MIN", 1)  # and write every REAL block through the same dealer
     test_io.force_workers(monkeypatch, workers)
     return test_io.count_forks(monkeypatch)
 
@@ -44,10 +51,11 @@ def fork_every_real_block(monkeypatch, workers: int) -> list:
 @pytest.mark.parametrize("workers", [2, 3, 4])
 class TestReaderEdges(test_io_chunks.TestReaderEdges):
     @pytest.fixture(autouse=True)
-    def forked(self, monkeypatch, affinity, workers):  # noqa: F811
+    def forked(self, monkeypatch, affinity, workers, chunk):  # noqa: F811
         forks = fork_every_real_block(monkeypatch, workers)
         yield
-        assert len(forks) == workers - 1  # the feature block's parsers
+        # the feature block's parsers, and its writers where its 12 rows take more than one chunk
+        assert len(forks) == (workers - 1) * (1 if chunk == DEFAULT_CHUNK else 2)
         test_io.assert_no_child_and_affinity(affinity)
 
 
@@ -239,4 +247,20 @@ def test_a_failed_start_deals_to_the_children_started(tmp_path, monkeypatch, aff
         assert reader.line("literal")[1] == "7 8"
         assert reader.block(block.shape, "real", wsml_io.REAL).tobytes() == block.tobytes()
     assert len(forks) == started and len(calls) >= nth
+    test_io.assert_no_child_and_affinity(affinity)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK])
+def test_valid_files_save_to_the_serial_bytes_when_forked(tmp_path, monkeypatch, affinity, workers, chunk):  # noqa: F811
+    def saved(directory):
+        directory.mkdir()
+        test_io.valid_files(directory)
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    expected = saved(tmp_path / "serial")
+    forks = fork_every_real_block(monkeypatch, workers)
+    monkeypatch.setattr(wsml_io, "CHUNK_CHARS", chunk)
+    assert saved(tmp_path / "forked") == expected
+    assert forks or chunk == DEFAULT_CHUNK  # at the default every block of these small files is one chunk
     test_io.assert_no_child_and_affinity(affinity)
