@@ -81,8 +81,8 @@ def usable_cpus() -> list[int]:
 
 
 def save(path, header: str, comment: str | None, parts) -> None:
-    """Write `header`, a `#cfg` line unless `comment` is None, then `parts`: a str
-    as one line, an (array, kind) pair as one line per row (a vector is one row)."""
+    """Write `header`, a `#cfg` line unless `comment` is None, then `parts`: a str as one line, an (array, kind)
+    pair as one line per row (a vector is one row), dealt in chunks of rows of at most CHUNK_CHARS characters."""
     with atomic_write(path) as fh:
         fh.write(header + "\n")
         if comment is not None:
@@ -94,12 +94,16 @@ def save(path, header: str, comment: str | None, parts) -> None:
             block, kind = np.atleast_2d(part[0]), part[1]
             if isinstance(kind, tuple):
                 block, kind = np.asarray(kind)[block], "%s"
-            _write_block(fh, path, block, kind)
+            step = max(1, CHUNK_CHARS // (25 * block.shape[1] or 1))  # an entry takes at most 24 characters and a space
+            starts = range(0, len(block), step)
+            _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:len(starts)], ((lo, ()) for lo in starts),
+                  lambda lo, _: (0, _format_rows(block[lo:lo + step], kind).encode()),
+                  lambda lo, _, text: fh.write(text.decode()))
 
 
 def _cpus(kind, entries: int, least: int) -> list[int]:
-    """Every usable CPU for a REAL block of `least` entries or more where a fork is safe (with no thread that could
-    hold a lock the child needs), else the first."""
+    """All usable CPUs for a REAL block of at least `least` entries, else the first; the first alone too while another
+    thread runs, since a fork while it holds a lock can hang the child."""
     forked = kind is REAL and entries >= least and hasattr(os, "fork") and threading.active_count() == 1
     return usable_cpus()[:None if forked else 1]
 
@@ -111,7 +115,7 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
     # a scheduler that does not balance load (a cpuset with sched_load_balance 0) keeps a child on its parent's CPU
     mask = os.sched_getaffinity(0) if len(cpus) > 1 and hasattr(os, "sched_setaffinity") else None
     pin = os.sched_setaffinity if mask else lambda pid, cpus: None
-    pids, channels, pending = [], [], []  # pending: the (key, channel, answer) of each chunk dealt, not accepted
+    pids, channels, pending = [], [], []  # pending: the [key, channel, answer] of each chunk dealt, not accepted
 
     def talk(channel, *message):  # send a (key, text) request or a (tag, bytes) answer, or with none take one
         try:
@@ -126,10 +130,14 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
             pass
         raise OSError(f"{path}: a forked process died")
 
-    def settle(*ready):  # accept the pending answers in chunk order while the first is the caller's or ready's
-        while pending and pending[0][1] in (None, *ready):
-            key, channel, answer = pending.pop(0)
-            accept(key, *(answer or talk(channel)))
+    def take(*ready):  # take the answers still out from these children
+        for entry in pending:
+            if entry[1] in ready and entry[2] is None:
+                entry[2] = talk(entry[1])
+
+    def settle():  # accept the answers in, in chunk order, up to the first still out
+        while pending and pending[0][2] is not None:
+            accept(pending[0][0], *pending.pop(0)[2])
 
     try:
         with contextlib.suppress(OSError):  # short of processes or descriptors: deal to the children started
@@ -149,11 +157,12 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
                     channels.append(ours.makefile("rwb"))
         for (key, lines), channel in zip(chunks, itertools.cycle([*channels, None])):  # each child, then the caller
             if channel is not None:
-                settle(channel)  # its last answer is accepted before it gets the next chunk
+                take(channel)  # read before the next chunk is sent, so that no full channel blocks, and accepted after
                 talk(channel, key, "\n".join(lines).encode())
-            pending.append((key, channel, None if channel else serve(key, lines)))
+            pending.append([key, channel, None if channel else serve(key, lines)])
             settle()
-        settle(*channels)
+        take(*channels)
+        settle()
     finally:  # kill and reap every child, restore the caller's CPU affinity
         pin(0, mask)
         for pid in pids:
@@ -164,18 +173,8 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
                 channel.close()
 
 
-def _format_rows(rows, row_format: str) -> str:  # every process formats its chunks of a block here
-    return (row_format * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def _write_block(fh, path, block, kind) -> None:
-    """Write `block` one line per row, dealt in chunks of rows of at most CHUNK_CHARS characters."""
-    rows, cols = block.shape
-    step = max(1, CHUNK_CHARS // (25 * cols or 1))  # an entry takes at most 24 characters and a separator
-    row_format = " ".join([kind] * cols) + "\n"
-    _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:-(-rows // step)], ((lo, ()) for lo in range(0, rows, step)),
-          lambda lo, _: (0, _format_rows(block[lo:lo + step], row_format).encode()),
-          lambda lo, _, text: fh.write(text.decode()))
+def _format_rows(rows, kind) -> str:  # every process formats its chunks of a block here
+    return ((" ".join([kind] * rows.shape[1]) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _parse(lines: list[str], cols: int, what: str, kind, bounds):

@@ -500,10 +500,10 @@ class TestForkedWrites:
         cpus = wsml_io.usable_cpus()
         parent, real_format, real_pin, parent_pins = os.getpid(), wsml_io._format_rows, os.sched_setaffinity, []
 
-        def format_rows(rows, row_format):  # a child formats its chunks through this name: it writes its CPUs instead
+        def format_rows(rows, kind):  # a child formats its chunks through this name: it writes its CPUs instead
             if os.getpid() != parent:
                 return f"on {sorted(os.sched_getaffinity(0))}\n"
-            return real_format(rows, row_format)
+            return real_format(rows, kind)
 
         def pin(pid, mask):
             if os.getpid() == parent:
