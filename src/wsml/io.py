@@ -1,14 +1,12 @@
 """Line-oriented text codec shared by the dataset, checkpoint and tracker files.
 
-A file is a header line, an optional `#cfg` comment, then literal lines and
-matrix blocks of one row per line: finite reals at 17 significant digits
-(an exact float64 round trip), integers, or tokens from a vocabulary whose
-position is the stored code. Lines starting with '#' are comments anywhere.
-Malformed input raises FormatError with its 1-based line; writes are atomic. Every block is written and
-read in chunks by one dealer, `_deal`: a real block of PARALLEL_MIN entries or more (formatted) or PARSE_MIN
-(parsed) deals its chunks in turn to one forked process per usable CPU and takes the answers in file order,
-for the bytes, arrays and errors of the serial loop. A fork that fails deals to the processes started,
-and a process with other threads forks none.
+A file is a header line, an optional `#cfg` comment, then literal lines and matrix blocks of one row per line: finite
+reals at 17 significant digits (an exact float64 round trip), integers, or tokens from a vocabulary whose position is
+the stored code. Lines starting with '#' are comments anywhere. Malformed input raises FormatError with its 1-based
+line; writes are atomic. One dealer, `_deal`, writes and reads every block in chunks: a real block of PARALLEL_MIN
+entries or more (written) or PARSE_MIN (read) deals them in turn to a forked process per further usable CPU and to the
+caller, and takes the answers in file order, for the serial loop's bytes, arrays and errors. A fork that fails deals
+to the processes started; a process with other threads, one of which may hold a lock the child needs, forks none.
 """
 
 from __future__ import annotations
@@ -82,8 +80,9 @@ def usable_cpus() -> list[int]:
 
 def save(path, header: str, comment: str | None, parts) -> None:
     """Write `header`, a `#cfg` line unless `comment` is None, then `parts`: a str as one line, an (array, kind)
-    pair as one line per row (a vector is one row), dealt in chunks of rows of at most CHUNK_CHARS characters."""
+    pair as one line per row (a vector is one row), dealt in chunks of at most CHUNK_CHARS characters, or of one row."""
     with atomic_write(path) as fh:
+        fh.reconfigure(write_through=True)  # so that a child's bytes go to fh.buffer in order with the caller's text
         fh.write(header + "\n")
         if comment is not None:
             fh.write(f"#cfg {comment}\n")
@@ -96,48 +95,50 @@ def save(path, header: str, comment: str | None, parts) -> None:
                 block, kind = np.asarray(kind)[block], "%s"
             step = max(1, CHUNK_CHARS // (25 * block.shape[1] or 1))  # an entry takes at most 24 characters and a space
             starts = range(0, len(block), step)
-            _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:len(starts)], ((lo, ()) for lo in starts),
-                  lambda lo, _: (0, _format_rows(block[lo:lo + step], kind).encode()),
-                  lambda lo, _, text: fh.write(text.decode()))
+            _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:len(starts)], zip(starts, itertools.repeat(None)),
+                  lambda lo, _: _format_rows(block[lo:lo + step], kind),
+                  lambda lo, text: (fh.write if isinstance(text, str) else fh.buffer.write)(text))
 
 
 def _cpus(kind, entries: int, least: int) -> list[int]:
-    """All usable CPUs for a REAL block of at least `least` entries, else the first; the first alone too while another
-    thread runs, since a fork while it holds a lock can hang the child."""
+    """All usable CPUs for a REAL block of `least` entries or more, else the first, as while other threads run."""
     forked = kind is REAL and entries >= least and hasattr(os, "fork") and threading.active_count() == 1
     return usable_cpus()[:None if forked else 1]
 
 
 def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
-    """Serve each (key, lines) of `chunks` in turn in a forked child pinned to each CPU after the first, then in the
-    caller pinned to the first, and pass accept(key, *serve(key, lines)) each (tag, bytes) answer in chunk order. An
-    OSError while starting deals to the children started, or none; one that dies fails with an OSError naming `path`."""
+    """Serve each (key, lines) of `chunks` (lines: a list of str, or None) in turn in a forked child pinned to each CPU
+    after the first, then in the caller pinned to the first; pass accept(key, answer) each answer in chunk order: the
+    caller's as serve gave it, a child's str or array as bytes, an (index, message) fault as it is. An OSError while
+    starting deals to the children started, or none; a child that dies fails with an OSError naming `path`."""
     # a scheduler that does not balance load (a cpuset with sched_load_balance 0) keeps a child on its parent's CPU
     mask = os.sched_getaffinity(0) if len(cpus) > 1 and hasattr(os, "sched_setaffinity") else None
     pin = os.sched_setaffinity if mask else lambda pid, cpus: None
     pids, channels, pending = [], [], []  # pending: the [key, channel, answer] of each chunk dealt, not accepted
 
-    def talk(channel, *message):  # send a (key, text) request or a (tag, bytes) answer, or with none take one
-        try:
-            if message:
-                channel.writelines((struct.pack("qq", message[0], len(message[1])), message[1]))
-                return channel.flush()
-            head = channel.read(16)
-            number, size = struct.unpack("qq", head) if len(head) == 16 else (0, -1)
-            if size >= 0 and len(data := channel.read(size)) == size:
-                return number, data
-        except ConnectionError:  # a dead child's channel breaks or resets, or else it ends short
-            pass
+    def send(channel, number, data):  # a request's key and text, or an answer's tag and str or array, as bytes
+        data = data.encode() if isinstance(data, str) else memoryview(data).cast("B")
+        with contextlib.suppress(ConnectionError):  # a dead child's channel breaks or resets
+            channel.writelines((struct.pack("qq", number, len(data)), data))
+            return channel.flush()
         raise OSError(f"{path}: a forked process died")
 
-    def take(*ready):  # take the answers still out from these children
-        for entry in pending:
-            if entry[1] in ready and entry[2] is None:
-                entry[2] = talk(entry[1])
+    def receive(channel):  # the (number, bytes) that the other end sent
+        with contextlib.suppress(ConnectionError):  # a dead child's channel breaks or resets, or else it ends short
+            number, size = struct.unpack("qq", head) if len(head := channel.read(16)) == 16 else (0, -1)
+            if size >= 0 and len(data := channel.read(size)) == size:
+                return number, data
+        raise OSError(f"{path}: a forked process died")
+
+    def take(channel, keep=0):  # take the answers still out from this child, but its last `keep`
+        out = [entry for entry in pending if entry[1] is channel and entry[2] is None]
+        for entry in out[:len(out) - keep]:
+            tag, data = receive(channel)
+            entry[2] = (tag, data.decode()) if tag >= 0 else data
 
     def settle():  # accept the answers in, in chunk order, up to the first still out
         while pending and pending[0][2] is not None:
-            accept(pending[0][0], *pending.pop(0)[2])
+            accept(pending[0][0], pending.pop(0)[2])
 
     try:
         with contextlib.suppress(OSError):  # short of processes or descriptors: deal to the children started
@@ -150,18 +151,20 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
                         try:
                             pin(0, [cpu])
                             channel = theirs.makefile("rwb")
-                            for key, text in iter(lambda: talk(channel), None):  # until the channel ends
-                                talk(channel, *serve(key, text.decode().split("\n")))
+                            for key, text in iter(lambda: receive(channel), None):  # until the channel ends
+                                answer = serve(key, text.decode().split("\n")[:-1] if text else None)
+                                send(channel, *(answer if isinstance(answer, tuple) else (-1, answer)))
                         finally:
                             os._exit(1)
                     channels.append(ours.makefile("rwb"))
         for (key, lines), channel in zip(chunks, itertools.cycle([*channels, None])):  # each child, then the caller
-            if channel is not None:
-                take(channel)  # read before the next chunk is sent, so that no full channel blocks, and accepted after
-                talk(channel, key, "\n".join(lines).encode())
+            if channel is not None:  # a request with text waits for the child's answers, so that no full channel
+                take(channel, lines is None)  # blocks both ends; one without goes one ahead, to keep the child busy
+                send(channel, key, "" if lines is None else "\n".join([*lines, ""]))
             pending.append([key, channel, None if channel else serve(key, lines)])
             settle()
-        take(*channels)
+        for channel in channels:
+            take(channel)
         settle()
     finally:  # kill and reap every child, restore the caller's CPU affinity
         pin(0, mask)
@@ -334,16 +337,14 @@ class Reader:
             while self.pos - first < rows and (lines := self._take(rows - self.pos + first)):
                 yield self.pos - len(lines), lines
 
-        def serve(start, lines):  # a chunk's (-1, rows' bytes), or the (index, message) of its first line at fault
-            values = np.empty((len(lines), cols), dtype)
-            fault = _parse_into(values, lines, cols, what, kind, bounds)
-            return (-1, memoryview(values).cast("B")) if fault is None else (fault[0], fault[1].encode())
+        def serve(start, lines):  # a chunk's rows, parsed into `out` (a child's copy of it), or its first fault
+            return _parse_into(values := out[start - first:][:len(lines)], lines, cols, what, kind, bounds) or values
 
-        def accept(start, tag, answer):  # the chunks' answers in file order, so the first fault raised is the file's
-            if tag >= 0:
-                raise FormatError(self.number(start + tag), answer.decode())
-            values = np.frombuffer(answer, dtype).reshape(-1, cols)
-            out[start - first:start - first + len(values)] = values
+        def accept(start, answer):  # the chunks' answers in file order, so the first fault raised is the file's
+            if isinstance(answer, tuple):
+                raise FormatError(self.number(start + answer[0]), answer[1])
+            if isinstance(answer, bytes):  # a child's rows; the caller parsed its own into `out`
+                out[start - first:].reshape(-1)[:len(answer) // out.itemsize] = np.frombuffer(answer, dtype)
 
         _deal(self._path, _cpus(kind, out.size, PARSE_MIN)[:len(out)], chunks(), serve, accept)
         if self.pos - first < rows:

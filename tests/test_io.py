@@ -349,7 +349,8 @@ class TestAtomicWrites:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.parametrize("after", [3, 4])  # the first chunk's write, a child's answer; the second, the caller's
+    # the caller's first and second chunks: a child's answers go to the binary buffer under the text layer
+    @pytest.mark.parametrize("after", [3, 4])
     def test_a_broken_pipe_in_a_forked_save_stays_the_callers(self, tmp_path, monkeypatch, affinity, after):
         """The caller's own write failing, as on a /dev/stdout whose reader has gone, is no child's death."""
         path = tmp_path / "out.txt"
