@@ -97,7 +97,7 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         ("gen-test", "1", [*gen, "--pos-rate", "0.35", "--seed", "4", "--temperature", "0.7", "--out", "test.wsml"]),
         # a dense corpus: at 300x8x6 the bias bisection doubles its upper bracket end three times
         ("gen-dense", "1", [*gen, "--pos-rate", "0.9", "--seed", "6", "--out", "dense.wsml"]),
-        # a fixed shape at every pipeline size: its feature block is at least io.PARALLEL_MIN (2^15) and
+        # a fixed shape at every pipeline size: its feature block is at least io.PARALLEL_MIN (40960) and
         # io.PARSE_MIN (2^17) reals
         ("gen-wide", "1", ["gen", "--n", "1320", "--dim", "100", "--classes", "3", "--pos-rate", "0.35", "--seed", "8",
                            "--out", "wide.wsml"]),

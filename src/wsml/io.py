@@ -3,7 +3,8 @@
 A file is a header line, an optional `#cfg` comment, then literal lines and matrix blocks of one row per line: finite
 reals at 17 significant digits (an exact float64 round trip), integers, or tokens from a vocabulary whose position is
 the stored code. Lines starting with '#' are comments anywhere. Malformed input raises FormatError with its 1-based
-line; writes are atomic. One dealer, `_deal`, writes and reads every block in chunks: a real block of PARALLEL_MIN
+line; writes are atomic. A float64 block is formatted by a numpy kernel with the bytes of '%.17g' (any entry outside
+1e-6 < |v| < 1e17 by '%'). One dealer, `_deal`, writes and reads every block in chunks: a real block of PARALLEL_MIN
 entries or more (written) or PARSE_MIN (read) deals them in turn to a forked process per further usable CPU and to the
 caller, and takes the answers in file order, for the serial loop's bytes, arrays and errors. A fork that fails deals
 to the processes started; a process with other threads, one of which may hold a lock the child needs, forks none.
@@ -34,9 +35,11 @@ INT = "%d"
 CHUNK_CHARS = 1 << 18
 # the characters str.splitlines ends a line at
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# the entries of the smallest REAL block formatted in forked processes: forking costs about 5 ms,
-# and on 2 CPUs it broke even at 2^14 reals and took 2^15 from 31 to 22 ms
-PARALLEL_MIN = 1 << 15
+# the entries of the smallest REAL block formatted in forked processes. On 2 CPUs, with the numpy kernel, a forked save
+# beat a serial one in 1-5 of 21 alternated runs from 2^15 to 45056 reals (medians 25 against 21 ms at 40960), in 10
+# and 15 of 21 at 49152, and in 34 of 42 at 2^16 (24-27 against 31-33 ms). The tests size a forked-write block from
+# this value whose failing chunk must be the last of four, which holds up to 41727, so it is 40960.
+PARALLEL_MIN = 40960
 # the entries of the smallest REAL block parsed in forked processes: a fork, a child's start and its reaping cost
 # about 5 ms, and on 2 CPUs the forked parse lost 2^16 reals whenever the serial one ran at the faster of its two
 # speeds (21-25 against 28-32 ms) and took 2^17 from 44-79 to 43-51 ms
@@ -91,8 +94,6 @@ def save(path, header: str, comment: str | None, parts) -> None:
                 fh.write(part + "\n")
                 continue
             block, kind = np.atleast_2d(part[0]), part[1]
-            if isinstance(kind, tuple):
-                block, kind = np.asarray(kind)[block], "%s"
             step = max(1, CHUNK_CHARS // (25 * block.shape[1] or 1))  # an entry takes at most 24 characters and a space
             starts = range(0, len(block), step)
             _deal(path, _cpus(kind, block.size, PARALLEL_MIN)[:len(starts)], zip(starts, itertools.repeat(None)),
@@ -177,7 +178,84 @@ def _deal(path, cpus: list[int], chunks, serve, accept) -> None:
 
 
 def _format_rows(rows, kind) -> str:  # every process formats its chunks of a block here
+    if kind is REAL and rows.dtype == np.float64 and rows.shape[1]:
+        return _format_reals(rows)
+    if isinstance(kind, tuple):
+        if rows.shape[1] and all(len(token.encode()) == 1 for token in kind):  # a byte per token, then its separator
+            out = np.full((len(rows), 2 * rows.shape[1]), ord(" "), np.uint8)
+            out[:, ::2], out[:, -1] = np.frombuffer("".join(kind).encode(), np.uint8)[rows], ord("\n")
+            return out.tobytes().decode()
+        rows, kind = np.asarray(kind)[rows], "%s"
     return ((" ".join([kind] * rows.shape[1]) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
+# _format_reals lays each entry out from a source row of 24 bytes: the constants of _SOURCE around its 17 digits, the
+# first at byte 3 and the other 16 as four 4-digit words (_QUADS) at bytes 4-19; _LAYOUTS holds, for each decimal
+# exponent k (-6 to 16), count of digits kept (1 to 17) and sign, the source byte of each of the entry's 25 bytes
+_DIGITS = "ABCDEFGHIJKLMNOPQ"
+_SOURCE = "-.0" + _DIGITS + "e56\0"
+_SUB = 1 << 11  # the entries formatted at a time, so that the temporaries stay small
+_LAYOUTS = np.array([[_SOURCE.index(c) for c in (sign + (
+    _DIGITS[0] + "." * (m > 1) + _DIGITS[1:m] + f"e-0{-k}" if k < -4 else
+    "0." + "0" * (-k - 1) + _DIGITS[:m] if k < 0 else
+    _DIGITS[:k + 1] + "." * (m > k + 1) + _DIGITS[k + 1:m])).ljust(25, "\0")]
+    for k in range(-6, 17) for m in range(1, 18) for sign in ("", "-")])
+_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+_ROWS = 24 * np.arange(_SUB)[:, None]
+
+
+def _split(x):  # Veltkamp: x == hi + lo, each of at most 26 significant bits
+    t = x * 134217729.0
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10 = 10.0 ** np.arange(23)  # each exact
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, s):
+    """hi + lo == a * 10**s exactly (Dekker's two-product), for 0 <= s <= 22."""
+    hi, (ah, al), bh, bl = a * _POW10[s], _split(a), _POW10_HI[s], _POW10_LO[s]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _format_reals(rows) -> str:
+    """The bytes of '%.17g' % v for every entry v of a float64 block, laid out as by _format_rows. An entry with
+    1e-6 < |v| < 1e17 is laid out from its 17 digits: with k its decimal exponent, |v| * 10**(16 - k) is an exact
+    product hi + lo, and as hi is an even integer, hi + rint(lo) rounds it half to even, as '%' does. Any other entry
+    (0, a subnormal, one far from 1, a non-finite one) goes through '%'."""
+    values, text = rows.ravel(), []
+    source = np.tile(np.frombuffer(_SOURCE.encode(), np.uint8), (min(values.size, _SUB), 1))
+    for start in range(0, values.size, _SUB):
+        v = values[start:start + _SUB]
+        src = source[:v.size]
+        a = np.abs(v)
+        fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 is below 10**-6, so k >= -6 and 10**(16 - k) is exact
+        a[~fast] = 1.0
+        k = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+        hi, lo = _times_pow10(a, 16 - k)
+        low, high = (hi < 1e16) | (hi == 1e16) & (lo < 0), (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+        if (low | high).any():  # log10 rounded across a power of ten: the exact product is outside [10**16, 10**17)
+            k[low], k[high] = k[low] - 1, k[high] + 1
+            hi, lo = _times_pow10(a, 16 - k)
+        n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        k += (up := n == 10 ** 17)  # rounded up to the next power of ten
+        n[up] = 10 ** 16
+        src[:, 3] = n // 10 ** 16 + ord("0")
+        eights = np.stack([n // 10 ** 8 % 10 ** 8, n % 10 ** 8], axis=1)
+        fours = eights // 10 ** 4
+        src.view(np.uint32)[:, 1:5] = _QUADS[np.stack([fours, eights - fours * 10 ** 4], axis=2).reshape(-1, 4)]
+        kept = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # the digits up to the last nonzero one
+        index = _LAYOUTS[((k + 6) * 17 + kept - 1) * 2 + (v < 0)]
+        index += _ROWS[:v.size]
+        out = src.ravel()[index]
+        out[:, -1] = np.where(np.arange(start + 1, start + v.size + 1) % rows.shape[1], ord(" "), ord("\n"))
+        if (slow := np.flatnonzero(~fast)).size:  # '%.17g' takes at most 24 characters
+            padded = "".join([("%.17g" % x).ljust(24, "\0") for x in v[slow].tolist()])
+            out[slow, :24] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 24)
+        text.append(out[out != 0].tobytes())
+    return b"".join(text).decode()
 
 
 def _parse(lines: list[str], cols: int, what: str, kind, bounds):

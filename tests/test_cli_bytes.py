@@ -4,6 +4,8 @@ import pathlib
 
 import pytest
 
+import wsml.io as wsml_io
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("cli_bytes", ROOT / "scripts" / "cli_bytes.py")
 cli_bytes = importlib.util.module_from_spec(_spec)
@@ -63,6 +65,14 @@ def test_one_byte_difference_is_named(tmp_path, capsys):
     assert cli_bytes.report(a, b) == 1
     assert cli_bytes.differing_files(a, b) == ["sub/x.csv"]
     assert capsys.readouterr().out.splitlines() == ["differs: sub/x.csv", "1 file(s) differ"]
+
+
+def test_the_wide_block_is_written_and_parsed_in_forked_processes():
+    """The gen-wide feature block stays at or above both thresholds, so that a retune of either cannot silently stop
+    this pipeline from writing and parsing a block in forked processes."""
+    argv = next(argv for name, _, argv in cli_bytes.pipeline() if name == "gen-wide")
+    entries = int(argv[argv.index("--n") + 1]) * int(argv[argv.index("--dim") + 1])
+    assert entries == 132_000 >= max(wsml_io.PARALLEL_MIN, wsml_io.PARSE_MIN)
 
 
 def test_wide_loads_parse_alike_with_comments_and_name_a_late_fault(tiny_run):
