@@ -191,16 +191,17 @@ def _format_rows(rows, kind) -> str:  # every process formats its chunks of a bl
 
 # _format_reals lays each entry out from a source row of 24 bytes: the constants of _SOURCE around its 17 digits, the
 # first at byte 3 and the other 16 as four 4-digit words (_QUADS) at bytes 4-19; _LAYOUTS holds, for each decimal
-# exponent k (-6 to 16), count of digits kept (1 to 17) and sign, the source byte of each of the entry's 25 bytes
+# exponent k (-6 to 16), number of digits kept (1 to 17) and sign, the source byte of each of the entry's 25 bytes
 _DIGITS = "ABCDEFGHIJKLMNOPQ"
 _SOURCE = "-.0" + _DIGITS + "e56\0"
 _SUB = 1 << 11  # the entries formatted at a time, so that the temporaries stay small
-_LAYOUTS = np.array([[_SOURCE.index(c) for c in (sign + (
+_LAYOUTS = np.frombuffer("".join([(sign + (
     _DIGITS[0] + "." * (m > 1) + _DIGITS[1:m] + f"e-0{-k}" if k < -4 else
     "0." + "0" * (-k - 1) + _DIGITS[:m] if k < 0 else
-    _DIGITS[:k + 1] + "." * (m > k + 1) + _DIGITS[k + 1:m])).ljust(25, "\0")]
-    for k in range(-6, 17) for m in range(1, 18) for sign in ("", "-")])
-_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+    _DIGITS[:k + 1] + "." * (m > k + 1) + _DIGITS[k + 1:m])).ljust(25, "\0")
+    for k in range(-6, 17) for m in range(1, 18) for sign in ("", "-")]).translate(
+    {ord(c): i for i, c in enumerate(_SOURCE)}).encode(), np.uint8).reshape(-1, 25)
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 _ROWS = 24 * np.arange(_SUB)[:, None]
 
 
@@ -221,11 +222,13 @@ def _times_pow10(a, s):
 
 
 def _format_reals(rows) -> str:
-    """The bytes of '%.17g' % v for every entry v of a float64 block, laid out as by _format_rows. An entry with
-    1e-6 < |v| < 1e17 is laid out from its 17 digits: with k its decimal exponent, |v| * 10**(16 - k) is an exact
-    product hi + lo, and as hi is an even integer, hi + rint(lo) rounds it half to even, as '%' does. Any other entry
-    (0, a subnormal, one far from 1, a non-finite one) goes through '%'."""
+    """'%.17g' % v of every entry v of a float64 block, laid out as by _format_rows. An entry with 1e-6 < |v| < 1e17
+    is laid out from its 17 digits: with k its decimal exponent, |v| * 10**(16 - k) is an exact product hi + lo, and as
+    a double from 10**16 up is an even integer, hi + rint(lo) rounds it half to even, as '%' does. Any other entry (0,
+    a subnormal, one far from 1, a non-finite one) goes through '%'."""
     values, text = rows.ravel(), []
+    ends = np.full(values.size, ord(" "), np.uint8)
+    ends[rows.shape[1] - 1::rows.shape[1]] = ord("\n")
     source = np.tile(np.frombuffer(_SOURCE.encode(), np.uint8), (min(values.size, _SUB), 1))
     for start in range(0, values.size, _SUB):
         v = values[start:start + _SUB]
@@ -247,10 +250,8 @@ def _format_reals(rows) -> str:
         fours = eights // 10 ** 4
         src.view(np.uint32)[:, 1:5] = _QUADS[np.stack([fours, eights - fours * 10 ** 4], axis=2).reshape(-1, 4)]
         kept = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # the digits up to the last nonzero one
-        index = _LAYOUTS[((k + 6) * 17 + kept - 1) * 2 + (v < 0)]
-        index += _ROWS[:v.size]
-        out = src.ravel()[index]
-        out[:, -1] = np.where(np.arange(start + 1, start + v.size + 1) % rows.shape[1], ord(" "), ord("\n"))
+        out = src.ravel()[_LAYOUTS[((k + 6) * 17 + kept - 1) * 2 + (v < 0)] + _ROWS[:v.size]]
+        out[:, -1] = ends[start:start + _SUB]
         if (slow := np.flatnonzero(~fast)).size:  # '%.17g' takes at most 24 characters
             padded = "".join([("%.17g" % x).ljust(24, "\0") for x in v[slow].tolist()])
             out[slow, :24] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 24)
