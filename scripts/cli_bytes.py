@@ -10,7 +10,10 @@ CPU: `wsml.io`'s one dealer gives them the block's chunks in turn, takes their
 answers in file order, and falls back to the processes it could start, or to
 the serial path, when a fork fails. That wide set is partialized, a train runs on a copy
 of the result with comment lines inside its blocks, and a partialize of a copy
-with an invalid real in one of its last feature rows fails. Then come both
+with an invalid real in one of its last feature rows fails. Copies of the wide
+set and of its partialized result with every feature real spelled another way,
+half of them in plain decimals that the numpy parse kernel reads and half in
+spellings only loadtxt reads, are partialized and trained on. Then come both
 partialize modes, the fraction mode once more at fraction 1, which observes
 every entry, fourteen train arms that run every scheme, two of them linear and
 one of those frozen, one with a ragged last batch and one whose selection
@@ -66,6 +69,28 @@ lines[3 + int(sys.argv[3])] = "x" + lines[3 + int(sys.argv[3])]
 open(sys.argv[2], "w").writelines(lines)
 """
 
+# `python -c RESPELL src dest` copies dataset `src` to `dest` with every feature real spelled another way that reads
+# as the same double. The first half of the rows keep to plain decimals ([-]digits[.digits][e(+|-)dd]): a trailing or
+# leading zero, or an exponent, some of them too long for the numpy parse kernel, which reads those one by one. The
+# other rows use spellings only loadtxt reads ('+', '.5', '1.', 'E'), and a few of them tabs or extra spaces.
+RESPELL = """
+import sys
+lines = open(sys.argv[1]).read().splitlines()
+n = int(lines[2].split()[0])
+for row in range(n):
+    words = []
+    for col, word in enumerate(lines[3 + row].split()):
+        sign, body, value = "-" * word.startswith("-"), word.lstrip("-"), float(word)
+        plain = [word + "0" * ("." in word and "e" not in word), sign + "00" + body, "%.16e" % value,
+                 word + "000" * ("." in word and "e" not in word)]
+        other = ["+" * (not sign) + word, sign + body[1:] if body.startswith("0.") else word, "%.16E" % value,
+                 word + "." * ("." not in word and "e" not in word)]
+        words.append((plain if 2 * row < n else other)[(row + col) % 4])
+    odd = 2 * row >= n and row % 25 == 0  # a few rows of the loadtxt half
+    lines[3 + row] = ["  ", "\\t"][row % 2].join(words) + " " if odd else " ".join(words)
+open(sys.argv[2], "w").write("\\n".join(lines) + "\\n")
+"""
+
 # `python -c BARE src dest` copies dataset `src` to `dest` up to the line before its TRUTH line
 BARE = """
 import sys
@@ -110,6 +135,12 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         ("wide-bad-copy", "1", ["-c", BAD_REAL, "wide.wsml", "wide-bad.wsml", "1310"]),
         ("part-wide-bad", "1", ["partialize", "--in", "wide-bad.wsml", "--mode", "single-positive", "--seed", "5",
                                 "--out", "wide-bad-sp.wsml"]),
+        # every feature real of the wide set spelled another way: the parse kernel's one-by-one and loadtxt paths
+        ("wide-respelled-copy", "1", ["-c", RESPELL, "wide.wsml", "wide-respelled.wsml"]),
+        ("part-wide-respelled", "1", ["partialize", "--in", "wide-respelled.wsml", "--mode", "single-positive",
+                                      "--seed", "5", "--out", "wide-respelled-sp.wsml"]),
+        ("wide-sp-respelled-copy", "1", ["-c", RESPELL, "wide-sp.wsml", "wide-sp-respelled.wsml"]),
+        train("wide-respelled", "wide-sp-respelled.wsml", "ll-ct", "--delta-rel", "5"),
         ("part-sp", "1", ["partialize", "--in", "full.wsml", "--mode", "single-positive", "--seed", "5",
                           "--out", "sp.wsml"]),
         ("part-frac", "1", ["partialize", "--in", "full.wsml", "--mode", "fraction", "--fraction", "0.3",

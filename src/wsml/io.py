@@ -3,11 +3,12 @@
 A file is a header line, an optional `#cfg` comment, then literal lines and matrix blocks of one row per line: finite
 reals at 17 significant digits (an exact float64 round trip), integers, or tokens from a vocabulary whose position is
 the stored code. Lines starting with '#' are comments anywhere. Malformed input raises FormatError with its 1-based
-line; writes are atomic. A float64 block is formatted by a numpy kernel with the bytes of '%.17g' (any entry outside
-1e-6 < |v| < 1e17 by '%'). One dealer, `_deal`, writes and reads every block in chunks: a real block of PARALLEL_MIN
-entries or more (written) or PARSE_MIN (read) deals them in turn to a forked process per further usable CPU and to the
-caller, and takes the answers in file order, for the serial loop's bytes, arrays and errors. A fork that fails deals
-to the processes started; a process with other threads, one of which may hold a lock the child needs, forks none.
+line; writes are atomic. Numpy kernels format a float64 block with the bytes of '%.17g' and parse a REAL chunk of plain
+decimals to loadtxt's bits (else '%' and loadtxt); a one-byte vocabulary is one byte gather or lookup. One dealer,
+`_deal`, writes and reads every block in chunks: a real block of PARALLEL_MIN entries or more (written) or PARSE_MIN
+(read) deals them in turn to a forked process per further usable CPU and to the caller, and takes the answers in file
+order, for the serial loop's bytes, arrays and errors. A fork that fails deals to the processes started; a process
+with other threads, one of which may hold a lock the child needs, forks none.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ INT = "%d"
 CHUNK_CHARS = 1 << 18
 # the characters str.splitlines ends a line at
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# the entries of the smallest REAL block formatted in forked processes. On 2 CPUs, with the numpy kernel, a forked save
-# beat a serial one in 1-5 of 21 alternated runs from 2^15 to 45056 reals (medians 25 against 21 ms at 40960), in 10
-# and 15 of 21 at 49152, and in 34 of 42 at 2^16 (24-27 against 31-33 ms). The tests size a forked-write block from
-# this value whose failing chunk must be the last of four, which holds up to 41727, so it is 40960.
+# the entries of the smallest REAL block formatted in forked processes: on 2 CPUs, with the format kernel, a forked save
+# of 100-column blocks beat a serial one in 20 of 41 alternated runs at 2^15 reals, 29 at 40960 and 24-37 from 49152
 PARALLEL_MIN = 40960
-# the entries of the smallest REAL block parsed in forked processes: a fork, a child's start and its reaping cost
-# about 5 ms, and on 2 CPUs the forked parse lost 2^16 reals whenever the serial one ran at the faster of its two
-# speeds (21-25 against 28-32 ms) and took 2^17 from 44-79 to 43-51 ms
+# the entries of the smallest REAL block parsed in forked processes: with the parse kernel a forked parse won 3 of 21
+# at 2^16, 10-19 of 21 or 31 from 98304 to 196608 (26-33 ms at 2^17 either way), 16 of 21 at 2^18 and 19 at 2^19
 PARSE_MIN = 1 << 17
 
 
@@ -200,9 +198,9 @@ _LAYOUTS = np.frombuffer("".join([(sign + (
     "0." + "0" * (-k - 1) + _DIGITS[:m] if k < 0 else
     _DIGITS[:k + 1] + "." * (m > k + 1) + _DIGITS[k + 1:m])).ljust(25, "\0")
     for k in range(-6, 17) for m in range(1, 18) for sign in ("", "-")]).translate(
-    {ord(c): i for i, c in enumerate(_SOURCE)}).encode(), np.uint8).reshape(-1, 25)
+    {ord(c): i for i, c in enumerate(_SOURCE)}).encode(), np.uint8).reshape(-1, 25).astype(np.int32)
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-_ROWS = 24 * np.arange(_SUB)[:, None]
+_ROWS = 24 * np.arange(_SUB, dtype=np.int32)[:, None]
 
 
 def _split(x):  # Veltkamp: x == hi + lo, each of at most 26 significant bits
@@ -250,7 +248,7 @@ def _format_reals(rows) -> str:
         fours = eights // 10 ** 4
         src.view(np.uint32)[:, 1:5] = _QUADS[np.stack([fours, eights - fours * 10 ** 4], axis=2).reshape(-1, 4)]
         kept = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # the digits up to the last nonzero one
-        out = src.ravel()[_LAYOUTS[((k + 6) * 17 + kept - 1) * 2 + (v < 0)] + _ROWS[:v.size]]
+        out = np.take(src, np.take(_LAYOUTS, ((k + 6) * 17 + kept - 1) * 2 + (v < 0), axis=0) + _ROWS[:v.size])
         out[:, -1] = ends[start:start + _SUB]
         if (slow := np.flatnonzero(~fast)).size:  # '%.17g' takes at most 24 characters
             padded = "".join([("%.17g" % x).ljust(24, "\0") for x in v[slow].tolist()])
@@ -259,29 +257,108 @@ def _format_reals(rows) -> str:
     return b"".join(text).decode()
 
 
+# _parse_reals reads a mantissa from the 24 bytes that end it as three little-endian words: _KEEP[c] clears c bytes
+# before it, and each (mask, factor, shift) of _SWAR folds pairs, so 8 ASCII digits become their integer (Lemire, 2021)
+_KEEP = np.array([[(1 << 64) - (1 << 8 * min(max(c - 8 * w, 0), 8)) for w in range(3)] for c in range(25)], np.uint64)
+_SWAR = [(np.uint64(m), np.uint64(f), np.uint64(s)) for m, f, s in (
+    (0x0F0F0F0F0F0F0F0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16), (0x0000FFFF0000FFFF, 42949672960001, 32))]
+_TENS = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _parse_reals(lines: list[str], cols: int):
+    """The float64 rows of a REAL chunk whose every line is `cols` tokens [-]digits[.digits][e(+|-)dd] split by
+    single spaces, else None. A token of digit integer N and q = (its fraction digits) - (its exponent), with N below
+    10**18 and 0 <= q <= 22, is N / 10**q rounded to nearest: x = fl(fl(N) / 10**q) is within 1.5 ulp of it, the
+    residual r = N - x * 10**q is exact but for one rounding (Dekker's two-product), and r against half the gap to each
+    neighbour of x moves x one ulp. Any other token, and one whose r is too near a bound to decide, is float(token),
+    which reads it as loadtxt does. Temporaries go early, as a load holds them besides its arrays."""
+    buf = np.frombuffer(b"\0" * 24 + "\n".join([*lines, ""]).encode() + b"\0" * 24, np.uint8).copy()  # room for windows
+    b = buf[24:-24]
+    ends = np.flatnonzero(b <= 32)  # the byte after each token
+    if not ends.size or ends.size != len(lines) * cols or not (  # single spaces, and a newline after each line
+            ((seps := b[ends].reshape(len(lines), cols))[:, :-1] == 32).all() and (seps[:, -1] == 10).all()):
+        return None
+    first = np.concatenate([[0], ends[:-1] + 1])  # each mantissa's first byte, after the sign
+    first += (neg := b[first] == 45)
+    last, power, e = ends.copy(), np.zeros(ends.size, np.int64), np.flatnonzero(b == 101)  # its end, its exponent
+    token, sign = np.searchsorted(ends, e), buf[25 + e].astype(np.int64)  # the exponent's sign is checked below
+    last[token], power[token] = e, (np.int64(10) * buf[26 + e] + buf[27 + e] - 528) * (44 - sign)
+    size, at, dots = last - first, np.zeros(ends.size, np.int64), np.count_nonzero(b == 46)
+    for offset in range(1, 24):  # each dot's offset in its mantissa: 1 for all of '%.17g' below 10 in magnitude
+        hit = (buf[24 + offset + first] == 46) & (offset < size - 1)  # a digit either side
+        at += offset * hit  # a second dot in a token leaves fewer dotted tokens than dots, as checked below
+        if not (dots := dots - np.count_nonzero(hit)):
+            break
+    b -= np.uint8(48)  # a digit's value; SWAR reads only a byte's low 4 bits
+    if dots or (size < 1).any() or (ends[token] != e + 4).any() or (np.abs(sign - 44) != 1).any() or (
+            np.count_nonzero(b > 9) != ends.size + np.count_nonzero(neg) + 2 * e.size + np.count_nonzero(at)):
+        return None  # else no byte is other than a digit, a separator, a sign, a dot or e
+    buf[np.where(at > 0, 24 + first + at, 0)] = 0  # each dot a zero digit, taken out of N below
+    words = np.ndarray((buf.size - 23,), "V24", buf, strides=(1,))[last].view("<u8").reshape(-1, 3)
+    del buf, b, ends, first, last
+    for column, keep in enumerate(_KEEP.T):  # clear the bytes before the mantissa
+        words[:, column] &= keep[np.clip(24 - size, 0, 24)]
+    for mask, factor, shift in _SWAR:
+        words = (words & mask) * factor >> shift
+    slow = (size > 24) | (words[:, 0] >= 100)  # a mantissa past its window, or N of 10**18 or more
+    n = words[:, 0] * np.uint64(10 ** 16) + words[:, 1] * np.uint64(10 ** 8) + words[:, 2]
+    frac = np.where(at > 0, size - at - 1, 0)
+    f = np.minimum(frac + 18 * (at == 0), 18)  # the zero's place; at 18 or above it, N's digits there are zeros
+    n = np.minimum(n - n // _TENS[f + 1] * 9 * _TENS[f], 10 ** 18).view(np.int64)  # a slow N kept in range
+    q = frac - power
+    del words, frac, f, size, at
+    slow |= q != (q := np.clip(q, 0, 22))
+    x = (nh := n.astype(np.float64)) / _POW10[q]
+    hi, lo = _times_pow10(x, q)
+    r = nh - hi + (n - nh.astype(np.int64)) - lo  # nh - hi (Sterbenz) and N - nh are exact, and so is their sum
+    del nh, hi, lo, n
+    bits = x.view(np.int64)
+    up = ((bits + 1).view(np.float64) - x) * _POW10[q] / 2  # half the gap to the next double, times 10**q
+    down = (x - (bits - (bits > 0)).view(np.float64)) * _POW10[q] / 2  # and to the one before, smaller below 2**k
+    tol = np.abs(r) * 2.0 ** -50  # r's one rounding is at most 2**-53 of it
+    slow |= (np.abs(r - up) < tol) | (np.abs(r + down) < tol) | (r > 3 * up - tol) | (r < tol - 2.5 * down)
+    x = (bits + (r > up) - (r < -down) | neg.astype(np.int64) << 63).view(np.float64)  # the sign last: -0 stays
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = float(lines[i // cols].split(" ")[i % cols])
+    return x.reshape(len(lines), cols)
+
+
+def _parse_tokens(lines: list[str], cols: int, kind):
+    """The codes of a chunk of one-byte tokens, each before a space or the line's end, by a byte lookup; else None."""
+    rows = np.frombuffer("\n".join([*lines, ""]).encode(), np.uint8)
+    if not cols or rows.size != 2 * cols * len(lines) or any(len(token.encode()) != 1 for token in kind):
+        return None
+    rows, table = rows.reshape(len(lines), -1), np.full(256, -1, np.int8)
+    table[np.frombuffer("".join(kind).encode(), np.uint8)] = np.arange(len(kind))
+    codes = table[rows[:, ::2]]
+    return codes if (rows[:, 1:-1:2] == 32).all() and (rows[:, -1] == 10).all() and (codes >= 0).all() else None
+
+
 def _parse(lines: list[str], cols: int, what: str, kind, bounds):
-    """Every line of a block at once; raises ValueError saying what is wrong."""
+    """Every line of a block at once (by a kernel above, else loadtxt); raises ValueError saying what is wrong."""
     if not all(map(str.strip, lines)):  # loadtxt would skip the blank line
         raise ValueError(f"expected {cols} {what} values, got none")
     vocab = isinstance(kind, tuple)
-    # a vocabulary reads one character past its longest token, so no longer token is cut to a valid one
-    dtype = f"U{max(map(len, kind)) + 1}" if vocab else np.float64 if kind is REAL else np.int64
-    try:  # integers go through int(): older numpy's own parser cuts '1.5' to 1 with only a warning
-        values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2, converters=int if kind is INT else None)
-    except ValueError:
-        raise ValueError(f"invalid {'integer' if kind is INT else 'real number'} in {what}") from None
-    if values.shape != (len(lines), cols):
-        raise ValueError(f"expected {cols} {what} values, got {values.shape[1]}")
-    if vocab:
-        codes = np.full(values.shape, -1, dtype=np.int8)
-        for code, token in enumerate(kind):
-            codes[values == token] = code
-        if (codes < 0).any():
-            row, col = np.argwhere(codes < 0)[0]
-            raise ValueError(f"illegal {what} token {lines[row].split()[col]!r}")
-        return codes
-    if kind is REAL and not np.isfinite(values).all():
-        raise ValueError(f"non-finite real number in {what}")
+    values = _parse_reals(lines, cols) if kind is REAL else _parse_tokens(lines, cols, kind) if vocab else None
+    if values is None:
+        # a vocabulary reads one character past its longest token, so no longer token is cut to a valid one
+        dtype = f"U{max(map(len, kind)) + 1}" if vocab else np.float64 if kind is REAL else np.int64
+        try:  # integers go through int(): older numpy's own parser cuts '1.5' to 1 with only a warning
+            values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2, converters=int if kind is INT else None)
+        except ValueError:
+            raise ValueError(f"invalid {'integer' if kind is INT else 'real number'} in {what}") from None
+        if values.shape != (len(lines), cols):
+            raise ValueError(f"expected {cols} {what} values, got {values.shape[1]}")
+        if vocab:
+            codes = np.full(values.shape, -1, dtype=np.int8)
+            for code, token in enumerate(kind):
+                codes[values == token] = code
+            if (codes < 0).any():
+                row, col = np.argwhere(codes < 0)[0]
+                raise ValueError(f"illegal {what} token {lines[row].split()[col]!r}")
+            return codes
+        if kind is REAL and not np.isfinite(values).all():
+            raise ValueError(f"non-finite real number in {what}")
     if bounds is not None and ((values < bounds[0]) | (values > bounds[1])).any():
         raise ValueError(f"{what} values must lie in [{bounds[0]}, {bounds[1]}]")
     return values
@@ -362,7 +439,9 @@ class Reader:
                 lines, self._tail = [self._tail], ""
             else:
                 return False
-            comments = [i for i, line in enumerate(lines, self._read + 1) if line.startswith("#")]
+            # a chunk holds a comment line only if its text holds a '#', or its first line's joined tail starts one
+            comments = [i for i, line in enumerate(lines, self._read + 1) if line.startswith("#")] if (
+                "#" in text or lines[:1] and lines[0].startswith("#")) else []
             if comments:
                 self._comments.extend(comments)
                 lines = [line for line in lines if not line.startswith("#")]

@@ -28,7 +28,7 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 39
+    assert len(exits) == 43
     assert sorted(name for name, code in exits.items() if code != "0\n") == \
         ["notes-bad.exit", "part-wide-bad.exit", "sweep-fail.exit"]
     for name in ("full.wsml", "dense.wsml", "wide.wsml", "wide-sp.wsml", "wide-notes.model", "sp.wsml", "frac-all.wsml",
@@ -84,3 +84,16 @@ def test_wide_loads_parse_alike_with_comments_and_name_a_late_fault(tiny_run):
         "error: line 1314: invalid real number in feature\n"
     assert next(tiny_run.glob("*-part-wide-bad.exit")).read_text() == "2\n"
     assert not (tiny_run / "wide-bad-sp.wsml").exists()
+
+
+def test_respelled_reals_change_no_output(tiny_run):
+    """Every feature real spelled another way reads as the same double: through the parse kernel, through float() one
+    by one, and through loadtxt."""
+    plain, respelled = ((tiny_run / name).read_text().splitlines()[3] for name in ("wide.wsml", "wide-respelled.wsml"))
+    assert plain != respelled and [float(w) for w in plain.split()] == [float(w) for w in respelled.split()]
+    tail = (tiny_run / "wide-respelled.wsml").read_text()
+    assert all(mark in tail for mark in ("\t", "  ", " +", " .", "E+", "000 "))
+    partialized = ([line for line in (tiny_run / name).read_text().splitlines() if not line.startswith("#cfg")]
+                   for name in ("wide-respelled-sp.wsml", "wide-sp.wsml"))
+    assert next(partialized) == next(partialized)  # the #cfg line names the input file
+    assert (tiny_run / "wide-respelled.metrics.csv").read_bytes() == (tiny_run / "wide-notes.metrics.csv").read_bytes()

@@ -394,6 +394,7 @@ class TestAtomicWrites:
 
 COLS = 64
 BIG = (wsml_io.PARALLEL_MIN // COLS, COLS)  # exactly PARALLEL_MIN entries
+STEP = wsml_io.CHUNK_CHARS // (25 * COLS)  # the rows of each chunk save deals of a block of COLS columns
 
 
 def force_workers(monkeypatch, workers: int) -> None:
@@ -563,7 +564,7 @@ class TestForkedWrites:
         monkeypatch.setattr(wsml_io, "_format_rows", format_rows)
         forks, parts = count_forks(monkeypatch), track_parts(monkeypatch)
         block = np.full(BIG, 0.5, dtype=object)
-        block[-1, 0] = "not a real"  # in the fourth and last chunk, the parent's: the children get the first three
+        block[3 * STEP, 0] = "not a real"  # in the fourth chunk, the parent's: the children get the first three
         start = time.monotonic()
         try:
             with pytest.raises(TypeError):
