@@ -259,7 +259,7 @@ def _format_reals(rows) -> str:
 
 # _parse_reals reads a mantissa from the 24 bytes that end it as three little-endian words: _KEEP[c] clears c bytes
 # before it, and each (mask, factor, shift) of _SWAR folds pairs, so 8 ASCII digits become their integer (Lemire, 2021)
-_KEEP = np.array([[(1 << 64) - (1 << 8 * min(max(c - 8 * w, 0), 8)) for w in range(3)] for c in range(25)], np.uint64)
+_KEEP = np.array([[2**64 - 256 ** min(max(c - 8 * w, 0), 8) for w in range(3)] for c in range(25)], "<u8").view("V24")
 _SWAR = [(np.uint64(m), np.uint64(f), np.uint64(s)) for m, f, s in (
     (0x0F0F0F0F0F0F0F0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16), (0x0000FFFF0000FFFF, 42949672960001, 32))]
 _TENS = 10 ** np.arange(20, dtype=np.uint64)
@@ -271,15 +271,18 @@ def _parse_reals(lines: list[str], cols: int):
     10**18 and 0 <= q <= 22, is N / 10**q rounded to nearest: x = fl(fl(N) / 10**q) is within 1.5 ulp of it, the
     residual r = N - x * 10**q is exact but for one rounding (Dekker's two-product), and r against half the gap to each
     neighbour of x moves x one ulp. Any other token, and one whose r is too near a bound to decide, is float(token),
-    which reads it as loadtxt does. Temporaries go early, as a load holds them besides its arrays."""
+    which reads it as loadtxt does. A load holds the temporaries besides its arrays: they go early, and a chunk of
+    over 2^17 characters is read by halves, which keeps a parser's peak memory near that of loadtxt."""
+    if len(lines) > 1 and sum(map(len, lines)) > 1 << 17:
+        halves = [_parse_reals(lines[:len(lines) // 2], cols), _parse_reals(lines[len(lines) // 2:], cols)]
+        return None if halves[0] is None or halves[1] is None else np.concatenate(halves)
     buf = np.frombuffer(b"\0" * 24 + "\n".join([*lines, ""]).encode() + b"\0" * 24, np.uint8).copy()  # room for windows
     b = buf[24:-24]
     ends = np.flatnonzero(b <= 32)  # the byte after each token
     if not ends.size or ends.size != len(lines) * cols or not (  # single spaces, and a newline after each line
             ((seps := b[ends].reshape(len(lines), cols))[:, :-1] == 32).all() and (seps[:, -1] == 10).all()):
         return None
-    first = np.concatenate([[0], ends[:-1] + 1])  # each mantissa's first byte, after the sign
-    first += (neg := b[first] == 45)
+    first = (starts := np.concatenate([[0], ends[:-1] + 1])) + (neg := b[starts] == 45)  # each mantissa's first byte
     last, power, e = ends.copy(), np.zeros(ends.size, np.int64), np.flatnonzero(b == 101)  # its end, its exponent
     token, sign = np.searchsorted(ends, e), buf[25 + e].astype(np.int64)  # the exponent's sign is checked below
     last[token], power[token] = e, (np.int64(10) * buf[26 + e] + buf[27 + e] - 528) * (44 - sign)
@@ -296,8 +299,7 @@ def _parse_reals(lines: list[str], cols: int):
     buf[np.where(at > 0, 24 + first + at, 0)] = 0  # each dot a zero digit, taken out of N below
     words = np.ndarray((buf.size - 23,), "V24", buf, strides=(1,))[last].view("<u8").reshape(-1, 3)
     del buf, b, ends, first, last
-    for column, keep in enumerate(_KEEP.T):  # clear the bytes before the mantissa
-        words[:, column] &= keep[np.clip(24 - size, 0, 24)]
+    words &= _KEEP[np.clip(24 - size, 0, 24)].view("<u8").reshape(-1, 3)  # clear the bytes before the mantissa
     for mask, factor, shift in _SWAR:
         words = (words & mask) * factor >> shift
     slow = (size > 24) | (words[:, 0] >= 100)  # a mantissa past its window, or N of 10**18 or more
@@ -306,15 +308,14 @@ def _parse_reals(lines: list[str], cols: int):
     f = np.minimum(frac + 18 * (at == 0), 18)  # the zero's place; at 18 or above it, N's digits there are zeros
     n = np.minimum(n - n // _TENS[f + 1] * 9 * _TENS[f], 10 ** 18).view(np.int64)  # a slow N kept in range
     q = frac - power
-    del words, frac, f, size, at
+    del words, frac, f, size, at, power
     slow |= q != (q := np.clip(q, 0, 22))
     x = (nh := n.astype(np.float64)) / _POW10[q]
     hi, lo = _times_pow10(x, q)
     r = nh - hi + (n - nh.astype(np.int64)) - lo  # nh - hi (Sterbenz) and N - nh are exact, and so is their sum
     del nh, hi, lo, n
-    bits = x.view(np.int64)
-    up = ((bits + 1).view(np.float64) - x) * _POW10[q] / 2  # half the gap to the next double, times 10**q
-    down = (x - (bits - (bits > 0)).view(np.float64)) * _POW10[q] / 2  # and to the one before, smaller below 2**k
+    up = (((bits := x.view(np.int64)) + 1).view(np.float64) - x) * _POW10[q] / 2  # half the gap to the next double
+    down = (x - (bits - (bits > 0)).view(np.float64)) * _POW10[q] / 2  # to the one before (smaller below 2**k), * 10**q
     tol = np.abs(r) * 2.0 ** -50  # r's one rounding is at most 2**-53 of it
     slow |= (np.abs(r - up) < tol) | (np.abs(r + down) < tol) | (r > 3 * up - tol) | (r < tol - 2.5 * down)
     x = (bits + (r > up) - (r < -down) | neg.astype(np.int64) << 63).view(np.float64)  # the sign last: -0 stays
