@@ -39,8 +39,8 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # the entries of the smallest REAL block formatted in forked processes: on 2 CPUs, with the format kernel, a forked save
 # of 100-column blocks beat a serial one in 20 of 41 alternated runs at 2^15 reals, 29 at 40960 and 24-37 from 49152
 PARALLEL_MIN = 40960
-# the entries of the smallest REAL block parsed in forked processes: with the parse kernel a forked parse won 3 of 21
-# at 2^16, 10-19 of 21 or 31 from 98304 to 196608 (26-33 ms at 2^17 either way), 16 of 21 at 2^18 and 19 at 2^19
+# the entries of the smallest REAL block parsed in forked processes: with the parse kernel a forked parse won 0 and 5
+# of 21 and 31 alternated runs at 2^16 and 81920, 15-19 at 98304 and 114688 (medians within 4%), and 20-23 at 2^17
 PARSE_MIN = 1 << 17
 
 
@@ -272,7 +272,7 @@ def _parse_reals(lines: list[str], cols: int):
     residual r = N - x * 10**q is exact but for one rounding (Dekker's two-product), and r against half the gap to each
     neighbour of x moves x one ulp. Any other token, and one whose r is too near a bound to decide, is float(token),
     which reads it as loadtxt does. A load holds the temporaries besides its arrays: they go early, and a chunk of
-    over 2^17 characters is read by halves, which keeps a parser's peak memory near that of loadtxt."""
+    over 2^17 characters is read by halves, which keeps a load's peak RSS near that of loadtxt."""
     if len(lines) > 1 and sum(map(len, lines)) > 1 << 17:
         halves = [_parse_reals(lines[:len(lines) // 2], cols), _parse_reals(lines[len(lines) // 2:], cols)]
         return None if halves[0] is None or halves[1] is None else np.concatenate(halves)
@@ -298,7 +298,7 @@ def _parse_reals(lines: list[str], cols: int):
         return None  # else no byte is other than a digit, a separator, a sign, a dot or e
     buf[np.where(at > 0, 24 + first + at, 0)] = 0  # each dot a zero digit, taken out of N below
     words = np.ndarray((buf.size - 23,), "V24", buf, strides=(1,))[last].view("<u8").reshape(-1, 3)
-    del buf, b, ends, first, last
+    del buf, b, ends, starts, first, last
     words &= _KEEP[np.clip(24 - size, 0, 24)].view("<u8").reshape(-1, 3)  # clear the bytes before the mantissa
     for mask, factor, shift in _SWAR:
         words = (words & mask) * factor >> shift
