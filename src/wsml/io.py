@@ -198,9 +198,9 @@ _LAYOUTS = np.frombuffer("".join([(sign + (
     "0." + "0" * (-k - 1) + _DIGITS[:m] if k < 0 else
     _DIGITS[:k + 1] + "." * (m > k + 1) + _DIGITS[k + 1:m])).ljust(25, "\0")
     for k in range(-6, 17) for m in range(1, 18) for sign in ("", "-")]).translate(
-    {ord(c): i for i, c in enumerate(_SOURCE)}).encode(), np.uint8).reshape(-1, 25).astype(np.int32)
+    {ord(c): i for i, c in enumerate(_SOURCE)}).encode(), np.uint8).reshape(-1, 25)
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-_ROWS = 24 * np.arange(_SUB, dtype=np.int32)[:, None]
+_ROWS = 24 * np.arange(_SUB, dtype=np.int32)[:, None]  # int32: a layout row plus it is a 4-byte index
 
 
 def _split(x):  # Veltkamp: x == hi + lo, each of at most 26 significant bits
@@ -266,13 +266,13 @@ _TENS = 10 ** np.arange(20, dtype=np.uint64)
 
 
 def _parse_reals(lines: list[str], cols: int):
-    """The float64 rows of a REAL chunk whose every line is `cols` tokens [-]digits[.digits][e(+|-)dd] split by
-    single spaces, else None. A token of digit integer N and q = (its fraction digits) - (its exponent), with N below
-    10**18 and 0 <= q <= 22, is N / 10**q rounded to nearest: x = fl(fl(N) / 10**q) is within 1.5 ulp of it, the
-    residual r = N - x * 10**q is exact but for one rounding (Dekker's two-product), and r against half the gap to each
-    neighbour of x moves x one ulp. Any other token, and one whose r is too near a bound to decide, is float(token),
-    which reads it as loadtxt does. A load holds the temporaries besides its arrays: they go early, and a chunk of
-    over 2^17 characters is read by halves, which keeps a load's peak RSS near that of loadtxt."""
+    """The float64 rows of a REAL chunk whose every line is `cols` tokens [-]digits[.digits][e(+|-)dd] split by single
+    spaces, with at most 24 bytes before any 'e', else None. A token of digit integer N and q = (its fraction digits) -
+    (its exponent), with N < 10**18 and 0 <= q <= 22, is N / 10**q rounded to nearest: x = fl(fl(N) / 10**q) is within
+    1.5 ulp of it, the residual r = N - x * 10**q is exact but for one rounding (Dekker's two-product), and r against
+    half the gap to each neighbour of x moves x one ulp. Any other token, and one whose r is too near a bound to
+    decide, is float(token), as loadtxt reads it. The temporaries go early, and a chunk of over 2^17 characters is
+    read by halves, to keep a load's peak memory down."""
     if len(lines) > 1 and sum(map(len, lines)) > 1 << 17:
         halves = [_parse_reals(lines[:len(lines) // 2], cols), _parse_reals(lines[len(lines) // 2:], cols)]
         return None if halves[0] is None or halves[1] is None else np.concatenate(halves)
@@ -282,33 +282,32 @@ def _parse_reals(lines: list[str], cols: int):
     if not ends.size or ends.size != len(lines) * cols or not (  # single spaces, and a newline after each line
             ((seps := b[ends].reshape(len(lines), cols))[:, :-1] == 32).all() and (seps[:, -1] == 10).all()):
         return None
-    first = (starts := np.concatenate([[0], ends[:-1] + 1])) + (neg := b[starts] == 45)  # each mantissa's first byte
-    last, power, e = ends.copy(), np.zeros(ends.size, np.int64), np.flatnonzero(b == 101)  # its end, its exponent
+    first, e = np.concatenate([[0], ends[:-1] + 1]), np.flatnonzero(b == 101)  # the tokens' starts, each e
+    first += (neg := b[first] == 45)  # each mantissa's first byte
     token, sign = np.searchsorted(ends, e), buf[25 + e].astype(np.int64)  # the exponent's sign is checked below
-    last[token], power[token] = e, (np.int64(10) * buf[26 + e] + buf[27 + e] - 528) * (44 - sign)
-    size, at, dots = last - first, np.zeros(ends.size, np.int64), np.count_nonzero(b == 46)
-    for offset in range(1, 24):  # each dot's offset in its mantissa: 1 for all of '%.17g' below 10 in magnitude
+    size, at, dots = ends - first, np.zeros(ends.size, np.int64), np.count_nonzero(b == 46)  # each mantissa's bytes
+    size[token], power = e - first[token], (np.int64(10) * buf[26 + e] + buf[27 + e] - 528) * (44 - sign)
+    for offset in range(1, 23):  # each dot's offset in its mantissa: 1 for all of '%.17g' below 10 in magnitude
         hit = (buf[24 + offset + first] == 46) & (offset < size - 1)  # a digit either side
         at += offset * hit  # a second dot in a token leaves fewer dotted tokens than dots, as checked below
         if not (dots := dots - np.count_nonzero(hit)):
             break
-    b -= np.uint8(48)  # a digit's value; SWAR reads only a byte's low 4 bits
-    if dots or (size < 1).any() or (ends[token] != e + 4).any() or (np.abs(sign - 44) != 1).any() or (
-            np.count_nonzero(b > 9) != ends.size + np.count_nonzero(neg) + 2 * e.size + np.count_nonzero(at)):
+    if dots or ((size < 1) | (size > 24)).any() or (ends[token] != e + 4).any() or (np.abs(sign - 44) != 1).any() or (
+            np.count_nonzero(b - 48 > 9) != ends.size + np.count_nonzero(neg) + 2 * e.size + np.count_nonzero(at)):
         return None  # else no byte is other than a digit, a separator, a sign, a dot or e
     buf[np.where(at > 0, 24 + first + at, 0)] = 0  # each dot a zero digit, taken out of N below
-    words = np.ndarray((buf.size - 23,), "V24", buf, strides=(1,))[last].view("<u8").reshape(-1, 3)
-    del buf, b, ends, starts, first, last
-    words &= _KEEP[np.clip(24 - size, 0, 24)].view("<u8").reshape(-1, 3)  # clear the bytes before the mantissa
+    words = np.ndarray((buf.size - 23,), "V24", buf, strides=(1,))[first + size].view("<u8").reshape(-1, 3)
+    del buf, b, ends, first
+    words &= _KEEP[24 - size].view("<u8").reshape(-1, 3)  # clear the bytes before the mantissa
     for mask, factor, shift in _SWAR:
         words = (words & mask) * factor >> shift
-    slow = (size > 24) | (words[:, 0] >= 100)  # a mantissa past its window, or N of 10**18 or more
+    slow = words[:, 0] >= 100  # N of 10**18 or more
     n = words[:, 0] * np.uint64(10 ** 16) + words[:, 1] * np.uint64(10 ** 8) + words[:, 2]
-    frac = np.where(at > 0, size - at - 1, 0)
-    f = np.minimum(frac + 18 * (at == 0), 18)  # the zero's place; at 18 or above it, N's digits there are zeros
+    q = np.where(at > 0, size - at - 1, 0)  # the fraction's digits, less the exponent below
+    f = np.minimum(q + 18 * (at == 0), 18)  # the zero's place; at 18 or above it, N's digits there are zeros
     n = np.minimum(n - n // _TENS[f + 1] * 9 * _TENS[f], 10 ** 18).view(np.int64)  # a slow N kept in range
-    q = frac - power
-    del words, frac, f, size, at, power
+    q[token] -= power
+    del words, f, size, at
     slow |= q != (q := np.clip(q, 0, 22))
     x = (nh := n.astype(np.float64)) / _POW10[q]
     hi, lo = _times_pow10(x, q)
@@ -340,7 +339,8 @@ def _parse(lines: list[str], cols: int, what: str, kind, bounds):
     if not all(map(str.strip, lines)):  # loadtxt would skip the blank line
         raise ValueError(f"expected {cols} {what} values, got none")
     vocab = isinstance(kind, tuple)
-    values = _parse_reals(lines, cols) if kind is REAL else _parse_tokens(lines, cols, kind) if vocab else None
+    values = _parse_tokens(lines, cols, kind) if vocab else _parse_reals(lines, cols) if kind is REAL and (
+        len(lines) * cols >= 800) else None  # below 800 tokens the kernel's fixed cost loses to loadtxt
     if values is None:
         # a vocabulary reads one character past its longest token, so no longer token is cut to a valid one
         dtype = f"U{max(map(len, kind)) + 1}" if vocab else np.float64 if kind is REAL else np.int64
@@ -358,8 +358,8 @@ def _parse(lines: list[str], cols: int, what: str, kind, bounds):
                 row, col = np.argwhere(codes < 0)[0]
                 raise ValueError(f"illegal {what} token {lines[row].split()[col]!r}")
             return codes
-        if kind is REAL and not np.isfinite(values).all():
-            raise ValueError(f"non-finite real number in {what}")
+    if kind is REAL and not np.isfinite(values).all():
+        raise ValueError(f"non-finite real number in {what}")
     if bounds is not None and ((values < bounds[0]) | (values > bounds[1])).any():
         raise ValueError(f"{what} values must lie in [{bounds[0]}, {bounds[1]}]")
     return values

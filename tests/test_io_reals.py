@@ -249,10 +249,23 @@ def test_other_layouts_take_the_loadtxt_path(lines):
 def test_long_large_and_small_tokens_read_through_float():
     """Tokens that pass the grammar but not the kernel's range are each float(token)."""
     tokens = ["1e+05", "1.5e+17", "1e-23", "1e-99", "9.9e+99", "1234567890123456789", "12345678901234567890",
-              "99999999999999999999", "0.0000000000000000000000001", "00000000000000000000000000000001",
-              "0.12345678901234567890123", "1234567890.1234567890123", "-0.00012345678901234567",
-              "1.2345678901234567e-05", "1.2345678901234567e-06", "1.2345678901234567e-07"]
-    assert_parses_as_loadtxt(tokens, cols=4)
+              "99999999999999999999", "1234567890.1234567890123", "-0.00012345678901234567",
+              "1.2345678901234567e-05", "1.2345678901234567e-06", "1.2345678901234567e-07", "-000000000000000000000001"]
+    assert_parses_as_loadtxt(tokens, cols=7)
+
+
+@pytest.mark.parametrize("token", ["0.0000000000000000000000001", "00000000000000000000000000000001",
+                                   "0.12345678901234567890123", "-" + "9" * 30 + ".5e-10", "1" + "0" * 320],
+                         ids=lambda token: f"{len(token)} bytes")
+def test_mantissas_over_24_bytes_take_the_loadtxt_path(token):
+    lines = ["0.5 " + token + " 2"] * 300  # enough tokens for _parse to offer the chunk to the kernel
+    assert wsml_io._parse_reals(lines, 3) is None
+    expected = loadtxt_bits(lines, 3)
+    if np.isfinite(expected.view(np.float64)).all():
+        assert np.array_equal(wsml_io._parse(lines, 3, "feature", wsml_io.REAL, None).view(np.int64), expected)
+    else:
+        with pytest.raises(ValueError, match="non-finite real number in feature"):
+            wsml_io._parse(lines, 3, "feature", wsml_io.REAL, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,6 +285,7 @@ def test_a_bad_token_gives_the_line_and_message_loadtxt_gave(tmp_path):
     block = np.random.default_rng(13).standard_normal((200, 30))
     text = wsml_io._format_rows(block, wsml_io.REAL).splitlines()
     for bad, message in (("1.2.3", "invalid real number in feature"), ("nan", "non-finite real number in feature"),
+                         ("9" * 400, "non-finite real number in feature"),
                          ("0.5 0.5", "expected 30 feature values, got 31")):
         lines = list(text)
         row = lines[150].split()
