@@ -362,24 +362,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_arm(payload: dict, data, test):
-    """One sweep arm: (its value, its SWEEP_COLUMNS cells after the value, or the
-    message of the error that stopped it). Module-level so process pools can pickle it;
-    a message, not the exception, because not every exception survives pickling."""
-    settings = payload["settings"]
-    try:
-        report = trainer.run(settings["config"], _subsample(data, settings)[0], test)
-    except RUNTIME_ERRORS as exc:
-        return payload["value"], str(exc)
-    return payload["value"], tuple(getattr(report, column) for column in SWEEP_COLUMNS[1:])
+def _sweep_stack(payloads: list[dict], data, test) -> list:
+    """The arms of one stack, which share their training data: (value, its SWEEP_COLUMNS cells after
+    the value, or the message of the error that stopped it) of each. Module-level so process pools
+    can pickle it; a message, not the exception, because not every exception survives pickling."""
+    reports = trainer.run_stack([p["settings"]["config"] for p in payloads],
+                                _subsample(data, payloads[0]["settings"])[0], test)
+    results = []
+    for payload, report in zip(payloads, reports):
+        if isinstance(report, Exception) and not isinstance(report, RUNTIME_ERRORS):
+            raise report
+        results.append((payload["value"], str(report) if isinstance(report, Exception) else
+                        tuple(getattr(report, column) for column in SWEEP_COLUMNS[1:])))
+    return results
 
 
-def _pooled_arm(value: float, future):
-    """A pooled arm's `_sweep_arm` result; an arm whose worker died fails with that."""
+def _pooled_stack(values: list[float], future) -> list:
+    """A pooled stack's `_sweep_stack` results; each arm of a stack whose worker died fails with that."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
-        return value, str(exc)
+        return [(value, str(exc)) for value in values]
 
 
 def _arm_failed(value: float, message: str) -> None:
@@ -448,14 +451,18 @@ def _cmd_sweep(args) -> int:
         _warn_if_batches_never_flag(p["settings"]["config"], data.k, f"sweep value {_sweep_value(p['value'])}: ")
     test = _load_test(args.test_data)
     workers = _worker_count(len(runnable))
+    # arms that train on the whole file go as `workers` stacks, dealt round-robin in value order; a subsampled arm
+    # has rows of its own, so it goes alone
+    stacks = [runnable[i::workers] for i in range(workers)] if all(
+        p["settings"]["subsample"] is None for p in runnable) else [[p] for p in runnable]
     if workers > 1:
         pinning = (multiprocessing.Value("i", 0), io.usable_cpus())
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker, initargs=pinning) as pool:
-            futures = [(p["value"], pool.submit(_sweep_arm, p, data, test)) for p in runnable]
-            arms = [_pooled_arm(value, future) for value, future in futures]
+            futures = [([p["value"] for p in stack], pool.submit(_sweep_stack, stack, data, test)) for stack in stacks]
+            arms = [arm for values, future in futures for arm in _pooled_stack(values, future)]
     else:
-        arms = [_sweep_arm(p, data, test) for p in runnable]
-    for value, result in arms:  # in payload order: by value
+        arms = [arm for stack in stacks for arm in _sweep_stack(stack, data, test)]
+    for value, result in sorted(arms, key=lambda arm: arm[0]):  # by value
         results[value] = result
         if isinstance(result, str):
             _arm_failed(value, result)

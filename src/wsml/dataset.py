@@ -4,9 +4,9 @@ A dataset couples an N x D feature matrix with an N x K matrix of per-label
 observation states. Optional ground-truth labels ride along for analysis and
 evaluation; training code must never read them as supervision.
 
-All values are immutable after construction except the states matrix, whose
-only legal mutation is UNKNOWN -> CORRECTED_POS via `correct_to_positive`.
-A run that mutates states must own a private copy (see `PartialDataset.take`).
+All values are immutable after construction. A run corrects label states on
+its own copy of its rows' states, and the only legal mutation there is
+UNKNOWN -> CORRECTED_POS (`schemes.apply_permanent_corrections`).
 """
 
 from __future__ import annotations
@@ -134,27 +134,6 @@ class PartialDataset:
 
     def fully_observed(self) -> bool:
         return bool(((self.states == OBS_POS) | (self.states == OBS_NEG)).all())
-
-    def correct_to_positive(self, mask: np.ndarray) -> int:
-        """Flip the masked entries from UNKNOWN to CORRECTED_POS.
-
-        This is the only legal state transition. Any masked entry in another
-        state is a contract violation and raises before anything is mutated.
-        Returns the number of entries corrected.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.states.shape:
-            raise ValueError("correction mask shape does not match states")
-        r, c = np.nonzero(mask)
-        illegal = np.flatnonzero(self.states[r, c] != UNKNOWN)
-        if illegal.size:
-            i = illegal[0]
-            raise ValueError(
-                f"illegal state transition at ({r[i]}, {c[i]}): "
-                f"only UNKNOWN may become CORRECTED_POS"
-            )
-        self.states[r, c] = CORRECTED_POS
-        return int(r.size)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so the elementwise
 binary cross entropy and its temporary-correction weights stay finite.
 Each classifier keeps its parameters in one contiguous float64 buffer with
 a view per tensor, and Adam keeps its moments the same way, so an optimizer
-step is one vector update. Classifier and OptimizerState are single-writer
+step is one vector update. A stack of R classifiers of one architecture
+keeps them in an R x P buffer, one row each: forward, gradient and step then
+run every elementwise call once for all of them and each matrix product once
+per arm, on the 2-D views a lone classifier would have, so each arm keeps the
+bits it has alone. Classifier and OptimizerState are single-writer
 values; forward is pure and safe to share read-only across threads, while
 grad_check moves each parameter in place and back, so it needs the model to
 itself.
@@ -15,7 +19,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +86,8 @@ class Classifier:
 
     frozen_hidden makes `step` train only the output layer (the first-epochs
     schedule); it is not serialized. `flat` holds every parameter in _LAYERS
-    order; `params` (by name) and `layers` (weight, bias) are views into it.
+    order; `params` (by name) and `layers` (weight, bias as a 1 x H row) are views into it.
+    A stack's params carry a leading arm axis, and so do `flat` (R x P) and its views.
     """
 
     arch: str
@@ -93,29 +98,35 @@ class Classifier:
 
     def __post_init__(self):
         check_arch(self.arch)
-        self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in `flat`
+        arms = np.shape(self.params[_LAYERS[self.arch][0][1]])[:-1]  # a bias is 1-D: () for one classifier, (R,) for a stack
+        self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in a row of `flat`
         for name in (name for layer in _LAYERS[self.arch] for name in layer):
-            shape = np.shape(self.params[name])
+            shape = np.shape(self.params[name])[len(arms):]
             self._layout.append((name, start, start + math.prod(shape), shape))
             start += math.prod(shape)
-        self.flat = np.concatenate([np.asarray(self.params[name], dtype=np.float64).ravel() for name, *_ in self._layout])
+        self.flat = np.concatenate([np.asarray(self.params[name], dtype=np.float64).reshape(*arms, -1)
+                                    for name, *_ in self._layout], axis=-1)
         self.params = self.views(self.flat)
-        self.layers = [(self.params[w], self.params[b]) for w, b in _LAYERS[self.arch]]
+        self.layers = [(self.params[w], self.params[b][..., None, :]) for w, b in _LAYERS[self.arch]]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-tensor views of a vector laid out like `flat`."""
-        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
+        """Per-tensor views of a vector (or R x P array) laid out like `flat`."""
+        return {name: flat[..., start:stop].reshape(*flat.shape[:-1], *shape) for name, start, stop, shape in self._layout}
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
     def copy(self) -> "Classifier":
         return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
+
+    def take(self, keep) -> "Classifier":
+        """A copy of a stack's arms `keep`: an index, for that arm alone, or a list of them, for a smaller stack."""
+        return Classifier(self.arch, {name: p[keep] for name, p in self.params.items()}, self.frozen_hidden)
 
     def __eq__(self, other):  # the same tensors (names and shapes) holding the same values
         return isinstance(other, Classifier) and self._layout == other._layout and np.array_equal(self.flat, other.flat)
@@ -149,27 +160,36 @@ class ForwardPass(NamedTuple):
 
     @classmethod
     def empty(cls, model: Classifier, rows: int) -> "ForwardPass":
-        """Uninitialized arrays for a pass over `rows` rows, with neither batch nor probabilities."""
-        hidden = [w.shape[0] for w, _ in model.layers[:-1]]
-        return cls(None, np.empty((rows, model.num_classes)), [None, *(np.empty((rows, h)) for h in hidden)],
-                   [np.empty((rows, h)) for h in hidden])
+        """Uninitialized arrays for a pass over `rows` rows (of each arm of a stack), with neither batch nor probabilities."""
+        arms = model.flat.shape[:-1]
+        hidden = [w.shape[-2] for w, _ in model.layers[:-1]]
+        return cls(None, np.empty((*arms, rows, model.num_classes)), [None, *(np.empty((*arms, rows, h)) for h in hidden)],
+                   [np.empty((*arms, rows, h)) for h in hidden])
+
+
+def _dot_per_arm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.dot(a, b, out=out) of each arm, for three arrays with a stack's arm axis."""
+    for a_arm, b_arm, out_arm in zip(a, b, out):
+        np.dot(a_arm, b_arm, out=out_arm)
+    return out
 
 
 def forward_pass(model: Classifier, x: np.ndarray, probs: np.ndarray | None = None,
                  buffers: ForwardPass | None = None) -> ForwardPass:
-    """Forward pass of a B x D float64 batch that the caller has already checked;
-    it computes no loss. probs: the B x K array the clamped probabilities go into.
-    buffers: a ForwardPass of at least B rows (`ForwardPass.empty`, or an earlier
-    pass) whose other arrays this pass writes over. Each is new when None."""
-    rows = x.shape[0]
+    """Forward pass of a B x D float64 batch (R x B x D for a stack: a batch per arm) that
+    the caller has already checked; it computes no loss. probs: the B x K (R x B x K)
+    array the clamped probabilities go into. buffers: a ForwardPass of at least B rows
+    (`ForwardPass.empty`, or an earlier pass) whose other arrays this pass writes over.
+    Each is new when None."""
+    rows, dot = x.shape[-2], np.dot if x.ndim == 2 else _dot_per_arm
     buffers = ForwardPass.empty(model, rows) if buffers is None else buffers
     inputs, pre = [x], []
     for (w, b), act, z in zip(model.layers, buffers.inputs[1:], buffers.pre):  # the hidden layers
-        pre.append(np.dot(inputs[-1], w.T, out=z[:rows]))
+        pre.append(dot(inputs[-1], w.mT, out=z[..., :rows, :]))
         pre[-1] += b
-        inputs.append(np.maximum(pre[-1], 0.0, out=act[:rows]))
+        inputs.append(np.maximum(pre[-1], 0.0, out=act[..., :rows, :]))
     w, b = model.layers[-1]
-    raw = np.dot(inputs[-1], w.T, out=buffers.raw[:rows])
+    raw = dot(inputs[-1], w.mT, out=buffers.raw[..., :rows, :])
     raw += b
     sigmoid(raw, out=raw)
     probs = np.maximum(raw, PROB_EPS, out=probs)
@@ -190,30 +210,35 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
              out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None,
              deltas: ForwardPass | None = None) -> np.ndarray:
     """Gradient of the weighted mean binary cross entropy at the forward pass
-    `fwd`, as one vector laid out like `model.flat`: `out` when given (with
-    `views`, its `model.views(out)`, if the caller keeps them), else a new
-    vector. deltas: a pass other than `fwd` (`ForwardPass.empty`, at least B
-    rows) whose `raw` and `pre` take the layers' deltas; new when None.
+    `fwd`, as one vector laid out like `model.flat` (for a stack, one row per
+    arm): `out` when given (with `views`, its `model.views(out)`, if the caller
+    keeps them), else a new one. For a stack, targets and weights hold one B x K
+    array per arm. deltas: a pass other than `fwd` (`ForwardPass.empty`, at
+    least B rows) whose `raw` and `pre` take the layers' deltas; new when None.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
     active the probability is constant in the parameters, so those entries
     contribute exactly zero gradient (matching the finite-difference view).
     """
-    b, k = fwd.probs.shape
+    *arms, b, k = fwd.probs.shape
+    dot = _dot_per_arm if arms else np.dot
     deltas = ForwardPass.empty(model, b) if deltas is None else deltas
-    grad = np.subtract(fwd.probs, targets, out=deltas.raw[:b])  # at the output layer's logits
-    if any(weights.strides) or weights.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
-        grad *= weights
+    grad = deltas.raw[..., :b, :]  # at the output layer's logits
+    for probs, target, weight, delta in zip(fwd.probs, targets, weights, grad) if arms else \
+            [(fwd.probs, targets, weights, grad)]:
+        np.subtract(probs, target, out=delta)
+        if any(weight.strides) or weight.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
+            delta *= weight
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
     grad /= b * k
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
     for i, (w_name, b_name) in reversed(list(enumerate(_LAYERS[model.arch]))):
-        np.dot(grad.T, fwd.inputs[i], out=g[w_name])
-        grad.sum(axis=0, out=g[b_name])
+        dot(grad.mT, fwd.inputs[i], out=g[w_name])
+        grad.sum(axis=-2, out=g[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation
-            grad = np.dot(grad, model.layers[i][0], out=deltas.pre[i - 1][:b])
+            grad = dot(grad, model.layers[i][0], out=deltas.pre[i - 1][..., :b, :])
             grad *= fwd.pre[i - 1] > 0
     return out
 
@@ -221,7 +246,7 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
 @dataclass
 class OptimizerState:
     """SGD or Adam state. Adam's moments `m` and `v` (and the two rows of `work`, a step's temporaries) are
-    vectors laid out like the classifier's `flat`, whose `Classifier.views` are per tensor; None for SGD."""
+    laid out like the classifier's `flat`, whose `Classifier.views` are per tensor; None for SGD."""
 
     kind: str
     learning_rate: float
@@ -230,29 +255,35 @@ class OptimizerState:
     step_count: int = 0
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def take(self, keep: list[int]) -> "OptimizerState":
+        """A copy of the state of a stack's arms `keep`."""
+        if self.kind == "sgd":
+            return replace(self)
+        return replace(self, m=self.m[keep], v=self.v[keep], work=self.work[:, keep])
+
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:
     check_optimizer(kind, learning_rate)
     opt = OptimizerState(kind, learning_rate)
     if kind == "adam":
-        opt.m, opt.v, opt.work = np.zeros_like(model.flat), np.zeros_like(model.flat), np.empty((2, model.flat.size))
+        opt.m, opt.v, opt.work = np.zeros_like(model.flat), np.zeros_like(model.flat), np.empty((2, *model.flat.shape))
     return opt
 
 
 def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     """Apply one optimizer step in place, to the output layer alone if `model.frozen_hidden`.
 
-    grads: a vector laid out like `model.flat`, as `gradient` returns. Adam's
+    grads: laid out like `model.flat`, as `gradient` returns. Adam's
     temporaries go into `opt.work`, so a step allocates nothing.
     """
-    start = model.flat.size - sum(t.size for t in model.layers[-1]) if model.frozen_hidden else 0
+    start = model._layout[-2][1] if model.frozen_hidden else 0  # where the output layer's weight starts
     opt.step_count += 1
     t = opt.step_count
-    param, g, lr = model.flat[start:], grads[start:], opt.learning_rate
+    param, g, lr = model.flat[..., start:], grads[..., start:], opt.learning_rate
     if opt.kind == "sgd":
         param -= lr * g
         return
-    m, v, update, tmp = opt.m[start:], opt.v[start:], opt.work[0, start:], opt.work[1, start:]
+    m, v, update, tmp = opt.m[..., start:], opt.v[..., start:], opt.work[0, ..., start:], opt.work[1, ..., start:]
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     v *= ADAM_BETA2
@@ -303,7 +334,7 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
 
 def save_model(model: Classifier, path, config_comment: str | None = None) -> None:
     widths = [model.input_dim] + [w.shape[0] for w, _ in model.layers]
-    blocks = [(tensor, io.REAL) for layer in model.layers for tensor in layer]
+    blocks = [(model.params[name], io.REAL) for layer in _LAYERS[model.arch] for name in layer]
     io.save(path, MODEL_HEADER, config_comment, [model.arch, " ".join(map(str, widths)), *blocks])
 
 

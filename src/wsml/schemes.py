@@ -7,7 +7,7 @@ entries whose loss is large and rejects them (weight 0), temporarily corrects
 them (effective target 1), or marks them for permanent correction.
 
 All operations here are pure except apply_permanent_corrections, which
-requires exclusive access to the dataset's state matrix.
+requires exclusive access to the state matrix it corrects.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import UNKNOWN, PartialDataset, an_targets_from_states
+from .dataset import CORRECTED_POS, UNKNOWN, an_targets_from_states
 
 __all__ = [
     "Scheme",
@@ -174,6 +174,10 @@ def absolute_threshold(epoch: int, cfg: SchemeConfig) -> float:
     return cfg.r0 - epoch * cfg.delta_abs
 
 
+# candidates from which a relative selection partitions rather than sorts: the sort is cheaper below
+PARTITION_MIN = 512
+
+
 def quota(rate: float, m: int) -> int:
     """How many of m UNKNOWN entries a relative schedule flags: floor(rate/100 * m), at most m."""
     return min(int((rate / 100.0) * m), m)
@@ -199,10 +203,20 @@ def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float 
     if k is None:
         flags.reshape(-1)[candidates[losses > threshold]] = True
         return flags, float(threshold)
-    # descending loss; the stable sort keeps the ascending candidates in index order on ties
-    order = np.argsort(-losses, kind="stable")[:k]
+    # descending loss, NaN last; the stable sort keeps the candidates' order on ties
+    order = np.argsort(-losses, kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(-losses, k)
     flags.reshape(-1)[candidates[order]] = True
     return flags, float(losses[order[-1]])
+
+
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable")[:k] by a partition, which costs less than a sort on many keys: every
+    key below the k-th smallest, then its first ties. The sort's, when fewer than k keys are numbers."""
+    kth = np.partition(keys, k - 1)[k - 1]
+    if math.isnan(kth):
+        return np.argsort(keys, kind="stable")[:k]
+    below = np.flatnonzero(keys < kth)
+    return np.concatenate([below, np.flatnonzero(keys == kth)[:k - len(below)]])
 
 
 @dataclass
@@ -295,12 +309,21 @@ def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np
     return losses
 
 
-def apply_permanent_corrections(ds: PartialDataset, flags: np.ndarray) -> int:
-    """Permanently correct the flagged UNKNOWN entries to CORRECTED_POS.
+def apply_permanent_corrections(states: np.ndarray, flags: np.ndarray) -> int:
+    """Permanently correct the flagged UNKNOWN entries of the state matrix `states` to
+    CORRECTED_POS, in place; flags covers all of it. Returns the number of corrected entries.
 
-    flags covers every row of the dataset. The mutation shows in the
-    dataset's assume-negative targets from then on. A flag on a
-    non-UNKNOWN entry is a contract violation and raises. Returns the number
-    of corrected entries.
+    This is the only legal state transition. A flag on an entry in another state is a
+    contract violation and raises before anything is mutated. The mutation shows in the
+    assume-negative targets of `states` from then on.
     """
-    return ds.correct_to_positive(np.asarray(flags, dtype=bool))
+    flags = np.asarray(flags, dtype=bool)
+    if flags.shape != states.shape:
+        raise ValueError("correction mask shape does not match states")
+    r, c = np.nonzero(flags)
+    illegal = np.flatnonzero(states[r, c] != UNKNOWN)
+    if illegal.size:
+        i = illegal[0]
+        raise ValueError(f"illegal state transition at ({r[i]}, {c[i]}): only UNKNOWN may become CORRECTED_POS")
+    states[r, c] = CORRECTED_POS
+    return int(r.size)

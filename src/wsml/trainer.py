@@ -10,7 +10,7 @@ shared dataset are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "split",
     "split_indices",
     "run",
+    "run_stack",
     "modification_precision",
 ]
 
@@ -175,43 +176,127 @@ def _validation_map(classifier, val: PartialDataset) -> float:
     return float(np.mean(aps))
 
 
-def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffers):
-    """One pass over the training data; returns (mean loss, flagged entries, the
-    truly positive ones among them or None without truth, smallest threshold).
-    Under permanent correction the flagged entries are the corrected ones.
+@dataclass
+class _Arm:
+    """One run of a stack: all it owns but the stacked parameters, moments and buffers."""
 
-    A batch runs its forward pass, its decision (the AN loss of its candidates alone, only
-    if it can flag, flagging into the flag buffer), its gradient and its step. At epoch end
-    `schemes.epoch_losses` takes one AN-loss log pass into the tracker's buffer and makes each
-    batch's weighted loss from it, with another log only where the batch trained on another target.
+    cfg: TrainConfig
+    train_idx: np.ndarray
+    val: PartialDataset
+    states: np.ndarray  # of the training rows, private: permanent corrections mutate them
+    truth: np.ndarray | None
+    an0: np.ndarray  # the assumed positives the run started from
+    epoch_seeds: list
+    tracker: MemorizationTracker
+    best_model: model_mod.Classifier
+    records: list[EpochRecord] = field(default_factory=list)
+    cum_corrections: int = 0
+    best_epoch: int = 0
+    best_val: float = -1.0
+    rows: np.ndarray | None = None  # the epoch's visiting order: as training rows, and as rows of the dataset
+    order: np.ndarray | None = None
+    plan: schemes.EpochPlan | None = None
+    thresholds: list[float] = field(default_factory=list)
+    failure: Exception | None = None  # what stopped the run, which then leaves the stack
 
-    buffers: (probabilities, AN losses, flags, forward pass buffers, gradient vector, its
-    views, gradient deltas), reused every epoch; the first three are in visiting order, until
-    the first takes the AN losses by row for the tracker fold."""
-    scheme = cfg.scheme.scheme
-    permanent = schemes.SPECS[scheme].action == "permanent"
-    epoch_level = permanent and cfg.llcp_granularity == "epoch"
 
-    n, k = train.n, train.k
-    probs, seen, seen_flags, work, grad, grad_views, deltas = buffers
+def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None) -> _Arm:
+    """Check one run's inputs and set it up: its split, its initial model (`best_model`) and its seeds."""
+    cfg.validate()
+    if ds.n < 2:
+        raise ValueError(f"need at least 2 samples to split, got {ds.n}")
+    if test_ds is not None and test_ds.truth is None:
+        raise ValueError("test dataset requires ground-truth labels")
+    if test_ds is not None and (test_ds.d, test_ds.k) != (ds.d, ds.k):
+        raise ValueError(f"test dataset has (D, K) = ({test_ds.d}, {test_ds.k}), training data ({ds.d}, {ds.k})")
+
+    split_seed, init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    train_idx, val_idx = split_indices(ds.n, cfg.val_fraction, split_seed)
+    states = ds.states[train_idx]  # the training rows' features stay in `ds`, which the arms share
+    classifier = model_mod.init_classifier(cfg.arch, ds.d, ds.k, cfg.hidden, init_seed)
+    return _Arm(cfg, train_idx, ds.take(val_idx), states, None if ds.truth is None else ds.truth[train_idx],
+                schemes.an_targets_from_states(states) == 1.0, shuffle_seed.spawn(cfg.epochs),
+                MemorizationTracker(*states.shape), classifier)
+
+
+def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
+    """A stack's reused arrays, each with the classifier's arm axis: (probabilities, AN losses,
+    flags) of every arm's rows in visiting order, forward pass buffers, the gradient, its views,
+    gradient deltas, and the views each batch takes of them, made once: (its rows in visiting
+    order, its feature rows, each arm's, its probabilities, each arm's, and each arm's flags)."""
+    arms, rows = classifier.flat.shape[:-1], min(batch_size, n)
+    probs, flags, x, grad = np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool), np.empty((*arms, rows, d)), \
+        np.empty_like(classifier.flat)
+    per_arm = list if arms else (lambda a: [a])  # the 2-D part of each arm, or the array itself as the one arm's
+    batches = []
+    for start in range(0, n, batch_size):
+        batch = slice(start, start + batch_size)
+        batch_x, batch_probs = x[..., :n - start, :], probs[..., batch, :]  # fewer rows in a ragged last batch
+        batches.append((batch, batch_x, per_arm(batch_x), batch_probs, per_arm(batch_probs), per_arm(flags[..., batch, :])))
+    return (probs, np.empty((*arms, n, k)), flags, model_mod.ForwardPass.empty(classifier, rows), grad,
+            classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows), batches, per_arm)
+
+
+def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> None:
+    """One pass of every arm over its training data, then each arm's epoch end (`_end_epoch`).
+
+    A batch takes each arm's feature rows, runs one forward pass of the stack, each arm's
+    decision (the AN loss of its candidates alone, only if it can flag, flagging into its flag
+    buffer), one gradient and one step of the stack. A lone arm's classifier and buffers have
+    no arm axis, which spares its batches the per-arm loops over views."""
+    probs, seen, seen_flags, work, grad, grad_views, deltas, batches, per_arm = buffers
     seen_flags.fill(False)
-    thresholds = []
-    plan = schemes.plan_epoch(scheme, train.states[order], epoch, cfg.scheme)
-    if epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
-        plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
+    for arm in arms:
+        arm.order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(len(arm.train_idx))
+        arm.rows = arm.train_idx[arm.order]
+        arm.plan = schemes.plan_epoch(arm.cfg.scheme.scheme, arm.states[arm.order], epoch, arm.cfg.scheme)
+        if _epoch_level(arm.cfg):  # each batch trains on the AN targets; the plan's schedule selects at epoch end
+            arm.plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
+        arm.thresholds = []
 
-    for start in range(0, n, cfg.batch_size):
-        batch = slice(start, start + cfg.batch_size)  # of the rows in visiting order
-        # the batch's own feature rows (checked with the dataset); the take method costs less than [] or np.take
-        fwd = model_mod.forward_pass(classifier, train.features.take(order[batch], axis=0), probs[batch], work)
-        targets, weights, threshold = schemes.decide_planned(plan, batch, fwd.probs, seen_flags[batch])
-        if not math.isnan(threshold):
-            thresholds.append(threshold)
+    stacked = classifier.flat.ndim == 2
+    for batch, x, arm_x, batch_probs, arm_probs, arm_flags in batches:
+        for arm, rows in zip(arms, arm_x):  # mode clip: the rows are valid, and raise would buffer `out`
+            features.take(arm.rows[batch], axis=0, out=rows, mode="clip")
+        fwd = model_mod.forward_pass(classifier, x, batch_probs, work)
+        targets, weights = [], []
+        for arm, probs_of_arm, flags_of_arm in zip(arms, arm_probs, arm_flags):
+            arm_targets, arm_weights, threshold = schemes.decide_planned(arm.plan, batch, probs_of_arm, flags_of_arm)
+            targets.append(arm_targets)
+            weights.append(arm_weights)
+            if not math.isnan(threshold):
+                arm.thresholds.append(threshold)
+        if not stacked:
+            targets, weights = targets[0], weights[0]
         model_mod.gradient(classifier, fwd, targets, weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
 
-    # the tracker's AN losses go into `seen`, against the AN targets the run started from
-    losses = schemes.epoch_losses(plan, probs, seen_flags, seen, an0[order])  # over the probabilities
+    models = [classifier.take(i) for i in range(len(arms))] if stacked else [classifier.copy()]
+    for arm, model, *arm_buffers in zip(arms, models, per_arm(probs), per_arm(seen), per_arm(seen_flags)):
+        try:
+            _end_epoch(arm, model, epoch, *arm_buffers)
+        except Exception as exc:  # noqa: BLE001 - the arm fails alone; `run` raises it again
+            arm.failure = exc
+
+
+def _epoch_level(cfg: TrainConfig) -> bool:
+    """Whether `cfg` selects its permanent corrections over the epoch's losses, at epoch end."""
+    return schemes.SPECS[cfg.scheme.scheme].action == "permanent" and cfg.llcp_granularity == "epoch"
+
+
+def _end_epoch(arm: _Arm, classifier, epoch: int, probs, seen, seen_flags) -> None:
+    """An arm's epoch end, from its model after the epoch and its epoch's (probabilities, AN
+    losses, flags) in visiting order: its losses, tracker fold, selection and corrections, its
+    validation mAP, record and best model. Raises TrainingDiverged on a non-finite batch loss.
+
+    `schemes.epoch_losses` takes one AN-loss log pass into `seen` and makes each batch's weighted
+    loss from it, with another log only where the batch trained on another target; `probs`
+    then takes the AN losses by row for the tracker fold."""
+    cfg, plan, order, states = arm.cfg, arm.plan, arm.order, arm.states
+    n, k = states.shape
+    permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
+
+    losses = schemes.epoch_losses(plan, probs, seen_flags, seen, arm.an0[order])  # over the probabilities
     full = n - n % cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
     batch_losses = losses[:full].reshape(-1, cfg.batch_size * k).sum(axis=1).tolist()
     batch_losses += [float(losses[full:].sum())] if full < n else []
@@ -225,81 +310,32 @@ def _train_epoch(classifier, train, cfg, epoch, opt, order, tracker, an0, buffer
         raise AssertionError("flag selection touched an observed or corrected entry")
     # every row was visited exactly once, so one fold by row does what a fold per batch would
     losses[order] = seen  # the AN losses by row, in a buffer that is free again
-    tracker.update(losses, epoch)
+    arm.tracker.update(losses, epoch)
     flags = np.empty_like(seen_flags)
     flags[order] = seen_flags  # all False under epoch-level LL-Cp, whose batches flag nothing
-    if epoch_level:  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
-        candidates = np.flatnonzero(train.states == UNKNOWN)
+    if _epoch_level(cfg):  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
+        candidates = np.flatnonzero(states == UNKNOWN)
         _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates, plan.rate,
                                                    plan.threshold, flags)
         if not math.isnan(threshold):
-            thresholds.append(threshold)
-    flagged = schemes.apply_permanent_corrections(train, flags) if permanent else int(flags.sum())
-    flagged_true = None if train.truth is None else int((flags & (train.truth == 1)).sum())
+            arm.thresholds.append(threshold)
+    flagged = schemes.apply_permanent_corrections(states, flags) if permanent else int(flags.sum())
+    flagged_true = None if arm.truth is None else int((flags & (arm.truth == 1)).sum())
+    arm.cum_corrections += flagged if permanent else 0
 
-    mean_loss = weighted_total / (n * k)
-    threshold_min = min(thresholds) if thresholds else float("nan")
-    return mean_loss, flagged, flagged_true, threshold_min
+    val_map = _validation_map(classifier, arm.val) * 100.0
+    arm.records.append(EpochRecord(  # flag_precision is filled in at the run's end, once all epochs exist
+        epoch=epoch, train_loss=weighted_total / (n * k), val_map=val_map, flags=flagged, flags_true_pos=flagged_true,
+        flag_precision=None, cum_corrections=arm.cum_corrections,
+        threshold_min=min(arm.thresholds) if arm.thresholds else float("nan")))
+    if val_map > arm.best_val:
+        arm.best_val, arm.best_epoch, arm.best_model = val_map, epoch, classifier
 
 
-def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = None) -> RunReport:
-    """Train for the configured epochs and keep the best-validation model.
-
-    Ties on validation mAP resolve to the earliest epoch. Reported mAP values
-    are percentages. Raises TrainingDiverged on a non-finite batch loss.
-    """
-    cfg.validate()
-    if ds.n < 2:
-        raise ValueError(f"need at least 2 samples to split, got {ds.n}")
-    if test_ds is not None and test_ds.truth is None:
-        raise ValueError("test dataset requires ground-truth labels")
-    if test_ds is not None and (test_ds.d, test_ds.k) != (ds.d, ds.k):
-        raise ValueError(f"test dataset has (D, K) = ({test_ds.d}, {test_ds.k}), training data ({ds.d}, {ds.k})")
-
-    root = np.random.SeedSequence(cfg.seed)
-    split_seed, init_seed, shuffle_seed = root.spawn(3)
-    train_idx, val_idx = split_indices(ds.n, cfg.val_fraction, split_seed)
-    train = ds.take(train_idx)  # private copy: permanent corrections mutate it
-    val = ds.take(val_idx)
-
-    classifier = model_mod.init_classifier(cfg.arch, train.d, train.k, cfg.hidden, init_seed)
-    opt = model_mod.make_optimizer(cfg.optimizer, cfg.learning_rate, classifier)
-    epoch_seeds = shuffle_seed.spawn(cfg.epochs)
-
-    an0 = schemes.an_targets_from_states(train.states) == 1.0  # the assumed positives the run started from
-    initial_states = train.states.copy()
-    tracker = MemorizationTracker(train.n, train.k)
-    grad, shape = np.empty_like(classifier.flat), (train.n, train.k)
-    rows = min(cfg.batch_size, train.n)
-    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), model_mod.ForwardPass.empty(classifier, rows),
-               grad, classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows))
-
-    permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
-    records: list[EpochRecord] = []
-    cum_corrections = 0
-    best_epoch = 0
-    best_val = -1.0
-    best_model = classifier.copy()
-
-    for epoch in range(1, cfg.epochs + 1):
-        classifier.frozen_hidden = epoch <= cfg.frozen_epochs
-        order = np.random.default_rng(epoch_seeds[epoch - 1]).permutation(train.n)
-        mean_loss, epoch_flags, epoch_true, threshold_min = _train_epoch(
-            classifier, train, cfg, epoch, opt, order, tracker, an0, buffers
-        )
-        if permanent:
-            cum_corrections += epoch_flags
-
-        val_map = _validation_map(classifier, val) * 100.0
-        records.append(EpochRecord(  # flag_precision is filled in below, once all epochs exist
-            epoch=epoch, train_loss=mean_loss, val_map=val_map, flags=epoch_flags, flags_true_pos=epoch_true,
-            flag_precision=None, cum_corrections=cum_corrections, threshold_min=threshold_min))
-        if val_map > best_val:
-            best_val = val_map
-            best_epoch = epoch
-            best_model = classifier.copy()
-
-    if train.truth is not None:
+def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> RunReport:
+    """A finished arm's report, with its flag precisions and its best model's test mAP."""
+    records, permanent = arm.records, schemes.SPECS[arm.cfg.scheme.scheme].action == "permanent"
+    if arm.truth is not None:
         precisions = modification_precision(
             [r.flags for r in records], [r.flags_true_pos for r in records], cumulative=permanent)
         for record, prec in zip(records, precisions):
@@ -307,19 +343,84 @@ def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = N
 
     test_map = None
     if test_ds is not None:
-        test_probs = model_mod.forward(best_model, test_ds.features)
+        test_probs = model_mod.forward(arm.best_model, test_ds.features)
         test_map = evaluation.mean_average_precision(test_probs, test_ds.truth).mean * 100.0
 
-    best_model.frozen_hidden = False
+    arm.best_model.frozen_hidden = False
     return RunReport(
         records=records,
-        best_epoch=best_epoch,
-        best_val_map=best_val,
-        best_model=best_model,
+        best_epoch=arm.best_epoch,
+        best_val_map=arm.best_val,
+        best_model=arm.best_model,
         test_map=test_map,
-        tracker=tracker,
-        train_indices=train_idx,
+        tracker=arm.tracker,
+        train_indices=arm.train_idx,
         effective_n=ds.n,
-        initial_states=initial_states,
-        final_states=train.states.copy(),
+        initial_states=ds.states[arm.train_idx],
+        final_states=arm.states.copy(),
     )
+
+
+def _stack_key(cfg: TrainConfig) -> TrainConfig:
+    """What the arms of a stack share: the config but for its seed and the scheme's hyperparameters."""
+    return replace(cfg, seed=0, scheme=schemes.SchemeConfig(cfg.scheme.scheme))
+
+
+def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
+              test_ds: PartialDataset | None = None) -> list[RunReport | Exception]:
+    """Train the runs `cfgs` over `ds` in lockstep; returns, in order, each run's report, with the
+    bits `run` gives it, or the exception that stopped that run alone.
+
+    The configs must differ only in their seeds and the scheme's hyperparameters. The stack
+    keeps every run's parameters and optimizer moments, one row an arm, and its batches'
+    activations with a leading arm axis, so each of its numpy calls serves every arm; each
+    run keeps its own split, init, shuffles, plans, flags, tracker and best model.
+    """
+    if any(_stack_key(cfg) != _stack_key(cfgs[0]) for cfg in cfgs):
+        raise ValueError("the runs of a stack may differ only in seed and the scheme's hyperparameters")
+    results: list[RunReport | Exception | None] = [None] * len(cfgs)
+    arms = []
+    for i, cfg in enumerate(cfgs):
+        try:
+            arms.append(_start(cfg, ds, test_ds))
+        except Exception as exc:  # noqa: BLE001
+            results[i] = exc
+    index = {id(arm): i for i, arm in zip((i for i, r in enumerate(results) if r is None), arms)}
+    if arms:
+        cfg = arms[0].cfg
+        inits = [arm.best_model for arm in arms]
+        classifier = inits[0].copy() if len(inits) == 1 else model_mod.Classifier(
+            cfg.arch, {name: np.stack([m.params[name] for m in inits]) for name in inits[0].params})
+        opt = model_mod.make_optimizer(cfg.optimizer, cfg.learning_rate, classifier)
+        buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
+        for epoch in range(1, cfg.epochs + 1):
+            classifier.frozen_hidden = epoch <= cfg.frozen_epochs
+            _train_epoch(classifier, ds.features, arms, epoch, opt, buffers)
+            keep = [i for i, arm in enumerate(arms) if arm.failure is None]
+            if len(keep) < len(arms):  # the failed arms leave the stack
+                for arm in arms:
+                    if arm.failure is not None:
+                        results[index[id(arm)]] = arm.failure
+                arms = [arms[i] for i in keep]
+                if not arms:
+                    break
+                classifier, opt = classifier.take(keep), opt.take(keep)
+                buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
+    for arm in arms:
+        try:
+            results[index[id(arm)]] = _report(arm, ds, test_ds)
+        except Exception as exc:  # noqa: BLE001
+            results[index[id(arm)]] = exc
+    return results
+
+
+def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = None) -> RunReport:
+    """Train for the configured epochs and keep the best-validation model: the stack of one.
+
+    Ties on validation mAP resolve to the earliest epoch. Reported mAP values
+    are percentages. Raises TrainingDiverged on a non-finite batch loss.
+    """
+    result = run_stack([cfg], ds, test_ds)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 import wsml.io as wsml_io
@@ -13,7 +14,7 @@ from wsml.cli import TRAIN_FLAGS, load_tracker, main
 from wsml.dataset import FormatError, LabelState, load_dataset
 from wsml.model import init_classifier, make_optimizer
 from wsml.schemes import Scheme, SchemeConfig
-from wsml.trainer import TrainConfig, TrainingDiverged
+from wsml.trainer import TrainConfig
 
 # the tuning flags each scheme reads, stated independently of the scheme table
 READS = {
@@ -635,14 +636,14 @@ class TestSweep:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_an_arm_that_fails_in_training_loses_no_other_row(self, tmp_path, sp_file, capsys, monkeypatch,
                                                               threads):
-        run = trainer_mod.run
+        end_epoch = trainer_mod._end_epoch
 
-        def diverge_at_02(cfg, *args):
-            if cfg.scheme.delta_rel == 0.2:
-                raise TrainingDiverged(1)
-            return run(cfg, *args)
+        def diverge_at_02(arm, classifier, epoch, probs, *args):  # arm 0.2's epoch-end loss alone is not finite
+            if arm.cfg.scheme.delta_rel == 0.2:
+                probs[0, 0] = np.nan
+            return end_epoch(arm, classifier, epoch, probs, *args)
 
-        monkeypatch.setattr(trainer_mod, "run", diverge_at_02)
+        monkeypatch.setattr(trainer_mod, "_end_epoch", diverge_at_02)
         rows = {}
         for n in ("1", threads):  # the single-process sweep is the reference
             monkeypatch.setenv("WSML_THREADS", n)
@@ -665,15 +666,15 @@ class TestSweep:
                         or len(wsml_io.usable_cpus()) < 2,
                         reason="the patched trainer reaches the workers only by fork; pinning needs two CPUs")
     def test_each_pool_worker_runs_pinned_to_its_own_cpu(self, tmp_path, sp_file, monkeypatch):
-        run, log, before = trainer_mod.run, tmp_path / "arms.log", os.sched_getaffinity(0)
+        start, log, before = trainer_mod._start, tmp_path / "arms.log", os.sched_getaffinity(0)
 
         def logged(cfg, *args):  # each arm notes its process and the CPUs that process may run on
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
             time.sleep(0.3)  # so that both workers take arms
-            return run(cfg, *args)
+            return start(cfg, *args)
 
-        monkeypatch.setattr(trainer_mod, "run", logged)
+        monkeypatch.setattr(trainer_mod, "_start", logged)
         rows = {}
         for n in ("1", "2"):  # the single-process sweep is the reference
             log.unlink(missing_ok=True)
@@ -695,14 +696,14 @@ class TestSweep:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched trainer reaches the workers only by fork")
     def test_a_dead_worker_is_reported_for_each_arm_it_loses(self, tmp_path, sp_file, capsys, monkeypatch):
-        run = trainer_mod.run
+        start = trainer_mod._start
 
         def die_at_02(cfg, *args):
             if cfg.scheme.delta_rel == 0.2:
                 os._exit(1)
-            return run(cfg, *args)
+            return start(cfg, *args)
 
-        monkeypatch.setattr(trainer_mod, "run", die_at_02)
+        monkeypatch.setattr(trainer_mod, "_start", die_at_02)
         monkeypatch.setenv("WSML_THREADS", "2")
         out = tmp_path / "s.csv"
         assert run_cli(

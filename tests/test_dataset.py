@@ -21,6 +21,7 @@ from wsml.dataset import (
     subsample_indices,
 )
 from wsml.cli import main
+from wsml.schemes import apply_permanent_corrections
 
 U = LabelState.UNKNOWN
 P = LabelState.OBS_POS
@@ -122,7 +123,7 @@ class TestStateTransitions:
         ds = small_dataset()
         mask = np.zeros_like(ds.states, dtype=bool)
         mask[3, 0] = True
-        assert ds.correct_to_positive(mask) == 1
+        assert apply_permanent_corrections(ds.states, mask) == 1
         assert ds.states[3, 0] == C
 
     @pytest.mark.parametrize("state", [P, N, C])
@@ -133,7 +134,7 @@ class TestStateTransitions:
         mask = np.zeros((2, 2), dtype=bool)
         mask[0, 0] = True
         with pytest.raises(ValueError, match="illegal state transition"):
-            ds.correct_to_positive(mask)
+            apply_permanent_corrections(ds.states, mask)
 
     @given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -144,12 +145,12 @@ class TestStateTransitions:
         mask = np.zeros((6, 6), dtype=bool)
         mask[row, col] = True
         if state_code == int(U):
-            ds.correct_to_positive(mask)
+            apply_permanent_corrections(ds.states, mask)
             assert ds.states[row, col] == C
         else:
             before = ds.states.copy()
             with pytest.raises(ValueError):
-                ds.correct_to_positive(mask)
+                apply_permanent_corrections(ds.states, mask)
             assert np.array_equal(ds.states, before)
 
 

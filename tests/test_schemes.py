@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wsml.dataset import LabelState, PartialDataset, an_targets_from_states
 from wsml.model import init_classifier
 from wsml.schemes import (
+    PARTITION_MIN,
     SPECS,
     Scheme,
     SchemeConfig,
@@ -207,6 +208,29 @@ class TestSelectLargeLosses:
             assert threshold == losses[flags].min()
         else:
             assert math.isnan(threshold)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(PARTITION_MIN, 4 * PARTITION_MIN),
+        rate=st.floats(0.0, 100.0) | st.sampled_from([0.05, 50.0, 100.0]),
+        levels=st.sampled_from([None, 3, 40]),
+        nans=st.integers(0, 3) | st.integers(0, 4 * PARTITION_MIN),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_a_partition_flags_what_the_stable_sort_flags(self, seed, m, rate, levels, nans):
+        """From PARTITION_MIN candidates on, the selection partitions; the flags and the threshold
+        are those of the stable descending sort, ties (few loss levels) and NaN losses included."""
+        rng = np.random.default_rng(seed)
+        losses = rng.exponential(size=m) if levels is None else rng.integers(0, levels, size=m) / 7.0
+        losses[rng.choice(m, size=min(nans, m), replace=False)] = np.nan
+        candidates = np.sort(rng.choice(3 * m, size=m, replace=False))
+        flags, threshold = select_large_losses(losses, candidates, rate, None, np.zeros(3 * m, dtype=bool))
+        k = quota(rate, m)
+        want = np.zeros(3 * m, dtype=bool)
+        order = np.argsort(-losses, kind="stable")[:k]
+        want[candidates[order]] = True
+        assert np.array_equal(flags, want)
+        assert repr(threshold) == repr(float(losses[order[-1]]) if k else math.nan)
 
 
 def batch(states, probs):
@@ -649,14 +673,14 @@ class TestApplyPermanentCorrections:
     def test_empty_flags_mutate_nothing(self):
         ds = self.make_ds()
         before = ds.states.copy()
-        assert apply_permanent_corrections(ds, np.zeros((2, 3), dtype=bool)) == 0
+        assert apply_permanent_corrections(ds.states, np.zeros((2, 3), dtype=bool)) == 0
         assert np.array_equal(ds.states, before)
 
     def test_corrections_are_permanent_and_visible(self):
         ds = self.make_ds()
         flags = np.zeros((2, 3), dtype=bool)
         flags[0, 0] = True
-        assert apply_permanent_corrections(ds, flags) == 1
+        assert apply_permanent_corrections(ds.states, flags) == 1
         assert ds.states[0, 0] == C
         assert an_targets_from_states(ds.states)[0, 0] == 1.0
 
@@ -665,15 +689,15 @@ class TestApplyPermanentCorrections:
         flags = np.zeros((2, 3), dtype=bool)
         flags[0, 2] = True
         with pytest.raises(ValueError, match="illegal state transition"):
-            apply_permanent_corrections(ds, flags)
+            apply_permanent_corrections(ds.states, flags)
 
     def test_corrected_entry_cannot_be_flagged_again(self):
         ds = self.make_ds()
         flags = np.zeros((2, 3), dtype=bool)
         flags[1, 1] = True
-        apply_permanent_corrections(ds, flags)
+        apply_permanent_corrections(ds.states, flags)
         with pytest.raises(ValueError):
-            apply_permanent_corrections(ds, flags)
+            apply_permanent_corrections(ds.states, flags)
 
 
 class TestSchemeTable:
