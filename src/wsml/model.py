@@ -206,6 +206,12 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     return forward_pass(model, x).probs
 
 
+def _output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    np.subtract(probs, targets, out=out)
+    if any(weights.strides) or weights.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
+        out *= weights
+
+
 def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
              out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None,
              deltas: ForwardPass | None = None) -> np.ndarray:
@@ -221,15 +227,16 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
     active the probability is constant in the parameters, so those entries
     contribute exactly zero gradient (matching the finite-difference view).
     """
-    *arms, b, k = fwd.probs.shape
-    dot = _dot_per_arm if arms else np.dot
+    b, k = fwd.probs.shape[-2:]
     deltas = ForwardPass.empty(model, b) if deltas is None else deltas
     grad = deltas.raw[..., :b, :]  # at the output layer's logits
-    for probs, target, weight, delta in zip(fwd.probs, targets, weights, grad) if arms else \
-            [(fwd.probs, targets, weights, grad)]:
-        np.subtract(probs, target, out=delta)
-        if any(weight.strides) or weight.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
-            delta *= weight
+    if grad.ndim == 2:
+        dot = np.dot
+        _output_delta(fwd.probs, targets, weights, grad)
+    else:
+        dot = _dot_per_arm
+        for arm in zip(fwd.probs, targets, weights, grad):
+            _output_delta(*arm)
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
     grad /= b * k
     out = np.empty_like(model.flat) if out is None else out

@@ -201,11 +201,11 @@ def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float 
     if k == 0:
         return flags, float("nan")
     if k is None:
-        flags.reshape(-1)[candidates[losses > threshold]] = True
+        flags.put(candidates[losses > threshold], True)
         return flags, float(threshold)
     # descending loss, NaN last; the stable sort keeps the candidates' order on ties
-    order = np.argsort(-losses, kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(-losses, k)
-    flags.reshape(-1)[candidates[order]] = True
+    order = (-losses).argsort(kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(-losses, k)
+    flags.put(candidates[order], True)
     return flags, float(losses[order[-1]])
 
 
@@ -275,7 +275,7 @@ def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.n
         lo, hi = plan.offsets[start], plan.offsets[stop]
         if plan.rate is None or quota(plan.rate, hi - lo) > 0:
             candidates = plan.candidates[lo:hi] - start * targets.shape[1]
-            losses = -np.log(np.subtract(1.0, probs.reshape(-1)[candidates]))
+            losses = -np.log(np.subtract(1.0, probs.take(candidates)))
             _, threshold = select_large_losses(losses, candidates, plan.rate, plan.threshold, flags)
     if not math.isnan(threshold):  # NaN: no selection, or a relative quota of zero
         if action == "reject":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,11 +194,24 @@ class _Arm:
     cum_corrections: int = 0
     best_epoch: int = 0
     best_val: float = -1.0
-    rows: np.ndarray | None = None  # the epoch's visiting order: as training rows, and as rows of the dataset
-    order: np.ndarray | None = None
-    plan: schemes.EpochPlan | None = None
-    thresholds: list[float] = field(default_factory=list)
     failure: Exception | None = None  # what stopped the run, which then leaves the stack
+
+
+class _Visit(NamedTuple):
+    """An arm's epoch: its visiting order, as training rows and as rows of the dataset, its plan and thresholds."""
+
+    order: np.ndarray
+    rows: np.ndarray
+    plan: schemes.EpochPlan
+    thresholds: list[float]
+
+
+def _visit(arm: _Arm, epoch: int) -> _Visit:
+    order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(len(arm.train_idx))
+    plan = schemes.plan_epoch(arm.cfg.scheme.scheme, arm.states[order], epoch, arm.cfg.scheme)
+    if _epoch_level(arm.cfg):  # each batch trains on the AN targets; the plan's schedule selects at epoch end
+        plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
+    return _Visit(order, arm.train_idx[order], plan, [])
 
 
 def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None) -> _Arm:
@@ -237,8 +251,8 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
             classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows), batches, per_arm)
 
 
-def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> None:
-    """One pass of every arm over its training data, then each arm's epoch end (`_end_epoch`).
+def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
+    """One pass of every arm over its training data; returns each arm's `_end_epoch`, None for an arm that failed.
 
     A batch takes each arm's feature rows, runs one forward pass of the stack, each arm's
     decision (the AN loss of its candidates alone, only if it can flag, flagging into its flag
@@ -246,37 +260,35 @@ def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> None:
     no arm axis, which spares its batches the per-arm loops over views."""
     probs, seen, seen_flags, work, grad, grad_views, deltas, batches, per_arm = buffers
     seen_flags.fill(False)
-    for arm in arms:
-        arm.order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(len(arm.train_idx))
-        arm.rows = arm.train_idx[arm.order]
-        arm.plan = schemes.plan_epoch(arm.cfg.scheme.scheme, arm.states[arm.order], epoch, arm.cfg.scheme)
-        if _epoch_level(arm.cfg):  # each batch trains on the AN targets; the plan's schedule selects at epoch end
-            arm.plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
-        arm.thresholds = []
+    visits = [_visit(arm, epoch) for arm in arms]
 
     stacked = classifier.flat.ndim == 2
     for batch, x, arm_x, batch_probs, arm_probs, arm_flags in batches:
-        for arm, rows in zip(arms, arm_x):  # mode clip: the rows are valid, and raise would buffer `out`
-            features.take(arm.rows[batch], axis=0, out=rows, mode="clip")
+        for visit, rows in zip(visits, arm_x):  # mode clip: the rows are valid, and raise would buffer `out`
+            features.take(visit.rows[batch], axis=0, out=rows, mode="clip")
         fwd = model_mod.forward_pass(classifier, x, batch_probs, work)
         targets, weights = [], []
-        for arm, probs_of_arm, flags_of_arm in zip(arms, arm_probs, arm_flags):
-            arm_targets, arm_weights, threshold = schemes.decide_planned(arm.plan, batch, probs_of_arm, flags_of_arm)
+        for visit, probs_of_arm, flags_of_arm in zip(visits, arm_probs, arm_flags):
+            arm_targets, arm_weights, threshold = schemes.decide_planned(visit.plan, batch, probs_of_arm, flags_of_arm)
             targets.append(arm_targets)
             weights.append(arm_weights)
             if not math.isnan(threshold):
-                arm.thresholds.append(threshold)
+                visit.thresholds.append(threshold)
         if not stacked:
             targets, weights = targets[0], weights[0]
         model_mod.gradient(classifier, fwd, targets, weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
 
-    models = [classifier.take(i) for i in range(len(arms))] if stacked else [classifier.copy()]
-    for arm, model, *arm_buffers in zip(arms, models, per_arm(probs), per_arm(seen), per_arm(seen_flags)):
-        try:
-            _end_epoch(arm, model, epoch, *arm_buffers)
-        except Exception as exc:  # noqa: BLE001 - the arm fails alone; `run` raises it again
-            arm.failure = exc
+    return [_fail_alone(arm, _end_epoch, arm, epoch, *arm_buffers, visit)
+            for arm, visit, *arm_buffers in zip(arms, visits, per_arm(probs), per_arm(seen), per_arm(seen_flags))]
+
+
+def _fail_alone(arm: _Arm, fn, *args):
+    """fn(*args), or None if it raises: the exception then fails `arm` alone, and `run` raises it again."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception, as a lone run would raise it
+        arm.failure = exc
 
 
 def _epoch_level(cfg: TrainConfig) -> bool:
@@ -284,15 +296,17 @@ def _epoch_level(cfg: TrainConfig) -> bool:
     return schemes.SPECS[cfg.scheme.scheme].action == "permanent" and cfg.llcp_granularity == "epoch"
 
 
-def _end_epoch(arm: _Arm, classifier, epoch: int, probs, seen, seen_flags) -> None:
-    """An arm's epoch end, from its model after the epoch and its epoch's (probabilities, AN
-    losses, flags) in visiting order: its losses, tracker fold, selection and corrections, its
-    validation mAP, record and best model. Raises TrainingDiverged on a non-finite batch loss.
+def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, visit: _Visit):
+    """An arm's epoch end, from its epoch's (probabilities, AN losses, flags) in visiting order:
+    its losses, tracker fold, selection and corrections. Returns (mean loss, flagged entries,
+    the truly positive ones among them or None without truth, smallest threshold); under
+    permanent correction the flagged entries are the corrected ones. Raises TrainingDiverged
+    on a non-finite batch loss.
 
     `schemes.epoch_losses` takes one AN-loss log pass into `seen` and makes each batch's weighted
     loss from it, with another log only where the batch trained on another target; `probs`
     then takes the AN losses by row for the tracker fold."""
-    cfg, plan, order, states = arm.cfg, arm.plan, arm.order, arm.states
+    cfg, plan, order, states = arm.cfg, visit.plan, visit.order, arm.states
     n, k = states.shape
     permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
 
@@ -318,16 +332,21 @@ def _end_epoch(arm: _Arm, classifier, epoch: int, probs, seen, seen_flags) -> No
         _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates, plan.rate,
                                                    plan.threshold, flags)
         if not math.isnan(threshold):
-            arm.thresholds.append(threshold)
+            visit.thresholds.append(threshold)
     flagged = schemes.apply_permanent_corrections(states, flags) if permanent else int(flags.sum())
     flagged_true = None if arm.truth is None else int((flags & (arm.truth == 1)).sum())
-    arm.cum_corrections += flagged if permanent else 0
+    return weighted_total / (n * k), flagged, flagged_true, min(visit.thresholds, default=float("nan"))
 
+
+def _record(arm: _Arm, classifier, epoch: int, mean_loss, flagged, flagged_true, threshold_min) -> None:
+    """Record an arm's epoch from its `_end_epoch` and its model after the epoch (which becomes
+    its best model when its validation mAP is the best yet)."""
+    if schemes.SPECS[arm.cfg.scheme.scheme].action == "permanent":
+        arm.cum_corrections += flagged
     val_map = _validation_map(classifier, arm.val) * 100.0
     arm.records.append(EpochRecord(  # flag_precision is filled in at the run's end, once all epochs exist
-        epoch=epoch, train_loss=weighted_total / (n * k), val_map=val_map, flags=flagged, flags_true_pos=flagged_true,
-        flag_precision=None, cum_corrections=arm.cum_corrections,
-        threshold_min=min(arm.thresholds) if arm.thresholds else float("nan")))
+        epoch=epoch, train_loss=mean_loss, val_map=val_map, flags=flagged, flags_true_pos=flagged_true,
+        flag_precision=None, cum_corrections=arm.cum_corrections, threshold_min=threshold_min))
     if val_map > arm.best_val:
         arm.best_val, arm.best_epoch, arm.best_model = val_map, epoch, classifier
 
@@ -379,13 +398,13 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
     if any(_stack_key(cfg) != _stack_key(cfgs[0]) for cfg in cfgs):
         raise ValueError("the runs of a stack may differ only in seed and the scheme's hyperparameters")
     results: list[RunReport | Exception | None] = [None] * len(cfgs)
-    arms = []
+    arms, slots = [], []  # the arms that run, and the place of each in `results`
     for i, cfg in enumerate(cfgs):
         try:
             arms.append(_start(cfg, ds, test_ds))
+            slots.append(i)
         except Exception as exc:  # noqa: BLE001
             results[i] = exc
-    index = {id(arm): i for i, arm in zip((i for i, r in enumerate(results) if r is None), arms)}
     if arms:
         cfg = arms[0].cfg
         inits = [arm.best_model for arm in arms]
@@ -395,22 +414,23 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
         for epoch in range(1, cfg.epochs + 1):
             classifier.frozen_hidden = epoch <= cfg.frozen_epochs
-            _train_epoch(classifier, ds.features, arms, epoch, opt, buffers)
+            ends = _train_epoch(classifier, ds.features, arms, epoch, opt, buffers)  # its plans are gone: less to hold
+            models = [classifier.take(i) for i in range(len(arms))] if classifier.flat.ndim == 2 else [classifier.copy()]
+            for arm, model, end in zip(arms, models, ends):  # while the validation passes run
+                if end is not None:
+                    _fail_alone(arm, _record, arm, model, epoch, *end)
             keep = [i for i, arm in enumerate(arms) if arm.failure is None]
             if len(keep) < len(arms):  # the failed arms leave the stack
-                for arm in arms:
-                    if arm.failure is not None:
-                        results[index[id(arm)]] = arm.failure
-                arms = [arms[i] for i in keep]
+                for arm, slot in zip(arms, slots):
+                    results[slot] = arm.failure
+                arms, slots = [arms[i] for i in keep], [slots[i] for i in keep]
                 if not arms:
                     break
                 classifier, opt = classifier.take(keep), opt.take(keep)
                 buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
-    for arm in arms:
-        try:
-            results[index[id(arm)]] = _report(arm, ds, test_ds)
-        except Exception as exc:  # noqa: BLE001
-            results[index[id(arm)]] = exc
+    for arm, slot in zip(arms, slots):
+        report = _fail_alone(arm, _report, arm, ds, test_ds)
+        results[slot] = report if arm.failure is None else arm.failure
     return results
 
 

@@ -638,10 +638,10 @@ class TestSweep:
                                                               threads):
         end_epoch = trainer_mod._end_epoch
 
-        def diverge_at_02(arm, classifier, epoch, probs, *args):  # arm 0.2's epoch-end loss alone is not finite
+        def diverge_at_02(arm, epoch, probs, *args):  # arm 0.2's epoch-end loss alone is not finite
             if arm.cfg.scheme.delta_rel == 0.2:
                 probs[0, 0] = np.nan
-            return end_epoch(arm, classifier, epoch, probs, *args)
+            return end_epoch(arm, epoch, probs, *args)
 
         monkeypatch.setattr(trainer_mod, "_end_epoch", diverge_at_02)
         rows = {}

@@ -103,10 +103,10 @@ def test_an_arm_that_diverges_leaves_the_stack_and_the_others_keep_their_bits(mo
     alone = [run(cfg, ds) for cfg in cfgs]
     end_epoch = trainer._end_epoch
 
-    def diverge_seed_4_at_epoch_2(arm, classifier, epoch, probs, *args):
+    def diverge_seed_4_at_epoch_2(arm, epoch, probs, *args):
         if arm.cfg.seed == 4 and epoch == 2:
             probs[3, 1] = np.nan
-        return end_epoch(arm, classifier, epoch, probs, *args)
+        return end_epoch(arm, epoch, probs, *args)
 
     monkeypatch.setattr(trainer, "_end_epoch", diverge_seed_4_at_epoch_2)
     for cfg, report, want in zip(cfgs, run_stack(cfgs, ds), alone):
