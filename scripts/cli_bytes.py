@@ -22,7 +22,10 @@ linear one, one of them to stdout, a train and an eval on a copy of the
 partialized corpus with comment lines inside its blocks, a train on a copy
 whose state disagrees with its truth, a train on a copy cut before its TRUTH
 line, whose validation mAP ranks the observed entries alone, a 2-worker, a
-1-worker and a failing sweep. Each side runs in its own empty directory with
+1-worker and a failing sweep, and two delta-rel sweeps whose arms train as
+stacks: four LL-Cp arms in one stack, with a frozen first epoch and a ragged
+last batch, and five LL-Ct arms that two workers take as stacks of three and
+two. Each side runs in its own empty directory with
 relative paths. Every output file and each command's stdout, stderr and exit
 code are then compared byte for byte; the files that differ are printed, the
 outputs are kept for inspection and the exit code is 1.
@@ -112,10 +115,10 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         return (name, "1", ["train", "--data", data, "--scheme", scheme, "--epochs", str(epochs),
                             "--batch", "16", "--seed", "7", "--hidden", "8", *extra, "--out-prefix", name])
 
-    def sweep(name, threads, param, values, scheme, *extra):
+    def sweep(name, threads, param, values, scheme, *extra, arch="linear", batch=16):
         return (name, threads, ["sweep", "--param", param, "--values", values, "--data", "sp.wsml",
-                                "--scheme", scheme, "--epochs", str(epochs), "--batch", "16", "--seed", "3",
-                                "--arch", "linear", *extra, "--out", name + ".csv"])
+                                "--scheme", scheme, "--epochs", str(epochs), "--batch", str(batch), "--seed", "3",
+                                "--arch", arch, *extra, "--out", name + ".csv"])
 
     return [
         ("gen-full", "1", [*gen, "--pos-rate", "0.35", "--seed", "3", "--out", "full.wsml"]),
@@ -179,6 +182,11 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         sweep("sweep-2w", "2", "delta-rel", "2,0.5,1", "ll-r", "--test-data", "test.wsml"),
         sweep("sweep-1w", "1", "subsample", "0.5,1", "naive-an"),
         sweep("sweep-fail", "1", "subsample", "0.001,1", "naive-an"),  # the 0.001 arm keeps no sample
+        # delta-rel sweeps train their arms as stacks: one of four arms with a ragged last batch (240 training rows)
+        sweep("sweep-stack-1w", "1", "delta-rel", "5,2,10,1", "ll-cp", "--hidden", "8", "--frozen-epochs", "1",
+              "--test-data", "test.wsml", arch="mlp1", batch=7),
+        # two workers deal five arms into stacks of three and two
+        sweep("sweep-stack-2w", "2", "delta-rel", "0.5,1,2,4,8", "ll-ct", "--hidden", "8", arch="mlp1"),
     ]
 
 

@@ -158,17 +158,17 @@ def modification_precision(flag_counts, true_counts, cumulative: bool = False):
     return [true / flags if flags else None for flags, true in zip(flag_counts, true_counts)]
 
 
-def _validation_map(classifier, val: PartialDataset) -> float:
-    """Validation mAP as a fraction: against truth when present, otherwise
-    over observed entries only (unknown entries leave the ranking)."""
-    # features checked when `val` was taken; the pass's buffers are freed again before the next epoch
-    probs = model_mod.forward_pass(classifier, val.features).probs
-    if val.truth is not None:
-        return evaluation.mean_average_precision(probs, val.truth).mean
+def _validation_map(classifier, x: np.ndarray, states: np.ndarray, truth: np.ndarray | None) -> float:
+    """Validation mAP as a fraction over the rows `x` (checked with their dataset), with their label
+    `states` and `truth`: against truth when present, otherwise over observed entries only
+    (unknown entries leave the ranking)."""
+    probs = model_mod.forward_pass(classifier, x).probs  # its buffers are freed again before the next epoch
+    if truth is not None:
+        return evaluation.mean_average_precision(probs, truth).mean
     aps = []
-    for k in range(val.k):
-        observed = (val.states[:, k] == OBS_POS) | (val.states[:, k] == OBS_NEG)
-        labels = (val.states[:, k] == OBS_POS).astype(np.int8)
+    for k in range(states.shape[1]):
+        observed = (states[:, k] == OBS_POS) | (states[:, k] == OBS_NEG)
+        labels = (states[:, k] == OBS_POS).astype(np.int8)
         if labels[observed].sum() == 0:
             continue
         aps.append(evaluation.average_precision(probs[observed, k], labels[observed]))
@@ -182,8 +182,8 @@ class _Arm:
     """One run of a stack: all it owns but the stacked parameters, moments and buffers."""
 
     cfg: TrainConfig
-    train_idx: np.ndarray
-    val: PartialDataset
+    train_idx: np.ndarray  # its rows of the dataset, whose features the arms share
+    val_idx: np.ndarray
     states: np.ndarray  # of the training rows, private: permanent corrections mutate them
     truth: np.ndarray | None
     an0: np.ndarray  # the assumed positives the run started from
@@ -226,9 +226,9 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
 
     split_seed, init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     train_idx, val_idx = split_indices(ds.n, cfg.val_fraction, split_seed)
-    states = ds.states[train_idx]  # the training rows' features stay in `ds`, which the arms share
+    states = ds.states[train_idx]
     classifier = model_mod.init_classifier(cfg.arch, ds.d, ds.k, cfg.hidden, init_seed)
-    return _Arm(cfg, train_idx, ds.take(val_idx), states, None if ds.truth is None else ds.truth[train_idx],
+    return _Arm(cfg, train_idx, val_idx, states, None if ds.truth is None else ds.truth[train_idx],
                 schemes.an_targets_from_states(states) == 1.0, shuffle_seed.spawn(cfg.epochs),
                 MemorizationTracker(*states.shape), classifier)
 
@@ -338,12 +338,15 @@ def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, visit: _Visit):
     return weighted_total / (n * k), flagged, flagged_true, min(visit.thresholds, default=float("nan"))
 
 
-def _record(arm: _Arm, classifier, epoch: int, mean_loss, flagged, flagged_true, threshold_min) -> None:
+def _record(arm: _Arm, ds: PartialDataset, classifier, epoch: int, mean_loss, flagged, flagged_true,
+            threshold_min) -> None:
     """Record an arm's epoch from its `_end_epoch` and its model after the epoch (which becomes
     its best model when its validation mAP is the best yet)."""
     if schemes.SPECS[arm.cfg.scheme.scheme].action == "permanent":
         arm.cum_corrections += flagged
-    val_map = _validation_map(classifier, arm.val) * 100.0
+    val = arm.val_idx  # its validation rows are taken for the pass alone, so that no arm holds a copy
+    val_map = _validation_map(classifier, ds.features.take(val, axis=0), ds.states[val],
+                              None if ds.truth is None else ds.truth[val]) * 100.0
     arm.records.append(EpochRecord(  # flag_precision is filled in at the run's end, once all epochs exist
         epoch=epoch, train_loss=mean_loss, val_map=val_map, flags=flagged, flags_true_pos=flagged_true,
         flag_precision=None, cum_corrections=arm.cum_corrections, threshold_min=threshold_min))
@@ -418,7 +421,7 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
             models = [classifier.take(i) for i in range(len(arms))] if classifier.flat.ndim == 2 else [classifier.copy()]
             for arm, model, end in zip(arms, models, ends):  # while the validation passes run
                 if end is not None:
-                    _fail_alone(arm, _record, arm, model, epoch, *end)
+                    _fail_alone(arm, _record, arm, ds, model, epoch, *end)
             keep = [i for i, arm in enumerate(arms) if arm.failure is None]
             if len(keep) < len(arms):  # the failed arms leave the stack
                 for arm, slot in zip(arms, slots):
