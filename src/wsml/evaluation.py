@@ -72,7 +72,7 @@ def mean_average_precision(scores: np.ndarray, truth: np.ndarray) -> APResult:
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError(f"scores and truth must be equal-shape matrices, got {scores.shape} and {truth.shape}")
     keys = -scores.T
-    order = keys.argsort(axis=1)  # where no two keys of a category tie, the one order that sorts them: the stable sort's
+    order = keys.argsort(axis=1)  # the stable sort's order where no two keys of a category tie: the only one
     sorted_keys = np.take_along_axis(keys, order, axis=1)
     if not (sorted_keys[:, 1:] > sorted_keys[:, :-1]).all():  # a tie or a NaN: the stable sort breaks it by index
         order = keys.argsort(axis=1, kind="stable")

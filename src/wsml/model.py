@@ -98,7 +98,7 @@ class Classifier:
 
     def __post_init__(self):
         check_arch(self.arch)
-        arms = np.shape(self.params[_LAYERS[self.arch][0][1]])[:-1]  # a bias is 1-D: () for one classifier, (R,) for a stack
+        arms = np.shape(self.params[_LAYERS[self.arch][0][1]])[:-1]  # a bias is 1-D: (), or (R,) for a stack
         self._layout, start = [], 0  # (name, start, stop, shape) of each tensor in a row of `flat`
         for name in (name for layer in _LAYERS[self.arch] for name in layer):
             shape = np.shape(self.params[name])[len(arms):]
@@ -111,7 +111,8 @@ class Classifier:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-tensor views of a vector (or R x P array) laid out like `flat`."""
-        return {name: flat[..., start:stop].reshape(*flat.shape[:-1], *shape) for name, start, stop, shape in self._layout}
+        arms = flat.shape[:-1]
+        return {name: flat[..., start:stop].reshape(*arms, *shape) for name, start, stop, shape in self._layout}
 
     @property
     def input_dim(self) -> int:
@@ -160,11 +161,10 @@ class ForwardPass(NamedTuple):
 
     @classmethod
     def empty(cls, model: Classifier, rows: int) -> "ForwardPass":
-        """Uninitialized arrays for a pass over `rows` rows (of each arm of a stack), with neither batch nor probabilities."""
-        arms = model.flat.shape[:-1]
-        hidden = [w.shape[-2] for w, _ in model.layers[:-1]]
-        return cls(None, np.empty((*arms, rows, model.num_classes)), [None, *(np.empty((*arms, rows, h)) for h in hidden)],
-                   [np.empty((*arms, rows, h)) for h in hidden])
+        """Uninitialized arrays for a pass over `rows` rows (per arm, for a stack), without batch or probabilities."""
+        arms, hidden = model.flat.shape[:-1], [w.shape[-2] for w, _ in model.layers[:-1]]
+        return cls(None, np.empty((*arms, rows, model.num_classes)),
+                   [None, *(np.empty((*arms, rows, h)) for h in hidden)], [np.empty((*arms, rows, h)) for h in hidden])
 
 
 def _dot_per_arm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -264,9 +264,8 @@ class OptimizerState:
 
     def take(self, keep: list[int]) -> "OptimizerState":
         """A copy of the state of a stack's arms `keep`."""
-        if self.kind == "sgd":
-            return replace(self)
-        return replace(self, m=self.m[keep], v=self.v[keep], work=self.work[:, keep])
+        moments = {} if self.m is None else {"m": self.m[keep], "v": self.v[keep], "work": self.work[:, keep]}
+        return replace(self, **moments)
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:

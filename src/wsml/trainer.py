@@ -5,6 +5,12 @@ A run is a pure function of (config, dataset, test dataset): sample split,
 parameter init, and per-epoch shuffles all derive from the config seed. The
 run owns private copies of everything it mutates, so concurrent runs over a
 shared dataset are safe.
+
+`run_stack` trains runs whose configs differ only in seed and the scheme's
+hyperparameters (the arms of a delta-rel sweep) in lockstep over one dataset:
+each batch runs one forward pass, gradient and step for all of them (see
+`wsml.model`), while each arm keeps its split, shuffles, decisions, epoch end
+and best model, and the bits `run` gives it alone. `run` is the stack of one.
 """
 
 from __future__ import annotations
@@ -190,6 +196,8 @@ class _Arm:
     epoch_seeds: list
     tracker: MemorizationTracker
     best_model: model_mod.Classifier
+    permanent: bool
+    epoch_level: bool  # permanent corrections selected over the epoch's losses, at epoch end
     records: list[EpochRecord] = field(default_factory=list)
     cum_corrections: int = 0
     best_epoch: int = 0
@@ -209,7 +217,7 @@ class _Visit(NamedTuple):
 def _visit(arm: _Arm, epoch: int) -> _Visit:
     order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(len(arm.train_idx))
     plan = schemes.plan_epoch(arm.cfg.scheme.scheme, arm.states[order], epoch, arm.cfg.scheme)
-    if _epoch_level(arm.cfg):  # each batch trains on the AN targets; the plan's schedule selects at epoch end
+    if arm.epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
         plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
     return _Visit(order, arm.train_idx[order], plan, [])
 
@@ -226,11 +234,12 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
 
     split_seed, init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     train_idx, val_idx = split_indices(ds.n, cfg.val_fraction, split_seed)
-    states = ds.states[train_idx]
+    states, permanent = ds.states[train_idx], schemes.SPECS[cfg.scheme.scheme].action == "permanent"
     classifier = model_mod.init_classifier(cfg.arch, ds.d, ds.k, cfg.hidden, init_seed)
     return _Arm(cfg, train_idx, val_idx, states, None if ds.truth is None else ds.truth[train_idx],
                 schemes.an_targets_from_states(states) == 1.0, shuffle_seed.spawn(cfg.epochs),
-                MemorizationTracker(*states.shape), classifier)
+                MemorizationTracker(*states.shape), classifier, permanent,
+                permanent and cfg.llcp_granularity == "epoch")
 
 
 def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
@@ -239,20 +248,21 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
     gradient deltas, and the views each batch takes of them, made once: (its rows in visiting
     order, its feature rows, each arm's, its probabilities, each arm's, and each arm's flags)."""
     arms, rows = classifier.flat.shape[:-1], min(batch_size, n)
-    probs, flags, x, grad = np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool), np.empty((*arms, rows, d)), \
-        np.empty_like(classifier.flat)
+    probs, flags, x = np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool), np.empty((*arms, rows, d))
     per_arm = list if arms else (lambda a: [a])  # the 2-D part of each arm, or the array itself as the one arm's
     batches = []
     for start in range(0, n, batch_size):
         batch = slice(start, start + batch_size)
         batch_x, batch_probs = x[..., :n - start, :], probs[..., batch, :]  # fewer rows in a ragged last batch
-        batches.append((batch, batch_x, per_arm(batch_x), batch_probs, per_arm(batch_probs), per_arm(flags[..., batch, :])))
+        batches.append((batch, batch_x, per_arm(batch_x), batch_probs, per_arm(batch_probs),
+                        per_arm(flags[..., batch, :])))
+    grad = np.empty_like(classifier.flat)
     return (probs, np.empty((*arms, n, k)), flags, model_mod.ForwardPass.empty(classifier, rows), grad,
             classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows), batches, per_arm)
 
 
 def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
-    """One pass of every arm over its training data; returns each arm's `_end_epoch`, None for an arm that failed.
+    """One pass of every arm over its training data; returns each arm's `_end_epoch`, or the exception it raised.
 
     A batch takes each arm's feature rows, runs one forward pass of the stack, each arm's
     decision (the AN loss of its candidates alone, only if it can flag, flagging into its flag
@@ -279,21 +289,16 @@ def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
         model_mod.gradient(classifier, fwd, targets, weights, grad, grad_views, deltas)
         model_mod.step(classifier, grad, opt)
 
-    return [_fail_alone(arm, _end_epoch, arm, epoch, *arm_buffers, visit)
+    return [_attempt(_end_epoch, arm, epoch, *arm_buffers, visit)
             for arm, visit, *arm_buffers in zip(arms, visits, per_arm(probs), per_arm(seen), per_arm(seen_flags))]
 
 
-def _fail_alone(arm: _Arm, fn, *args):
-    """fn(*args), or None if it raises: the exception then fails `arm` alone, and `run` raises it again."""
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: an arm of a stack fails alone, and `run` raises it again."""
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - any exception, as a lone run would raise it
-        arm.failure = exc
-
-
-def _epoch_level(cfg: TrainConfig) -> bool:
-    """Whether `cfg` selects its permanent corrections over the epoch's losses, at epoch end."""
-    return schemes.SPECS[cfg.scheme.scheme].action == "permanent" and cfg.llcp_granularity == "epoch"
+        return exc
 
 
 def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, visit: _Visit):
@@ -301,14 +306,10 @@ def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, visit: _Visit):
     its losses, tracker fold, selection and corrections. Returns (mean loss, flagged entries,
     the truly positive ones among them or None without truth, smallest threshold); under
     permanent correction the flagged entries are the corrected ones. Raises TrainingDiverged
-    on a non-finite batch loss.
-
-    `schemes.epoch_losses` takes one AN-loss log pass into `seen` and makes each batch's weighted
-    loss from it, with another log only where the batch trained on another target; `probs`
-    then takes the AN losses by row for the tracker fold."""
+    on a non-finite batch loss. `schemes.epoch_losses` takes one AN-loss log pass into `seen`
+    and makes each batch's weighted loss from it; `probs` then takes the AN losses by row."""
     cfg, plan, order, states = arm.cfg, visit.plan, visit.order, arm.states
     n, k = states.shape
-    permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
 
     losses = schemes.epoch_losses(plan, probs, seen_flags, seen, arm.an0[order])  # over the probabilities
     full = n - n % cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
@@ -327,13 +328,13 @@ def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, visit: _Visit):
     arm.tracker.update(losses, epoch)
     flags = np.empty_like(seen_flags)
     flags[order] = seen_flags  # all False under epoch-level LL-Cp, whose batches flag nothing
-    if _epoch_level(cfg):  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
+    if arm.epoch_level:  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
         candidates = np.flatnonzero(states == UNKNOWN)
         _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates, plan.rate,
                                                    plan.threshold, flags)
         if not math.isnan(threshold):
             visit.thresholds.append(threshold)
-    flagged = schemes.apply_permanent_corrections(states, flags) if permanent else int(flags.sum())
+    flagged = schemes.apply_permanent_corrections(states, flags) if arm.permanent else int(flags.sum())
     flagged_true = None if arm.truth is None else int((flags & (arm.truth == 1)).sum())
     return weighted_total / (n * k), flagged, flagged_true, min(visit.thresholds, default=float("nan"))
 
@@ -342,8 +343,7 @@ def _record(arm: _Arm, ds: PartialDataset, classifier, epoch: int, mean_loss, fl
             threshold_min) -> None:
     """Record an arm's epoch from its `_end_epoch` and its model after the epoch (which becomes
     its best model when its validation mAP is the best yet)."""
-    if schemes.SPECS[arm.cfg.scheme.scheme].action == "permanent":
-        arm.cum_corrections += flagged
+    arm.cum_corrections += flagged if arm.permanent else 0
     val = arm.val_idx  # its validation rows are taken for the pass alone, so that no arm holds a copy
     val_map = _validation_map(classifier, ds.features.take(val, axis=0), ds.states[val],
                               None if ds.truth is None else ds.truth[val]) * 100.0
@@ -356,10 +356,10 @@ def _record(arm: _Arm, ds: PartialDataset, classifier, epoch: int, mean_loss, fl
 
 def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> RunReport:
     """A finished arm's report, with its flag precisions and its best model's test mAP."""
-    records, permanent = arm.records, schemes.SPECS[arm.cfg.scheme.scheme].action == "permanent"
+    records = arm.records
     if arm.truth is not None:
         precisions = modification_precision(
-            [r.flags for r in records], [r.flags_true_pos for r in records], cumulative=permanent)
+            [r.flags for r in records], [r.flags_true_pos for r in records], cumulative=arm.permanent)
         for record, prec in zip(records, precisions):
             record.flag_precision = prec
 
@@ -369,18 +369,9 @@ def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> Ru
         test_map = evaluation.mean_average_precision(test_probs, test_ds.truth).mean * 100.0
 
     arm.best_model.frozen_hidden = False
-    return RunReport(
-        records=records,
-        best_epoch=arm.best_epoch,
-        best_val_map=arm.best_val,
-        best_model=arm.best_model,
-        test_map=test_map,
-        tracker=arm.tracker,
-        train_indices=arm.train_idx,
-        effective_n=ds.n,
-        initial_states=ds.states[arm.train_idx],
-        final_states=arm.states.copy(),
-    )
+    return RunReport(records=records, best_epoch=arm.best_epoch, best_val_map=arm.best_val, best_model=arm.best_model,
+                     test_map=test_map, tracker=arm.tracker, train_indices=arm.train_idx, effective_n=ds.n,
+                     initial_states=ds.states[arm.train_idx], final_states=arm.states.copy())
 
 
 def _stack_key(cfg: TrainConfig) -> TrainConfig:
@@ -390,24 +381,16 @@ def _stack_key(cfg: TrainConfig) -> TrainConfig:
 
 def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
               test_ds: PartialDataset | None = None) -> list[RunReport | Exception]:
-    """Train the runs `cfgs` over `ds` in lockstep; returns, in order, each run's report, with the
-    bits `run` gives it, or the exception that stopped that run alone.
+    """Train the runs `cfgs`, which may differ only in seed and the scheme's hyperparameters, over
+    `ds` in lockstep; returns, in order, each run's report, with the bits `run` gives it, or the
+    exception that stopped that run alone (the others go on without it).
 
-    The configs must differ only in their seeds and the scheme's hyperparameters. The stack
-    keeps every run's parameters and optimizer moments, one row an arm, and its batches'
-    activations with a leading arm axis, so each of its numpy calls serves every arm; each
-    run keeps its own split, init, shuffles, plans, flags, tracker and best model.
-    """
+    The stack keeps the runs' parameters and optimizer moments one row an arm, and its batches'
+    activations with a leading arm axis, so each numpy call of a step serves every arm."""
     if any(_stack_key(cfg) != _stack_key(cfgs[0]) for cfg in cfgs):
         raise ValueError("the runs of a stack may differ only in seed and the scheme's hyperparameters")
-    results: list[RunReport | Exception | None] = [None] * len(cfgs)
-    arms, slots = [], []  # the arms that run, and the place of each in `results`
-    for i, cfg in enumerate(cfgs):
-        try:
-            arms.append(_start(cfg, ds, test_ds))
-            slots.append(i)
-        except Exception as exc:  # noqa: BLE001
-            results[i] = exc
+    starts = [_attempt(_start, cfg, ds, test_ds) for cfg in cfgs]  # each arm, or the exception that stopped it
+    arms = [arm for arm in starts if isinstance(arm, _Arm)]
     if arms:
         cfg = arms[0].cfg
         inits = [arm.best_model for arm in arms]
@@ -418,23 +401,17 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         for epoch in range(1, cfg.epochs + 1):
             classifier.frozen_hidden = epoch <= cfg.frozen_epochs
             ends = _train_epoch(classifier, ds.features, arms, epoch, opt, buffers)  # its plans are gone: less to hold
-            models = [classifier.take(i) for i in range(len(arms))] if classifier.flat.ndim == 2 else [classifier.copy()]
-            for arm, model, end in zip(arms, models, ends):  # while the validation passes run
-                if end is not None:
-                    _fail_alone(arm, _record, arm, ds, model, epoch, *end)
+            for i, (arm, end) in enumerate(zip(arms, ends)):  # each arm's model after the epoch, as its own copy
+                model = classifier.take(i) if classifier.flat.ndim == 2 else classifier.copy()
+                arm.failure = end if isinstance(end, Exception) else _attempt(_record, arm, ds, model, epoch, *end)
             keep = [i for i, arm in enumerate(arms) if arm.failure is None]
             if len(keep) < len(arms):  # the failed arms leave the stack
-                for arm, slot in zip(arms, slots):
-                    results[slot] = arm.failure
-                arms, slots = [arms[i] for i in keep], [slots[i] for i in keep]
+                arms = [arms[i] for i in keep]
                 if not arms:
                     break
                 classifier, opt = classifier.take(keep), opt.take(keep)
                 buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
-    for arm, slot in zip(arms, slots):
-        report = _fail_alone(arm, _report, arm, ds, test_ds)
-        results[slot] = report if arm.failure is None else arm.failure
-    return results
+    return [arm if isinstance(arm, Exception) else arm.failure or _attempt(_report, arm, ds, test_ds) for arm in starts]
 
 
 def run(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None = None) -> RunReport:
