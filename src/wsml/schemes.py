@@ -204,19 +204,21 @@ def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float 
         flags.put(candidates[losses > threshold], True)
         return flags, float(threshold)
     # descending loss, NaN last; the stable sort keeps the candidates' order on ties
-    order = (-losses).argsort(kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(-losses, k)
+    order = (-losses).argsort(kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(losses, k)
     flags.put(candidates[order], True)
     return flags, float(losses[order[-1]])
 
 
-def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """np.argsort(keys, kind="stable")[:k] by a partition, which costs less than a sort on many keys: every
-    key below the k-th smallest, then its first ties. The sort's, when fewer than k keys are numbers."""
-    kth = np.partition(keys, k - 1)[k - 1]
+def _top_k(losses: np.ndarray, k: int) -> np.ndarray:
+    """(-losses).argsort(kind="stable")[:k] by a partition, which costs less than that sort on many losses:
+    every loss above the k-th largest, then its first ties. The sort's, when fewer than k losses are numbers."""
+    keys = -losses
+    keys.partition(k - 1)  # in place, so that the selection holds one copy of the losses
+    kth = -keys[k - 1]
     if math.isnan(kth):
-        return np.argsort(keys, kind="stable")[:k]
-    below = np.flatnonzero(keys < kth)
-    return np.concatenate([below, np.flatnonzero(keys == kth)[:k - len(below)]])
+        return (-losses).argsort(kind="stable")[:k]
+    above = np.flatnonzero(losses > kth)
+    return np.concatenate([above, np.flatnonzero(losses == kth)[:k - len(above)]])
 
 
 @dataclass

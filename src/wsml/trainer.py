@@ -249,16 +249,20 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
     order, its feature rows, each arm's, its probabilities, each arm's, and each arm's flags)."""
     arms, rows = classifier.flat.shape[:-1], min(batch_size, n)
     probs, flags, x = np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool), np.empty((*arms, rows, d))
-    per_arm = list if arms else (lambda a: [a])  # the 2-D part of each arm, or the array itself as the one arm's
     batches = []
     for start in range(0, n, batch_size):
         batch = slice(start, start + batch_size)
         batch_x, batch_probs = x[..., :n - start, :], probs[..., batch, :]  # fewer rows in a ragged last batch
-        batches.append((batch, batch_x, per_arm(batch_x), batch_probs, per_arm(batch_probs),
-                        per_arm(flags[..., batch, :])))
+        batches.append((batch, batch_x, _per_arm(batch_x), batch_probs, _per_arm(batch_probs),
+                        _per_arm(flags[..., batch, :])))
     grad = np.empty_like(classifier.flat)
     return (probs, np.empty((*arms, n, k)), flags, model_mod.ForwardPass.empty(classifier, rows), grad,
-            classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows), batches, per_arm)
+            classifier.views(grad), model_mod.ForwardPass.empty(classifier, rows), batches)
+
+
+def _per_arm(a: np.ndarray) -> list[np.ndarray]:
+    """The 2-D part of each arm of an array with a stack's arm axis, or the array itself as the one arm's."""
+    return list(a) if a.ndim == 3 else [a]
 
 
 def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
@@ -268,7 +272,7 @@ def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
     decision (the AN loss of its candidates alone, only if it can flag, flagging into its flag
     buffer), one gradient and one step of the stack. A lone arm's classifier and buffers have
     no arm axis, which spares its batches the per-arm loops over views."""
-    probs, seen, seen_flags, work, grad, grad_views, deltas, batches, per_arm = buffers
+    probs, seen, seen_flags, work, grad, grad_views, deltas, batches = buffers
     seen_flags.fill(False)
     visits = [_visit(arm, epoch) for arm in arms]
 
@@ -290,7 +294,7 @@ def _train_epoch(classifier, features, arms, epoch, opt, buffers) -> list:
         model_mod.step(classifier, grad, opt)
 
     return [_attempt(_end_epoch, arm, epoch, *arm_buffers, visit)
-            for arm, visit, *arm_buffers in zip(arms, visits, per_arm(probs), per_arm(seen), per_arm(seen_flags))]
+            for arm, visit, *arm_buffers in zip(arms, visits, _per_arm(probs), _per_arm(seen), _per_arm(seen_flags))]
 
 
 def _attempt(fn, *args):

@@ -90,10 +90,11 @@ def test_each_arm_of_a_drawn_stack_has_the_bits_it_has_alone(token, granularity,
         assert_same_report(report, run(cfg, ds, test))
 
 
-def tiny_stack(*seeds, token="ll-ct", **shared):
+def tiny_stack(*seeds):
+    """(LL-Ct configs, one an arm of each seed, and their dataset), with a ragged last batch."""
     full = generate_synthetic(SyntheticSpec(n=70, dim=4, classes=5, pos_rate=0.4, seed=1))
-    cfgs = [TrainConfig(SchemeConfig(Scheme(token), delta_rel=5.0 + seed), epochs=3, batch_size=7, arch="mlp1",
-                        hidden=6, seed=seed, **shared) for seed in seeds]
+    cfgs = [TrainConfig(SchemeConfig(Scheme.LL_CT, delta_rel=5.0 + seed), epochs=3, batch_size=7, arch="mlp1",
+                        hidden=6, seed=seed) for seed in seeds]
     return cfgs, make_single_positive(full, 1)
 
 
