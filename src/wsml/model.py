@@ -207,6 +207,7 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
 
 
 def _output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """(probs - targets) * weights of one model's batch, into `out`: the delta at its output layer's logits."""
     np.subtract(probs, targets, out=out)
     if any(weights.strides) or weights.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
         out *= weights
