@@ -451,9 +451,8 @@ def _cmd_sweep(args) -> int:
         _warn_if_batches_never_flag(p["settings"]["config"], data.k, f"sweep value {_sweep_value(p['value'])}: ")
     test = _load_test(args.test_data)
     workers = _worker_count(len(runnable))
-    # arms that train on the whole file go as `workers` stacks, dealt round-robin in value order; a subsampled arm
-    # has rows of its own, so it goes alone
-    stacks = [runnable[i::workers] for i in range(workers)] if all(
+    # whole-file arms go as up to `workers` stacks, dealt round-robin by value; a subsampled arm goes alone
+    stacks = [runnable[i::workers] for i in range(workers) if runnable[i:]] if all(
         p["settings"]["subsample"] is None for p in runnable) else [[p] for p in runnable]
     if workers > 1:
         pinning = (multiprocessing.Value("i", 0), io.usable_cpus())

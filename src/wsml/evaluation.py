@@ -64,19 +64,13 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
 def mean_average_precision(scores: np.ndarray, truth: np.ndarray) -> APResult:
     """Per-category AP over samples; the mean skips categories with no positives.
 
-    One sort ranks every category at once, in `average_precision`'s order
-    (a stable one where scores tie), and each category's AP is the same sum
-    over the same values."""
+    One stable sort ranks every category at once, in `average_precision`'s
+    order, and each category's AP is the same sum over the same values."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError(f"scores and truth must be equal-shape matrices, got {scores.shape} and {truth.shape}")
-    keys = -scores.T
-    order = keys.argsort(axis=1)  # the stable sort's order where no two keys of a category tie: the only one
-    sorted_keys = np.take_along_axis(keys, order, axis=1)
-    if not (sorted_keys[:, 1:] > sorted_keys[:, :-1]).all():  # a tie or a NaN: the stable sort breaks it by index
-        order = keys.argsort(axis=1, kind="stable")
-    ranked = np.take_along_axis(truth.T != 0, order, axis=1)
+    ranked = np.take_along_axis(truth.T != 0, np.argsort(-scores.T, axis=1, kind="stable"), axis=1)
     precision = np.cumsum(ranked, axis=1) / np.arange(1, scores.shape[0] + 1)
     per_category: list[float | None] = []
     for k, total in enumerate(truth.sum(axis=0)):

@@ -6,20 +6,18 @@ probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] so the elementwise
 binary cross entropy and its temporary-correction weights stay finite.
 Each classifier keeps its parameters in one contiguous float64 buffer with
 a view per tensor, and Adam keeps its moments the same way, so an optimizer
-step is one vector update. A stack of R classifiers of one architecture
-keeps them in an R x P buffer, one row each: forward, gradient and step then
-run every elementwise call once for all of them and each matrix product once
-per arm, on the 2-D views a lone classifier would have, so each arm keeps the
-bits it has alone. Classifier and OptimizerState are single-writer
-values; forward is pure and safe to share read-only across threads, while
-grad_check moves each parameter in place and back, so it needs the model to
-itself.
+step is one vector update. A stack of R classifiers keeps them in an R x P
+buffer, so each numpy call serves every arm; its products' `np.matmul` makes
+for each arm the BLAS call a lone classifier's `np.dot` makes, so each arm
+keeps its bits. Classifier and OptimizerState are single-writer values;
+forward is pure and safe to share read-only across threads, while grad_check
+moves each parameter in place and back, so it needs the model to itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +38,9 @@ __all__ = [
     "ForwardPass",
     "forward",
     "forward_pass",
+    "output_delta",
     "gradient",
+    "backward",
     "make_optimizer",
     "step",
     "grad_check",
@@ -86,8 +86,8 @@ class Classifier:
 
     frozen_hidden makes `step` train only the output layer (the first-epochs
     schedule); it is not serialized. `flat` holds every parameter in _LAYERS
-    order; `params` (by name) and `layers` (weight, bias as a 1 x H row) are views into it.
-    A stack's params carry a leading arm axis, and so do `flat` (R x P) and its views.
+    order; `params` (by name) and `layers` (weight, bias as a 1 x H row) are views into
+    it. A stack's params carry a leading arm axis, and so do `flat` (R x P) and its views.
     """
 
     arch: str
@@ -125,9 +125,12 @@ class Classifier:
     def copy(self) -> "Classifier":
         return Classifier(self.arch, self.params, self.frozen_hidden)  # __post_init__ copies into a new buffer
 
-    def take(self, keep) -> "Classifier":
-        """A copy of a stack's arms `keep`: an index, for that arm alone, or a list of them, for a smaller stack."""
-        return Classifier(self.arch, {name: p[keep] for name, p in self.params.items()}, self.frozen_hidden)
+    def arm(self, i: int) -> "Classifier":
+        """Arm i of a stack, whose parameters are views of the stack's: `copy` it to keep it."""
+        arm = object.__new__(Classifier)
+        arm.__dict__.update(self.__dict__, flat=self.flat[i], params={name: p[i] for name, p in self.params.items()},
+                            layers=[(w[i], b[i]) for w, b in self.layers])
+        return arm
 
     def __eq__(self, other):  # the same tensors (names and shapes) holding the same values
         return isinstance(other, Classifier) and self._layout == other._layout and np.array_equal(self.flat, other.flat)
@@ -167,29 +170,21 @@ class ForwardPass(NamedTuple):
                    [None, *(np.empty((*arms, rows, h)) for h in hidden)], [np.empty((*arms, rows, h)) for h in hidden])
 
 
-def _dot_per_arm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.dot(a, b, out=out) of each arm, for three arrays with a stack's arm axis."""
-    for a_arm, b_arm, out_arm in zip(a, b, out):
-        np.dot(a_arm, b_arm, out=out_arm)
-    return out
-
-
 def forward_pass(model: Classifier, x: np.ndarray, probs: np.ndarray | None = None,
                  buffers: ForwardPass | None = None) -> ForwardPass:
-    """Forward pass of a B x D float64 batch (R x B x D for a stack: a batch per arm) that
-    the caller has already checked; it computes no loss. probs: the B x K (R x B x K)
-    array the clamped probabilities go into. buffers: a ForwardPass of at least B rows
-    (`ForwardPass.empty`, or an earlier pass) whose other arrays this pass writes over.
-    Each is new when None."""
-    rows, dot = x.shape[-2], np.dot if x.ndim == 2 else _dot_per_arm
+    """Forward pass of a B x D float64 batch (R x B x D: a stack's) that the caller has already
+    checked; it computes no loss. probs: the B x K (R x B x K) array the clamped probabilities
+    go into. buffers: a ForwardPass of at least B rows (`ForwardPass.empty`, or an earlier pass)
+    whose other arrays this pass writes over. Each is new when None."""
+    rows, matmul = x.shape[-2], np.dot if x.ndim == 2 else np.matmul
     buffers = ForwardPass.empty(model, rows) if buffers is None else buffers
     inputs, pre = [x], []
     for (w, b), act, z in zip(model.layers, buffers.inputs[1:], buffers.pre):  # the hidden layers
-        pre.append(dot(inputs[-1], w.mT, out=z[..., :rows, :]))
+        pre.append(matmul(inputs[-1], w.mT, out=z[..., :rows, :]))
         pre[-1] += b
         inputs.append(np.maximum(pre[-1], 0.0, out=act[..., :rows, :]))
     w, b = model.layers[-1]
-    raw = dot(inputs[-1], w.mT, out=buffers.raw[..., :rows, :])
+    raw = matmul(inputs[-1], w.mT, out=buffers.raw[..., :rows, :])
     raw += b
     sigmoid(raw, out=raw)
     probs = np.maximum(raw, PROB_EPS, out=probs)
@@ -206,8 +201,8 @@ def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     return forward_pass(model, x).probs
 
 
-def _output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """(probs - targets) * weights of one model's batch, into `out`: the delta at its output layer's logits."""
+def output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """(probs - targets) * weights of one batch, into `out`: the delta at the output layer's logits."""
     np.subtract(probs, targets, out=out)
     if any(weights.strides) or weights.item(0) != 1.0:  # not one 1.0 broadcast over the batch: 1.0 * x is x
         out *= weights
@@ -217,36 +212,37 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
              out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None,
              deltas: ForwardPass | None = None) -> np.ndarray:
     """Gradient of the weighted mean binary cross entropy at the forward pass
-    `fwd`, as one vector laid out like `model.flat` (for a stack, one row per
-    arm): `out` when given (with `views`, its `model.views(out)`, if the caller
-    keeps them), else a new one. For a stack, targets and weights hold one B x K
-    array per arm. deltas: a pass other than `fwd` (`ForwardPass.empty`, at
-    least B rows) whose `raw` and `pre` take the layers' deltas; new when None.
+    `fwd`, laid out like `model.flat`: `out` when given (with `views`, its
+    `model.views(out)`, if the caller keeps them), else a new array. deltas: a
+    pass other than `fwd` (`ForwardPass.empty`, at least B rows) whose `raw`
+    and `pre` take the layers' deltas; new when None.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
     active the probability is constant in the parameters, so those entries
     contribute exactly zero gradient (matching the finite-difference view).
     """
-    b, k = fwd.probs.shape[-2:]
+    b = fwd.probs.shape[-2]
     deltas = ForwardPass.empty(model, b) if deltas is None else deltas
-    grad = deltas.raw[..., :b, :]  # at the output layer's logits
-    if grad.ndim == 2:
-        dot = np.dot
-        _output_delta(fwd.probs, targets, weights, grad)
-    else:
-        dot = _dot_per_arm
-        for arm in zip(fwd.probs, targets, weights, grad):
-            _output_delta(*arm)
+    output_delta(fwd.probs, targets, weights, deltas.raw[..., :b, :])
+    return backward(model, fwd, deltas, out, views)
+
+
+def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.ndarray | None = None,
+             views: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """`gradient`, from the delta at the output logits that `deltas.raw` already holds (`output_delta`
+    of each arm's own targets and weights, for a stack); writes over `deltas`."""
+    (b, k), matmul = fwd.probs.shape[-2:], np.dot if fwd.probs.ndim == 2 else np.matmul
+    grad = deltas.raw[..., :b, :]
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
     grad /= b * k
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
     for i, (w_name, b_name) in reversed(list(enumerate(_LAYERS[model.arch]))):
-        dot(grad.mT, fwd.inputs[i], out=g[w_name])
+        matmul(grad.mT, fwd.inputs[i], out=g[w_name])
         grad.sum(axis=-2, out=g[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation
-            grad = dot(grad, model.layers[i][0], out=deltas.pre[i - 1][..., :b, :])
+            grad = matmul(grad, model.layers[i][0], out=deltas.pre[i - 1][..., :b, :])
             grad *= fwd.pre[i - 1] > 0
     return out
 
@@ -262,11 +258,6 @@ class OptimizerState:
     v: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def take(self, keep: list[int]) -> "OptimizerState":
-        """A copy of the state of a stack's arms `keep`."""
-        moments = {} if self.m is None else {"m": self.m[keep], "v": self.v[keep], "work": self.work[:, keep]}
-        return replace(self, **moments)
 
 
 def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> OptimizerState:

@@ -312,13 +312,9 @@ def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np
 
 
 def apply_permanent_corrections(states: np.ndarray, flags: np.ndarray) -> int:
-    """Permanently correct the flagged UNKNOWN entries of the state matrix `states` to
-    CORRECTED_POS, in place; flags covers all of it. Returns the number of corrected entries.
-
-    This is the only legal state transition. A flag on an entry in another state is a
-    contract violation and raises before anything is mutated. The mutation shows in the
-    assume-negative targets of `states` from then on.
-    """
+    """Permanently correct the entries of the state matrix `states` that the same-shape mask `flags`
+    flags from UNKNOWN to CORRECTED_POS, in place, and return their number. This is the only legal
+    state transition: a flag on an entry in another state raises before anything is mutated."""
     flags = np.asarray(flags, dtype=bool)
     if flags.shape != states.shape:
         raise ValueError("correction mask shape does not match states")

@@ -631,6 +631,23 @@ class TestSweep:
         assert [c[:2] for c in cells[1:]] == [["0.5", "30"], ["1", "60"]]
         assert all(c[2] and c[3] for c in cells[1:])
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_sweep_whose_every_subsample_keeps_nothing_writes_each_row(self, tmp_path, sp_file, capsys,
+                                                                         monkeypatch, threads):
+        monkeypatch.setenv("WSML_THREADS", threads)
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            "sweep", "--param", "subsample", "--values", "0.002,0.001", "--data", str(sp_file),
+            "--scheme", "naive-an", "--epochs", "2", "--batch", "8", "--seed", "5", "--arch", "linear",
+            "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: sweep value {v}: subsample of 60 samples at fraction {v} keeps nothing"
+                       for v in ("0.001", "0.002")]
+        lines = out.read_text().splitlines()
+        assert lines[1] == "value,effective_n,best_val_map,best_epoch,test_map"
+        assert [line.split(",") for line in lines[2:]] == [["0.001", "", "", "", ""], ["0.002", "", "", "", ""]]
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched trainer reaches the workers only by fork")
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -294,7 +294,7 @@ class TestValidationMapWithoutTruth:
         for c in range(4):
             observed = (states[:, c] == P) | (states[:, c] == N)  # C and U entries leave the ranking
             aps.append(average_precision(probs[observed, c], states[observed, c] == P))
-        got = trainer_mod._validation_map(classifier, features, states, None)
+        got = trainer_mod._validation_map(classifier, PartialDataset(features, states), np.arange(len(states)))
         assert got == sum(aps) / len(aps)
 
     def test_no_observed_positive_raises(self):
@@ -302,7 +302,7 @@ class TestValidationMapWithoutTruth:
         states = rng.choice([int(N), int(U), int(C)], size=(10, 3)).astype(np.int8)
         classifier = model_mod.init_classifier("linear", 2, 3, seed=1)
         with pytest.raises(ValueError) as err:
-            trainer_mod._validation_map(classifier, rng.standard_normal((10, 2)), states, None)
+            trainer_mod._validation_map(classifier, PartialDataset(rng.standard_normal((10, 2)), states), np.arange(10))
         assert str(err.value) == "validation mAP undefined: no category has an observed positive"
 
 
