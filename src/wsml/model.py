@@ -60,6 +60,7 @@ MODEL_HEADER = "WSMLMODEL/1"
 # one-hidden-layer ReLU network. This is the buffer and checkpoint order, so the output layer ends `flat`.
 _LAYERS = {"linear": (("W", "b"),), "mlp1": (("W1", "b1"), ("W2", "b2"))}
 ARCHS = {arch: len(layers) for arch, layers in _LAYERS.items()}  # architecture -> number of layers
+_BACKWARD = {arch: [*reversed([*enumerate(layers)])] for arch, layers in _LAYERS.items()}  # (index, names), output first
 OPTIMIZERS = ("sgd", "adam")
 
 
@@ -238,7 +239,7 @@ def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.n
     grad /= b * k
     out = np.empty_like(model.flat) if out is None else out
     g = model.views(out) if views is None else views
-    for i, (w_name, b_name) in reversed(list(enumerate(_LAYERS[model.arch]))):
+    for i, (w_name, b_name) in _BACKWARD[model.arch]:
         matmul(grad.mT, fwd.inputs[i], out=g[w_name])
         grad.sum(axis=-2, out=g[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation

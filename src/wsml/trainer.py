@@ -362,16 +362,15 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         raise ValueError("the runs of a stack may differ only in seed and the scheme's hyperparameters")
     starts = [_attempt(_start, cfg, ds, test_ds) for cfg in cfgs]  # each arm, or the exception that stopped it
     arms = [arm for arm in starts if isinstance(arm, _Arm)]
-    if arms:
-        cfg = arms[0].cfg
-        stack = model_mod.Classifier(cfg.arch, {name: np.stack([arm.best_model.params[name] for arm in arms])
-                                                for name in arms[0].best_model.params})
+    if arms:  # `first` has every setting they share, whether it started or not
+        stack = model_mod.Classifier(first.arch, {name: np.stack([arm.best_model.params[name] for arm in arms])
+                                                  for name in arms[0].best_model.params})
         # a lone run trains without the arm axis: np.dot's call costs about 0.65 us less than np.matmul's
         classifier = stack.arm(0) if len(arms) == 1 else stack
-        opt = model_mod.make_optimizer(cfg.optimizer, cfg.learning_rate, classifier)
-        buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, cfg.batch_size)
-        for epoch in range(1, cfg.epochs + 1):
-            classifier.frozen_hidden = epoch <= cfg.frozen_epochs
+        opt = model_mod.make_optimizer(first.optimizer, first.learning_rate, classifier)
+        buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, first.batch_size)
+        for epoch in range(1, first.epochs + 1):
+            classifier.frozen_hidden = epoch <= first.frozen_epochs
             _train_epoch(stack, classifier, ds, arms, epoch, opt, buffers)
             if all(arm.failure is not None for arm in arms):
                 break
