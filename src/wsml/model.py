@@ -175,21 +175,21 @@ def forward_pass(model: Classifier, x: np.ndarray, probs: np.ndarray | None = No
                  buffers: ForwardPass | None = None) -> ForwardPass:
     """Forward pass of a B x D float64 batch (R x B x D: a stack's) that the caller has already
     checked; it computes no loss. probs: the B x K (R x B x K) array the clamped probabilities
-    go into. buffers: a ForwardPass of at least B rows (`ForwardPass.empty`, or an earlier pass)
-    whose other arrays this pass writes over. Each is new when None."""
-    rows, matmul = x.shape[-2], np.dot if x.ndim == 2 else np.matmul
-    buffers = ForwardPass.empty(model, rows) if buffers is None else buffers
-    inputs, pre = [x], []
+    go into. buffers: a ForwardPass of B rows (`ForwardPass.empty`, or an earlier pass) whose
+    other arrays this pass writes over. Each is new when None."""
+    matmul = np.dot if x.ndim == 2 else np.matmul
+    buffers = ForwardPass.empty(model, x.shape[-2]) if buffers is None else buffers
+    h = x
     for (w, b), act, z in zip(model.layers, buffers.inputs[1:], buffers.pre):  # the hidden layers
-        pre.append(matmul(inputs[-1], w.mT, out=z[..., :rows, :]))
-        pre[-1] += b
-        inputs.append(np.maximum(pre[-1], 0.0, out=act[..., :rows, :]))
+        matmul(h, w.mT, out=z)
+        z += b
+        h = np.maximum(z, 0.0, out=act)
     w, b = model.layers[-1]
-    raw = matmul(inputs[-1], w.mT, out=buffers.raw[..., :rows, :])
+    raw = matmul(h, w.mT, out=buffers.raw)
     raw += b
     sigmoid(raw, out=raw)
     probs = np.maximum(raw, PROB_EPS, out=probs)
-    return ForwardPass(np.minimum(probs, 1.0 - PROB_EPS, out=probs), raw, inputs, pre)
+    return ForwardPass(np.minimum(probs, 1.0 - PROB_EPS, out=probs), raw, [x, *buffers.inputs[1:]], buffers.pre)
 
 
 def forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -215,17 +215,16 @@ def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: 
     """Gradient of the weighted mean binary cross entropy at the forward pass
     `fwd`, laid out like `model.flat`: `out` when given (with `views`, its
     `model.views(out)`, if the caller keeps them), else a new array. deltas: a
-    pass other than `fwd` (`ForwardPass.empty`, at least B rows) whose `raw`
-    and `pre` take the layers' deltas; new when None.
+    pass of B rows other than `fwd` (`ForwardPass.empty`) whose `raw` and
+    `pre` take the layers' deltas; new when None.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
     as constants, P the clamped forward probabilities. Where the clamp is
     active the probability is constant in the parameters, so those entries
     contribute exactly zero gradient (matching the finite-difference view).
     """
-    b = fwd.probs.shape[-2]
-    deltas = ForwardPass.empty(model, b) if deltas is None else deltas
-    output_delta(fwd.probs, targets, weights, deltas.raw[..., :b, :])
+    deltas = ForwardPass.empty(model, fwd.probs.shape[-2]) if deltas is None else deltas
+    output_delta(fwd.probs, targets, weights, deltas.raw)
     return backward(model, fwd, deltas, out, views)
 
 
@@ -234,7 +233,7 @@ def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.n
     """`gradient`, from the delta at the output logits that `deltas.raw` already holds (`output_delta`
     of each arm's own targets and weights, for a stack); writes over `deltas`."""
     (b, k), matmul = fwd.probs.shape[-2:], np.dot if fwd.probs.ndim == 2 else np.matmul
-    grad = deltas.raw[..., :b, :]
+    grad = deltas.raw
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
     grad /= b * k
     out = np.empty_like(model.flat) if out is None else out
@@ -243,7 +242,7 @@ def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.n
         matmul(grad.mT, fwd.inputs[i], out=g[w_name])
         grad.sum(axis=-2, out=g[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation
-            grad = matmul(grad, model.layers[i][0], out=deltas.pre[i - 1][..., :b, :])
+            grad = matmul(grad, model.layers[i][0], out=deltas.pre[i - 1])
             grad *= fwd.pre[i - 1] > 0
     return out
 

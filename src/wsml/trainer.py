@@ -226,25 +226,24 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
 
 
 def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
-    """A stack's reused arrays: each arm's rows of the dataset, (probabilities, AN losses, flags) of them
-    in visiting order, the forward pass, gradient and deltas, and for each batch, made once, its slice,
-    rows, feature rows, probabilities, and each arm's probabilities, flags and output delta."""
+    """A stack's reused arrays: each arm's rows of the dataset, (probabilities, AN losses, flags) of them in
+    visiting order, the gradient, and for each batch, made once, its slice, rows, feature rows, probabilities,
+    forward pass and gradient deltas, and each arm's probabilities, flags and output delta."""
     arms, full = classifier.flat.shape[:-1], min(batch_size, n)
 
     def per_arm(a):  # each arm's part of an array, or the one part of a lone run's, which has no arm axis
         return list(a.reshape(-1, *a.shape[len(arms):]))
 
     rows, probs, flags = np.empty((*arms, n), dtype=np.int64), np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool)
-    work, deltas = model_mod.ForwardPass.empty(classifier, full), model_mod.ForwardPass.empty(classifier, full)
-    x = {size: np.empty((*arms, size, d)) for size in (full, n % batch_size or full)}  # a ragged last batch's fewer rows
+    passes = {size: (np.empty((*arms, size, d)), *(model_mod.ForwardPass.empty(classifier, size) for _ in range(2)))
+              for size in (full, n % batch_size or full)}  # (feature rows, forward pass, deltas): full and last batch
     batches = []
     for start in range(0, n, batch_size):
-        batch, size = slice(start, start + batch_size), min(batch_size, n - start)
-        batches.append((batch, rows[..., batch], x[size], probs[..., batch, :],
-                        list(zip(*map(per_arm, (probs[..., batch, :], flags[..., batch, :], deltas.raw[..., :size, :]))))))
+        batch, (x, work, deltas) = slice(start, start + batch_size), passes[min(batch_size, n - start)]
+        batches.append((batch, rows[..., batch], x, probs[..., batch, :], work, deltas,
+                        list(zip(*map(per_arm, (probs[..., batch, :], flags[..., batch, :], deltas.raw))))))
     grad, seen = np.empty_like(classifier.flat), np.empty((*arms, n, k))
-    return (per_arm(rows), [*zip(*map(per_arm, (probs, seen, flags)))], flags, work, grad, classifier.views(grad),
-            deltas, batches)
+    return per_arm(rows), [*zip(*map(per_arm, (probs, seen, flags)))], flags, grad, classifier.views(grad), batches
 
 
 def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch: int, opt, buffers) -> None:
@@ -252,7 +251,7 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     then each live arm's epoch end, or the exception that stops it as its `failure`. A batch takes every
     arm's feature rows, runs one forward pass, each arm's decision (the AN loss of its candidates alone,
     only if it can flag, into its flag buffer) and output delta, then one backward pass and one step."""
-    arm_rows, arm_ends, flags, work, grad, grad_views, deltas, batches = buffers
+    arm_rows, arm_ends, flags, grad, grad_views, batches = buffers
     flags.fill(False)
     for arm, rows in zip(arms, arm_rows):
         if arm.failure is None:
@@ -263,7 +262,7 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
                 arm.plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
             arm.thresholds = []
 
-    for batch, batch_rows, x, batch_probs, arm_views in batches:
+    for batch, batch_rows, x, batch_probs, work, deltas, arm_views in batches:
         ds.features.take(batch_rows, axis=0, out=x, mode="clip")  # clip: the rows are valid, and raise buffers `out`
         fwd = model_mod.forward_pass(classifier, x, batch_probs, work)
         for arm, (arm_probs, arm_flags, delta) in zip(arms, arm_views):

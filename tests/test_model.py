@@ -260,11 +260,11 @@ class TestFlatBuffers:
         m = init_classifier(arch, 4, 3, hidden=5, seed=3)
         x = np.random.default_rng(3).standard_normal((6, 4)) * 4.0
         fresh = forward_pass(m, x)
-        buffers = ForwardPass.empty(m, 6)
+        buffers = {rows: ForwardPass.empty(m, rows) for rows in (6, 4)}
         probs = np.full((9, 3), np.nan)
         for rows in (6, 4, 6):  # a full batch, a ragged one, then a full one again
-            fwd = forward_pass(m, x[:rows], probs[2:2 + rows], buffers)
-            assert np.shares_memory(fwd.probs, probs) and np.shares_memory(fwd.raw, buffers.raw)
+            fwd = forward_pass(m, x[:rows], probs[2:2 + rows], buffers[rows])
+            assert np.shares_memory(fwd.probs, probs) and np.shares_memory(fwd.raw, buffers[rows].raw)
             assert fwd.inputs[0] is not None and fwd.inputs[0].shape == (rows, 4)
             for got, want in zip([fwd.probs, fwd.raw, *fwd.inputs[1:], *fwd.pre],
                                  [fresh.probs, fresh.raw, *fresh.inputs[1:], *fresh.pre]):
