@@ -247,10 +247,9 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
 
 
 def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch: int, opt, buffers) -> None:
-    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' training data,
-    then each live arm's epoch end, or the exception that stops it as its `failure`. A batch takes every
-    arm's feature rows, runs one forward pass, each arm's decision (the AN loss of its candidates alone,
-    only if it can flag, into its flag buffer) and output delta, then one backward pass and one step."""
+    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each
+    live arm's epoch end and record, or the exception that stops it as its `failure`. A batch takes every arm's
+    feature rows, one forward pass, each arm's decision and output delta, one backward pass and one step."""
     arm_rows, arm_ends, flags, grad, grad_views, batches = buffers
     flags.fill(False)
     for arm, rows in zip(arms, arm_rows):
@@ -274,9 +273,10 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
         model_mod.backward(classifier, fwd, deltas, grad, grad_views)
         model_mod.step(classifier, grad, opt)
 
-    for i, (arm, ends) in enumerate(zip(arms, arm_ends)):
+    ends = [arm.failure or _attempt(_end_epoch, arm, epoch, *bufs) for arm, bufs in zip(arms, arm_ends)]
+    for i, (arm, end) in enumerate(zip(arms, ends)):  # validated once every arm's plan is freed: less to hold
         if arm.failure is None:  # its model after the epoch is a view of its row of the stack
-            arm.failure = _attempt(_end_epoch, arm, epoch, *ends, stack.arm(i), ds)
+            arm.failure = end if isinstance(end, Exception) else _attempt(_record, arm, end, stack.arm(i), ds)
 
 
 def _attempt(fn, *args):
@@ -287,12 +287,10 @@ def _attempt(fn, *args):
         return exc
 
 
-def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, model, ds: PartialDataset) -> None:
-    """An arm's epoch end, from its epoch's (probabilities, AN losses, flags) in visiting order and its
-    model after the epoch: losses, tracker fold, selection, corrections, validation and record (a copy of
-    the model is its best model while its validation mAP is the best). Raises TrainingDiverged on a
-    non-finite batch loss. `schemes.epoch_losses` takes one AN-loss log pass into `seen` and makes each
-    batch's weighted loss from it; `probs` then takes the AN losses by row."""
+def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags) -> EpochRecord:
+    """An arm's epoch end from its (probabilities, AN losses, flags) in visiting order: losses, tracker fold,
+    selection and corrections; returns its record but for validation. Raises TrainingDiverged on a non-finite
+    batch loss. `epoch_losses` takes one AN-loss log pass into `seen`; `probs` then takes them by row."""
     cfg, plan, order, states = arm.cfg, arm.plan, arm.order, arm.states
     n, k = states.shape
 
@@ -319,16 +317,21 @@ def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags, model, ds: Partia
                                                    plan.threshold, flags)
         if not math.isnan(threshold):
             arm.thresholds.append(threshold)
-    arm.plan = plan = None  # freed before validation: less to hold
+    arm.plan = None  # freed before validation: less to hold
     flagged = schemes.apply_permanent_corrections(states, flags) if arm.permanent else int(flags.sum())
     arm.cum_corrections += flagged if arm.permanent else 0
-    val_map = _validation_map(model, ds, arm.val_idx) * 100.0
-    arm.records.append(EpochRecord(  # flag_precision is filled in at the run's end, once all epochs exist
-        epoch=epoch, train_loss=weighted_total / (n * k), val_map=val_map, flags=flagged,
+    return EpochRecord(  # val_map comes with `_record`, flag_precision at the run's end, once all epochs exist
+        epoch=epoch, train_loss=weighted_total / (n * k), val_map=math.nan, flags=flagged,
         flags_true_pos=None if arm.truth is None else int((flags & (arm.truth == 1)).sum()), flag_precision=None,
-        cum_corrections=arm.cum_corrections, threshold_min=min(arm.thresholds, default=float("nan"))))
-    if val_map > arm.best_val:
-        arm.best_val, arm.best_epoch, arm.best_model = val_map, epoch, model.copy()
+        cum_corrections=arm.cum_corrections, threshold_min=min(arm.thresholds, default=float("nan")))
+
+
+def _record(arm: _Arm, record: EpochRecord, model, ds: PartialDataset) -> None:
+    """Record an arm's epoch with its model's validation mAP, and keep a copy of the model if that is the best yet."""
+    record.val_map = _validation_map(model, ds, arm.val_idx) * 100.0
+    arm.records.append(record)
+    if record.val_map > arm.best_val:
+        arm.best_val, arm.best_epoch, arm.best_model = record.val_map, record.epoch, model.copy()
 
 
 def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> RunReport:
@@ -352,9 +355,8 @@ def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> Ru
 def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
               test_ds: PartialDataset | None = None) -> list[RunReport | Exception]:
     """Train the runs `cfgs`, which may differ only in seed and the scheme's hyperparameters, over `ds` in
-    lockstep: their parameters, optimizer moments and activations share arrays with an arm axis, so each
-    numpy call of a step serves every arm. Returns, in order, each run's report, with the bits `run` gives
-    it, or the exception that stopped that run alone (the others go on without it)."""
+    lockstep: their parameters, moments and activations share arrays with an arm axis, so each numpy call
+    serves every arm. Returns each run's report, with the bits `run` gives it, or what stopped it alone."""
     first = cfgs[0]
     if any(replace(cfg, seed=first.seed, scheme=first.scheme) != first or cfg.scheme.scheme != first.scheme.scheme
            for cfg in cfgs):
