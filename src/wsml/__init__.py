@@ -22,6 +22,6 @@ from .schemes import (
     rejection_rate,
     select_large_losses,
 )
-from .trainer import EpochRecord, MemorizationTracker, RunReport, TrainConfig, TrainingDiverged, modification_precision, run, split
+from .trainer import EpochRecord, MemorizationTracker, RunReport, TrainConfig, TrainingDiverged, run, split
 
 __version__ = "0.1.0"

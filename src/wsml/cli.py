@@ -441,8 +441,9 @@ def _cmd_sweep(args) -> int:
     data = ds_mod.load_dataset(args.data)  # once for every arm
     results = {}  # value -> its cells after the value, or the message of the error that stopped it
     for p in payloads:  # a subsample that keeps nothing is named before the test data loads
-        try:
-            _subsample(data, p["settings"])
+        try:  # its indices alone: the arm's worker takes its rows
+            if p["settings"]["subsample"] is not None:
+                ds_mod.subsample_indices(data.n, p["settings"]["subsample"], p["settings"]["config"].seed)
         except ValueError as exc:
             results[p["value"]] = str(exc)
             _arm_failed(p["value"], str(exc))

@@ -39,7 +39,6 @@ __all__ = [
     "forward",
     "forward_pass",
     "output_delta",
-    "gradient",
     "backward",
     "make_optimizer",
     "step",
@@ -209,29 +208,16 @@ def output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, ou
         out *= weights
 
 
-def gradient(model: Classifier, fwd: ForwardPass, targets: np.ndarray, weights: np.ndarray,
-             out: np.ndarray | None = None, views: dict[str, np.ndarray] | None = None,
-             deltas: ForwardPass | None = None) -> np.ndarray:
-    """Gradient of the weighted mean binary cross entropy at the forward pass
-    `fwd`, laid out like `model.flat`: `out` when given (with `views`, its
-    `model.views(out)`, if the caller keeps them), else a new array. deltas: a
-    pass of B rows other than `fwd` (`ForwardPass.empty`) whose `raw` and
-    `pre` take the layers' deltas; new when None.
-
-    The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated
-    as constants, P the clamped forward probabilities. Where the clamp is
-    active the probability is constant in the parameters, so those entries
-    contribute exactly zero gradient (matching the finite-difference view).
-    """
-    deltas = ForwardPass.empty(model, fwd.probs.shape[-2]) if deltas is None else deltas
-    output_delta(fwd.probs, targets, weights, deltas.raw)
-    return backward(model, fwd, deltas, out, views)
-
-
 def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.ndarray | None = None,
              views: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """`gradient`, from the delta at the output logits that `deltas.raw` already holds (`output_delta`
-    of each arm's own targets and weights, for a stack); writes over `deltas`."""
+    """Gradient of the weighted mean binary cross entropy at the forward pass `fwd`, laid out like `model.flat`:
+    `out` when given (with `views`, its `model.views(out)`, if the caller keeps them), else a new array. deltas: a
+    pass of B rows other than `fwd` (`ForwardPass.empty`) whose `raw` holds the delta at the output logits
+    (`output_delta`, of each arm's own targets and weights for a stack); the layers' deltas go over it.
+
+    The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated as constants, P the clamped forward
+    probabilities. Where the clamp is active the probability is constant in the parameters, so those entries
+    contribute exactly zero gradient (matching the finite-difference view)."""
     (b, k), matmul = fwd.probs.shape[-2:], np.dot if fwd.probs.ndim == 2 else np.matmul
     grad = deltas.raw
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
@@ -271,7 +257,7 @@ def make_optimizer(kind: str, learning_rate: float, model: Classifier) -> Optimi
 def step(model: Classifier, grads: np.ndarray, opt: OptimizerState) -> None:
     """Apply one optimizer step in place, to the output layer alone if `model.frozen_hidden`.
 
-    grads: laid out like `model.flat`, as `gradient` returns. Adam's
+    grads: laid out like `model.flat`, as `backward` returns. Adam's
     temporaries go into `opt.work`, so a step allocates nothing.
     """
     start = model._layout[-2][1] if model.frozen_hidden else 0  # where the output layer's weight starts
@@ -299,10 +285,10 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
     Relative error per parameter is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8).
     Intended for small models (about 1e3 parameters or fewer).
     """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    analytic = gradient(model, forward_pass(model, x), targets, weights)
+    x, targets, weights = (np.asarray(a, dtype=np.float64) for a in (x, targets, weights))
+    fwd, deltas = forward_pass(model, x), ForwardPass.empty(model, x.shape[0])
+    output_delta(fwd.probs, targets, weights, deltas.raw)  # the training loop's calls
+    analytic = backward(model, fwd, deltas)
 
     def loss() -> float:
         return float((weights * bce_elementwise(forward(model, x), targets)).sum() / (x.shape[0] * model.num_classes))

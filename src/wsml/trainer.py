@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "split_indices",
     "run",
     "run_stack",
-    "modification_precision",
 ]
 
 
@@ -147,20 +145,6 @@ def split(ds: PartialDataset, fraction: float, seed):
     return ds.take(keep), ds.take(out)
 
 
-def modification_precision(flag_counts, true_counts, cumulative: bool = False):
-    """Per-epoch precision of flagged/corrected labels against ground truth.
-
-    Per-epoch ratio for rejection/temporary correction; running ratio over
-    all corrections so far when cumulative (permanent correction). Epochs
-    whose denominator is zero report None rather than 0.
-    """
-    if len(flag_counts) != len(true_counts):
-        raise ValueError("flag_counts and true_counts must have equal length")
-    if cumulative:
-        flag_counts, true_counts = accumulate(flag_counts), accumulate(true_counts)
-    return [true / flags if flags else None for flags, true in zip(flag_counts, true_counts)]
-
-
 def _validation_map(classifier, ds: PartialDataset, rows: np.ndarray) -> float:
     """Validation mAP as a fraction over the dataset's `rows`, whose features are taken for the pass
     alone: against truth when present, otherwise over observed entries only (unknown entries leave
@@ -198,6 +182,7 @@ class _Arm:
     epoch_level: bool  # permanent corrections selected over the epoch's losses, at epoch end
     records: list[EpochRecord] = field(default_factory=list)
     cum_corrections: int = 0
+    cum_true_pos: int = 0  # true positives among all flags so far: under LL-Cp, its corrections
     best_epoch: int = 0
     best_val: float = -1.0
     failure: Exception | None = None  # what stopped the run: the stack skips its row from then on
@@ -320,9 +305,13 @@ def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags) -> EpochRecord:
     arm.plan = None  # freed before validation: less to hold
     flagged = schemes.apply_permanent_corrections(states, flags) if arm.permanent else int(flags.sum())
     arm.cum_corrections += flagged if arm.permanent else 0
-    return EpochRecord(  # val_map comes with `_record`, flag_precision at the run's end, once all epochs exist
-        epoch=epoch, train_loss=weighted_total / (n * k), val_map=math.nan, flags=flagged,
-        flags_true_pos=None if arm.truth is None else int((flags & (arm.truth == 1)).sum()), flag_precision=None,
+    true_pos = None if arm.truth is None else int((flags & (arm.truth == 1)).sum())
+    arm.cum_true_pos += true_pos or 0
+    # the precision of LL-Cp's corrections so far, else of this epoch's flags; None without truth or flags
+    hits, total = (arm.cum_true_pos, arm.cum_corrections) if arm.permanent else (true_pos, flagged)
+    return EpochRecord(  # val_map comes with `_record`
+        epoch=epoch, train_loss=weighted_total / (n * k), val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
+        flag_precision=hits / total if true_pos is not None and total else None,
         cum_corrections=arm.cum_corrections, threshold_min=min(arm.thresholds, default=float("nan")))
 
 
@@ -335,19 +324,11 @@ def _record(arm: _Arm, record: EpochRecord, model, ds: PartialDataset) -> None:
 
 
 def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> RunReport:
-    """A finished arm's report, with its flag precisions and its best model's test mAP."""
-    records = arm.records
-    if arm.truth is not None:
-        precisions = modification_precision(
-            [r.flags for r in records], [r.flags_true_pos for r in records], cumulative=arm.permanent)
-        for record, prec in zip(records, precisions):
-            record.flag_precision = prec
-
+    """A finished arm's report, with its best model's test mAP."""
     test_map = None if test_ds is None else evaluation.mean_average_precision(
         model_mod.forward(arm.best_model, test_ds.features), test_ds.truth).mean * 100.0
-
     arm.best_model.frozen_hidden = False
-    return RunReport(records=records, best_epoch=arm.best_epoch, best_val_map=arm.best_val, best_model=arm.best_model,
+    return RunReport(records=arm.records, best_epoch=arm.best_epoch, best_val_map=arm.best_val, best_model=arm.best_model,
                      test_map=test_map, tracker=arm.tracker, train_indices=arm.train_idx, effective_n=ds.n,
                      initial_states=ds.states[arm.train_idx], final_states=arm.states.copy())
 

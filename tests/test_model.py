@@ -8,13 +8,14 @@ from wsml.model import (
     PROB_EPS,
     Classifier,
     ForwardPass,
+    backward as model_backward,
     forward,
     forward_pass,
     grad_check,
-    gradient,
     init_classifier,
     load_model,
     make_optimizer,
+    output_delta,
     save_model,
     step,
 )
@@ -28,8 +29,15 @@ def random_batch(rng, model, b):
     return x, targets, weights
 
 
+def delta_backward(model, fwd, targets, weights, *out):
+    """The training loop's gradient at the pass `fwd`: `output_delta` into a fresh pass, then `backward`."""
+    deltas = ForwardPass.empty(model, fwd.probs.shape[0])
+    output_delta(fwd.probs, targets, weights, deltas.raw)
+    return model_backward(model, fwd, deltas, *out)
+
+
 def flat_gradient(model, x, targets, weights):
-    return gradient(model, forward_pass(model, x), targets, weights)
+    return delta_backward(model, forward_pass(model, x), targets, weights)
 
 
 def backward(model, x, targets, weights):
@@ -233,17 +241,17 @@ class TestFlatBuffers:
         raw[:, 0], raw[:, 1], raw[:, 2] = 0.0, 1.0, PROB_EPS
         raw[0, 0], raw[1, 1] = 1.0, 0.0
         fwd = fwd._replace(probs=np.clip(raw, PROB_EPS, 1.0 - PROB_EPS))
-        fresh = gradient(model, fwd, targets, weights)
+        fresh = delta_backward(model, fwd, targets, weights)
         buf = np.full_like(model.flat, np.nan)
-        assert gradient(model, fwd, targets, weights, out=buf) is buf
+        assert delta_backward(model, fwd, targets, weights, buf) is buf
         assert buf.tobytes() == fresh.tobytes()
         views = model.views(buf)
         buf[:] = np.nan
-        assert gradient(model, fwd, targets, weights, buf, views) is buf
+        assert delta_backward(model, fwd, targets, weights, buf, views) is buf
         assert buf.tobytes() == fresh.tobytes()
         bias = views["b" if arch == "linear" else "b2"]
         assert bias[0] == bias[1] == 0.0 and bias[2] != 0.0  # clamped entries add nothing
-        assert not np.shares_memory(fresh, gradient(model, fwd, targets, weights))
+        assert not np.shares_memory(fresh, delta_backward(model, fwd, targets, weights))
 
     def test_frozen_hidden_layer_keeps_its_bits_under_both_optimizers(self):
         for kind in ("sgd", "adam"):

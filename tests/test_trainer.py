@@ -17,7 +17,6 @@ from wsml.trainer import (
     MemorizationTracker,
     TrainConfig,
     TrainingDiverged,
-    modification_precision,
     run,
     split,
     split_indices,
@@ -67,23 +66,6 @@ class TestSplit:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="empty side"):
             split_indices(3, 0.01, seed=0)
-
-
-class TestModificationPrecision:
-    def test_per_epoch_ratio(self):
-        assert modification_precision([4], [3]) == [0.75]
-
-    def test_zero_flags_is_absent_not_zero(self):
-        assert modification_precision([0, 2], [0, 1]) == [None, 0.5]
-
-    def test_cumulative_running_ratio(self):
-        out = modification_precision([2, 1], [2, 0], cumulative=True)
-        assert out[0] == 1.0
-        assert out[1] == pytest.approx(2.0 / 3.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            modification_precision([1], [1, 2])
 
 
 class TestMemorizationTracker:
