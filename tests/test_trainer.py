@@ -68,6 +68,37 @@ class TestSplit:
             split_indices(3, 0.01, seed=0)
 
 
+class TestModificationPrecision:
+    """Each record's `flag_precision`: the share of flagged entries that are true positives."""
+
+    def test_per_epoch_ratio(self):
+        rep = run(config("ll-r", delta_rel=30.0, epochs=4), tiny_partial(n=60, seed=2))
+        flagged = [r for r in rep.records if r.flags > 0]
+        assert flagged
+        assert all(r.flag_precision == r.flags_true_pos / r.flags for r in flagged)
+
+    def test_zero_flags_is_absent_not_zero(self):
+        for token, kw in (("ll-r", dict(delta_rel=30.0)), ("ll-cp", dict(delta_rel=30.0)), ("naive-an", {})):
+            rep = run(config(token, epochs=3, **kw), tiny_partial(n=60, seed=2))
+            assert rep.records[0].flags == 0  # the first epoch never selects
+            assert rep.records[0].flag_precision is None
+            if token == "naive-an":
+                assert all(r.flag_precision is None for r in rep.records)
+        ds = tiny_partial(n=60, seed=2)
+        rep = run(config("ll-r", delta_rel=30.0, epochs=4), dataclasses.replace(ds, truth=None))
+        assert any(r.flags > 0 for r in rep.records)
+        assert all(r.flags_true_pos is None and r.flag_precision is None for r in rep.records)
+
+    @pytest.mark.parametrize("granularity", ["epoch", "batch"])
+    def test_cumulative_running_ratio(self, granularity):
+        rep = run(config("ll-cp", delta_rel=30.0, epochs=5, llcp_granularity=granularity), tiny_partial(n=60, seed=5))
+        hits = np.cumsum([r.flags_true_pos for r in rep.records])
+        assert rep.records[-1].cum_corrections > 0
+        for record, hit in zip(rep.records, hits):
+            expected = int(hit) / record.cum_corrections if record.cum_corrections else None
+            assert record.flag_precision == expected
+
+
 class TestMemorizationTracker:
     def test_running_max_keeps_first_epoch_on_ties(self):
         t = MemorizationTracker(1, 2)
