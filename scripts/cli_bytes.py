@@ -22,10 +22,11 @@ linear one, one of them to stdout, a train and an eval on a copy of the
 partialized corpus with comment lines inside its blocks, a train on a copy
 whose state disagrees with its truth, a train on a copy cut before its TRUTH
 line, whose validation mAP ranks the observed entries alone, a 2-worker, a
-1-worker and a failing sweep, and two delta-rel sweeps whose arms train as
+1-worker and a failing sweep, and three delta-rel sweeps whose arms train as
 stacks: four LL-Cp arms in one stack, with a frozen first epoch and a ragged
-last batch, and five LL-Ct arms that two workers take as stacks of three and
-two. Each side runs in its own empty directory with
+last batch, three LL-R arms in one stack, whose flagged entries train with
+weight 0, with a ragged last batch, and five LL-Ct arms that two workers take
+as stacks of three and two. Each side runs in its own empty directory with
 relative paths. Every output file and each command's stdout, stderr and exit
 code are then compared byte for byte; the files that differ are printed, the
 outputs are kept for inspection and the exit code is 1.
@@ -185,6 +186,8 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         # delta-rel sweeps train their arms as stacks: one of four arms with a ragged last batch (240 training rows)
         sweep("sweep-stack-1w", "1", "delta-rel", "5,2,10,1", "ll-cp", "--hidden", "8", "--frozen-epochs", "1",
               "--test-data", "test.wsml", arch="mlp1", batch=7),
+        # three rejecting arms in one stack, with a ragged last batch
+        sweep("sweep-stack-llr", "1", "delta-rel", "5,2,10", "ll-r", "--hidden", "8", arch="mlp1", batch=7),
         # two workers deal five arms into stacks of three and two
         sweep("sweep-stack-2w", "2", "delta-rel", "0.5,1,2,4,8", "ll-ct", "--hidden", "8", arch="mlp1"),
     ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "absolute_threshold",
     "quota",
     "select_large_losses",
+    "plan_rows",
     "plan_epoch",
     "decide_planned",
     "epoch_losses",
@@ -134,18 +135,13 @@ def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = 
 
 
 def bce_elementwise(probs: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise binary cross entropy targets * -log p + (1 - targets) * -log(1 - p);
-    probs must be pre-clamped away from {0, 1}. out: where to write it, which
-    may be probs itself; new when None."""
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if probs.shape != targets.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs targets {targets.shape}")
+    """Elementwise binary cross entropy targets * -log p + (1 - targets) * -log(1 - p) of two arrays of one shape;
+    probs must be pre-clamped away from {0, 1}. out: where to write it, which may be probs itself; new when None."""
     neg = np.log(np.subtract(1.0, probs))  # log(1 - p), negated by the subtraction below
+    neg *= np.subtract(1.0, targets)  # before probs may be written over; a shape mismatch raises here
     losses = np.log(probs, out=out)
     np.negative(losses, out=losses)
     losses *= targets
-    neg *= np.subtract(1.0, targets)
     return np.subtract(losses, neg, out=losses)
 
 
@@ -155,8 +151,6 @@ def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | Non
     Rejection/temporary correction ramps as (epoch - 1) * delta_rel; permanent
     correction uses the constant delta_rel after a no-op first epoch.
     """
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
     spec = SPECS[Scheme(scheme)]
     if spec.schedule == "absolute":
         return None
@@ -169,8 +163,6 @@ def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | Non
 
 def absolute_threshold(epoch: int, cfg: SchemeConfig) -> float:
     """Loss threshold for the absolute schedules: r0 - epoch * delta_abs."""
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
     return cfg.r0 - epoch * cfg.delta_abs
 
 
@@ -223,68 +215,129 @@ def _top_k(losses: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class EpochPlan:
-    """What the label states fix of a scheme's batch decisions, row-aligned with
-    those states: the AN positives, the UNKNOWN mask, the base targets and
-    weights, and the epoch's selection rate or threshold (the other is None).
-    candidates: the ascending flat indices of the UNKNOWN entries, of which
-    rows [a, b) hold candidates[offsets[a]:offsets[b]]."""
+    """What the label states fix of a stack's batch decisions: the AN positives, the UNKNOWN mask, the base targets
+    (`an` itself, whose bools have the float targets' bits in a difference, or LSAN's smoothed ones) and weights, laid
+    out like the states, (*arms, n, K), by `plan_rows`, and in an epoch's visiting order, (n, *arms, K), by `plan_epoch`,
+    which adds each arm's rate or threshold (the other is None) and each batch's rows and selection (None: it flags
+    nothing). counts: each row's UNKNOWN entries."""
 
+    scheme: Scheme
     spec: SchemeSpec
+    cfgs: list[SchemeConfig]
     an: np.ndarray
     unknown: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    rate: float | None
-    threshold: float | None
-    candidates: np.ndarray
-    offsets: list[int]
+    counts: np.ndarray
+    rate: list[float] | None = None
+    threshold: list[float] | None = None
+    batches: list = field(default_factory=list)
 
 
-def plan_epoch(scheme: Scheme, states: np.ndarray, epoch: int, cfg: SchemeConfig) -> EpochPlan:
-    """The part of the decisions over `states` that does not read the model. Over
-    rows in visiting order it holds for a whole epoch: permanent corrections
-    land only at epoch end."""
-    spec = SPECS[Scheme(scheme)]
-    states = np.asarray(states)
-    rate = rejection_rate(scheme, epoch, cfg)
-    threshold = absolute_threshold(epoch, cfg) if rate is None else None
-    targets = an_targets_from_states(states)
-    an, unknown = targets == 1.0, states == UNKNOWN
-    if spec.target == "smoothed":
-        targets = targets * (1.0 - cfg.eps_smooth) + (1.0 - targets) * cfg.eps_smooth
+def plan_rows(scheme: Scheme, states: np.ndarray, cfgs) -> EpochPlan:
+    """The plan's arrays over `states` (*arms, n, K), of the arms with the configs `cfgs` (one per arm, or a lone
+    run's). Once per run for a scheme that never changes states (all but LL-Cp)."""
+    scheme, states = Scheme(scheme), np.asarray(states)
+    spec, cfgs = SPECS[scheme], [cfgs] if isinstance(cfgs, SchemeConfig) else list(cfgs)
+    an, unknown = an_targets_from_states(states) == 1.0, states == UNKNOWN
+    targets = an
+    if spec.target == "smoothed":  # where(an, 1 - eps, eps): the bits of an * (1 - eps) + (1 - an) * eps
+        eps = np.array([cfg.eps_smooth for cfg in cfgs]).reshape(*states.shape[:-2], 1, 1)
+        targets = np.where(an, 1.0 - eps, eps)
     if spec.weight == "ignore-unknown":
         weights = np.where(unknown, 0.0, 1.0)
     elif spec.weight == "wan":
-        weights = np.where(an, 1.0, 1.0 / (states.shape[1] - 1))
+        weights = np.where(an, 1.0, 1.0 / (states.shape[-1] - 1))
     else:
         weights = np.broadcast_to(1.0, states.shape)  # read-only, and no memory held for the epoch
-    offsets = [0, *np.cumsum(unknown.sum(axis=1)).tolist()]
-    return EpochPlan(spec, an, unknown, targets, weights, rate, threshold, np.flatnonzero(unknown), offsets)
+    return EpochPlan(scheme, spec, cfgs, an, unknown, targets, weights, unknown.sum(axis=-1))
 
 
-def decide_planned(plan: EpochPlan, batch: slice, probs: np.ndarray, flags: np.ndarray):
-    """Finish the decision for the plan's rows in `batch` from their probabilities: select
-    among the batch's candidates on their AN loss, -log(1 - p) (an UNKNOWN entry's AN target
-    is 0), from one log pass over their probabilities alone, and only if the batch can flag (an
-    absolute schedule, or a positive relative quota); then flag targets or weights.
-    flags: the batch's all-False C-contiguous flag rows to flag in. Returns (targets, weights,
-    threshold): the threshold in effect, NaN when nothing was selected; no losses, since
-    `epoch_losses` computes them at epoch end."""
-    targets, weights, action = plan.targets[batch], plan.weights[batch], plan.spec.action
-    threshold = float("nan")
-    if action != "none":
-        start, stop, _ = batch.indices(len(plan.offsets) - 1)
-        lo, hi = plan.offsets[start], plan.offsets[stop]
-        if plan.rate is None or quota(plan.rate, hi - lo) > 0:
-            candidates = plan.candidates[lo:hi] - start * targets.shape[1]
-            losses = -np.log(np.subtract(1.0, probs.take(candidates)))
-            _, threshold = select_large_losses(losses, candidates, plan.rate, plan.threshold, flags)
-    if not math.isnan(threshold):  # NaN: no selection, or a relative quota of zero
-        if action == "reject":
-            weights = np.where(flags, 0.0, weights)
-        else:  # flagged entries train toward 1 until the state change lands
-            targets = np.where(flags, 1.0, targets)
-    return targets, weights, threshold
+def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice]) -> EpochPlan:
+    """The part of epoch `epoch`'s decisions that does not read the model, which holds for the whole epoch: permanent
+    corrections land only at epoch end. order: for each (visiting row, arm) in turn, the row of `rows`' arrays seen
+    as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. The schedule is the scheme's; the
+    batches select as `rows.spec` acts."""
+    spec, (n, k), arms = rows.spec, rows.an.shape[-2:], rows.an.shape[:-2]
+
+    def reorder(a):  # a broadcast 1.0 has no rows to take
+        shape = (n, *arms, k)
+        return a.reshape(-1, k).take(order, axis=0).reshape(shape) if any(a.strides) else np.broadcast_to(1.0, shape)
+
+    an = reorder(rows.an)
+    relative = SPECS[rows.scheme].schedule != "absolute"
+    plan = EpochPlan(rows.scheme, spec, rows.cfgs, an, reorder(rows.unknown), an if rows.targets is rows.an else
+                     reorder(rows.targets), reorder(rows.weights), rows.counts.reshape(-1).take(order).reshape(n, -1),
+                     [rejection_rate(rows.scheme, epoch, cfg) for cfg in rows.cfgs] if relative else None,
+                     None if relative else [absolute_threshold(epoch, cfg) for cfg in rows.cfgs])
+    selects = spec.action != "none" and (plan.threshold or any(plan.rate))
+    plan.batches = list(zip(batches, _selections(plan, np.array([*(batch.start for batch in batches), n]))
+                            if selects else [None] * len(batches)))
+    return plan
+
+
+def _selections(plan: EpochPlan, bounds: np.ndarray) -> list:
+    """What each batch of visiting rows [bounds[b], bounds[b + 1]) reads to select, or None: its candidates, the
+    ascending flat indices of its arms' UNKNOWN entries into the (n, *arms, K) arrays, then -threshold of each
+    (absolute), or (relative: of the arms whose quota(rate, M) of M is positive) their arm, each arm's power of
+    two 2^(32 * (arms - 1 - arm)) and the places flagged in their stable (arm, -loss) order; for one arm, None,
+    None and the slice of its quota."""
+    n, k, arms, batches = len(plan.unknown), plan.unknown.shape[-1], len(plan.cfgs), len(bounds) - 1
+    unknown, per_row = plan.unknown.reshape(n, arms, k), plan.counts.reshape(n, arms)
+    counts = np.add.reduceat(per_row, bounds[:-1])  # of each (batch, arm)
+    if plan.rate is not None:  # exactly quota(rate, M) of each (batch, arm); only a positive one selects
+        quotas = np.minimum((np.array(plan.rate) / 100.0 * counts).astype(np.int64), counts)
+        selects = (quotas > 0).repeat(np.diff(bounds), axis=0)
+        counts, unknown, per_row = np.where(quotas > 0, counts, 0), unknown & selects[:, :, None], per_row * selects
+    candidates = np.flatnonzero(unknown)  # each one's arm, below, as the lexsort's first key: a narrow one sorts faster
+    arm = (np.repeat(np.tile(np.arange(arms, dtype=np.min_scalar_type(arms)), n), per_row.reshape(-1)) if arms > 1
+           else np.zeros(len(candidates), np.uint8))
+    scales = np.ldexp(1.0, np.minimum(np.arange(32 * (arms - 1), -1, -32), 992))  # from 33 arms on `decide_planned` lexsorts
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    if plan.rate is None:  # loss > t: -log(1 - p) > t is log(1 - p) < -t
+        bars = np.negative(plan.threshold)[arm]
+        return [(candidates[a:b], bars[a:b]) if a < b else None for a, b in zip([0, *ends], ends)]
+    active = np.flatnonzero(quotas > 0)  # the selecting (batch, arm), batch-major
+    quota, first = quotas.reshape(-1)[active], (np.cumsum(counts, axis=1) - counts).reshape(-1)[active]
+    taken = np.cumsum(quota)
+    picks = np.arange(quota.sum()) + np.repeat(first - taken + quota, quota)
+    segments, taken = np.searchsorted(active // arms, np.arange(batches + 1)).tolist(), [0, *taken.tolist()]
+    return [None if s == t  # no arm selects
+            else (candidates[a:b], None, None, slice(0, taken[t] - taken[s])) if t - s == 1  # one arm: its candidates alone
+            else (candidates[a:b], arm[a:b], scales, picks[taken[s]:taken[t]])
+            for a, b, s, t in zip([0, *ends], ends, segments, segments[1:])]
+
+
+def decide_planned(plan: EpochPlan, i: int, probs: np.ndarray, flags: np.ndarray):
+    """Finish batch i's decision for every arm that can flag from `probs`, the plan's rows' probabilities, (n, *arms, K):
+    one gather and log pass gives its candidates' AN loss, -log(1 - p) (an UNKNOWN entry's AN target is 0); a relative
+    schedule flags each arm's quota of largest losses, ties toward ascending (row, column), NaN last. flags: the epoch's
+    all-False C-contiguous flags, (n, *arms, K). Returns the batch's (targets, weights), (B, *arms, K); no losses or
+    thresholds: the epoch end has both, a threshold being the smallest AN loss flagged (or an absolute schedule's)."""
+    rows, selection = plan.batches[i]
+    targets, weights = plan.targets[rows], plan.weights[rows]
+    if selection is None:
+        return targets, weights
+    candidates = selection[0]
+    keys = probs.take(candidates)
+    np.log(np.subtract(1.0, keys, out=keys), out=keys)  # log(1 - p): the negated loss, in (arm, -loss) order
+    if plan.rate is None:
+        flags.put(candidates[keys < selection[1]], True)
+    else:
+        _, arm, scales, picks = selection
+        if arm is None and len(keys) >= PARTITION_MIN:
+            order = _top_k(np.negative(keys), picks.stop)
+        else:  # a quicksort, a fraction of a stable sort's cost in the training loop, and the stable order where keys differ
+            ranked = keys if arm is None else keys * scales.take(arm)  # exact; in range, each arm's below the next one's
+            order = ranked.argsort()
+            ranked = ranked.take(order)
+            if not (ranked[1:] > ranked[:-1]).all() or arm is not None and not (
+                    len(plan.cfgs) <= 32 and -32.0 <= keys.min() and keys.max() <= -2.0 ** -26):  # clamped p: in range
+                order = keys.argsort(kind="stable") if arm is None else np.lexsort((keys, arm))
+        flags.put(candidates[order[picks]], True)
+    if plan.spec.action == "reject":
+        return targets, np.where(flags[rows], 0.0, weights)
+    return targets | flags[rows], weights  # flagged entries train toward 1 until the state change lands
 
 
 def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np.ndarray,
@@ -298,17 +351,17 @@ def epoch_losses(plan: EpochPlan, probs: np.ndarray, flags: np.ndarray, seen: np
     action = plan.spec.action
     an_losses(probs, positive, out=seen)
     if plan.spec.target == "smoothed":
-        losses = bce_elementwise(probs, plan.targets, out=probs)
-    else:
-        same = (plan.an | flags if action in ("temporary", "permanent") else plan.an) == positive
-        # elsewhere the batch trained toward 1; a whole -log p pass costs less than a masked or gathered one
-        losses = probs if same.all() else np.negative(np.log(probs, out=probs), out=probs)
-        np.copyto(losses, seen, where=same)
+        bce_elementwise(probs, plan.targets, out=probs)
+    else:  # where the batch trained toward 1 and `positive` is 0: -log p, from a gather, which costs less than a pass
+        other = np.flatnonzero((plan.an | flags if action in ("temporary", "permanent") else plan.an) != positive)
+        trained = np.negative(np.log(probs.take(other)))
+        np.copyto(probs, seen)
+        probs.put(other, trained)
     if plan.spec.weight != "ones":
-        losses *= plan.weights
+        probs *= plan.weights
     if action == "reject":
-        np.multiply(losses, 0.0, out=losses, where=flags)
-    return losses
+        np.multiply(probs, 0.0, out=probs, where=flags)
+    return probs
 
 
 def apply_permanent_corrections(states: np.ndarray, flags: np.ndarray) -> int:

@@ -13,6 +13,7 @@ for all (see `wsml.model`), each arm with the bits it has alone. `run` is the st
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -88,9 +89,9 @@ class MemorizationTracker:
     losses in once, at epoch end, by row.
     """
 
-    def __init__(self, n: int, k: int):
-        self.max_loss = np.full((n, k), -np.inf)
-        self.argmax_epoch = np.zeros((n, k), dtype=np.int64)
+    def __init__(self, *shape: int):  # (n, k), or a stack's (arms, n, k)
+        self.max_loss = np.full(shape, -np.inf)
+        self.argmax_epoch = np.zeros(shape, dtype=np.int64)
         self.epochs_tracked = 0
 
     def update(self, losses: np.ndarray, epoch: int) -> None:
@@ -167,28 +168,24 @@ def _validation_map(classifier, ds: PartialDataset, rows: np.ndarray) -> float:
 
 @dataclass
 class _Arm:
-    """One run of a stack: all it owns but its row of the stacked parameters, moments and buffers."""
+    """One run of a stack: all it owns but its row of the stacked parameters, states, tracker and buffers."""
 
     cfg: TrainConfig
     train_idx: np.ndarray  # its rows of the dataset, whose features the arms share
     val_idx: np.ndarray
     states: np.ndarray  # of the training rows, private: permanent corrections mutate them
-    truth: np.ndarray | None
-    an0: np.ndarray  # the assumed positives the run started from
+    truth: np.ndarray | None  # where its training rows' truth is 1
     epoch_seeds: list
-    tracker: MemorizationTracker
     best_model: model_mod.Classifier
     permanent: bool
     epoch_level: bool  # permanent corrections selected over the epoch's losses, at epoch end
+    tracker: MemorizationTracker | None = None
     records: list[EpochRecord] = field(default_factory=list)
     cum_corrections: int = 0
     cum_true_pos: int = 0  # true positives among all flags so far: under LL-Cp, its corrections
     best_epoch: int = 0
     best_val: float = -1.0
     failure: Exception | None = None  # what stopped the run: the stack skips its row from then on
-    order: np.ndarray | None = None  # the epoch's visiting order (as training rows), plan and thresholds
-    plan: schemes.EpochPlan | None = None
-    thresholds: list[float] = field(default_factory=list)
 
 
 def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None) -> _Arm:
@@ -203,65 +200,86 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
 
     split_seed, init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     train_idx, val_idx = split_indices(ds.n, cfg.val_fraction, split_seed)
-    states, permanent = ds.states[train_idx], schemes.SPECS[cfg.scheme.scheme].action == "permanent"
-    return _Arm(cfg, train_idx, val_idx, states, None if ds.truth is None else ds.truth[train_idx],
-                schemes.an_targets_from_states(states) == 1.0, shuffle_seed.spawn(cfg.epochs),
-                MemorizationTracker(*states.shape), model_mod.init_classifier(cfg.arch, ds.d, ds.k, cfg.hidden, init_seed),
+    permanent = schemes.SPECS[cfg.scheme.scheme].action == "permanent"
+    return _Arm(cfg, train_idx, val_idx, ds.states[train_idx], None if ds.truth is None else ds.truth[train_idx] == 1,
+                shuffle_seed.spawn(cfg.epochs), model_mod.init_classifier(cfg.arch, ds.d, ds.k, cfg.hidden, init_seed),
                 permanent, permanent and cfg.llcp_granularity == "epoch")
 
 
+def _arms(a: np.ndarray, visiting: bool = False) -> list[np.ndarray]:
+    """Each arm's (n, K) part of a stack's array, laid out (arms, n, K) by row or (n, arms, K) in visiting order;
+    a lone run's (n, K) array has no arm axis."""
+    return [a] if a.ndim == 2 else list(a.swapaxes(0, 1) if visiting else a)
+
+
+def _stacked(arms: list[_Arm]) -> np.ndarray:
+    """The arms' states as one (*arms, n, K) array; a lone run's own."""
+    return arms[0].states if len(arms) == 1 else np.stack([arm.states for arm in arms])
+
+
 def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
-    """A stack's reused arrays: each arm's rows of the dataset, (probabilities, AN losses, flags) of them in
-    visiting order, the gradient, and for each batch, made once, its slice, rows, feature rows, probabilities,
-    forward pass and gradient deltas, and each arm's probabilities, flags and output delta."""
+    """A stack's reused arrays: each arm's dataset rows in visiting order, and each (visiting row, arm)'s row of the
+    (*arms, n, K) arrays seen as rows; (probabilities, AN losses, flags), (n, *arms, K) in visiting order; the gradient;
+    each batch's rows; and for each, made once, its rows, feature rows, probabilities as the model lays them out and as
+    the plan does, forward pass, gradient deltas and output delta as the plan lays it out."""
     arms, full = classifier.flat.shape[:-1], min(batch_size, n)
-
-    def per_arm(a):  # each arm's part of an array, or the one part of a lone run's, which has no arm axis
-        return list(a.reshape(-1, *a.shape[len(arms):]))
-
-    rows, probs, flags = np.empty((*arms, n), dtype=np.int64), np.empty((*arms, n, k)), np.empty((*arms, n, k), dtype=bool)
+    rows, probs, flags = np.empty((*arms, n), dtype=np.int64), np.empty((n, *arms, k)), np.empty((n, *arms, k), dtype=bool)
     passes = {size: (np.empty((*arms, size, d)), *(model_mod.ForwardPass.empty(classifier, size) for _ in range(2)))
               for size in (full, n % batch_size or full)}  # (feature rows, forward pass, deltas): full and last batch
-    batches = []
-    for start in range(0, n, batch_size):
-        batch, (x, work, deltas) = slice(start, start + batch_size), passes[min(batch_size, n - start)]
-        batches.append((batch, rows[..., batch], x, probs[..., batch, :], work, deltas,
-                        list(zip(*map(per_arm, (probs[..., batch, :], flags[..., batch, :], deltas.raw))))))
-    grad, seen = np.empty_like(classifier.flat), np.empty((*arms, n, k))
-    return per_arm(rows), [*zip(*map(per_arm, (probs, seen, flags)))], flags, grad, classifier.views(grad), batches
+    slices, batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)], []
+    for batch in slices:
+        x, work, deltas = passes[min(batch_size, n - batch.start)]
+        batches.append((rows[..., batch], x, np.moveaxis(probs[batch], 0, -2), probs[batch], work, deltas,
+                        np.moveaxis(deltas.raw, -2, 0)))
+    grad, seen = np.empty_like(classifier.flat), np.empty((n, *arms, k))
+    visit = np.empty((n, math.prod(arms)), dtype=np.int64)
+    return rows, visit, probs, seen, flags, grad, classifier.views(grad), batches, slices
 
 
 def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch: int, opt, buffers) -> None:
     """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each
     live arm's epoch end and record, or the exception that stops it as its `failure`. A batch takes every arm's
-    feature rows, one forward pass, each arm's decision and output delta, one backward pass and one step."""
-    arm_rows, arm_ends, flags, grad, grad_views, batches = buffers
-    flags.fill(False)
-    for arm, rows in zip(arms, arm_rows):
+    feature rows, one forward pass, one decision and output delta for all arms, one backward pass and one step."""
+    rows, visit, probs, seen, flags, grad, grad_views, batches, slices, base, tracker = buffers
+    (n, k), first = tracker.max_loss.shape[-2:], arms[0]
+    for i, (arm, arm_rows) in enumerate(zip(arms, rows.reshape(-1, n))):
         if arm.failure is None:
-            arm.order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(len(arm.train_idx))
-            arm.train_idx.take(arm.order, out=rows)
-            arm.plan = schemes.plan_epoch(arm.cfg.scheme.scheme, arm.states[arm.order], epoch, arm.cfg.scheme)
-            if arm.epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
-                arm.plan.spec = schemes.SPECS[schemes.Scheme.NAIVE_AN]
-            arm.thresholds = []
+            order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(n)
+            arm.train_idx.take(order, out=arm_rows)
+            np.add(order, i * n, out=visit[:, i])
+    rows_plan = schemes.plan_rows(base.scheme, _stacked(arms), base.cfgs) if first.permanent and epoch > 1 else base
+    if first.epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
+        rows_plan = replace(rows_plan, spec=schemes.SPECS[schemes.Scheme.NAIVE_AN])
+    plan = schemes.plan_epoch(rows_plan, epoch, visit.reshape(-1), slices)
+    flags.fill(False)
 
-    for batch, batch_rows, x, batch_probs, work, deltas, arm_views in batches:
+    for i, (batch_rows, x, batch_probs, planned_probs, work, deltas, delta) in enumerate(batches):
         ds.features.take(batch_rows, axis=0, out=x, mode="clip")  # clip: the rows are valid, and raise buffers `out`
         fwd = model_mod.forward_pass(classifier, x, batch_probs, work)
-        for arm, (arm_probs, arm_flags, delta) in zip(arms, arm_views):
-            if arm.failure is None:
-                targets, weights, threshold = schemes.decide_planned(arm.plan, batch, arm_probs, arm_flags)
-                model_mod.output_delta(arm_probs, targets, weights, delta)
-                if not math.isnan(threshold):
-                    arm.thresholds.append(threshold)
+        model_mod.output_delta(planned_probs, *schemes.decide_planned(plan, i, probs, flags), delta)
         model_mod.backward(classifier, fwd, deltas, grad, grad_views)
         model_mod.step(classifier, grad, opt)
 
-    ends = [arm.failure or _attempt(_end_epoch, arm, epoch, *bufs) for arm, bufs in zip(arms, arm_ends)]
-    for i, (arm, end) in enumerate(zip(arms, ends)):  # validated once every arm's plan is freed: less to hold
-        if arm.failure is None:  # its model after the epoch is a view of its row of the stack
-            arm.failure = end if isinstance(end, Exception) else _attempt(_record, arm, end, stack.arm(i), ds)
+    # the AN losses against the targets each run started from; LL-Cp's states have changed since
+    positive = base.an.reshape(-1, k).take(visit.reshape(-1), axis=0).reshape(plan.an.shape) if first.permanent else plan.an
+    losses = schemes.epoch_losses(plan, probs, flags, seen, positive)  # over the probabilities
+    ends = [arm.failure or _attempt(_end_epoch, arm, epoch, arm_losses) for arm, arm_losses in zip(arms, _arms(losses, True))]
+    for arm, end in zip(arms, ends):
+        arm.failure = end if isinstance(end, Exception) else None
+    if all(arm.failure for arm in arms):  # nothing left to fold in
+        return
+    # every row was visited exactly once, so one fold by row does what a fold per batch would
+    by_row, row_flags = losses.reshape(tracker.max_loss.shape), np.empty(tracker.max_loss.shape, dtype=bool)
+    by_row.reshape(-1, k)[visit.reshape(-1)] = seen.reshape(-1, k)  # the AN losses by row, in a buffer that is free again
+    tracker.update(by_row, epoch)
+    row_flags.reshape(-1, k)[visit.reshape(-1)] = flags.reshape(-1, k)  # all False under epoch-level LL-Cp
+    for arm, *views in zip(arms, ends, _arms(by_row), _arms(row_flags), plan.rate or plan.threshold):
+        if arm.failure is None:
+            arm.failure = _attempt(_settle, arm, epoch, *views, plan.rate is None)
+    del plan, positive, row_flags  # freed before validation: less to hold
+    for i, arm in enumerate(arms):  # its model after the epoch is a view of its row of the stack
+        if arm.failure is None:
+            arm.failure = _attempt(_record, arm, stack.arm(i), ds)
 
 
 def _attempt(fn, *args):
@@ -272,53 +290,48 @@ def _attempt(fn, *args):
         return exc
 
 
-def _end_epoch(arm: _Arm, epoch: int, probs, seen, seen_flags) -> EpochRecord:
-    """An arm's epoch end from its (probabilities, AN losses, flags) in visiting order: losses, tracker fold,
-    selection and corrections; returns its record but for validation. Raises TrainingDiverged on a non-finite
-    batch loss. `epoch_losses` takes one AN-loss log pass into `seen`; `probs` then takes them by row."""
-    cfg, plan, order, states = arm.cfg, arm.plan, arm.order, arm.states
-    n, k = states.shape
-
-    losses = schemes.epoch_losses(plan, probs, seen_flags, seen, arm.an0[order])  # over the probabilities
-    full = n - n % cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
-    batch_losses = losses[:full].reshape(-1, cfg.batch_size * k).sum(axis=1).tolist()
+def _end_epoch(arm: _Arm, epoch: int, losses) -> float:
+    """An arm's train loss from its epoch losses (`schemes.epoch_losses`, written over its probabilities) in visiting
+    order. Raises TrainingDiverged on a non-finite batch loss."""
+    n, k = losses.shape
+    full = n - n % arm.cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
+    batch_losses = losses[:full].reshape(-1, arm.cfg.batch_size * k).sum(axis=1).tolist()
     batch_losses += [float(losses[full:].sum())] if full < n else []
     weighted_total = 0.0
     for batch_loss in batch_losses:  # in batch order
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
+    return weighted_total / (n * k)
 
-    if (seen_flags & ~plan.unknown).any():  # before any flag is counted or corrected
+
+def _settle(arm: _Arm, epoch: int, train_loss: float, losses, flags, schedule, absolute: bool) -> None:
+    """An arm's epoch-level selection, corrections and record but for validation, from its train loss, AN losses and
+    flags by row and its epoch's rate or threshold (`absolute`)."""
+    if (flags & (arm.states != UNKNOWN)).any():  # before any flag is counted or corrected
         raise AssertionError("flag selection touched an observed or corrected entry")
-    # every row was visited exactly once, so one fold by row does what a fold per batch would
-    losses[order] = seen  # the AN losses by row, in a buffer that is free again
-    arm.tracker.update(losses, epoch)
-    flags = np.empty_like(seen_flags)
-    flags[order] = seen_flags  # all False under epoch-level LL-Cp, whose batches flag nothing
+    # each batch's threshold is the smallest AN loss it flagged (NaN: none), or an absolute schedule's
+    threshold = schedule if absolute else float(np.fmin.reduce(losses[flags], initial=np.nan))
     if arm.epoch_level:  # select over the epoch's AN losses, by row: ties break toward ascending (row, column)
-        candidates = np.flatnonzero(states == UNKNOWN)
-        _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates, plan.rate,
-                                                   plan.threshold, flags)
-        if not math.isnan(threshold):
-            arm.thresholds.append(threshold)
-    arm.plan = None  # freed before validation: less to hold
-    flagged = schemes.apply_permanent_corrections(states, flags) if arm.permanent else int(flags.sum())
+        candidates = np.flatnonzero(arm.states == UNKNOWN)
+        _, threshold = schemes.select_large_losses(losses.reshape(-1)[candidates], candidates,
+                                                   None if absolute else schedule, schedule if absolute else None, flags)
+    flagged = schemes.apply_permanent_corrections(arm.states, flags) if arm.permanent else int(np.count_nonzero(flags))
     arm.cum_corrections += flagged if arm.permanent else 0
-    true_pos = None if arm.truth is None else int((flags & (arm.truth == 1)).sum())
+    true_pos = None if arm.truth is None else int(np.count_nonzero(flags & arm.truth))
     arm.cum_true_pos += true_pos or 0
     # the precision of LL-Cp's corrections so far, else of this epoch's flags; None without truth or flags
     hits, total = (arm.cum_true_pos, arm.cum_corrections) if arm.permanent else (true_pos, flagged)
-    return EpochRecord(  # val_map comes with `_record`
-        epoch=epoch, train_loss=weighted_total / (n * k), val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
+    arm.records.append(EpochRecord(  # val_map comes with `_record`
+        epoch=epoch, train_loss=train_loss, val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
         flag_precision=hits / total if true_pos is not None and total else None,
-        cum_corrections=arm.cum_corrections, threshold_min=min(arm.thresholds, default=float("nan")))
+        cum_corrections=arm.cum_corrections, threshold_min=threshold))
 
 
-def _record(arm: _Arm, record: EpochRecord, model, ds: PartialDataset) -> None:
-    """Record an arm's epoch with its model's validation mAP, and keep a copy of the model if that is the best yet."""
+def _record(arm: _Arm, model, ds: PartialDataset) -> None:
+    """Give an arm's last record its model's validation mAP, and keep a copy of the model if that is the best yet."""
+    record = arm.records[-1]
     record.val_map = _validation_map(model, ds, arm.val_idx) * 100.0
-    arm.records.append(record)
     if record.val_map > arm.best_val:
         arm.best_val, arm.best_epoch, arm.best_model = record.val_map, record.epoch, model.copy()
 
@@ -350,12 +363,17 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         # a lone run trains without the arm axis: np.dot's call costs about 0.65 us less than np.matmul's
         classifier = stack.arm(0) if len(arms) == 1 else stack
         opt = model_mod.make_optimizer(first.optimizer, first.learning_rate, classifier)
-        buffers = _buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, first.batch_size)
+        tracker = MemorizationTracker(*classifier.flat.shape[:-1], *arms[0].states.shape)
+        buffers = (*_buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, first.batch_size),
+                   schemes.plan_rows(first.scheme.scheme, _stacked(arms), [arm.cfg.scheme for arm in arms]), tracker)
         for epoch in range(1, first.epochs + 1):
             classifier.frozen_hidden = epoch <= first.frozen_epochs
             _train_epoch(stack, classifier, ds, arms, epoch, opt, buffers)
             if all(arm.failure is not None for arm in arms):
                 break
+        for arm, max_loss, argmax in zip(arms, _arms(tracker.max_loss), _arms(tracker.argmax_epoch)):
+            arm.tracker = copy.copy(tracker)  # whose arrays are views of the stack's
+            arm.tracker.max_loss, arm.tracker.argmax_epoch = max_loss, argmax
     return [arm if isinstance(arm, Exception) else arm.failure or _attempt(_report, arm, ds, test_ds) for arm in starts]
 
 

@@ -28,12 +28,12 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 45
+    assert len(exits) == 46
     assert sorted(name for name, code in exits.items() if code != "0\n") == \
         ["notes-bad.exit", "part-wide-bad.exit", "sweep-fail.exit"]
     for name in ("full.wsml", "dense.wsml", "wide.wsml", "wide-sp.wsml", "wide-notes.model", "sp.wsml", "frac-all.wsml",
                  "llcp-batch.report.json", "llr-linear-frozen.model", "eval.json", "eval-linear.json", "sweep-2w.csv",
-                 "sweep-stack-1w.csv", "sweep-stack-2w.csv",
+                 "sweep-stack-1w.csv", "sweep-stack-llr.csv", "sweep-stack-2w.csv",
                  "notes.wsml", "notes.model", "eval-notes.json", "bare.wsml", "bare.report.json"):
         assert (b / name).is_file(), name
     # the truth-less copy trains on observed-entry validation mAP and reports no flag precision

@@ -19,12 +19,13 @@ pinned values must not be edited to make a refactor pass.
 
 import functools
 import hashlib
+import itertools
 import math
 
 import pytest
 
 from wsml.dataset import SyntheticSpec, generate_synthetic, make_single_positive
-from wsml.schemes import Scheme, SchemeConfig
+from wsml.schemes import SPECS, Scheme, SchemeConfig
 from wsml.trainer import TrainConfig, run
 
 REL_TOL = 1e-9
@@ -386,6 +387,21 @@ def test_final_bits_match_golden(arm, optimizer):
 @pytest.mark.parametrize("arm", sorted(ARMS))
 def test_linear_final_bits_match_golden(arm, optimizer):
     assert final_bits(arm, optimizer, "linear") == LINEAR_BITS[(arm, optimizer)]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_flag_precision_follows_from_the_pinned_counts(arm, optimizer):
+    """Each record's flag_precision, derived from GOLDEN's pinned counts alone: the epoch's true positives over its
+    flags under LL-R and LL-Ct, the true positives of all corrections so far over cum_corrections under LL-Cp, and
+    None where that denominator is zero, as in every epoch of a scheme that flags nothing."""
+    want = GOLDEN[(arm, optimizer)]
+    if SPECS[Scheme(ARMS[arm][0])].action == "permanent":  # every flag is a correction
+        assert want["cum_corrections"] == list(itertools.accumulate(want["flags"]))
+        hits, totals = list(itertools.accumulate(want["flags_true_pos"])), want["cum_corrections"]
+    else:
+        hits, totals = want["flags_true_pos"], want["flags"]
+    assert [r.flag_precision for r in golden_run(arm, optimizer).records] == [h / t if t else None for h, t in zip(hits, totals)]
 
 
 def test_every_large_loss_arm_flags_something():

@@ -22,6 +22,7 @@ from wsml.schemes import (
     decide_planned,
     epoch_losses,
     plan_epoch,
+    plan_rows,
     quota,
     rejection_rate,
     select_large_losses,
@@ -54,6 +55,12 @@ class Decision:
     threshold: float
 
 
+def plan(scheme, states, epoch, cfg, cuts=()):
+    """A lone run's epoch plan over `states`, in their row order, whose batches start at row 0 and at each cut."""
+    bounds = sorted({0, len(states), *(cut for cut in cuts if cut < len(states))})
+    return plan_epoch(plan_rows(scheme, states, cfg), epoch, np.arange(len(states)), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+
+
 def decide_batch(scheme, probs, states, epoch, cfg) -> Decision:
     """One batch's decision as its own epoch plan, finished at once: the
     library's two steps over a single batch."""
@@ -61,16 +68,20 @@ def decide_batch(scheme, probs, states, epoch, cfg) -> Decision:
     states = np.asarray(states)
     if probs.shape != states.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs states {states.shape}")
-    plan = plan_epoch(scheme, states, epoch, cfg)
-    return decide(plan, slice(None), probs)
+    return decide(plan(scheme, states, epoch, cfg), 0, probs)
 
 
-def decide(plan, batch, probs) -> Decision:
-    """The plan's decision for the rows in `batch`, from their probabilities `probs`,
-    flagged into a new all-False buffer."""
+def decide(plan, i, probs) -> Decision:
+    """A lone run's plan's decision for its batch i, from the probabilities `probs` of all its rows, flagged into a
+    new all-False buffer; the targets as the float targets they stand for (a bool target has their bits in a
+    difference), and the threshold the epoch end takes: an absolute schedule's if the batch selects, else the
+    smallest AN loss -log(1 - p) flagged (NaN: none)."""
     flags = np.zeros(probs.shape, dtype=bool)
-    targets, weights, threshold = decide_planned(plan, batch, probs, flags)
-    return Decision(targets, weights, flags, threshold)
+    targets, weights = decide_planned(plan, i, probs, flags)
+    rows, selection = plan.batches[i]
+    threshold = plan.threshold[0] if plan.rate is None and SPECS[plan.scheme].action != "none" else \
+        float(np.fmin.reduce(-np.log(np.subtract(1.0, probs[flags])), initial=np.nan))
+    return Decision(np.asarray(targets, dtype=np.float64), weights, flags[rows], threshold)
 
 
 def plan_epoch_losses(plan, probs, flags):
@@ -403,13 +414,11 @@ class TestEpochPlan:
         if n > 1:  # exact ties between losses, which the selection breaks by index
             probs[rng.integers(n, size=n // 2), rng.integers(k, size=n // 2)] = probs[0, 0]
         c = cfg(token, delta_rel=delta_rel, r0=float(rng.uniform(0.5, 3.0)), delta_abs=float(rng.uniform(0.0, 0.2)))
-        plan = plan_epoch(Scheme(token), states, epoch, c)
+        planned = plan(Scheme(token), states, epoch, c, cuts)
         live = states.copy()  # the states as permanent correction leaves them, batch by batch
-        bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
         flags, wanted = np.zeros((n, k), dtype=bool), []
-        for lo, hi in zip(bounds, bounds[1:]):
-            batch = slice(lo, hi)
-            got = decide(plan, batch, probs[batch])
+        for i, (batch, _) in enumerate(planned.batches):
+            got = decide(planned, i, probs)
             want = reference_decide_batch(token, probs[batch], live[batch], epoch, c)
             assert_same_decision(got, decide_batch(Scheme(token), probs[batch], live[batch], epoch, c))
             assert_same_decision(got, want)
@@ -418,26 +427,24 @@ class TestEpochPlan:
             if SPECS[Scheme(token)].action == "permanent":
                 live[batch][got.flags] = C
         # the epoch's losses, computed once over every batch's probabilities, are the batches' own
-        losses = plan_epoch_losses(plan, probs.copy(), flags)
+        losses = plan_epoch_losses(planned, probs.copy(), flags)
         for batch, want_losses in wanted:
             assert_same_bits(losses[batch], want_losses)
 
     def test_plan_is_row_aligned_with_its_states(self):
         states = np.array([[U, P, N], [C, U, P]], dtype=np.int8)
-        plan = plan_epoch(Scheme.WAN, states, 3, cfg("wan"))
-        assert np.array_equal(plan.an, [[False, True, False], [True, False, True]])
-        assert np.array_equal(plan.unknown, states == U)
-        assert np.array_equal(plan.weights, [[0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
-        assert plan.rate == 0.0 and plan.threshold is None
+        planned = plan(Scheme.WAN, states, 3, cfg("wan"))
+        assert np.array_equal(planned.an, [[False, True, False], [True, False, True]])
+        assert np.array_equal(planned.unknown, states == U)
+        assert np.array_equal(planned.weights, [[0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
+        assert planned.rate == [0.0] and planned.threshold is None
 
     def test_schedule_is_the_epoch_rate_or_threshold(self):
         states = np.full((1, 2), U, dtype=np.int8)
-        relative = plan_epoch(Scheme.LL_CT, states, 4, cfg("ll-ct", delta_rel=2.0))
-        assert (relative.rate, relative.threshold) == (6.0, None)
-        absolute = plan_epoch(Scheme.LL_R_ABS, states, 2, cfg("ll-r-abs", r0=1.5, delta_abs=0.25))
-        assert (absolute.rate, absolute.threshold) == (None, 1.0)
-        with pytest.raises(ValueError, match="epoch"):
-            plan_epoch(Scheme.NAIVE_AN, states, 0, cfg("naive-an"))
+        relative = plan(Scheme.LL_CT, states, 4, cfg("ll-ct", delta_rel=2.0))
+        assert (relative.rate, relative.threshold) == ([6.0], None)
+        absolute = plan(Scheme.LL_R_ABS, states, 2, cfg("ll-r-abs", r0=1.5, delta_abs=0.25))
+        assert (absolute.rate, absolute.threshold) == (None, [1.0])
 
     @pytest.mark.parametrize("scheme", list(SPECS))
     def test_given_an_losses_change_no_field_of_the_decision(self, scheme):
@@ -448,25 +455,25 @@ class TestEpochPlan:
         probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(40, 6))
         probs[::3, 1] = probs[0, 0]  # loss ties, which the selection breaks by index
         c = cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1)
-        plan = plan_epoch(scheme, states, 4, c)
+        planned = plan(scheme, states, 4, c, (16, 32))
         flagged = 0
-        for batch in (slice(0, 16), slice(16, 32), slice(32, 40)):
-            got = decide(plan, batch, probs[batch])
+        for i, (batch, _) in enumerate(planned.batches):
+            got = decide(planned, i, probs)
             if SPECS[scheme].action != "none":
-                given = np.where(plan.an[batch], *class_losses(probs[batch]))
-                flags, threshold = select_by_states(given, states[batch], plan.rate, plan.threshold)
+                given = np.where(planned.an[batch], *class_losses(probs[batch]))
+                flags, threshold = select_by_states(given, states[batch], *(planned.rate or [None]),
+                                                    *(planned.threshold or [None]))
                 assert np.array_equal(got.flags, flags)
                 assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
             assert_same_decision(got, reference_decide_batch(scheme, probs[batch], states[batch], 4, c))
             flagged += int(got.flags.sum())
         assert (flagged > 0) == (SPECS[scheme].action != "none")
 
-    def test_candidates_and_offsets_index_the_unknown_entries(self):
-        states = np.array([[U, P, U], [N, C, P], [U, U, U], [P, U, N]], dtype=np.int8)
-        plan = plan_epoch(Scheme.LL_R, states, 3, cfg("ll-r"))
-        assert plan.candidates.tolist() == [0, 2, 6, 7, 8, 10]
-        assert plan.offsets == [0, 2, 2, 5, 6]
-        assert all(type(v) is int for v in plan.offsets)
+    def test_each_batch_holds_the_flat_indices_of_its_unknown_entries(self):
+        states = np.array([[U, P, U], [N, C, P], [U, U, U], [P, U, N], [N, P, N]], dtype=np.int8)
+        planned = plan(Scheme.LL_R_ABS, states, 3, cfg("ll-r-abs"), (2, 4))
+        assert [None if sel is None else sel[0].tolist() for _, sel in planned.batches] == [[0, 2], [6, 7, 8, 10], None]
+        assert [batch for batch, _ in planned.batches] == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
 
 def python_selection(losses, states, rate=None, threshold=None):
@@ -512,26 +519,24 @@ class TestPlannedSelection:
         losses = -np.log(1.0 - probs)  # the AN loss of an UNKNOWN entry, the only kind selected
         token = "ll-r" if relative else "ll-r-abs"
         c = cfg(token, delta_rel=delta_rel, r0=float(-np.log(1.0 - level_probs[r0_level])), delta_abs=delta_abs)
-        plan = plan_epoch(Scheme(token), states, epoch, c)
         # random cuts, then fixed-size batches whose last one is ragged
-        bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
-        batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        batches += [slice(lo, lo + size) for lo in range(0, n, size)]
-        for batch in batches:
-            got = decide(plan, batch, probs[batch])
-            flags, threshold = python_selection(losses[batch], states[batch], plan.rate, plan.threshold)
-            assert np.array_equal(got.flags, flags), batch
-            assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
-            assert np.array_equal(got.weights, np.where(flags, 0.0, 1.0))
+        for planned in (plan(Scheme(token), states, epoch, c, cuts), plan(Scheme(token), states, epoch, c, range(size, n, size))):
+            for i, (batch, _) in enumerate(planned.batches):
+                got = decide(planned, i, probs)
+                flags, threshold = python_selection(losses[batch], states[batch], *(planned.rate or [None]),
+                                                    *(planned.threshold or [None]))
+                assert np.array_equal(got.flags, flags), batch
+                assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
+                assert np.array_equal(got.weights, np.where(flags, 0.0, 1.0))
 
     def test_zero_quota_flags_nothing_and_keeps_the_planned_targets(self):
         states = np.full((2, 3), U, dtype=np.int8)
-        plan = plan_epoch(Scheme.LL_CT, states, 2, cfg("ll-ct", delta_rel=10.0))  # 10% of 6 rounds to 0
+        planned = plan(Scheme.LL_CT, states, 2, cfg("ll-ct", delta_rel=10.0))  # 10% of 6 rounds to 0
         probs = np.full((2, 3), 0.3)
-        d = decide(plan, slice(0, 2), probs)
+        d = decide(planned, 0, probs)
         assert not d.flags.any() and math.isnan(d.threshold)
-        losses = plan_epoch_losses(plan, probs.copy(), d.flags)
-        assert np.array_equal(d.targets, plan.targets) and np.array_equal(losses, class_losses(probs)[1])
+        losses = plan_epoch_losses(planned, probs.copy(), d.flags)
+        assert np.array_equal(d.targets, planned.targets) and np.array_equal(losses, class_losses(probs)[1])
 
 
 class TestCandidateSelection:
@@ -544,12 +549,12 @@ class TestCandidateSelection:
         states = np.full((2, 4), U, dtype=np.int8)
         probs = np.array([[0.9, low, high, 0.05], [high, 0.9, low, 0.05]])
         c = cfg("ll-r", delta_rel=75.0)  # epoch 2: 75% of 4 UNKNOWN entries a row is 3, of 8 is 6
-        plan = plan_epoch(Scheme.LL_R, states, 2, c)
+        by_row, both = plan(Scheme.LL_R, states, 2, c, (1,)), plan(Scheme.LL_R, states, 2, c)
         expected = {0: [[1, 1, 0, 1]], 1: [[1, 1, 0, 1]], None: [[1, 1, 1, 1], [0, 1, 0, 1]]}
         for row, want in expected.items():
             batch = slice(0, 2) if row is None else slice(row, row + 1)
-            got = decide(plan, batch, probs[batch])
-            flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], plan.rate, None)
+            got = decide(both, 0, probs) if row is None else decide(by_row, row, probs)
+            flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], both.rate[0], None)
             assert got.flags.astype(int).tolist() == want == flags.astype(int).tolist()
             assert got.threshold == threshold == -np.log(1.0 - low)
             assert_same_decision(got, decide_batch(Scheme.LL_R, probs[batch], states[batch], 2, c))
@@ -561,13 +566,12 @@ class TestCandidateSelection:
         probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(30, 6))
         poisoned = probs.copy()
         poisoned[states != U] = rng.choice([np.nan, 0.0, 1.0], size=int((states != U).sum()))
-        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        planned = plan(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1), range(7, 30, 7))
         flagged = 0
-        for lo in range(0, 30, 7):  # a ragged last batch
-            batch = slice(lo, lo + 7)
-            want = decide(plan, batch, probs[batch])
+        for i in range(len(planned.batches)):  # a ragged last batch
+            want = decide(planned, i, probs)
             with np.errstate(all="raise"):  # log(0) and 0 * inf would raise
-                got = decide(plan, batch, poisoned[batch])
+                got = decide(planned, i, poisoned)
             assert_same_decision(got, want)
             flagged += int(got.flags.sum())
         assert (flagged > 0) == (SPECS[scheme].action != "none")
@@ -583,18 +587,77 @@ class TestCandidateSelection:
         an0 = an_targets_from_states(start) == 1.0
         probs = rng.uniform(1e-4, 1.0 - 1e-4, size=(30, 6))
         probs[::4, 2] = probs[0, 0]  # loss ties, which the selection breaks by index
-        plan = plan_epoch(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1))
+        planned = plan(scheme, states, 4, cfg(scheme, delta_rel=10.0, r0=1.0, delta_abs=0.1), range(size, 30, size))
         flags, wanted = np.zeros(states.shape, dtype=bool), []
-        for lo in range(0, 30, size):
-            batch = slice(lo, lo + size)
-            targets, weights, _ = decide_planned(plan, batch, probs[batch], flags[batch])
+        for i, (batch, _) in enumerate(planned.batches):
+            targets, weights = decide_planned(planned, i, probs, flags)
             wanted.append((batch, weights * bce_elementwise(probs[batch], targets)))
         assert flags.any() == (SPECS[scheme].action != "none")
         seen = np.full(probs.shape, np.nan)
-        losses = epoch_losses(plan, probs.copy(), flags, seen, an0)
+        losses = epoch_losses(planned, probs.copy(), flags, seen, an0)
         for batch, want in wanted:
             assert_same_bits(losses[batch], want)
         assert_same_bits(seen, an_losses(probs, an0))  # the tracker's, against the starting targets
+
+
+@st.composite
+def stacked_selections(draw):
+    """(scheme, states (*arms, n, K) by row, configs, epoch, visiting order of each arm, batch cuts, probabilities
+    (n, *arms, K) in visiting order) of a drawn stack of 1-4 arms, a lone run's without the arm axis: few
+    probability levels (ties within and across arms), some NaN, rates whose quotas are often zero, and absolute
+    thresholds at, just above or just below a loss."""
+    arms, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 40) | st.integers(90, 130)), draw(st.integers(2, 8))
+    seed, lone = draw(st.integers(0, 2**32 - 1)), arms == 1 and draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    states = rng.choice([int(U), int(P), int(N), int(C)], size=(arms, n, k), p=[0.7, 0.1, 0.1, 0.1]).astype(np.int8)
+    levels = np.array([1e-7, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0 - 1e-7])[:draw(st.integers(1, 7))]
+    probs = levels[rng.integers(0, len(levels), size=(n, arms, k))]
+    probs[rng.uniform(size=probs.shape) < draw(st.sampled_from([0.0, 0.0, 0.02, 0.3]))] = np.nan
+    if draw(st.booleans()):  # relative: LL-R's rate at epoch 2 is delta_rel
+        scheme, epoch = Scheme.LL_R, 2
+        cfgs = [cfg("ll-r", delta_rel=draw(st.sampled_from([0.0, 0.5, 3.0, 10.0, 37.5, 100.0]) | st.floats(0.0, 100.0)))
+                for _ in range(arms)]
+    else:  # absolute: r0 at epoch 1 with no decrement, at a level's loss or the next double either side
+        scheme, epoch, losses = Scheme.LL_R_ABS, 1, -np.log(np.subtract(1.0, levels))
+        at = [float(draw(st.sampled_from(list(losses)))) for _ in range(arms)]
+        cfgs = [cfg("ll-r-abs", r0=loss if side is None else float(np.nextafter(loss, side)), delta_abs=0.0)
+                for loss, side in zip(at, draw(st.lists(st.sampled_from([None, -np.inf, np.inf]), min_size=arms, max_size=arms)))]
+    orders = [rng.permutation(n) for _ in range(arms)]
+    cuts = draw(st.just([]) | st.lists(st.integers(1, max(1, n - 1)), max_size=6))  # one batch: from 512 candidates a partition
+    if lone:
+        return scheme, states[0], cfgs[0], epoch, orders, cuts, probs[:, 0]
+    return scheme, states, cfgs, epoch, orders, cuts, probs
+
+
+class TestStackedSelection:
+    @given(case=stacked_selections())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_each_arm_flags_what_its_own_selection_flags_at_the_same_threshold(self, case):
+        """Per batch and arm, the stack's one selection flags exactly what `select_large_losses` flags over that arm's
+        candidates alone, and the smallest AN loss flagged is its threshold, bit for bit (NaN: nothing or a NaN
+        loss); an absolute schedule's threshold is the plan's."""
+        scheme, states, cfgs, epoch, orders, cuts, probs = case
+        arms, (n, k) = len(orders), states.shape[-2:]
+        bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
+        batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        visit = np.stack([order + r * n for r, order in enumerate(orders)], axis=1).reshape(-1)
+        planned = plan_epoch(plan_rows(scheme, states, cfgs), epoch, visit, batches)
+        flags = np.zeros(probs.shape, dtype=bool)
+        by_arm = states.reshape(arms, n, k)
+        for i, batch in enumerate(batches):
+            decide_planned(planned, i, probs, flags)
+            for r in range(arms):
+                visited = by_arm[r][orders[r][batch]]  # the arm's states of the batch's rows, in visiting order
+                arm_probs = probs.reshape(n, arms, k)[batch, r]
+                candidates = np.flatnonzero(visited == U)
+                losses = -np.log(np.subtract(1.0, arm_probs.reshape(-1)[candidates]))
+                rate, threshold = (planned.rate or [None] * arms)[r], (planned.threshold or [None] * arms)[r]
+                want, want_threshold = select_large_losses(losses, candidates, rate, threshold, np.zeros((batch.stop - batch.start, k), dtype=bool))
+                got = flags.reshape(n, arms, k)[batch, r]
+                assert np.array_equal(got, want), (i, r)
+                flagged = -np.log(np.subtract(1.0, arm_probs[got]))
+                got_threshold = threshold if rate is None else float(flagged.min()) if flagged.size else math.nan
+                assert repr(got_threshold) == repr(want_threshold), (i, r)
 
 
 class TestQuota:

@@ -419,11 +419,11 @@ class TestUnknownOnlyFlags:
     def test_a_planned_observed_candidate_raises_before_corrections_land(self, monkeypatch, token, granularity):
         plan_epoch, apply = schemes.plan_epoch, schemes.apply_permanent_corrections
 
-        def leaky_plan(scheme, states, epoch, cfg):
-            plan = plan_epoch(scheme, states, epoch, cfg)
-            # every entry a candidate, observed and corrected ones too
-            n, k = states.shape
-            plan.candidates, plan.offsets = np.arange(n * k), list(range(0, n * k + 1, k))
+        def leaky_plan(rows, *args):
+            # every entry a candidate, observed and corrected ones too, while the plan's UNKNOWN mask stays true
+            plan = plan_epoch(dataclasses.replace(rows, unknown=np.ones_like(rows.unknown),
+                                                  counts=np.full_like(rows.counts, rows.unknown.shape[-1])), *args)
+            plan.unknown = plan_epoch(rows, *args).unknown
             return plan
 
         landed = []
@@ -453,11 +453,30 @@ def test_one_sum_over_blocks_gives_each_batch_its_own_sum(batch_size):
 
 
 def can_flag_batches(plan, batch_size):
-    """How many of the plan's batches can flag: all under an absolute schedule,
+    """How many of a lone run's plan's batches can flag: all under an absolute schedule,
     those with a positive quota of their UNKNOWN entries under a relative one."""
-    n = len(plan.offsets) - 1
-    unknown = [plan.offsets[min(lo + batch_size, n)] - plan.offsets[lo] for lo in range(0, n, batch_size)]
-    return sum(plan.rate is None or schemes.quota(plan.rate, m) > 0 for m in unknown)
+    unknown = [int(plan.unknown[lo:lo + batch_size].sum()) for lo in range(0, len(plan.unknown), batch_size)]
+    return sum(plan.rate is None or schemes.quota(plan.rate[0], m) > 0 for m in unknown)
+
+
+def counting_selections(monkeypatch, counts):
+    """Count in counts["select"] the batch decisions that take a log pass, which is the selection's
+    first step, and in counts["log"] every np.log call."""
+    decide = schemes.decide_planned
+
+    def counting_log(*args, **kwargs):
+        counts["log"] += 1
+        return log(*args, **kwargs)
+
+    def counting_decide(*args):
+        before = counts["log"]
+        result = decide(*args)
+        counts["select"] += counts["log"] > before
+        return result
+
+    log = np.log
+    monkeypatch.setattr(np, "log", counting_log)
+    monkeypatch.setattr(schemes, "decide_planned", counting_decide)
 
 
 class TestPerBatchWork:
@@ -504,8 +523,9 @@ class TestPerBatchWork:
 
         plans, plan_epoch = [], schemes.plan_epoch
         monkeypatch.setattr(schemes, "plan_epoch", counting("plan", lambda *a: plans.append(plan_epoch(*a)) or plans[-1]))
-        monkeypatch.setattr(schemes, "select_large_losses", counting("select", schemes.select_large_losses))
-        # plan_epoch and the run's starting AN targets both read the schemes binding
+        counting_selections(monkeypatch, counts)
+        monkeypatch.setattr(schemes, "select_large_losses", counting("epoch select", schemes.select_large_losses))
+        # plan_rows reads the schemes binding: the run's starting targets, then LL-Cp's after each epoch's corrections
         monkeypatch.setattr(schemes, "an_targets_from_states", counting("an", schemes.an_targets_from_states))
         monkeypatch.setattr(MemorizationTracker, "update", counting("update", MemorizationTracker.update))
         cfg = config(token, delta_rel=5.0, epochs=3, arch="mlp1", llcp_granularity=granularity)
@@ -514,24 +534,25 @@ class TestPerBatchWork:
         assert batches > cfg.epochs
         assert counts["update"] == cfg.epochs
         assert counts["plan"] == cfg.epochs
-        assert counts["an"] == cfg.epochs + 1  # one per plan, plus the run's starting targets
+        assert counts["an"] == (cfg.epochs if token == "ll-cp" else 1)  # the states change only under LL-Cp
         # a batch selects only if it can flag: an absolute schedule, or a relative quota above zero
         can_flag = sum(can_flag_batches(plan, cfg.batch_size) for plan in plans)
-        assert counts["select"] == {"none": 0, "batch": can_flag, "epoch": cfg.epochs}[selections]
+        assert counts["select"] == {"none": 0, "batch": can_flag, "epoch": 0}[selections]
+        assert counts["epoch select"] == (cfg.epochs if selections == "epoch" else 0)
         if selections == "batch":  # epoch 1 of a relative schedule has rate 0
             assert can_flag == (batches if token.endswith("-abs") else batches * 2 // 3)
 
     @pytest.mark.parametrize("token,granularity,delta_rel,batch_size", [("ll-cp", "batch", 0.2, 16), ("ll-ct", "epoch", 2.0, 8)])
     def test_a_batch_whose_quota_is_zero_never_selects(self, monkeypatch, token, granularity, delta_rel, batch_size):
-        plans, plan_epoch, select, selections = [], schemes.plan_epoch, schemes.select_large_losses, []
+        plans, plan_epoch, counts = [], schemes.plan_epoch, Counter()
         monkeypatch.setattr(schemes, "plan_epoch", lambda *a: plans.append(plan_epoch(*a)) or plans[-1])
-        monkeypatch.setattr(schemes, "select_large_losses", lambda *a, **kw: selections.append(kw) or select(*a, **kw))
+        counting_selections(monkeypatch, counts)
         cfg = config(token, delta_rel=delta_rel, epochs=4, batch_size=batch_size, arch="mlp1", llcp_granularity=granularity)
         data = tiny_partial(n=60)
         report = run(cfg, data)
         batches = cfg.epochs * -(-len(report.train_indices) // batch_size)
         can_flag = sum(can_flag_batches(plan, batch_size) for plan in plans)
-        assert len(selections) == can_flag
+        assert counts["select"] == can_flag
         if token == "ll-cp":  # quota(0.2, m) = 0 below m = 500 UNKNOWN entries: never
             assert can_flag == 0
         else:  # some batches of epochs 2 to 4 reach a quota of one, the others select nothing
