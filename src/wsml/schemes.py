@@ -4,7 +4,8 @@ Every scheme turns a batch of probabilities plus label states into an
 effective target matrix and a weight matrix for the weighted elementwise
 binary cross entropy. The large-loss family additionally selects UNKNOWN
 entries whose loss is large and rejects them (weight 0), temporarily corrects
-them (effective target 1), or marks them for permanent correction.
+them (effective target 1), or marks them for permanent correction. An epoch
+plan serves all the arms of a stack: a batch takes one selection for them all.
 
 All operations here are pure except apply_permanent_corrections, which
 requires exclusive access to the state matrix it corrects.
@@ -135,13 +136,18 @@ def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = 
 
 
 def bce_elementwise(probs: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise binary cross entropy targets * -log p + (1 - targets) * -log(1 - p) of two arrays of one shape;
-    probs must be pre-clamped away from {0, 1}. out: where to write it, which may be probs itself; new when None."""
+    """Elementwise binary cross entropy targets * -log p + (1 - targets) * -log(1 - p);
+    probs must be pre-clamped away from {0, 1}. out: where to write it, which
+    may be probs itself; new when None."""
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if probs.shape != targets.shape:
+        raise ValueError(f"shape mismatch: probs {probs.shape} vs targets {targets.shape}")
     neg = np.log(np.subtract(1.0, probs))  # log(1 - p), negated by the subtraction below
-    neg *= np.subtract(1.0, targets)  # before probs may be written over; a shape mismatch raises here
     losses = np.log(probs, out=out)
     np.negative(losses, out=losses)
     losses *= targets
+    neg *= np.subtract(1.0, targets)
     return np.subtract(losses, neg, out=losses)
 
 
@@ -151,6 +157,8 @@ def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | Non
     Rejection/temporary correction ramps as (epoch - 1) * delta_rel; permanent
     correction uses the constant delta_rel after a no-op first epoch.
     """
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
     spec = SPECS[Scheme(scheme)]
     if spec.schedule == "absolute":
         return None
@@ -163,11 +171,15 @@ def rejection_rate(scheme: Scheme, epoch: int, cfg: SchemeConfig) -> float | Non
 
 def absolute_threshold(epoch: int, cfg: SchemeConfig) -> float:
     """Loss threshold for the absolute schedules: r0 - epoch * delta_abs."""
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
     return cfg.r0 - epoch * cfg.delta_abs
 
 
-# candidates from which a relative selection partitions rather than sorts: the sort is cheaper below
+# candidates from which a one-arm selection partitions rather than sorts: the sort is cheaper below
 PARTITION_MIN = 512
+# arm a's scale 2^(-32a) in a stack's ranking; from arm 32 on NaN, whose ranking falls back to the stable sort
+_SCALES = np.append(np.ldexp(1.0, np.arange(0, -1024, -32)), np.nan)
 
 
 def quota(rate: float, m: int) -> int:
@@ -195,22 +207,26 @@ def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float 
     if k is None:
         flags.put(candidates[losses > threshold], True)
         return flags, float(threshold)
-    # descending loss, NaN last; the stable sort keeps the candidates' order on ties
-    order = (-losses).argsort(kind="stable")[:k] if len(candidates) < PARTITION_MIN else _top_k(losses, k)
+    order = _ranked(np.negative(losses), np.arange(k))
     flags.put(candidates[order], True)
     return flags, float(losses[order[-1]])
 
 
-def _top_k(losses: np.ndarray, k: int) -> np.ndarray:
-    """(-losses).argsort(kind="stable")[:k] by a partition, which costs less than that sort on many losses:
-    every loss above the k-th largest, then its first ties. The sort's, when fewer than k losses are numbers."""
-    keys = -losses
-    keys.partition(k - 1)  # in place, so that the selection holds one copy of the losses
-    kth = -keys[k - 1]
-    if math.isnan(kth):
-        return (-losses).argsort(kind="stable")[:k]
-    above = np.flatnonzero(losses > kth)
-    return np.concatenate([above, np.flatnonzero(losses == kth)[:k - len(above)]])
+def _ranked(keys: np.ndarray, picks: np.ndarray, arm: np.ndarray | None = None) -> np.ndarray:
+    """The places `picks` of np.lexsort((keys, arm)), or without arms keys.argsort(kind="stable") (picks: its first
+    places), of negated losses: each arm's largest first, ties toward the earlier place, NaN last. The stable sort costs
+    several times a quicksort, which ranks instead wherever no tie, NaN or out-of-range key could change the order."""
+    if arm is None and len(keys) >= PARTITION_MIN:  # a partition, cheaper still: the keys below the k-th, then its ties
+        kth = np.partition(keys, len(picks) - 1)[len(picks) - 1]
+        if not math.isnan(kth):  # else fewer than k keys are numbers, and the check below fails
+            below = np.flatnonzero(keys < kth)
+            return np.concatenate([below, np.flatnonzero(keys == kth)[:len(picks) - len(below)]])
+    ranked = keys if arm is None else keys * _SCALES.take(arm, mode="clip")  # exact: in [-32, -2^-26], below arm + 1's
+    order = ranked.argsort()
+    ranked = ranked.take(order)
+    if not (ranked[1:] > ranked[:-1]).all() or arm is not None and not (-32.0 <= keys.min() and keys.max() <= -2.0**-26):
+        order = keys.argsort(kind="stable") if arm is None else np.lexsort((keys, arm))
+    return order[picks]
 
 
 @dataclass
@@ -218,8 +234,8 @@ class EpochPlan:
     """What the label states fix of a stack's batch decisions: the AN positives, the UNKNOWN mask, the base targets
     (`an` itself, whose bools have the float targets' bits in a difference, or LSAN's smoothed ones) and weights, laid
     out like the states, (*arms, n, K), by `plan_rows`, and in an epoch's visiting order, (n, *arms, K), by `plan_epoch`,
-    which adds each arm's rate or threshold (the other is None) and each batch's rows and selection (None: it flags
-    nothing). counts: each row's UNKNOWN entries."""
+    which adds each arm's rate or threshold (the other is None) and each batch's rows and selection (None: none).
+    counts: each row's UNKNOWN entries."""
 
     scheme: Scheme
     spec: SchemeSpec
@@ -253,88 +269,61 @@ def plan_rows(scheme: Scheme, states: np.ndarray, cfgs) -> EpochPlan:
     return EpochPlan(scheme, spec, cfgs, an, unknown, targets, weights, unknown.sum(axis=-1))
 
 
-def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice]) -> EpochPlan:
+def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice], live=True) -> EpochPlan:
     """The part of epoch `epoch`'s decisions that does not read the model, which holds for the whole epoch: permanent
     corrections land only at epoch end. order: for each (visiting row, arm) in turn, the row of `rows`' arrays seen
-    as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. The schedule is the scheme's; the
-    batches select as `rows.spec` acts."""
-    spec, (n, k), arms = rows.spec, rows.an.shape[-2:], rows.an.shape[:-2]
+    as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. live: which arms select. The
+    schedule is the scheme's; the batches select as `rows.spec` acts. A batch's selection: the ascending flat indices
+    of its selecting arms' UNKNOWN entries into the (n, *arms, K) arrays, their arm (None in a lone run), and each
+    one's -threshold (absolute) or the places flagged in their stable (arm, -loss) order, each arm's first quota."""
+    spec, (n, k), arms = rows.spec, rows.an.shape[-2:], len(rows.cfgs)
 
     def reorder(a):  # a broadcast 1.0 has no rows to take
-        shape = (n, *arms, k)
+        shape = (n, *rows.an.shape[:-2], k)
         return a.reshape(-1, k).take(order, axis=0).reshape(shape) if any(a.strides) else np.broadcast_to(1.0, shape)
 
-    an = reorder(rows.an)
-    relative = SPECS[rows.scheme].schedule != "absolute"
+    an, relative = reorder(rows.an), SPECS[rows.scheme].schedule != "absolute"
     plan = EpochPlan(rows.scheme, spec, rows.cfgs, an, reorder(rows.unknown), an if rows.targets is rows.an else
-                     reorder(rows.targets), reorder(rows.weights), rows.counts.reshape(-1).take(order).reshape(n, -1),
+                     reorder(rows.targets), reorder(rows.weights), rows.counts.reshape(-1).take(order).reshape(n, arms),
                      [rejection_rate(rows.scheme, epoch, cfg) for cfg in rows.cfgs] if relative else None,
                      None if relative else [absolute_threshold(epoch, cfg) for cfg in rows.cfgs])
-    selects = spec.action != "none" and (plan.threshold or any(plan.rate))
-    plan.batches = list(zip(batches, _selections(plan, np.array([*(batch.start for batch in batches), n]))
-                            if selects else [None] * len(batches)))
+    plan.batches = [(batch, None) for batch in batches]
+    if spec.action == "none" or relative and not any(plan.rate):
+        return plan
+    bounds = np.array([*(batch.start for batch in batches), n])
+    counts = np.add.reduceat(plan.counts, bounds[:-1])  # of each (batch, arm): a live one selects at a positive quota
+    quotas = np.minimum((np.array(plan.rate) / 100.0 * counts).astype(np.int64), counts) if relative else counts
+    quotas = np.where((quotas > 0) & live, quotas, 0)
+    counts *= quotas > 0
+    selects = (quotas > 0).repeat(np.diff(bounds), axis=0)  # of each (row, arm)
+    candidates = np.flatnonzero(plan.unknown.reshape(n, arms, k) & selects[:, :, None])
+    arm = np.repeat(np.tile(np.arange(arms, dtype=np.min_scalar_type(arms)), n), (plan.counts * selects).reshape(-1))
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    if relative:  # each arm's quota from where its candidates start in the batch's order
+        taken = np.cumsum(quotas)
+        chosen = np.arange(taken[-1]) + np.repeat((np.cumsum(counts, axis=1) - counts - taken.reshape(counts.shape)
+                                                   + quotas).reshape(-1), quotas.reshape(-1))
+        stops = taken[arms - 1::arms].tolist()
+    else:  # loss > t: -log(1 - p) > t is log(1 - p) < -t
+        chosen, stops = np.negative(plan.threshold)[arm], ends
+    plan.batches = [(batch, None if a == b else (candidates[a:b], arm[a:b] if arms > 1 else None, chosen[c:d]))
+                    for batch, a, b, c, d in zip(batches, [0, *ends], ends, [0, *stops], stops)]
     return plan
 
 
-def _selections(plan: EpochPlan, bounds: np.ndarray) -> list:
-    """What each batch of visiting rows [bounds[b], bounds[b + 1]) reads to select, or None: its candidates, the
-    ascending flat indices of its arms' UNKNOWN entries into the (n, *arms, K) arrays, then -threshold of each
-    (absolute), or (relative: of the arms whose quota(rate, M) of M is positive) their arm, each arm's power of
-    two 2^(32 * (arms - 1 - arm)) and the places flagged in their stable (arm, -loss) order; for one arm, None,
-    None and the slice of its quota."""
-    n, k, arms, batches = len(plan.unknown), plan.unknown.shape[-1], len(plan.cfgs), len(bounds) - 1
-    unknown, per_row = plan.unknown.reshape(n, arms, k), plan.counts.reshape(n, arms)
-    counts = np.add.reduceat(per_row, bounds[:-1])  # of each (batch, arm)
-    if plan.rate is not None:  # exactly quota(rate, M) of each (batch, arm); only a positive one selects
-        quotas = np.minimum((np.array(plan.rate) / 100.0 * counts).astype(np.int64), counts)
-        selects = (quotas > 0).repeat(np.diff(bounds), axis=0)
-        counts, unknown, per_row = np.where(quotas > 0, counts, 0), unknown & selects[:, :, None], per_row * selects
-    candidates = np.flatnonzero(unknown)  # each one's arm, below, as the lexsort's first key: a narrow one sorts faster
-    arm = (np.repeat(np.tile(np.arange(arms, dtype=np.min_scalar_type(arms)), n), per_row.reshape(-1)) if arms > 1
-           else np.zeros(len(candidates), np.uint8))
-    scales = np.ldexp(1.0, np.minimum(np.arange(32 * (arms - 1), -1, -32), 992))  # from 33 arms on `decide_planned` lexsorts
-    ends = np.cumsum(counts.sum(axis=1)).tolist()
-    if plan.rate is None:  # loss > t: -log(1 - p) > t is log(1 - p) < -t
-        bars = np.negative(plan.threshold)[arm]
-        return [(candidates[a:b], bars[a:b]) if a < b else None for a, b in zip([0, *ends], ends)]
-    active = np.flatnonzero(quotas > 0)  # the selecting (batch, arm), batch-major
-    quota, first = quotas.reshape(-1)[active], (np.cumsum(counts, axis=1) - counts).reshape(-1)[active]
-    taken = np.cumsum(quota)
-    picks = np.arange(quota.sum()) + np.repeat(first - taken + quota, quota)
-    segments, taken = np.searchsorted(active // arms, np.arange(batches + 1)).tolist(), [0, *taken.tolist()]
-    return [None if s == t  # no arm selects
-            else (candidates[a:b], None, None, slice(0, taken[t] - taken[s])) if t - s == 1  # one arm: its candidates alone
-            else (candidates[a:b], arm[a:b], scales, picks[taken[s]:taken[t]])
-            for a, b, s, t in zip([0, *ends], ends, segments, segments[1:])]
-
-
 def decide_planned(plan: EpochPlan, i: int, probs: np.ndarray, flags: np.ndarray):
-    """Finish batch i's decision for every arm that can flag from `probs`, the plan's rows' probabilities, (n, *arms, K):
-    one gather and log pass gives its candidates' AN loss, -log(1 - p) (an UNKNOWN entry's AN target is 0); a relative
-    schedule flags each arm's quota of largest losses, ties toward ascending (row, column), NaN last. flags: the epoch's
-    all-False C-contiguous flags, (n, *arms, K). Returns the batch's (targets, weights), (B, *arms, K); no losses or
-    thresholds: the epoch end has both, a threshold being the smallest AN loss flagged (or an absolute schedule's)."""
+    """Finish batch i's decision for all arms from `probs`, the probabilities of the plan's rows, (n, *arms, K): one
+    gather and log pass gives its candidates' AN loss, -log(1 - p), and a relative schedule flags each arm's quota of
+    the largest. flags: the epoch's all-False C-contiguous flags, (n, *arms, K). Returns the batch's (targets,
+    weights), (B, *arms, K); the epoch end takes its losses and each threshold, the smallest AN loss flagged."""
     rows, selection = plan.batches[i]
     targets, weights = plan.targets[rows], plan.weights[rows]
     if selection is None:
         return targets, weights
-    candidates = selection[0]
+    candidates, arm, chosen = selection
     keys = probs.take(candidates)
-    np.log(np.subtract(1.0, keys, out=keys), out=keys)  # log(1 - p): the negated loss, in (arm, -loss) order
-    if plan.rate is None:
-        flags.put(candidates[keys < selection[1]], True)
-    else:
-        _, arm, scales, picks = selection
-        if arm is None and len(keys) >= PARTITION_MIN:
-            order = _top_k(np.negative(keys), picks.stop)
-        else:  # a quicksort, a fraction of a stable sort's cost in the training loop, and the stable order where keys differ
-            ranked = keys if arm is None else keys * scales.take(arm)  # exact; in range, each arm's below the next one's
-            order = ranked.argsort()
-            ranked = ranked.take(order)
-            if not (ranked[1:] > ranked[:-1]).all() or arm is not None and not (
-                    len(plan.cfgs) <= 32 and -32.0 <= keys.min() and keys.max() <= -2.0 ** -26):  # clamped p: in range
-                order = keys.argsort(kind="stable") if arm is None else np.lexsort((keys, arm))
-        flags.put(candidates[order[picks]], True)
+    np.log(np.subtract(1.0, keys, out=keys), out=keys)  # log(1 - p): the negated loss
+    flags.put(candidates[keys < chosen if plan.rate is None else _ranked(keys, chosen, arm)], True)
     if plan.spec.action == "reject":
         return targets, np.where(flags[rows], 0.0, weights)
     return targets | flags[rows], weights  # flagged entries train toward 1 until the state change lands

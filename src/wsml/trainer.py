@@ -7,8 +7,9 @@ run owns private copies of everything it mutates, so concurrent runs over a
 shared dataset are safe.
 
 `run_stack` trains runs that differ only in seed and the scheme's hyperparameters
-(a delta-rel sweep's arms) in lockstep: one forward pass, gradient and step a batch
-for all (see `wsml.model`), each arm with the bits it has alone. `run` is the stack of one.
+(a delta-rel sweep's arms) in lockstep: one forward pass, decision, gradient and step a
+batch for all (see `wsml.model` and `wsml.schemes`), each arm with the bits it has alone.
+`run` is the stack of one.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class MemorizationTracker:
     Losses are taken against the assume-negative targets the run started
     from, so the measurement reflects the original assumed labels even when a
     correcting scheme later rewrites states. The trainer folds each epoch's
-    losses in once, at epoch end, by row.
+    losses in once, at epoch end, by row: a stack's (arms, n, K) at once.
     """
 
     def __init__(self, *shape: int):  # (n, k), or a stack's (arms, n, k)
@@ -185,7 +186,8 @@ class _Arm:
     cum_true_pos: int = 0  # true positives among all flags so far: under LL-Cp, its corrections
     best_epoch: int = 0
     best_val: float = -1.0
-    failure: Exception | None = None  # what stopped the run: the stack skips its row from then on
+    train_loss: float = math.nan  # of the epoch, until its record is made
+    failure: Exception | None = None  # what stopped the run: from then on its row of the stack selects nothing
 
 
 def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None) -> _Arm:
@@ -207,21 +209,14 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
 
 
 def _arms(a: np.ndarray, visiting: bool = False) -> list[np.ndarray]:
-    """Each arm's (n, K) part of a stack's array, laid out (arms, n, K) by row or (n, arms, K) in visiting order;
-    a lone run's (n, K) array has no arm axis."""
+    """Each arm's (n, K) part of a stack's array, (arms, n, K) by row or (n, arms, K) `visiting`; a lone run's own."""
     return [a] if a.ndim == 2 else list(a.swapaxes(0, 1) if visiting else a)
 
 
-def _stacked(arms: list[_Arm]) -> np.ndarray:
-    """The arms' states as one (*arms, n, K) array; a lone run's own."""
-    return arms[0].states if len(arms) == 1 else np.stack([arm.states for arm in arms])
-
-
 def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
-    """A stack's reused arrays: each arm's dataset rows in visiting order, and each (visiting row, arm)'s row of the
-    (*arms, n, K) arrays seen as rows; (probabilities, AN losses, flags), (n, *arms, K) in visiting order; the gradient;
-    each batch's rows; and for each, made once, its rows, feature rows, probabilities as the model lays them out and as
-    the plan does, forward pass, gradient deltas and output delta as the plan lays it out."""
+    """A stack's reused arrays: each arm's dataset rows and each (row, arm)'s row of its (*arms, n, K) arrays, in
+    visiting order; (probabilities, AN losses, flags), (n, *arms, K) likewise; the gradient; the batches' rows; and
+    each batch's rows, feature rows, probabilities in both layouts, forward pass, gradient deltas and output delta."""
     arms, full = classifier.flat.shape[:-1], min(batch_size, n)
     rows, probs, flags = np.empty((*arms, n), dtype=np.int64), np.empty((n, *arms, k)), np.empty((n, *arms, k), dtype=bool)
     passes = {size: (np.empty((*arms, size, d)), *(model_mod.ForwardPass.empty(classifier, size) for _ in range(2)))
@@ -231,8 +226,7 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
         x, work, deltas = passes[min(batch_size, n - batch.start)]
         batches.append((rows[..., batch], x, np.moveaxis(probs[batch], 0, -2), probs[batch], work, deltas,
                         np.moveaxis(deltas.raw, -2, 0)))
-    grad, seen = np.empty_like(classifier.flat), np.empty((n, *arms, k))
-    visit = np.empty((n, math.prod(arms)), dtype=np.int64)
+    grad, seen, visit = np.empty_like(classifier.flat), np.empty((n, *arms, k)), np.empty((n, math.prod(arms)), np.intp)
     return rows, visit, probs, seen, flags, grad, classifier.views(grad), batches, slices
 
 
@@ -240,17 +234,17 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each
     live arm's epoch end and record, or the exception that stops it as its `failure`. A batch takes every arm's
     feature rows, one forward pass, one decision and output delta for all arms, one backward pass and one step."""
-    rows, visit, probs, seen, flags, grad, grad_views, batches, slices, base, tracker = buffers
+    rows, visit, probs, seen, flags, grad, grad_views, batches, slices, base, tracker, states = buffers
     (n, k), first = tracker.max_loss.shape[-2:], arms[0]
     for i, (arm, arm_rows) in enumerate(zip(arms, rows.reshape(-1, n))):
         if arm.failure is None:
             order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(n)
             arm.train_idx.take(order, out=arm_rows)
             np.add(order, i * n, out=visit[:, i])
-    rows_plan = schemes.plan_rows(base.scheme, _stacked(arms), base.cfgs) if first.permanent and epoch > 1 else base
+    rows_plan = schemes.plan_rows(base.scheme, states, base.cfgs) if first.permanent and epoch > 1 else base
     if first.epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
         rows_plan = replace(rows_plan, spec=schemes.SPECS[schemes.Scheme.NAIVE_AN])
-    plan = schemes.plan_epoch(rows_plan, epoch, visit.reshape(-1), slices)
+    plan = schemes.plan_epoch(rows_plan, epoch, visit.reshape(-1), slices, [arm.failure is None for arm in arms])
     flags.fill(False)
 
     for i, (batch_rows, x, batch_probs, planned_probs, work, deltas, delta) in enumerate(batches):
@@ -263,9 +257,8 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     # the AN losses against the targets each run started from; LL-Cp's states have changed since
     positive = base.an.reshape(-1, k).take(visit.reshape(-1), axis=0).reshape(plan.an.shape) if first.permanent else plan.an
     losses = schemes.epoch_losses(plan, probs, flags, seen, positive)  # over the probabilities
-    ends = [arm.failure or _attempt(_end_epoch, arm, epoch, arm_losses) for arm, arm_losses in zip(arms, _arms(losses, True))]
-    for arm, end in zip(arms, ends):
-        arm.failure = end if isinstance(end, Exception) else None
+    for arm, arm_losses in zip(arms, _arms(losses, True)):
+        arm.failure = arm.failure or _attempt(_end_epoch, arm, epoch, arm_losses)
     if all(arm.failure for arm in arms):  # nothing left to fold in
         return
     # every row was visited exactly once, so one fold by row does what a fold per batch would
@@ -273,13 +266,11 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     by_row.reshape(-1, k)[visit.reshape(-1)] = seen.reshape(-1, k)  # the AN losses by row, in a buffer that is free again
     tracker.update(by_row, epoch)
     row_flags.reshape(-1, k)[visit.reshape(-1)] = flags.reshape(-1, k)  # all False under epoch-level LL-Cp
-    for arm, *views in zip(arms, ends, _arms(by_row), _arms(row_flags), plan.rate or plan.threshold):
-        if arm.failure is None:
-            arm.failure = _attempt(_settle, arm, epoch, *views, plan.rate is None)
+    for arm, *views in zip(arms, _arms(by_row), _arms(row_flags), plan.rate or plan.threshold):
+        arm.failure = arm.failure or _attempt(_settle, arm, epoch, *views, plan.rate is None)
     del plan, positive, row_flags  # freed before validation: less to hold
     for i, arm in enumerate(arms):  # its model after the epoch is a view of its row of the stack
-        if arm.failure is None:
-            arm.failure = _attempt(_record, arm, stack.arm(i), ds)
+        arm.failure = arm.failure or _attempt(_record, arm, stack.arm(i), ds)
 
 
 def _attempt(fn, *args):
@@ -290,8 +281,8 @@ def _attempt(fn, *args):
         return exc
 
 
-def _end_epoch(arm: _Arm, epoch: int, losses) -> float:
-    """An arm's train loss from its epoch losses (`schemes.epoch_losses`, written over its probabilities) in visiting
+def _end_epoch(arm: _Arm, epoch: int, losses) -> None:
+    """Set an arm's train loss from its epoch losses (`schemes.epoch_losses`, written over its probabilities) in visiting
     order. Raises TrainingDiverged on a non-finite batch loss."""
     n, k = losses.shape
     full = n - n % arm.cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
@@ -302,12 +293,12 @@ def _end_epoch(arm: _Arm, epoch: int, losses) -> float:
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(epoch)
         weighted_total += batch_loss
-    return weighted_total / (n * k)
+    arm.train_loss = weighted_total / (n * k)
 
 
-def _settle(arm: _Arm, epoch: int, train_loss: float, losses, flags, schedule, absolute: bool) -> None:
-    """An arm's epoch-level selection, corrections and record but for validation, from its train loss, AN losses and
-    flags by row and its epoch's rate or threshold (`absolute`)."""
+def _settle(arm: _Arm, epoch: int, losses, flags, schedule, absolute: bool) -> None:
+    """An arm's epoch-level selection, corrections and record but for validation, from its AN losses and flags by
+    row and its epoch's rate or threshold (`absolute`)."""
     if (flags & (arm.states != UNKNOWN)).any():  # before any flag is counted or corrected
         raise AssertionError("flag selection touched an observed or corrected entry")
     # each batch's threshold is the smallest AN loss it flagged (NaN: none), or an absolute schedule's
@@ -323,7 +314,7 @@ def _settle(arm: _Arm, epoch: int, train_loss: float, losses, flags, schedule, a
     # the precision of LL-Cp's corrections so far, else of this epoch's flags; None without truth or flags
     hits, total = (arm.cum_true_pos, arm.cum_corrections) if arm.permanent else (true_pos, flagged)
     arm.records.append(EpochRecord(  # val_map comes with `_record`
-        epoch=epoch, train_loss=train_loss, val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
+        epoch=epoch, train_loss=arm.train_loss, val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
         flag_precision=hits / total if true_pos is not None and total else None,
         cum_corrections=arm.cum_corrections, threshold_min=threshold))
 
@@ -364,8 +355,11 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         classifier = stack.arm(0) if len(arms) == 1 else stack
         opt = model_mod.make_optimizer(first.optimizer, first.learning_rate, classifier)
         tracker = MemorizationTracker(*classifier.flat.shape[:-1], *arms[0].states.shape)
+        states = arms[0].states if len(arms) == 1 else np.stack([arm.states for arm in arms])  # (*arms, n, K)
+        for arm, arm_states in zip(arms, _arms(states)):  # a view: LL-Cp's corrections land in the stack's states
+            arm.states = arm_states
         buffers = (*_buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, first.batch_size),
-                   schemes.plan_rows(first.scheme.scheme, _stacked(arms), [arm.cfg.scheme for arm in arms]), tracker)
+                   schemes.plan_rows(first.scheme.scheme, states, [arm.cfg.scheme for arm in arms]), tracker, states)
         for epoch in range(1, first.epochs + 1):
             classifier.frozen_hidden = epoch <= first.frozen_epochs
             _train_epoch(stack, classifier, ds, arms, epoch, opt, buffers)

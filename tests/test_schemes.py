@@ -445,6 +445,8 @@ class TestEpochPlan:
         assert (relative.rate, relative.threshold) == ([6.0], None)
         absolute = plan(Scheme.LL_R_ABS, states, 2, cfg("ll-r-abs", r0=1.5, delta_abs=0.25))
         assert (absolute.rate, absolute.threshold) == (None, [1.0])
+        with pytest.raises(ValueError, match="epoch"):
+            plan(Scheme.NAIVE_AN, states, 0, cfg("naive-an"))
 
     @pytest.mark.parametrize("scheme", list(SPECS))
     def test_given_an_losses_change_no_field_of_the_decision(self, scheme):

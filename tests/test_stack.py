@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsml import trainer
+from wsml import model, schemes, trainer
 from wsml.dataset import SyntheticSpec, generate_synthetic, make_fraction_observed, make_single_positive
 from wsml.schemes import SPECS, Scheme, SchemeConfig
 from wsml.trainer import TrainConfig, TrainingDiverged, run, run_stack
@@ -115,6 +115,39 @@ def test_an_arm_that_diverges_leaves_the_stack_and_the_others_keep_their_bits(mo
             assert isinstance(report, TrainingDiverged) and report.epoch == 2
         else:
             assert_same_report(report, want)
+
+
+def test_a_diverged_arm_leaves_its_stacks_selection(monkeypatch):
+    """Once an arm has failed, its rows select nothing: its NaN probabilities would otherwise send every later batch
+    of the stack from the quicksort to the stable lexsort. The other arms keep their bits."""
+    cfgs, ds = tiny_stack(3, 4, 5)
+    alone = [run(cfg, ds) for cfg in cfgs]
+    epochs, lexsorts, deciding = [], [], [False]
+    plan_epoch, forward_pass, decide_planned = schemes.plan_epoch, model.forward_pass, schemes.decide_planned
+    lexsort = np.lexsort
+
+    def nan_seed_4_from_epoch_2(classifier, x, probs=None, *args):
+        fwd = forward_pass(classifier, x, probs, *args)
+        if probs is not None and epochs[-1] >= 2:
+            probs[1] = np.nan  # seed 4's row of the stack, as if its model had diverged
+        return fwd
+
+    def decide(*args):
+        deciding[0] = True
+        try:
+            return decide_planned(*args)
+        finally:
+            deciding[0] = False
+
+    monkeypatch.setattr(schemes, "plan_epoch", lambda rows, epoch, *a: epochs.append(epoch) or plan_epoch(rows, epoch, *a))
+    monkeypatch.setattr(model, "forward_pass", nan_seed_4_from_epoch_2)
+    monkeypatch.setattr(schemes, "decide_planned", decide)
+    monkeypatch.setattr(np, "lexsort", lambda keys: (deciding[0] and lexsorts.append(epochs[-1])) or lexsort(keys))
+    reports = run_stack(cfgs, ds)
+    assert isinstance(reports[1], TrainingDiverged) and reports[1].epoch == 2
+    for i in (0, 2):
+        assert_same_report(reports[i], alone[i])
+    assert epochs == [1, 2, 3] and 2 in lexsorts and 3 not in lexsorts
 
 
 def test_an_arm_that_fails_to_start_fails_alone():
