@@ -22,11 +22,12 @@ linear one, one of them to stdout, a train and an eval on a copy of the
 partialized corpus with comment lines inside its blocks, a train on a copy
 whose state disagrees with its truth, a train on a copy cut before its TRUTH
 line, whose validation mAP ranks the observed entries alone, a 2-worker, a
-1-worker and a failing sweep, and three delta-rel sweeps whose arms train as
+1-worker and a failing sweep, and four delta-rel sweeps whose arms train as
 stacks: four LL-Cp arms in one stack, with a frozen first epoch and a ragged
 last batch, three LL-R arms in one stack, whose flagged entries train with
-weight 0, with a ragged last batch, and five LL-Ct arms that two workers take
-as stacks of three and two. Each side runs in its own empty directory with
+weight 0, with a ragged last batch, five LL-Ct arms that two workers take as
+stacks of three and two, and three LL-Ct arms in one stack on the copy without
+truth, with a ragged last batch. Each side runs in its own empty directory with
 relative paths. Every output file and each command's stdout, stderr and exit
 code are then compared byte for byte; the files that differ are printed, the
 outputs are kept for inspection and the exit code is 1.
@@ -116,8 +117,8 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         return (name, "1", ["train", "--data", data, "--scheme", scheme, "--epochs", str(epochs),
                             "--batch", "16", "--seed", "7", "--hidden", "8", *extra, "--out-prefix", name])
 
-    def sweep(name, threads, param, values, scheme, *extra, arch="linear", batch=16):
-        return (name, threads, ["sweep", "--param", param, "--values", values, "--data", "sp.wsml",
+    def sweep(name, threads, param, values, scheme, *extra, arch="linear", batch=16, data="sp.wsml"):
+        return (name, threads, ["sweep", "--param", param, "--values", values, "--data", data,
                                 "--scheme", scheme, "--epochs", str(epochs), "--batch", str(batch), "--seed", "3",
                                 "--arch", arch, *extra, "--out", name + ".csv"])
 
@@ -178,7 +179,9 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
                              "--phase-table", "--tracker", "notes.tracker", "--out", "eval-notes.json"]),
         ("notes-bad-copy", "1", ["-c", NOTES, "sp.wsml", "notes-bad.wsml", "40"]),
         train("notes-bad", "notes-bad.wsml", "naive-an"),  # fails at state row 40's line
-        ("bare-copy", "1", ["-c", BARE, "sp.wsml", "bare.wsml"]),
+        # of the fraction-mode set, which observes negatives too: a single-positive set observes positives alone,
+        # so every AP over its observed entries is 1 whatever the ranking
+        ("bare-copy", "1", ["-c", BARE, "frac.wsml", "bare.wsml"]),
         train("bare", "bare.wsml", "ll-ct", "--delta-rel", "5"),  # no truth: no flag precision, observed-entry mAP
         sweep("sweep-2w", "2", "delta-rel", "2,0.5,1", "ll-r", "--test-data", "test.wsml"),
         sweep("sweep-1w", "1", "subsample", "0.5,1", "naive-an"),
@@ -190,6 +193,9 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         sweep("sweep-stack-llr", "1", "delta-rel", "5,2,10", "ll-r", "--hidden", "8", arch="mlp1", batch=7),
         # two workers deal five arms into stacks of three and two
         sweep("sweep-stack-2w", "2", "delta-rel", "0.5,1,2,4,8", "ll-ct", "--hidden", "8", arch="mlp1"),
+        # three arms in one stack on the copy without truth: each validates on its observed entries alone
+        sweep("sweep-stack-bare", "1", "delta-rel", "5,2,10", "ll-ct", "--hidden", "8", arch="mlp1", batch=7,
+              data="bare.wsml"),
     ]
 
 

@@ -42,30 +42,24 @@ class PhaseBucket:
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AP of one ranking: mean precision at the ranks of the positive labels.
-
-    Sorting is by descending score with ties broken by ascending original
-    index. Raises when there is no positive label (callers skip instead).
+    """AP of one ranking: mean precision at the ranks of the positive labels, the one-column
+    case of `mean_average_precision`. Raises when there is no positive label (callers skip instead).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ValueError(f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}")
     positive = labels != 0
-    n_pos = int(positive.sum())
-    if n_pos == 0:
+    if not positive.any():
         raise ValueError("no positive labels: category should be skipped")
-    order = np.lexsort((np.arange(scores.size), -scores))
-    ranked = positive[order]
-    precision = np.cumsum(ranked) / np.arange(1, scores.size + 1)
-    return float(precision[ranked].sum() / n_pos)
+    return mean_average_precision(scores[:, None], positive[:, None]).mean
 
 
 def mean_average_precision(scores: np.ndarray, truth: np.ndarray) -> APResult:
     """Per-category AP over samples; the mean skips categories with no positives.
 
-    One stable sort ranks every category at once, in `average_precision`'s
-    order, and each category's AP is the same sum over the same values."""
+    One stable sort ranks every category at once, by descending score with ties
+    broken by ascending original index."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     if scores.ndim != 2 or scores.shape != truth.shape:

@@ -125,11 +125,11 @@ class SchemeConfig:
             raise ValueError(f"eps_smooth must lie in [0, 0.5), got {self.eps_smooth}")
 
 
-def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def an_losses(probs: np.ndarray, positive: np.ndarray, out: np.ndarray) -> np.ndarray:
     """-log(where(positive, p, 1 - p)): the elementwise binary cross entropy against
     the targets of the boolean mask `positive`, with the bits of where(positive, -log p,
     -log(1 - p)) from one log pass; probs must be pre-clamped away from {0, 1}.
-    out: where to write it, which may not be probs; new when None."""
+    out: where to write it, which may not be probs."""
     out = np.subtract(1.0, probs, out=out)  # a plain subtract: a masked ufunc loop costs more than the masked copy
     np.copyto(out, probs, where=positive)
     return np.negative(np.log(out, out=out), out=out)
@@ -250,11 +250,11 @@ class EpochPlan:
     batches: list = field(default_factory=list)
 
 
-def plan_rows(scheme: Scheme, states: np.ndarray, cfgs) -> EpochPlan:
-    """The plan's arrays over `states` (*arms, n, K), of the arms with the configs `cfgs` (one per arm, or a lone
-    run's). Once per run for a scheme that never changes states (all but LL-Cp)."""
+def plan_rows(scheme: Scheme, states: np.ndarray, cfgs: list[SchemeConfig]) -> EpochPlan:
+    """The plan's arrays over `states` (*arms, n, K), of the arms with the configs `cfgs`, one per arm. Once per run
+    for a scheme that never changes states (all but LL-Cp)."""
     scheme, states = Scheme(scheme), np.asarray(states)
-    spec, cfgs = SPECS[scheme], [cfgs] if isinstance(cfgs, SchemeConfig) else list(cfgs)
+    spec = SPECS[scheme]
     an, unknown = an_targets_from_states(states) == 1.0, states == UNKNOWN
     targets = an
     if spec.target == "smoothed":  # where(an, 1 - eps, eps): the bits of an * (1 - eps) + (1 - an) * eps
@@ -269,7 +269,7 @@ def plan_rows(scheme: Scheme, states: np.ndarray, cfgs) -> EpochPlan:
     return EpochPlan(scheme, spec, cfgs, an, unknown, targets, weights, unknown.sum(axis=-1))
 
 
-def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice], live=True) -> EpochPlan:
+def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice], live: list[bool]) -> EpochPlan:
     """The part of epoch `epoch`'s decisions that does not read the model, which holds for the whole epoch: permanent
     corrections land only at epoch end. order: for each (visiting row, arm) in turn, the row of `rows`' arrays seen
     as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. live: which arms select. The

@@ -149,22 +149,17 @@ def split(ds: PartialDataset, fraction: float, seed):
 
 def _validation_map(classifier, ds: PartialDataset, rows: np.ndarray) -> float:
     """Validation mAP as a fraction over the dataset's `rows`, whose features are taken for the pass
-    alone: against truth when present, otherwise over observed entries only (unknown entries leave
-    the ranking)."""
+    alone: against truth when present, otherwise over observed entries only (the others score -1.0, below a NaN
+    probability's 0.0 and every clamped one, so the observed entries keep their own ranking's ranks and bits)."""
     # features checked with the dataset; the pass's buffers are freed again before the next epoch
     probs, states = model_mod.forward_pass(classifier, ds.features.take(rows, axis=0)).probs, ds.states[rows]
     if ds.truth is not None:
         return evaluation.mean_average_precision(probs, ds.truth[rows]).mean
-    aps = []
-    for k in range(states.shape[1]):
-        observed = (states[:, k] == OBS_POS) | (states[:, k] == OBS_NEG)
-        labels = (states[:, k] == OBS_POS).astype(np.int8)
-        if labels[observed].sum() == 0:
-            continue
-        aps.append(evaluation.average_precision(probs[observed, k], labels[observed]))
-    if not aps:
+    positive = states == OBS_POS
+    if not positive.any():
         raise ValueError("validation mAP undefined: no category has an observed positive")
-    return float(np.mean(aps))
+    scores = np.where(positive | (states == OBS_NEG), np.nan_to_num(probs, nan=0.0), -1.0)
+    return evaluation.mean_average_precision(scores, positive).mean
 
 
 @dataclass
@@ -231,9 +226,10 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
 
 
 def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch: int, opt, buffers) -> None:
-    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each
-    live arm's epoch end and record, or the exception that stops it as its `failure`. A batch takes every arm's
-    feature rows, one forward pass, one decision and output delta for all arms, one backward pass and one step."""
+    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each live
+    arm's `_end_epoch`, the tracker fold and each live arm's `_settle`; an exception stops its arm as its `failure`.
+    A batch takes every arm's feature rows, one forward pass, one decision and output delta for all arms, one
+    backward pass and one step."""
     rows, visit, probs, seen, flags, grad, grad_views, batches, slices, base, tracker, states = buffers
     (n, k), first = tracker.max_loss.shape[-2:], arms[0]
     for i, (arm, arm_rows) in enumerate(zip(arms, rows.reshape(-1, n))):
@@ -266,11 +262,10 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     by_row.reshape(-1, k)[visit.reshape(-1)] = seen.reshape(-1, k)  # the AN losses by row, in a buffer that is free again
     tracker.update(by_row, epoch)
     row_flags.reshape(-1, k)[visit.reshape(-1)] = flags.reshape(-1, k)  # all False under epoch-level LL-Cp
-    for arm, *views in zip(arms, _arms(by_row), _arms(row_flags), plan.rate or plan.threshold):
-        arm.failure = arm.failure or _attempt(_settle, arm, epoch, *views, plan.rate is None)
-    del plan, positive, row_flags  # freed before validation: less to hold
-    for i, arm in enumerate(arms):  # its model after the epoch is a view of its row of the stack
-        arm.failure = arm.failure or _attempt(_record, arm, stack.arm(i), ds)
+    schedules, absolute = plan.rate or plan.threshold, plan.rate is None
+    del plan, positive  # freed before validation: less to hold
+    for i, (arm, *views) in enumerate(zip(arms, _arms(by_row), _arms(row_flags), schedules)):
+        arm.failure = arm.failure or _attempt(_settle, arm, epoch, *views, absolute, stack.arm(i), ds)
 
 
 def _attempt(fn, *args):
@@ -296,9 +291,10 @@ def _end_epoch(arm: _Arm, epoch: int, losses) -> None:
     arm.train_loss = weighted_total / (n * k)
 
 
-def _settle(arm: _Arm, epoch: int, losses, flags, schedule, absolute: bool) -> None:
-    """An arm's epoch-level selection, corrections and record but for validation, from its AN losses and flags by
-    row and its epoch's rate or threshold (`absolute`)."""
+def _settle(arm: _Arm, epoch: int, losses, flags, schedule, absolute: bool, model, ds: PartialDataset) -> None:
+    """An arm's epoch-level selection, corrections and record, from its AN losses and flags by row, its epoch's rate or
+    threshold (`absolute`) and its model after the epoch (a view of its row of the stack), whose validation mAP is
+    recorded; a copy of the model is kept if that is the best yet."""
     if (flags & (arm.states != UNKNOWN)).any():  # before any flag is counted or corrected
         raise AssertionError("flag selection touched an observed or corrected entry")
     # each batch's threshold is the smallest AN loss it flagged (NaN: none), or an absolute schedule's
@@ -313,18 +309,13 @@ def _settle(arm: _Arm, epoch: int, losses, flags, schedule, absolute: bool) -> N
     arm.cum_true_pos += true_pos or 0
     # the precision of LL-Cp's corrections so far, else of this epoch's flags; None without truth or flags
     hits, total = (arm.cum_true_pos, arm.cum_corrections) if arm.permanent else (true_pos, flagged)
-    arm.records.append(EpochRecord(  # val_map comes with `_record`
-        epoch=epoch, train_loss=arm.train_loss, val_map=math.nan, flags=flagged, flags_true_pos=true_pos,
+    val_map = _validation_map(model, ds, arm.val_idx) * 100.0
+    arm.records.append(EpochRecord(
+        epoch=epoch, train_loss=arm.train_loss, val_map=val_map, flags=flagged, flags_true_pos=true_pos,
         flag_precision=hits / total if true_pos is not None and total else None,
         cum_corrections=arm.cum_corrections, threshold_min=threshold))
-
-
-def _record(arm: _Arm, model, ds: PartialDataset) -> None:
-    """Give an arm's last record its model's validation mAP, and keep a copy of the model if that is the best yet."""
-    record = arm.records[-1]
-    record.val_map = _validation_map(model, ds, arm.val_idx) * 100.0
-    if record.val_map > arm.best_val:
-        arm.best_val, arm.best_epoch, arm.best_model = record.val_map, record.epoch, model.copy()
+    if val_map > arm.best_val:
+        arm.best_val, arm.best_epoch, arm.best_model = val_map, epoch, model.copy()
 
 
 def _report(arm: _Arm, ds: PartialDataset, test_ds: PartialDataset | None) -> RunReport:

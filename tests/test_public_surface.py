@@ -21,6 +21,7 @@ PACKAGE = ROOT / "src" / "wsml"
 ALLOWED = {
     "model.grad_check",  # the acceptance suite's gradient checker
     "dataset.PartialDataset.unknown_mask",  # the acceptance suite calls it
+    "evaluation.average_precision",  # the acceptance suite calls it
     "cli._Parser.error",  # argparse calls it on a bad command line
 }
 

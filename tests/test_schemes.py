@@ -58,7 +58,7 @@ class Decision:
 def plan(scheme, states, epoch, cfg, cuts=()):
     """A lone run's epoch plan over `states`, in their row order, whose batches start at row 0 and at each cut."""
     bounds = sorted({0, len(states), *(cut for cut in cuts if cut < len(states))})
-    return plan_epoch(plan_rows(scheme, states, cfg), epoch, np.arange(len(states)), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    return plan_epoch(plan_rows(scheme, states, [cfg]), epoch, np.arange(len(states)), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], [True])
 
 
 def decide_batch(scheme, probs, states, epoch, cfg) -> Decision:
@@ -103,7 +103,7 @@ class TestBce:
         targets = rng.uniform(size=(40, 7))
         pos, neg = class_losses(probs)
         want = np.where(positive, pos, neg)
-        assert_same_bits(an_losses(probs, positive), want)
+        assert_same_bits(an_losses(probs, positive, np.empty_like(probs)), want)
         assert_same_bits(an_losses(probs.copy(), positive, out=probs.copy()), want)
         assert_same_bits(bce_elementwise(probs, targets), targets * pos + (1.0 - targets) * neg)
         copy = probs.copy()
@@ -599,7 +599,7 @@ class TestCandidateSelection:
         losses = epoch_losses(planned, probs.copy(), flags, seen, an0)
         for batch, want in wanted:
             assert_same_bits(losses[batch], want)
-        assert_same_bits(seen, an_losses(probs, an0))  # the tracker's, against the starting targets
+        assert_same_bits(seen, an_losses(probs, an0, np.empty_like(probs)))  # the tracker's, against the starting targets
 
 
 @st.composite
@@ -627,7 +627,7 @@ def stacked_selections(draw):
     orders = [rng.permutation(n) for _ in range(arms)]
     cuts = draw(st.just([]) | st.lists(st.integers(1, max(1, n - 1)), max_size=6))  # one batch: from 512 candidates a partition
     if lone:
-        return scheme, states[0], cfgs[0], epoch, orders, cuts, probs[:, 0]
+        return scheme, states[0], cfgs, epoch, orders, cuts, probs[:, 0]
     return scheme, states, cfgs, epoch, orders, cuts, probs
 
 
@@ -643,7 +643,7 @@ class TestStackedSelection:
         bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
         batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         visit = np.stack([order + r * n for r, order in enumerate(orders)], axis=1).reshape(-1)
-        planned = plan_epoch(plan_rows(scheme, states, cfgs), epoch, visit, batches)
+        planned = plan_epoch(plan_rows(scheme, states, cfgs), epoch, visit, batches, [True] * arms)
         flags = np.zeros(probs.shape, dtype=bool)
         by_arm = states.reshape(arms, n, k)
         for i, batch in enumerate(batches):

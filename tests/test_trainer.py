@@ -310,6 +310,34 @@ class TestValidationMapWithoutTruth:
         got = trainer_mod._validation_map(classifier, PartialDataset(features, states), np.arange(len(states)))
         assert got == sum(aps) / len(aps)
 
+    @given(st.integers(2, 40), st.integers(2, 7), st.sampled_from([1.0, 30.0, 1e4]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the output layer, with `nan`
+    def test_is_the_mean_ap_over_observed_entries_bit_for_bit(self, n, k, scale, nan, seed):
+        """All four states, repeated feature rows (tied probabilities, at the clamp when `scale` saturates them), one
+        category without an observed positive and, with `nan`, NaN probabilities in some rows of some categories: the
+        mAP is the mean of `average_precision` over each category's observed entries, the same float."""
+        rng = np.random.default_rng(seed)
+        states = rng.choice([int(P), int(N), int(U), int(C)], size=(n, k)).astype(np.int8)
+        rows = rng.permutation(n)[: int(rng.integers(n // 2, n + 1))]
+        states[rows[0], rng.integers(1, k)] = P  # a category that counts
+        states[states[:, 0] == P, 0] = N  # and one without an observed positive
+        features = rng.standard_normal((n, 3)) * scale
+        features[rng.integers(n, size=n // 2)] = features[rng.integers(n, size=n // 2)]
+        classifier = model_mod.init_classifier("mlp1", 3, k, hidden=5, seed=int(rng.integers(100)))
+        if nan:  # hidden unit 0 is inf where the first feature is positive, and 0 * inf is NaN in the categories drawn
+            classifier.params["W1"][0], classifier.params["b1"][0] = [np.inf, 0.0, 0.0], 0.0
+            classifier.params["W2"][rng.random(k) < 0.5, 0] = 0.0
+        probs, states_rows = model_mod.forward(classifier, features[rows]), states[rows]
+        aps = []
+        for c in range(k):
+            observed = (states_rows[:, c] == P) | (states_rows[:, c] == N)
+            if (states_rows[observed, c] == P).any():
+                aps.append(average_precision(probs[observed, c], states_rows[observed, c] == P))
+        got = trainer_mod._validation_map(classifier, PartialDataset(features, states), rows)
+        assert repr(got) == repr(float(np.mean(aps)))
+
     def test_no_observed_positive_raises(self):
         rng = np.random.default_rng(13)
         states = rng.choice([int(N), int(U), int(C)], size=(10, 3)).astype(np.int8)
