@@ -22,15 +22,17 @@ linear one, one of them to stdout, a train and an eval on a copy of the
 partialized corpus with comment lines inside its blocks, a train on a copy
 whose state disagrees with its truth, a train on a copy cut before its TRUTH
 line, whose validation mAP ranks the observed entries alone, a 2-worker, a
-1-worker and a failing sweep, and four delta-rel sweeps whose arms train as
+1-worker and a failing sweep, and five delta-rel sweeps whose arms train as
 stacks: four LL-Cp arms in one stack, with a frozen first epoch and a ragged
 last batch, three LL-R arms in one stack, whose flagged entries train with
 weight 0, with a ragged last batch, five LL-Ct arms that two workers take as
-stacks of three and two, and three LL-Ct arms in one stack on the copy without
-truth, with a ragged last batch. Each side runs in its own empty directory with
-relative paths. Every output file and each command's stdout, stderr and exit
-code are then compared byte for byte; the files that differ are printed, the
-outputs are kept for inspection and the exit code is 1.
+stacks of three and two, three LL-Ct arms in one stack on the copy without
+truth, with a ragged last batch, and three batch-level LL-Cp arms in one
+stack, with a ragged last batch, one of which never selects: its quota is
+zero in every batch. Each side runs in its own empty directory with relative
+paths. Every output file and each command's stdout, stderr and exit code are
+then compared byte for byte; the files that differ are printed, the outputs
+are kept for inspection and the exit code is 1.
 
 The base is extracted with `git archive` (only `src/`, no network). Example:
     python scripts/cli_bytes.py --base HEAD~1
@@ -196,6 +198,9 @@ def pipeline(n=300, dim=8, classes=6, epochs=4):
         # three arms in one stack on the copy without truth: each validates on its observed entries alone
         sweep("sweep-stack-bare", "1", "delta-rel", "5,2,10", "ll-ct", "--hidden", "8", arch="mlp1", batch=7,
               data="bare.wsml"),
+        # three LL-Cp arms that select in every batch, in one stack: at 2% no batch's quota reaches one
+        sweep("sweep-stack-llcp-batch", "1", "delta-rel", "5,2,10", "ll-cp", "--llcp-granularity", "batch",
+              "--hidden", "8", arch="mlp1", batch=7),
     ]
 
 

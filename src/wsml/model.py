@@ -208,12 +208,12 @@ def output_delta(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray, ou
         out *= weights
 
 
-def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.ndarray | None = None,
-             views: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Gradient of the weighted mean binary cross entropy at the forward pass `fwd`, laid out like `model.flat`:
-    `out` when given (with `views`, its `model.views(out)`, if the caller keeps them), else a new array. deltas: a
-    pass of B rows other than `fwd` (`ForwardPass.empty`) whose `raw` holds the delta at the output logits
-    (`output_delta`, of each arm's own targets and weights for a stack); the layers' deltas go over it.
+def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.ndarray,
+             views: dict[str, np.ndarray]) -> np.ndarray:
+    """Gradient of the weighted mean binary cross entropy at the forward pass `fwd`, laid out like `model.flat`, into
+    `out` (returned), whose `model.views(out)` the caller keeps as `views`. deltas: a pass of B rows other than `fwd`
+    (`ForwardPass.empty`) whose `raw` holds the delta at the output logits (`output_delta`, of each arm's own targets
+    and weights for a stack); the layers' deltas go over it.
 
     The loss is sum(weights * bce(P, targets)) / (B * K) with weights treated as constants, P the clamped forward
     probabilities. Where the clamp is active the probability is constant in the parameters, so those entries
@@ -222,11 +222,9 @@ def backward(model: Classifier, fwd: ForwardPass, deltas: ForwardPass, out: np.n
     grad = deltas.raw
     grad *= fwd.probs == fwd.raw  # the clamp left the probability alone
     grad /= b * k
-    out = np.empty_like(model.flat) if out is None else out
-    g = model.views(out) if views is None else views
     for i, (w_name, b_name) in _BACKWARD[model.arch]:
-        matmul(grad.mT, fwd.inputs[i], out=g[w_name])
-        grad.sum(axis=-2, out=g[b_name])
+        matmul(grad.mT, fwd.inputs[i], out=views[w_name])
+        grad.sum(axis=-2, out=views[b_name])
         if i:  # back through the ReLU to the previous layer's pre-activation
             grad = matmul(grad, model.layers[i][0], out=deltas.pre[i - 1])
             grad *= fwd.pre[i - 1] > 0
@@ -288,7 +286,8 @@ def grad_check(model: Classifier, x, targets, weights, step_size: float = 1e-5) 
     x, targets, weights = (np.asarray(a, dtype=np.float64) for a in (x, targets, weights))
     fwd, deltas = forward_pass(model, x), ForwardPass.empty(model, x.shape[0])
     output_delta(fwd.probs, targets, weights, deltas.raw)  # the training loop's calls
-    analytic = backward(model, fwd, deltas)
+    analytic = np.empty_like(model.flat)
+    backward(model, fwd, deltas, analytic, model.views(analytic))
 
     def loss() -> float:
         return float((weights * bce_elementwise(forward(model, x), targets)).sum() / (x.shape[0] * model.num_classes))

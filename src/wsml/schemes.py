@@ -182,9 +182,9 @@ PARTITION_MIN = 512
 _SCALES = np.append(np.ldexp(1.0, np.arange(0, -1024, -32)), np.nan)
 
 
-def quota(rate: float, m: int) -> int:
-    """How many of m UNKNOWN entries a relative schedule flags: floor(rate/100 * m), at most m."""
-    return min(int((rate / 100.0) * m), m)
+def quota(rate: float | np.ndarray, m: int | np.ndarray):
+    """How many of m UNKNOWN entries a relative schedule flags: floor(rate/100 * m), at most m; elementwise."""
+    return np.minimum((np.divide(rate, 100.0) * m).astype(np.int64), m)
 
 
 def select_large_losses(losses: np.ndarray, candidates: np.ndarray, rate: float | None, threshold: float | None,
@@ -234,10 +234,9 @@ class EpochPlan:
     """What the label states fix of a stack's batch decisions: the AN positives, the UNKNOWN mask, the base targets
     (`an` itself, whose bools have the float targets' bits in a difference, or LSAN's smoothed ones) and weights, laid
     out like the states, (*arms, n, K), by `plan_rows`, and in an epoch's visiting order, (n, *arms, K), by `plan_epoch`,
-    which adds each arm's rate or threshold (the other is None) and each batch's rows and selection (None: none).
-    counts: each row's UNKNOWN entries."""
+    which adds each arm's schedule (its rate, or its threshold if `spec.schedule` is "absolute") and each batch's rows
+    and selection (None: none). counts: each row's UNKNOWN entries."""
 
-    scheme: Scheme
     spec: SchemeSpec
     cfgs: list[SchemeConfig]
     an: np.ndarray
@@ -245,16 +244,14 @@ class EpochPlan:
     targets: np.ndarray
     weights: np.ndarray
     counts: np.ndarray
-    rate: list[float] | None = None
-    threshold: list[float] | None = None
+    schedule: list[float] = field(default_factory=list)
     batches: list = field(default_factory=list)
 
 
-def plan_rows(scheme: Scheme, states: np.ndarray, cfgs: list[SchemeConfig]) -> EpochPlan:
-    """The plan's arrays over `states` (*arms, n, K), of the arms with the configs `cfgs`, one per arm. Once per run
-    for a scheme that never changes states (all but LL-Cp)."""
-    scheme, states = Scheme(scheme), np.asarray(states)
-    spec = SPECS[scheme]
+def plan_rows(states: np.ndarray, cfgs: list[SchemeConfig]) -> EpochPlan:
+    """The plan's arrays over `states` (*arms, n, K), of the arms with the configs `cfgs`, one per arm, all of one
+    scheme. Once per run for a scheme that never changes states (all but LL-Cp)."""
+    spec, states = SPECS[cfgs[0].scheme], np.asarray(states)
     an, unknown = an_targets_from_states(states) == 1.0, states == UNKNOWN
     targets = an
     if spec.target == "smoothed":  # where(an, 1 - eps, eps): the bits of an * (1 - eps) + (1 - an) * eps
@@ -266,34 +263,33 @@ def plan_rows(scheme: Scheme, states: np.ndarray, cfgs: list[SchemeConfig]) -> E
         weights = np.where(an, 1.0, 1.0 / (states.shape[-1] - 1))
     else:
         weights = np.broadcast_to(1.0, states.shape)  # read-only, and no memory held for the epoch
-    return EpochPlan(scheme, spec, cfgs, an, unknown, targets, weights, unknown.sum(axis=-1))
+    return EpochPlan(spec, cfgs, an, unknown, targets, weights, unknown.sum(axis=-1))
 
 
 def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[slice], live: list[bool]) -> EpochPlan:
     """The part of epoch `epoch`'s decisions that does not read the model, which holds for the whole epoch: permanent
     corrections land only at epoch end. order: for each (visiting row, arm) in turn, the row of `rows`' arrays seen
-    as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. live: which arms select. The
-    schedule is the scheme's; the batches select as `rows.spec` acts. A batch's selection: the ascending flat indices
-    of its selecting arms' UNKNOWN entries into the (n, *arms, K) arrays, their arm (None in a lone run), and each
-    one's -threshold (absolute) or the places flagged in their stable (arm, -loss) order, each arm's first quota."""
+    as (arms * n, K) that it visits. batches: each batch's visiting rows, in turn. live: which arms select in the
+    batches (not epoch-level LL-Cp, whose schedule selects at epoch end). A batch's selection: the ascending flat
+    indices of its selecting arms' UNKNOWN entries into the (n, *arms, K) arrays, their arm (None in a lone run), and
+    each one's -threshold (absolute) or the places flagged in their stable (arm, -loss) order, each arm's first quota."""
     spec, (n, k), arms = rows.spec, rows.an.shape[-2:], len(rows.cfgs)
 
     def reorder(a):  # a broadcast 1.0 has no rows to take
         shape = (n, *rows.an.shape[:-2], k)
         return a.reshape(-1, k).take(order, axis=0).reshape(shape) if any(a.strides) else np.broadcast_to(1.0, shape)
 
-    an, relative = reorder(rows.an), SPECS[rows.scheme].schedule != "absolute"
-    plan = EpochPlan(rows.scheme, spec, rows.cfgs, an, reorder(rows.unknown), an if rows.targets is rows.an else
+    an, relative = reorder(rows.an), spec.schedule != "absolute"
+    plan = EpochPlan(spec, rows.cfgs, an, reorder(rows.unknown), an if rows.targets is rows.an else
                      reorder(rows.targets), reorder(rows.weights), rows.counts.reshape(-1).take(order).reshape(n, arms),
-                     [rejection_rate(rows.scheme, epoch, cfg) for cfg in rows.cfgs] if relative else None,
-                     None if relative else [absolute_threshold(epoch, cfg) for cfg in rows.cfgs])
+                     [rejection_rate(cfg.scheme, epoch, cfg) if relative else absolute_threshold(epoch, cfg)
+                      for cfg in rows.cfgs])
     plan.batches = [(batch, None) for batch in batches]
-    if spec.action == "none" or relative and not any(plan.rate):
+    if spec.action == "none" or not any(live) or relative and not any(plan.schedule):
         return plan
     bounds = np.array([*(batch.start for batch in batches), n])
     counts = np.add.reduceat(plan.counts, bounds[:-1])  # of each (batch, arm): a live one selects at a positive quota
-    quotas = np.minimum((np.array(plan.rate) / 100.0 * counts).astype(np.int64), counts) if relative else counts
-    quotas = np.where((quotas > 0) & live, quotas, 0)
+    quotas = np.where(live, quota(np.array(plan.schedule), counts) if relative else counts, 0)
     counts *= quotas > 0
     selects = (quotas > 0).repeat(np.diff(bounds), axis=0)  # of each (row, arm)
     candidates = np.flatnonzero(plan.unknown.reshape(n, arms, k) & selects[:, :, None])
@@ -305,7 +301,7 @@ def plan_epoch(rows: EpochPlan, epoch: int, order: np.ndarray, batches: list[sli
                                                    + quotas).reshape(-1), quotas.reshape(-1))
         stops = taken[arms - 1::arms].tolist()
     else:  # loss > t: -log(1 - p) > t is log(1 - p) < -t
-        chosen, stops = np.negative(plan.threshold)[arm], ends
+        chosen, stops = np.negative(plan.schedule)[arm], ends
     plan.batches = [(batch, None if a == b else (candidates[a:b], arm[a:b] if arms > 1 else None, chosen[c:d]))
                     for batch, a, b, c, d in zip(batches, [0, *ends], ends, [0, *stops], stops)]
     return plan
@@ -323,7 +319,7 @@ def decide_planned(plan: EpochPlan, i: int, probs: np.ndarray, flags: np.ndarray
     candidates, arm, chosen = selection
     keys = probs.take(candidates)
     np.log(np.subtract(1.0, keys, out=keys), out=keys)  # log(1 - p): the negated loss
-    flags.put(candidates[keys < chosen if plan.rate is None else _ranked(keys, chosen, arm)], True)
+    flags.put(candidates[keys < chosen if plan.spec.schedule == "absolute" else _ranked(keys, chosen, arm)], True)
     if plan.spec.action == "reject":
         return targets, np.where(flags[rows], 0.0, weights)
     return targets | flags[rows], weights  # flagged entries train toward 1 until the state change lands

@@ -203,9 +203,9 @@ def _start(cfg: TrainConfig, ds: PartialDataset, test_ds: PartialDataset | None)
                 permanent, permanent and cfg.llcp_granularity == "epoch")
 
 
-def _arms(a: np.ndarray, visiting: bool = False) -> list[np.ndarray]:
-    """Each arm's (n, K) part of a stack's array, (arms, n, K) by row or (n, arms, K) `visiting`; a lone run's own."""
-    return [a] if a.ndim == 2 else list(a.swapaxes(0, 1) if visiting else a)
+def _arms(a: np.ndarray) -> list[np.ndarray]:
+    """Each arm's (n, K) part of a stack's array, (arms, n, K); a lone run's own."""
+    return [a] if a.ndim == 2 else list(a)
 
 
 def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
@@ -226,8 +226,8 @@ def _buffers(classifier, n: int, k: int, d: int, batch_size: int):
 
 
 def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch: int, opt, buffers) -> None:
-    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then each live
-    arm's `_end_epoch`, the tracker fold and each live arm's `_settle`; an exception stops its arm as its `failure`.
+    """One pass of the stack (`classifier`: the `stack`, or a lone run's arm) over its arms' data, then `_end_epoch`'s
+    train losses, the tracker fold and each live arm's `_settle`; an exception stops its arm as its `failure`.
     A batch takes every arm's feature rows, one forward pass, one decision and output delta for all arms, one
     backward pass and one step."""
     rows, visit, probs, seen, flags, grad, grad_views, batches, slices, base, tracker, states = buffers
@@ -237,10 +237,9 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
             order = np.random.default_rng(arm.epoch_seeds[epoch - 1]).permutation(n)
             arm.train_idx.take(order, out=arm_rows)
             np.add(order, i * n, out=visit[:, i])
-    rows_plan = schemes.plan_rows(base.scheme, states, base.cfgs) if first.permanent and epoch > 1 else base
-    if first.epoch_level:  # each batch trains on the AN targets; the plan's schedule selects at epoch end
-        rows_plan = replace(rows_plan, spec=schemes.SPECS[schemes.Scheme.NAIVE_AN])
-    plan = schemes.plan_epoch(rows_plan, epoch, visit.reshape(-1), slices, [arm.failure is None for arm in arms])
+    rows_plan = schemes.plan_rows(states, base.cfgs) if first.permanent and epoch > 1 else base
+    plan = schemes.plan_epoch(rows_plan, epoch, visit.reshape(-1), slices,
+                              [arm.failure is None and not arm.epoch_level for arm in arms])
     flags.fill(False)
 
     for i, (batch_rows, x, batch_probs, planned_probs, work, deltas, delta) in enumerate(batches):
@@ -253,8 +252,7 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     # the AN losses against the targets each run started from; LL-Cp's states have changed since
     positive = base.an.reshape(-1, k).take(visit.reshape(-1), axis=0).reshape(plan.an.shape) if first.permanent else plan.an
     losses = schemes.epoch_losses(plan, probs, flags, seen, positive)  # over the probabilities
-    for arm, arm_losses in zip(arms, _arms(losses, True)):
-        arm.failure = arm.failure or _attempt(_end_epoch, arm, epoch, arm_losses)
+    _end_epoch(arms, epoch, losses)
     if all(arm.failure for arm in arms):  # nothing left to fold in
         return
     # every row was visited exactly once, so one fold by row does what a fold per batch would
@@ -262,7 +260,7 @@ def _train_epoch(stack, classifier, ds: PartialDataset, arms: list[_Arm], epoch:
     by_row.reshape(-1, k)[visit.reshape(-1)] = seen.reshape(-1, k)  # the AN losses by row, in a buffer that is free again
     tracker.update(by_row, epoch)
     row_flags.reshape(-1, k)[visit.reshape(-1)] = flags.reshape(-1, k)  # all False under epoch-level LL-Cp
-    schedules, absolute = plan.rate or plan.threshold, plan.rate is None
+    schedules, absolute = plan.schedule, plan.spec.schedule == "absolute"
     del plan, positive  # freed before validation: less to hold
     for i, (arm, *views) in enumerate(zip(arms, _arms(by_row), _arms(row_flags), schedules)):
         arm.failure = arm.failure or _attempt(_settle, arm, epoch, *views, absolute, stack.arm(i), ds)
@@ -276,19 +274,17 @@ def _attempt(fn, *args):
         return exc
 
 
-def _end_epoch(arm: _Arm, epoch: int, losses) -> None:
-    """Set an arm's train loss from its epoch losses (`schemes.epoch_losses`, written over its probabilities) in visiting
-    order. Raises TrainingDiverged on a non-finite batch loss."""
-    n, k = losses.shape
-    full = n - n % arm.cfg.batch_size  # each batch's sum over one contiguous block, as the batch had it
-    batch_losses = losses[:full].reshape(-1, arm.cfg.batch_size * k).sum(axis=1).tolist()
-    batch_losses += [float(losses[full:].sum())] if full < n else []
-    weighted_total = 0.0
-    for batch_loss in batch_losses:  # in batch order
-        if not math.isfinite(batch_loss):
-            raise TrainingDiverged(epoch)
-        weighted_total += batch_loss
-    arm.train_loss = weighted_total / (n * k)
+def _end_epoch(arms: list[_Arm], epoch: int, losses: np.ndarray) -> None:
+    """Set each arm's train loss from the epoch losses (`schemes.epoch_losses`, written over the probabilities, (n,
+    *arms, K) in visiting order), and a running arm's failure to TrainingDiverged on a non-finite batch loss."""
+    n, k, size = len(losses), losses.shape[-1], arms[0].cfg.batch_size
+    by_arm = np.ascontiguousarray(losses.reshape(n, -1, k).swapaxes(0, 1))  # (arms, n, K): a batch is one block
+    full = n - n % size  # each batch's sum over its block, as the batch had it; an empty ragged block sums to 0.0
+    sums = np.concatenate([np.zeros((len(arms), 1)), by_arm[:, :full].reshape(len(arms), -1, size * k).sum(axis=-1),
+                           by_arm[:, full:].reshape(len(arms), -1).sum(axis=-1, keepdims=True)], axis=1)
+    totals = np.cumsum(sums, axis=1)[:, -1] / (n * k)  # added in batch order from 0.0, where x + 0.0 is x
+    for arm, finite, total in zip(arms, np.isfinite(sums).all(axis=1), totals.tolist()):
+        arm.train_loss, arm.failure = total, arm.failure or (None if finite else TrainingDiverged(epoch))
 
 
 def _settle(arm: _Arm, epoch: int, losses, flags, schedule, absolute: bool, model, ds: PartialDataset) -> None:
@@ -350,7 +346,7 @@ def run_stack(cfgs: list[TrainConfig], ds: PartialDataset,
         for arm, arm_states in zip(arms, _arms(states)):  # a view: LL-Cp's corrections land in the stack's states
             arm.states = arm_states
         buffers = (*_buffers(classifier, len(arms[0].train_idx), ds.k, ds.d, first.batch_size),
-                   schemes.plan_rows(first.scheme.scheme, states, [arm.cfg.scheme for arm in arms]), tracker, states)
+                   schemes.plan_rows(states, [arm.cfg.scheme for arm in arms]), tracker, states)
         for epoch in range(1, first.epochs + 1):
             classifier.frozen_hidden = epoch <= first.frozen_epochs
             _train_epoch(stack, classifier, ds, arms, epoch, opt, buffers)

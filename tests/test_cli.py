@@ -655,10 +655,11 @@ class TestSweep:
                                                               threads):
         end_epoch = trainer_mod._end_epoch
 
-        def diverge_at_02(arm, epoch, probs, *args):  # arm 0.2's epoch-end loss alone is not finite
-            if arm.cfg.scheme.delta_rel == 0.2:
-                probs[0, 0] = np.nan
-            return end_epoch(arm, epoch, probs, *args)
+        def diverge_at_02(arms, epoch, losses):  # arm 0.2's epoch-end loss alone is not finite
+            for i, arm in enumerate(arms):
+                if arm.cfg.scheme.delta_rel == 0.2:
+                    losses.reshape(len(losses), len(arms), -1)[0, i, 0] = np.nan
+            return end_epoch(arms, epoch, losses)
 
         monkeypatch.setattr(trainer_mod, "_end_epoch", diverge_at_02)
         rows = {}

@@ -28,7 +28,7 @@ def test_working_tree_against_itself_is_identical(tmp_path, capsys, tiny_run):
     assert cli_bytes.report(a, b) == 0
     assert capsys.readouterr().out.strip() == "identical"
     exits = {p.name.split("-", 1)[1]: p.read_text() for p in b.glob("*.exit")}
-    assert len(exits) == 47
+    assert len(exits) == 48
     assert sorted(name for name, code in exits.items() if code != "0\n") == \
         ["notes-bad.exit", "part-wide-bad.exit", "sweep-fail.exit"]
     for name in ("full.wsml", "dense.wsml", "wide.wsml", "wide-sp.wsml", "wide-notes.model", "sp.wsml", "frac-all.wsml",

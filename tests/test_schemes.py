@@ -56,9 +56,17 @@ class Decision:
 
 
 def plan(scheme, states, epoch, cfg, cuts=()):
-    """A lone run's epoch plan over `states`, in their row order, whose batches start at row 0 and at each cut."""
+    """A lone run's epoch plan over `states`, in their row order, whose batches start at row 0 and at each cut; the
+    config `cfg` is of the scheme `scheme`."""
+    assert cfg.scheme == Scheme(scheme)
     bounds = sorted({0, len(states), *(cut for cut in cuts if cut < len(states))})
-    return plan_epoch(plan_rows(scheme, states, [cfg]), epoch, np.arange(len(states)), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], [True])
+    return plan_epoch(plan_rows(states, [cfg]), epoch, np.arange(len(states)), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], [True])
+
+
+def rate_threshold(plan, arm=0):
+    """Arm `arm`'s (rate, threshold) of the plan's schedule, the other None: as `select_large_losses` takes them."""
+    schedule = plan.schedule[arm]
+    return (None, schedule) if plan.spec.schedule == "absolute" else (schedule, None)
 
 
 def decide_batch(scheme, probs, states, epoch, cfg) -> Decision:
@@ -79,7 +87,7 @@ def decide(plan, i, probs) -> Decision:
     flags = np.zeros(probs.shape, dtype=bool)
     targets, weights = decide_planned(plan, i, probs, flags)
     rows, selection = plan.batches[i]
-    threshold = plan.threshold[0] if plan.rate is None and SPECS[plan.scheme].action != "none" else \
+    threshold = plan.schedule[0] if plan.spec.schedule == "absolute" else \
         float(np.fmin.reduce(-np.log(np.subtract(1.0, probs[flags])), initial=np.nan))
     return Decision(np.asarray(targets, dtype=np.float64), weights, flags[rows], threshold)
 
@@ -437,14 +445,14 @@ class TestEpochPlan:
         assert np.array_equal(planned.an, [[False, True, False], [True, False, True]])
         assert np.array_equal(planned.unknown, states == U)
         assert np.array_equal(planned.weights, [[0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
-        assert planned.rate == [0.0] and planned.threshold is None
+        assert planned.schedule == [0.0] and planned.spec.schedule == "none"
 
     def test_schedule_is_the_epoch_rate_or_threshold(self):
         states = np.full((1, 2), U, dtype=np.int8)
         relative = plan(Scheme.LL_CT, states, 4, cfg("ll-ct", delta_rel=2.0))
-        assert (relative.rate, relative.threshold) == ([6.0], None)
+        assert rate_threshold(relative) == (6.0, None) and relative.schedule == [6.0]
         absolute = plan(Scheme.LL_R_ABS, states, 2, cfg("ll-r-abs", r0=1.5, delta_abs=0.25))
-        assert (absolute.rate, absolute.threshold) == (None, [1.0])
+        assert rate_threshold(absolute) == (None, 1.0) and absolute.schedule == [1.0]
         with pytest.raises(ValueError, match="epoch"):
             plan(Scheme.NAIVE_AN, states, 0, cfg("naive-an"))
 
@@ -463,8 +471,7 @@ class TestEpochPlan:
             got = decide(planned, i, probs)
             if SPECS[scheme].action != "none":
                 given = np.where(planned.an[batch], *class_losses(probs[batch]))
-                flags, threshold = select_by_states(given, states[batch], *(planned.rate or [None]),
-                                                    *(planned.threshold or [None]))
+                flags, threshold = select_by_states(given, states[batch], *rate_threshold(planned))
                 assert np.array_equal(got.flags, flags)
                 assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
             assert_same_decision(got, reference_decide_batch(scheme, probs[batch], states[batch], 4, c))
@@ -525,8 +532,7 @@ class TestPlannedSelection:
         for planned in (plan(Scheme(token), states, epoch, c, cuts), plan(Scheme(token), states, epoch, c, range(size, n, size))):
             for i, (batch, _) in enumerate(planned.batches):
                 got = decide(planned, i, probs)
-                flags, threshold = python_selection(losses[batch], states[batch], *(planned.rate or [None]),
-                                                    *(planned.threshold or [None]))
+                flags, threshold = python_selection(losses[batch], states[batch], *rate_threshold(planned))
                 assert np.array_equal(got.flags, flags), batch
                 assert got.threshold == threshold or math.isnan(got.threshold) and math.isnan(threshold)
                 assert np.array_equal(got.weights, np.where(flags, 0.0, 1.0))
@@ -556,7 +562,7 @@ class TestCandidateSelection:
         for row, want in expected.items():
             batch = slice(0, 2) if row is None else slice(row, row + 1)
             got = decide(both, 0, probs) if row is None else decide(by_row, row, probs)
-            flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], both.rate[0], None)
+            flags, threshold = reference.select(-np.log(1.0 - probs[batch]), states[batch], *rate_threshold(both))
             assert got.flags.astype(int).tolist() == want == flags.astype(int).tolist()
             assert got.threshold == threshold == -np.log(1.0 - low)
             assert_same_decision(got, decide_batch(Scheme.LL_R, probs[batch], states[batch], 2, c))
@@ -643,7 +649,7 @@ class TestStackedSelection:
         bounds = sorted({0, n, *(cut for cut in cuts if cut < n)})
         batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         visit = np.stack([order + r * n for r, order in enumerate(orders)], axis=1).reshape(-1)
-        planned = plan_epoch(plan_rows(scheme, states, cfgs), epoch, visit, batches, [True] * arms)
+        planned = plan_epoch(plan_rows(states, cfgs), epoch, visit, batches, [True] * arms)
         flags = np.zeros(probs.shape, dtype=bool)
         by_arm = states.reshape(arms, n, k)
         for i, batch in enumerate(batches):
@@ -653,7 +659,7 @@ class TestStackedSelection:
                 arm_probs = probs.reshape(n, arms, k)[batch, r]
                 candidates = np.flatnonzero(visited == U)
                 losses = -np.log(np.subtract(1.0, arm_probs.reshape(-1)[candidates]))
-                rate, threshold = (planned.rate or [None] * arms)[r], (planned.threshold or [None] * arms)[r]
+                rate, threshold = rate_threshold(planned, r)
                 want, want_threshold = select_large_losses(losses, candidates, rate, threshold, np.zeros((batch.stop - batch.start, k), dtype=bool))
                 got = flags.reshape(n, arms, k)[batch, r]
                 assert np.array_equal(got, want), (i, r)

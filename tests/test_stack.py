@@ -91,7 +91,8 @@ def test_each_arm_of_a_drawn_stack_has_the_bits_it_has_alone(token, granularity,
 
 
 def tiny_stack(*seeds):
-    """(LL-Ct configs, one an arm of each seed, and their dataset), with a ragged last batch."""
+    """(LL-Ct configs, an arm of each seed, and their dataset). Its 56 training rows make 8 full batches of 7, so
+    the tests on it cover a stack whose every batch is full; the drawn stacks above cover ragged last batches."""
     full = generate_synthetic(SyntheticSpec(n=70, dim=4, classes=5, pos_rate=0.4, seed=1))
     cfgs = [TrainConfig(SchemeConfig(Scheme.LL_CT, delta_rel=5.0 + seed), epochs=3, batch_size=7, arch="mlp1",
                         hidden=6, seed=seed) for seed in seeds]
@@ -104,10 +105,11 @@ def test_an_arm_that_diverges_leaves_the_stack_and_the_others_keep_their_bits(mo
     alone = [run(cfg, ds) for cfg in cfgs]
     end_epoch = trainer._end_epoch
 
-    def diverge_seed_4_at_epoch_2(arm, epoch, probs, *args):
-        if arm.cfg.seed == 4 and epoch == 2:
-            probs[3, 1] = np.nan
-        return end_epoch(arm, epoch, probs, *args)
+    def diverge_seed_4_at_epoch_2(arms, epoch, losses):  # losses: (n, *arms, K) in visiting order
+        for i, arm in enumerate(arms):
+            if arm.cfg.seed == 4 and epoch == 2:
+                losses.reshape(len(losses), len(arms), -1)[3, i, 1] = np.nan
+        return end_epoch(arms, epoch, losses)
 
     monkeypatch.setattr(trainer, "_end_epoch", diverge_seed_4_at_epoch_2)
     for cfg, report, want in zip(cfgs, run_stack(cfgs, ds), alone):

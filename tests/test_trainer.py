@@ -484,7 +484,7 @@ def can_flag_batches(plan, batch_size):
     """How many of a lone run's plan's batches can flag: all under an absolute schedule,
     those with a positive quota of their UNKNOWN entries under a relative one."""
     unknown = [int(plan.unknown[lo:lo + batch_size].sum()) for lo in range(0, len(plan.unknown), batch_size)]
-    return sum(plan.rate is None or schemes.quota(plan.rate[0], m) > 0 for m in unknown)
+    return sum(plan.spec.schedule == "absolute" or schemes.quota(plan.schedule[0], m) > 0 for m in unknown)
 
 
 def counting_selections(monkeypatch, counts):
